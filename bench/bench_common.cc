@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <iostream>
 
 #include "common/stopwatch.h"
 
@@ -44,6 +45,16 @@ BenchContext* BuildContext() {
 const BenchContext& BenchContext::Get() {
   static const BenchContext* ctx = BuildContext();
   return *ctx;
+}
+
+std::size_t EnvSize(const char* name, std::size_t fallback) {
+  if (const char* env = std::getenv(name)) {
+    const long long parsed = std::atoll(env);
+    if (parsed > 0) return static_cast<std::size_t>(parsed);
+    std::cerr << "ignoring " << name << "='" << env
+              << "' (expected a positive integer)\n";
+  }
+  return fallback;
 }
 
 }  // namespace greca::bench

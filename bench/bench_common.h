@@ -4,6 +4,7 @@
 #ifndef GRECA_BENCH_BENCH_COMMON_H_
 #define GRECA_BENCH_BENCH_COMMON_H_
 
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -25,6 +26,10 @@ struct BenchContext {
   /// Set GRECA_BENCH_SMALL=1 to shrink the universe for smoke runs.
   static const BenchContext& Get();
 };
+
+/// The positive integer in environment variable `name`, or `fallback` when
+/// it is unset; any other value is reported on stderr and ignored.
+std::size_t EnvSize(const char* name, std::size_t fallback);
 
 /// Number of repetitions for group-sampled measurements (paper: 20 groups).
 inline constexpr std::size_t kNumRandomGroups = 20;

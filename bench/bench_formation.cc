@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/stopwatch.h"
 #include "common/table_printer.h"
 #include "groups/formation_pipeline.h"
@@ -37,16 +38,7 @@
 namespace {
 
 using namespace greca;
-
-std::size_t EnvSize(const char* name, std::size_t fallback) {
-  if (const char* env = std::getenv(name)) {
-    const long long parsed = std::atoll(env);
-    if (parsed > 0) return static_cast<std::size_t>(parsed);
-    std::cerr << "ignoring " << name << "='" << env
-              << "' (expected a positive integer)\n";
-  }
-  return fallback;
-}
+using bench::EnvSize;
 
 struct StrategyStats {
   std::size_t groups = 0;

@@ -43,30 +43,14 @@
 #include "api/engine.h"
 #include "bench_common.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/stopwatch.h"
 #include "common/table_printer.h"
 
 namespace {
 
 using namespace greca;
-
-std::size_t EnvSize(const char* name, std::size_t fallback) {
-  if (const char* env = std::getenv(name)) {
-    const long long parsed = std::atoll(env);
-    if (parsed > 0) return static_cast<std::size_t>(parsed);
-    std::cerr << "ignoring " << name << "='" << env
-              << "' (expected a positive integer)\n";
-  }
-  return fallback;
-}
-
-double Percentile(std::vector<double>& sorted_in_place, double p) {
-  if (sorted_in_place.empty()) return 0.0;
-  std::sort(sorted_in_place.begin(), sorted_in_place.end());
-  const auto idx = static_cast<std::size_t>(
-      p * static_cast<double>(sorted_in_place.size() - 1));
-  return sorted_in_place[idx];
-}
+using bench::EnvSize;
 
 struct PhaseResult {
   double qps = 0.0;
@@ -114,8 +98,8 @@ PhaseResult RunReaders(const Engine& engine, std::span<const Query> queries,
   PhaseResult result;
   result.queries = all.size();
   result.qps = static_cast<double>(all.size()) / elapsed;
-  result.p50_us = Percentile(all, 0.50);
-  result.p99_us = Percentile(all, 0.99);
+  result.p50_us = Percentile(all, 50);
+  result.p99_us = Percentile(all, 99);
   return result;
 }
 
@@ -270,8 +254,8 @@ int main() {
     }
     buckets[b].publishes = hi - lo;
     buckets[b].accumulated_mid = curve[(lo + hi) / 2].accumulated;
-    buckets[b].p50_ms = Percentile(steady, 0.50);
-    buckets[b].p99_ms = Percentile(steady, 0.99);
+    buckets[b].p50_ms = Percentile(steady, 50);
+    buckets[b].p99_ms = Percentile(steady, 99);
   }
   const double curve_p99_first = buckets.front().p99_ms;
   const double curve_p99_last = buckets.back().p99_ms;
@@ -315,8 +299,8 @@ int main() {
   }
 
   const double ratio = live.qps / baseline.qps;
-  const double publish_p50 = Percentile(publish_ms, 0.50);
-  const double publish_p99 = Percentile(publish_ms, 0.99);
+  const double publish_p50 = Percentile(publish_ms, 50);
+  const double publish_p99 = Percentile(publish_ms, 99);
 
   TablePrinter table("Engine::Recommend under live updates (generation 1 -> " +
                      std::to_string(final_generation) + ")");

@@ -46,7 +46,9 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/stopwatch.h"
 #include "common/table_printer.h"
 #include "shard/sharded_engine.h"
@@ -54,24 +56,7 @@
 namespace {
 
 using namespace greca;
-
-std::size_t EnvSize(const char* name, std::size_t fallback) {
-  if (const char* env = std::getenv(name)) {
-    const long long parsed = std::atoll(env);
-    if (parsed > 0) return static_cast<std::size_t>(parsed);
-    std::cerr << "ignoring " << name << "='" << env
-              << "' (expected a positive integer)\n";
-  }
-  return fallback;
-}
-
-double Percentile(std::vector<double>& sorted_in_place, double p) {
-  if (sorted_in_place.empty()) return 0.0;
-  std::sort(sorted_in_place.begin(), sorted_in_place.end());
-  const auto idx = static_cast<std::size_t>(
-      p * static_cast<double>(sorted_in_place.size() - 1));
-  return sorted_in_place[idx];
-}
+using bench::EnvSize;
 
 struct WorkloadResult {
   std::size_t shards = 0;
@@ -185,10 +170,10 @@ WorkloadResult RunWorkload(ShardedEngine& engine, double locality,
   result.queries = query_us.size();
   result.update_batches = publish_ms.size();
   result.qps = static_cast<double>(result.queries) / elapsed;
-  result.query_p50_us = Percentile(query_us, 0.50);
-  result.query_p99_us = Percentile(query_us, 0.99);
-  result.publish_p50_ms = Percentile(publish_ms, 0.50);
-  result.publish_p99_ms = Percentile(publish_ms, 0.99);
+  result.query_p50_us = Percentile(query_us, 50);
+  result.query_p99_us = Percentile(query_us, 99);
+  result.publish_p50_ms = Percentile(publish_ms, 50);
+  result.publish_p99_ms = Percentile(publish_ms, 99);
   result.avg_shards_touched_update =
       touched_update / static_cast<double>(config.rounds);
   return result;

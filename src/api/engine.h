@@ -107,14 +107,6 @@ class Engine {
   /// they keep the source their snapshot was bound to.
   Status UpdateAffinitySource(std::shared_ptr<const AffinitySource> source);
 
-  /// Deprecated spelling of UpdateAffinitySource, kept for existing
-  /// callers. Routed through the snapshot-swap path, so the historical
-  /// "not thread-safe with respect to in-flight queries" caveat no longer
-  /// applies.
-  Status set_affinity_source(std::shared_ptr<const AffinitySource> source) {
-    return UpdateAffinitySource(std::move(source));
-  }
-
   // --- Queries ---
 
   /// Runs one query against the current snapshot. Invalid queries yield a

@@ -1,9 +1,8 @@
 // Reusable group-commit queue for coalescing concurrent writers.
 //
-// Extracted from GroupRecommender::ApplyRatingUpdates so every publisher in
-// the system — the single-index recommender and each Shard of the sharded
-// engine — shares one battle-tested implementation of the leader/follower
-// protocol:
+// The commit stage of RatingPublisher (dataset/rating_publisher.h), the one
+// write path behind the single-index recommender and each Shard of the
+// sharded engine. It implements the leader/follower protocol:
 //
 //  * every caller enqueues its batch and the first caller to find no active
 //    leader becomes one;

@@ -1,10 +1,8 @@
 #include "core/group_recommender.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstdint>
-#include <string>
+#include <functional>
 #include <utility>
 
 #include "cf/similarity.h"
@@ -21,10 +19,15 @@ GroupRecommender::GroupRecommender(const RatingsDataset& universe,
       options_(options),
       knn_(universe, options.knn),
       periodic_(PeriodicAffinity::Compute(study.likes, study.periods)),
-      dynamic_(DynamicAffinityIndex::Build(periodic_)) {
-  if (options_.update_threads > 0) {
-    update_pool_ = std::make_unique<ThreadPool>(options_.update_threads);
-  }
+      dynamic_(DynamicAffinityIndex::Build(periodic_)),
+      publisher_(
+          [this] {
+            const std::shared_ptr<const Snapshot> cur = snapshot();
+            return RatingPublisher::Published{cur->generation(),
+                                              cur->ratings_ptr()};
+          },
+          std::bind_front(&GroupRecommender::RebuildRatings, this),
+          options.compact_every_n_publishes, options.compact_delta_fraction) {
   const std::size_t n = study.num_participants();
   auto predictions = std::make_shared<std::vector<std::vector<Score>>>();
   predictions->reserve(n);
@@ -68,171 +71,47 @@ GroupRecommender::GroupRecommender(const RatingsDataset& universe,
       options_.tombstone_cache_max_entries);
 }
 
-std::uint64_t GroupRecommender::Publish(
-    std::shared_ptr<const RatingsOverlay> ratings,
-    std::shared_ptr<const std::vector<std::vector<Score>>> preds,
-    std::shared_ptr<const PreferenceIndex> index,
-    std::shared_ptr<const AffinitySource> source,
-    std::shared_ptr<PeriodListCache> cache) {
+void GroupRecommender::Publish(std::shared_ptr<const Snapshot> next) {
   // All building happened before this point; the swap itself is O(1).
-  const std::uint64_t generation = next_generation_++;
-  auto next = std::make_shared<const Snapshot>(
-      generation, std::move(ratings), std::move(preds), std::move(index),
-      std::move(source), std::move(cache),
-      options_.tombstone_cache_max_entries);
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   snapshot_ = std::move(next);
-  return generation;
 }
 
 Status GroupRecommender::ApplyRatingUpdates(
     std::span<const RatingEvent> events, UpdateReport* report) {
-  const std::size_t n = study_->num_participants();
-  for (const RatingEvent& e : events) {
-    if (e.user >= n) {
-      return Status::NotFound("rating event for unknown study participant " +
-                              std::to_string(e.user) + " (study has " +
-                              std::to_string(n) + ")");
-    }
-    if (e.item >= universe_->num_items()) {
-      return Status::NotFound("rating event for unknown universe item " +
-                              std::to_string(e.item) + " (universe has " +
-                              std::to_string(universe_->num_items()) + ")");
-    }
-    // A non-finite rating would poison the folded state permanently (CF
-    // norms and similarities all turn NaN), so gate it with the rest.
-    if (!std::isfinite(e.rating)) {
-      return Status::InvalidArgument("rating event with non-finite rating");
-    }
+  if (Status s = ValidateRatingEvents(events, study_->num_participants(),
+                                      universe_->num_items());
+      !s.ok()) {
+    return s;
   }
-  if (events.empty()) {
-    // A no-op batch publishes nothing: callers polling generation ids can
-    // rely on every increment meaning a real state change. The report still
-    // carries the real current state (a zeroed generation would read as
-    // "never published", a zeroed log size as "just compacted").
-    if (report != nullptr) {
-      const std::shared_ptr<const Snapshot> cur = snapshot();
-      *report = UpdateReport{};
-      report->published_generation = cur->generation();
-      report->batches_coalesced = 1;
-      report->delta_log_ratings = cur->ratings().delta_ratings();
-    }
-    return Status::Ok();
-  }
-
-  // Group commit: enqueue; the first caller to find no leader publishes
-  // whole rounds until the queue drains, everyone else blocks until its
-  // batch's round lands. Readers continue on the published snapshot either
-  // way.
-  PendingUpdate self;
-  self.events = events;
-  const Status status = commit_.Commit(
-      self, [this](std::span<PendingUpdate* const> round) {
-        PublishUpdateRound(round);
-      });
-  if (report != nullptr) *report = self.report;
-  return status;
+  return publisher_.Apply(events, report);
 }
 
-void GroupRecommender::PublishUpdateRound(
-    std::span<PendingUpdate* const> round) {
-  // Builds serialize with affinity swaps here; readers are never blocked.
-  std::lock_guard<std::mutex> lock(update_mutex_);
-  const std::shared_ptr<const Snapshot> cur = snapshot();
-
-  // Fold each batch into the delta log in arrival order — O(delta), only
-  // the touched users' rows are rebuilt. Per-batch attribution (applied vs
-  // stale) falls out of folding batch by batch.
-  std::shared_ptr<const RatingsOverlay> overlay = cur->ratings_ptr();
-  std::vector<UserId> touched;
-  std::vector<RatingRecord> records;  // the overlay speaks dataset records
-  std::size_t round_applied = 0;
-  for (PendingUpdate* batch : round) {
-    records.clear();
-    records.reserve(batch->events.size());
-    for (const RatingEvent& e : batch->events) {
-      records.push_back({e.user, e.item, e.rating, e.timestamp});
-    }
-    RatingsOverlay::ApplyStats stats;
-    overlay = overlay->WithEvents(records, &stats);
-    batch->report = UpdateReport{};
-    batch->report.events_applied = stats.applied;
-    batch->report.events_ignored_stale = stats.ignored_stale;
-    batch->report.batches_coalesced = round.size();
-    touched.insert(touched.end(), stats.touched_users.begin(),
-                   stats.touched_users.end());
-    round_applied += stats.applied;
-  }
-  if (round_applied == 0) {
-    // Every event in the round was stale: nothing changed, publish nothing.
-    for (PendingUpdate* batch : round) {
-      batch->report.published_generation = cur->generation();
-      batch->report.delta_log_ratings = overlay->delta_ratings();
-    }
-    return;
-  }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-
-  // Compaction: fold the delta log back into a fresh immutable base when
-  // the policy triggers — still off the serving path, and amortized across
-  // the publishes since the last fold.
-  bool compacted = false;
-  if ((options_.compact_every_n_publishes > 0 &&
-       publishes_since_compaction_ + 1 >= options_.compact_every_n_publishes) ||
-      (options_.compact_delta_fraction > 0.0 &&
-       static_cast<double>(overlay->delta_ratings()) >
-           options_.compact_delta_fraction *
-               static_cast<double>(overlay->base().num_ratings()))) {
-    overlay = std::make_shared<const RatingsOverlay>(
-        std::make_shared<const RatingsDataset>(overlay->Compact()));
-    compacted = true;
-  }
-
+void GroupRecommender::RebuildRatings(
+    std::shared_ptr<const RatingsOverlay> ratings,
+    std::span<const UserId> touched, std::uint64_t generation) {
   // Rebuild CF predictions + index rows for the touched users only, reading
   // through the merged view (base + delta) — identical input to a full
-  // re-fold, so the rebuilt rows are bit-identical too. With an update pool
-  // the per-row work (CF predict + index re-sort) fans out over the workers;
-  // rows are disjoint, so the parallel result is bit-identical to the serial
-  // fallback (tests/delta_log_test.cc asserts it).
+  // re-fold, so the rebuilt rows are bit-identical too.
+  const std::shared_ptr<const Snapshot> cur = snapshot();
   auto preds = std::make_shared<std::vector<std::vector<Score>>>(
       *cur->predictions_ptr());
-  if (update_pool_ != nullptr && touched.size() > 1) {
-    std::vector<std::vector<UserRatingEntry>> scratch(update_pool_->size());
-    update_pool_->ParallelFor(
-        touched.size(), [&](std::size_t worker, std::size_t i) {
-          const UserId su = touched[i];
-          (*preds)[su] =
-              knn_.PredictAll(overlay->MergedRatingsOfUser(su, scratch[worker]));
-        });
-  } else {
-    std::vector<UserRatingEntry> scratch;
-    for (const UserId su : touched) {
-      (*preds)[su] = knn_.PredictAll(overlay->MergedRatingsOfUser(su, scratch));
-    }
-  }
+  std::vector<UserRatingEntry> scratch;
   std::vector<std::span<const Score>> touched_preds;
   touched_preds.reserve(touched.size());
-  for (const UserId su : touched) touched_preds.emplace_back((*preds)[su]);
+  for (const UserId su : touched) {
+    (*preds)[su] = knn_.PredictAll(ratings->MergedRatingsOfUser(su, scratch));
+    touched_preds.emplace_back((*preds)[su]);
+  }
   auto index = std::make_shared<const PreferenceIndex>(
-      cur->index().CloneWithUpdatedRows(touched, touched_preds,
-                                        update_pool_.get()));
-
-  const std::size_t delta_after = overlay->delta_ratings();
+      cur->index().CloneWithUpdatedRows(touched, touched_preds));
   // The affinity binding is unchanged (compaction included), so the
   // period-list cache carries forward: a steady rating-update stream never
   // re-colds it.
-  const std::uint64_t generation =
-      Publish(std::move(overlay), std::move(preds), std::move(index),
-              cur->affinity_ptr(), cur->period_cache_ptr());
-  publishes_since_compaction_ =
-      compacted ? 0 : publishes_since_compaction_ + 1;
-  for (PendingUpdate* batch : round) {
-    batch->report.published_generation = generation;
-    batch->report.users_rebuilt = touched.size();
-    batch->report.compacted = compacted;
-    batch->report.delta_log_ratings = delta_after;
-  }
+  Publish(std::make_shared<const Snapshot>(
+      generation, std::move(ratings), std::move(preds), std::move(index),
+      cur->affinity_ptr(), cur->period_cache_ptr(),
+      options_.tombstone_cache_max_entries));
 }
 
 Status GroupRecommender::UpdateAffinitySource(
@@ -240,22 +119,17 @@ Status GroupRecommender::UpdateAffinitySource(
   if (source == nullptr) {
     return Status::InvalidArgument("affinity source must not be null");
   }
-  std::lock_guard<std::mutex> lock(update_mutex_);
-  const std::shared_ptr<const Snapshot> cur = snapshot();
   // New affinity binding → the period lists change: start a cold cache
   // (bounded by the same policy as the construction-time one).
-  Publish(cur->ratings_ptr(), cur->predictions_ptr(), cur->index_ptr(),
-          std::move(source),
-          std::make_shared<PeriodListCache>(options_.period_cache_max_entries));
+  publisher_.PublishUnderLock([&](std::uint64_t generation) {
+    const std::shared_ptr<const Snapshot> cur = snapshot();
+    Publish(std::make_shared<const Snapshot>(
+        generation, cur->ratings_ptr(), cur->predictions_ptr(),
+        cur->index_ptr(), std::move(source),
+        std::make_shared<PeriodListCache>(options_.period_cache_max_entries),
+        options_.tombstone_cache_max_entries));
+  });
   return Status::Ok();
-}
-
-void GroupRecommender::set_affinity_source(
-    std::shared_ptr<const AffinitySource> source) {
-  assert(source != nullptr);
-  const Status status = UpdateAffinitySource(std::move(source));
-  assert(status.ok());
-  (void)status;
 }
 
 Result<PeriodId> GroupRecommender::ResolvePeriod(

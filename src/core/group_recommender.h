@@ -56,12 +56,11 @@
 #include "api/snapshot.h"
 #include "api/update.h"
 #include "cf/user_knn.h"
-#include "common/group_commit.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "consensus/consensus.h"
 #include "core/greca.h"
 #include "dataset/facebook_study.h"
+#include "dataset/rating_publisher.h"
 #include "dataset/ratings_overlay.h"
 #include "dataset/synthetic.h"
 #include "index/preference_index.h"
@@ -142,15 +141,6 @@ struct RecommenderOptions {
   /// count (0 = never by size). The default bounds the overlay — and the
   /// per-query merge overhead — to a quarter of the base.
   double compact_delta_fraction = 0.25;
-
-  // --- Update-path parallelism ---
-
-  /// Worker threads for the touched-row rebuild inside ApplyRatingUpdates
-  /// (per-row CF predict + index re-sort fan out over an internal pool;
-  /// rows are independent, so results are bit-identical to the serial
-  /// path — tests/delta_log_test.cc asserts it). 0 = serial fallback (the
-  /// default: rebuild rounds are usually a handful of rows).
-  std::size_t update_threads = 0;
 
   /// Residency cap of the snapshot-scoped (group, period) list cache; least
   /// recently used lists are evicted past it (0 = unbounded). See
@@ -286,10 +276,6 @@ class GroupRecommender {
   /// thread-safe for concurrent const reads.
   Status UpdateAffinitySource(std::shared_ptr<const AffinitySource> source);
 
-  /// Deprecated spelling of UpdateAffinitySource (kept for callers of the
-  /// pre-snapshot API; now race-free). Asserts on null sources.
-  void set_affinity_source(std::shared_ptr<const AffinitySource> source);
-
   // --- Queries ---
 
   /// Recommends spec.k items to `group` (study participant ids) against the
@@ -397,32 +383,13 @@ class GroupRecommender {
   Result<PeriodId> ResolvePeriod(std::optional<PeriodId> requested) const;
 
  private:
-  /// One ApplyRatingUpdates call waiting in the group-commit queue. The
-  /// caller owns it on its stack and blocks until `done`; the leader fills
-  /// `report`/`status` before flipping `done` (GroupCommitQueue contract).
-  struct PendingUpdate {
-    std::span<const RatingEvent> events;
-    UpdateReport report;
-    Status status;  // non-OK when the leader's publish failed
-    bool done = false;
-  };
+  /// The RCU swap; callers run under the publisher's build lock.
+  void Publish(std::shared_ptr<const Snapshot> next);
 
-  /// Builds and atomically publishes the next generation; returns its
-  /// generation id. `cache` is the period-list cache to carry forward (same
-  /// affinity binding) or null to start cold (affinity swaps). Callers hold
-  /// update_mutex_.
-  std::uint64_t Publish(
-      std::shared_ptr<const RatingsOverlay> ratings,
-      std::shared_ptr<const std::vector<std::vector<Score>>> preds,
-      std::shared_ptr<const PreferenceIndex> index,
-      std::shared_ptr<const AffinitySource> source,
-      std::shared_ptr<PeriodListCache> cache);
-
-  /// Folds one coalesced round of update batches into a single generation
-  /// (delta-log fold → optional compaction → touched-row rebuild → publish)
-  /// and fills every batch's report. Called by the group-commit leader with
-  /// no lock held; takes update_mutex_ itself.
-  void PublishUpdateRound(std::span<PendingUpdate* const> round);
+  /// The publisher's rebuild step (see RatingPublisher::Rebuild).
+  void RebuildRatings(std::shared_ptr<const RatingsOverlay> ratings,
+                      std::span<const UserId> touched,
+                      std::uint64_t generation);
 
   const RatingsDataset* universe_;
   const FacebookStudy* study_;
@@ -432,26 +399,15 @@ class GroupRecommender {
   PeriodicAffinity periodic_;
   DynamicAffinityIndex dynamic_;
 
-  // The RCU publication point: queries copy the pointer, writers
-  // (serialized by update_mutex_) swap in a freshly built snapshot.
+  // The RCU publication point: queries copy the pointer, the publisher
+  // (serialized by its build lock) swaps in a freshly built snapshot.
   // snapshot_mu_ guards only the pointer itself — never held while
   // rebuilding. Never null after construction.
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<const Snapshot> snapshot_;
-  // Serializes snapshot builds (rating-update rounds and affinity swaps).
-  std::mutex update_mutex_;
-  std::uint64_t next_generation_ = 2;          // guarded by update_mutex_
-  std::size_t publishes_since_compaction_ = 0;  // guarded by update_mutex_
-
-  // Group-commit queue: ApplyRatingUpdates callers enqueue here; the first
-  // caller to find no leader becomes one and publishes whole rounds (all
-  // queued batches at once) until the queue drains (common/group_commit.h).
-  GroupCommitQueue<PendingUpdate> commit_;
-
-  // Update-path rebuild pool (null when options_.update_threads == 0).
-  // Distinct from any batch-serving pool — the rebuild fan-out runs on the
-  // writer path, so reader batches never contend for its workers.
-  std::unique_ptr<ThreadPool> update_pool_;
+  // The write path; rating rounds and affinity swaps both publish under
+  // its build lock and generation counter.
+  RatingPublisher publisher_;
 };
 
 }  // namespace greca

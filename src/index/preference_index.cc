@@ -13,7 +13,7 @@ namespace {
 /// AoS fill/sort scratch, one per thread: rows are filled and sorted as
 /// interleaved (key, score) entries — exactly the pre-SoA semantics, under
 /// the one canonical ListEntryOrder — then scattered into the parallel
-/// arrays. Thread-local so the parallel build/clone fan-outs stay
+/// arrays. Thread-local so the parallel build fan-out stays
 /// allocation-free after warm-up without sharing buffers across workers.
 std::vector<ListEntry>& RowScratch() {
   thread_local std::vector<ListEntry> scratch;
@@ -23,6 +23,16 @@ std::vector<ListEntry>& RowScratch() {
 std::vector<ListEntry>& FlatScratch() {
   thread_local std::vector<ListEntry> scratch;
   return scratch;
+}
+
+/// Gathers a per-universe-item prediction array down to pool order
+/// (out[key] = predictions[pool[key]]), the input RebuildRowFromPool reads.
+void GatherPoolScores(std::span<const Score> predictions,
+                      std::span<const ItemId> pool, std::span<Score> out) {
+  for (std::size_t key = 0; key < pool.size(); ++key) {
+    assert(pool[key] < predictions.size());
+    out[key] = predictions[pool[key]];
+  }
 }
 
 }  // namespace
@@ -38,9 +48,20 @@ std::vector<std::uint32_t> PreferenceIndex::GeometricBandBreakpoints(
   return breakpoints;
 }
 
-void PreferenceIndex::SortRow(UserId u, std::span<ListEntry> row) {
+void PreferenceIndex::RebuildRowFromPool(UserId u,
+                                         std::span<const Score> pool_scores) {
+  assert(scale_max_ > 0.0);
   const std::size_t pool_size = pool_.size();
-  assert(row.size() == pool_size);
+  assert(pool_scores.size() == pool_size);
+  // Band b holds exactly the keys [band_begin_[b], band_begin_[b+1]), so a
+  // key-order fill already places every entry in its band; each band is
+  // then score-sorted independently. One band (the flat layout) degenerates
+  // to the global sort.
+  std::vector<ListEntry>& row = RowScratch();
+  row.resize(pool_size);
+  for (std::uint32_t key = 0; key < pool_size; ++key) {
+    row[key] = {key, std::clamp(pool_scores[key] / scale_max_, 0.0, 1.0)};
+  }
   constexpr ListEntryOrder by_score{};
   if (!flat_keys_.empty()) {
     // Global-order twin for the large-prefix fast path, sorted from the
@@ -69,38 +90,6 @@ void PreferenceIndex::SortRow(UserId u, std::span<ListEntry> row) {
     scores[p] = row[p].score;
     pos[row[p].id] = static_cast<std::uint32_t>(p);
   }
-}
-
-void PreferenceIndex::RebuildRow(UserId u,
-                                 std::span<const Score> predictions) {
-  assert(scale_max_ > 0.0);
-  const std::size_t pool_size = pool_.size();
-  std::vector<ListEntry>& row = RowScratch();
-  row.resize(pool_size);
-  // Band b holds exactly the keys [band_begin_[b], band_begin_[b+1]), so a
-  // key-order fill already places every entry in its band; each band is then
-  // score-sorted independently. One band (the flat layout) degenerates to
-  // the global sort — same normalization and ordering as the per-query seed
-  // path: keys are pool positions, scores predictions/scale_max in [0, 1].
-  for (std::uint32_t key = 0; key < pool_size; ++key) {
-    assert(pool_[key] < predictions.size());
-    row[key] = {key, std::clamp(predictions[pool_[key]] / scale_max_,
-                                0.0, 1.0)};
-  }
-  SortRow(u, row);
-}
-
-void PreferenceIndex::RebuildRowFromPool(UserId u,
-                                         std::span<const Score> pool_scores) {
-  assert(scale_max_ > 0.0);
-  const std::size_t pool_size = pool_.size();
-  assert(pool_scores.size() == pool_size);
-  std::vector<ListEntry>& row = RowScratch();
-  row.resize(pool_size);
-  for (std::uint32_t key = 0; key < pool_size; ++key) {
-    row[key] = {key, std::clamp(pool_scores[key] / scale_max_, 0.0, 1.0)};
-  }
-  SortRow(u, row);
 }
 
 void PreferenceIndex::InitStorage(
@@ -146,13 +135,13 @@ PreferenceIndex PreferenceIndex::Build(
     std::span<const std::vector<Score>> predictions, double scale_max,
     std::vector<ItemId> pool, std::size_t num_universe_items,
     std::span<const std::uint32_t> band_breakpoints, bool build_flat_twin) {
-  PreferenceIndex index;
-  index.InitStorage(predictions.size(), scale_max, std::move(pool),
-                    num_universe_items, band_breakpoints, build_flat_twin);
-  for (UserId u = 0; u < index.num_users_; ++u) {
-    index.RebuildRow(u, predictions[u]);
-  }
-  return index;
+  return BuildStreaming(
+      predictions.size(),
+      [&](UserId u, std::span<const ItemId> p, std::span<Score> out) {
+        GatherPoolScores(predictions[u], p, out);
+      },
+      scale_max, std::move(pool), num_universe_items, band_breakpoints,
+      build_flat_twin);
 }
 
 PreferenceIndex PreferenceIndex::BuildStreaming(
@@ -184,72 +173,35 @@ PreferenceIndex PreferenceIndex::BuildStreaming(
   return index;
 }
 
-namespace {
-
-/// Runs `rebuild(i)` for every i in [0, n), optionally fanned out over a
-/// thread pool (touched rows are disjoint — bit-identical to serial order).
-template <typename RebuildFn>
-void RebuildTouchedRows(std::size_t n, ThreadPool* threads,
-                        const RebuildFn& rebuild) {
-  if (threads != nullptr && n > 1) {
-    threads->ParallelFor(n, [&](std::size_t, std::size_t i) { rebuild(i); });
-  } else {
-    for (std::size_t i = 0; i < n; ++i) rebuild(i);
-  }
-}
-
-}  // namespace
-
 PreferenceIndex PreferenceIndex::CloneWithUpdatedRows(
     std::span<const UserId> users,
-    std::span<const std::span<const Score>> predictions,
-    ThreadPool* threads) const {
+    std::span<const std::span<const Score>> predictions) const {
   assert(users.size() == predictions.size());
-  PreferenceIndex clone;
-  clone.num_users_ = num_users_;
-  clone.scale_max_ = scale_max_;
-  clone.pool_ = pool_;
-  clone.pool_position_of_item_ = pool_position_of_item_;
-  clone.band_begin_ = band_begin_;
-  // Wholesale copy-assign on purpose: touched rows get written twice
-  // (RebuildRow overwrites them), but touched × pool is tiny next to the
-  // full array, while any skip-the-touched-rows scheme pays a full
-  // value-initializing resize first — double the memory traffic of this
-  // single copy.
-  clone.keys_ = keys_;
-  clone.scores_ = scores_;
-  clone.positions_ = positions_;
-  clone.flat_keys_ = flat_keys_;
-  clone.flat_scores_ = flat_scores_;
-  clone.flat_positions_ = flat_positions_;
-  RebuildTouchedRows(users.size(), threads, [&](std::size_t i) {
-    assert(users[i] < num_users_);
-    clone.RebuildRow(users[i], predictions[i]);
-  });
-  return clone;
+  const std::size_t pool_size = pool_.size();
+  std::vector<Score> scores(users.size() * pool_size);
+  std::vector<std::span<const Score>> pool_scores;
+  pool_scores.reserve(users.size());
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    const std::span<Score> out(scores.data() + i * pool_size, pool_size);
+    GatherPoolScores(predictions[i], pool_, out);
+    pool_scores.emplace_back(out);
+  }
+  return CloneWithUpdatedPoolRows(users, pool_scores);
 }
 
 PreferenceIndex PreferenceIndex::CloneWithUpdatedPoolRows(
     std::span<const UserId> users,
-    std::span<const std::span<const Score>> pool_scores,
-    ThreadPool* threads) const {
+    std::span<const std::span<const Score>> pool_scores) const {
   assert(users.size() == pool_scores.size());
-  PreferenceIndex clone;
-  clone.num_users_ = num_users_;
-  clone.scale_max_ = scale_max_;
-  clone.pool_ = pool_;
-  clone.pool_position_of_item_ = pool_position_of_item_;
-  clone.band_begin_ = band_begin_;
-  clone.keys_ = keys_;
-  clone.scores_ = scores_;
-  clone.positions_ = positions_;
-  clone.flat_keys_ = flat_keys_;
-  clone.flat_scores_ = flat_scores_;
-  clone.flat_positions_ = flat_positions_;
-  RebuildTouchedRows(users.size(), threads, [&](std::size_t i) {
+  // Wholesale copy on purpose (the implicit copy; the band-span memo starts
+  // cold): touched rows get written twice, but touched × pool is tiny next
+  // to the full arrays, while any skip-the-touched-rows scheme pays a full
+  // value-initializing resize first — double the memory traffic of one copy.
+  PreferenceIndex clone = *this;
+  for (std::size_t i = 0; i < users.size(); ++i) {
     assert(users[i] < num_users_);
     clone.RebuildRowFromPool(users[i], pool_scores[i]);
-  });
+  }
   return clone;
 }
 

@@ -140,13 +140,9 @@ class PreferenceIndex {
   /// The pool, the item→key map and the score normalization (scale_max) are
   /// inherited. Cost: one O(users × pool) memcpy plus O(pool log pool) per
   /// updated row.
-  /// `threads`, when non-null, fans the per-row rebuilds out over the pool
-  /// (rows are disjoint, so the result is bit-identical to the serial path;
-  /// the caller must not be running on one of the pool's own workers).
   PreferenceIndex CloneWithUpdatedRows(
       std::span<const UserId> users,
-      std::span<const std::span<const Score>> predictions,
-      ThreadPool* threads = nullptr) const;
+      std::span<const std::span<const Score>> predictions) const;
 
   /// CloneWithUpdatedRows twin fed pool-position scores instead of
   /// per-universe-item predictions: pool_scores[i][key] is users[i]'s raw
@@ -155,8 +151,7 @@ class PreferenceIndex {
   /// ordering guarantees as CloneWithUpdatedRows.
   PreferenceIndex CloneWithUpdatedPoolRows(
       std::span<const UserId> users,
-      std::span<const std::span<const Score>> pool_scores,
-      ThreadPool* threads = nullptr) const;
+      std::span<const std::span<const Score>> pool_scores) const;
 
   std::size_t num_users() const { return num_users_; }
   std::size_t pool_size() const { return pool_.size(); }
@@ -275,25 +270,15 @@ class PreferenceIndex {
 
  private:
   /// Re-sorts user `u`'s row (per band) and its key→position map from a
-  /// fresh prediction array. Internal: only called on rows of an unpublished
-  /// copy. Safe to call concurrently on DISTINCT rows (each row's storage is
-  /// disjoint; the sort scratch is thread-local) — the parallel build/clone
-  /// paths rely on that.
-  void RebuildRow(UserId u, std::span<const Score> predictions);
-
-  /// RebuildRow twin fed raw scores per pool position (pool_scores[key] is
-  /// the score of pool_[key]); same normalization and ordering.
+  /// raw score per pool position (pool_scores[key] scores pool_[key]).
+  /// Internal: only called on rows of an unpublished copy. Safe to call
+  /// concurrently on DISTINCT rows (each row's storage is disjoint; the sort
+  /// scratch is thread-local) — the parallel build path relies on that.
   void RebuildRowFromPool(UserId u, std::span<const Score> pool_scores);
 
-  /// The shared sort tail of both fills: `row` is the key-order AoS fill
-  /// (row[key] = {key, score}); sorts it per band (plus globally for the
-  /// flat twin) with ListEntryOrder and scatters into the SoA arrays and
-  /// key→position maps.
-  void SortRow(UserId u, std::span<ListEntry> row);
-
   /// Sizes the SoA arrays (and the flat twins) and installs the pool, the
-  /// item→key map and the normalized band grid — everything Build and
-  /// BuildStreaming share before the per-row fills.
+  /// item→key map and the normalized band grid — everything before the
+  /// per-row fills.
   void InitStorage(std::size_t num_rows, double scale_max,
                    std::vector<ItemId> pool, std::size_t num_universe_items,
                    std::span<const std::uint32_t> band_breakpoints,

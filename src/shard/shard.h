@@ -7,8 +7,9 @@
 //    pool — every shard speaks the same candidate key space;
 //  * a RatingsOverlay delta log over the shared immutable base dataset
 //    (only owned users ever have delta rows here);
-//  * its own group-commit queue and RCU snapshot (generation-stamped
-//    overlay + index pair, swapped under a light mutex).
+//  * its own RatingPublisher (the write path shared with the monolithic
+//    recommender) and RCU snapshot (generation-stamped overlay + index
+//    pair, swapped under a light mutex).
 //
 // Publish independence is the point: a rating batch touching only this
 // shard's users clones THIS shard's index (1/N of the population's rows),
@@ -38,10 +39,11 @@
 #include <vector>
 
 #include "api/update.h"
-#include "common/group_commit.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "common/types.h"
+#include "core/group_recommender.h"
+#include "dataset/rating_publisher.h"
 #include "dataset/ratings.h"
 #include "dataset/ratings_overlay.h"
 #include "index/preference_index.h"
@@ -66,31 +68,21 @@ struct ShardSnapshot {
   std::shared_ptr<const PreferenceIndex> index;
 };
 
-/// Per-shard delta-log compaction policy (same semantics as
-/// RecommenderOptions; each shard triggers independently — compaction is
-/// unobservable, so independent triggers cannot break cross-shard
-/// equivalence).
-struct ShardOptions {
-  std::size_t compact_every_n_publishes = 0;
-  double compact_delta_fraction = 0.25;
-  /// Keep the global-order twin of banded rows (see
-  /// RecommenderOptions::build_flat_twin).
-  bool build_flat_twin = true;
-};
-
 class Shard {
  public:
   /// Builds generation 1. `users` are the owned global ids, ascending (the
   /// ShardRouter::PartitionUsers order); `base` is the SHARED immutable
   /// ratings dataset of the whole population; `pool` the shared popularity
   /// pool (copied per shard — each index owns its pool vector, all equal).
+  /// `options` supplies build_flat_twin and the per-shard compaction policy.
   /// `build_threads`, when non-null, fans the initial row fills out
   /// (bit-identical to serial — rows are disjoint).
   Shard(std::size_t shard_id, std::vector<UserId> users,
         std::shared_ptr<const RatingsDataset> base, PoolPredictor predictor,
         double scale_max, std::vector<ItemId> pool,
         std::size_t num_universe_items,
-        std::span<const std::uint32_t> band_breakpoints, ShardOptions options,
+        std::span<const std::uint32_t> band_breakpoints,
+        const RecommenderOptions& options,
         ThreadPool* build_threads = nullptr);
 
   Shard(const Shard&) = delete;
@@ -103,7 +95,6 @@ class Shard {
   /// Local index row of an owned user (binary search; asserts ownership in
   /// debug builds, callers route through the ShardRouter first).
   std::uint32_t LocalRowOf(UserId u) const;
-  bool Owns(UserId u) const;
 
   /// The currently published generation; constant-time pointer copy.
   std::shared_ptr<const ShardSnapshot> snapshot() const {
@@ -119,32 +110,23 @@ class Shard {
   /// all-stale batches publish nothing. `report` receives the per-shard
   /// attribution (applied / stale / users_rebuilt / generation).
   Status Apply(std::span<const RatingEvent> events,
-               UpdateReport* report = nullptr);
+               UpdateReport* report = nullptr) {
+    return publisher_.Apply(events, report);
+  }
 
  private:
-  struct PendingUpdate {
-    std::span<const RatingEvent> events;
-    UpdateReport report;
-    Status status;
-    bool done = false;
-  };
-
-  void PublishRound(std::span<PendingUpdate* const> round);
-  std::shared_ptr<const ShardSnapshot> MakeSnapshot(
-      std::uint64_t generation, std::shared_ptr<const RatingsOverlay> ratings,
-      std::shared_ptr<const PreferenceIndex> index);
+  /// The publisher's rebuild step (see RatingPublisher::Rebuild).
+  void RebuildRatings(std::shared_ptr<const RatingsOverlay> ratings,
+                      std::span<const UserId> touched,
+                      std::uint64_t generation);
 
   const std::size_t shard_id_;
   const std::vector<UserId> users_;  // ascending; local row -> global id
   const PoolPredictor predictor_;
-  const ShardOptions options_;
 
   mutable std::mutex snapshot_mu_;  // guards only the pointer swap
   std::shared_ptr<const ShardSnapshot> snapshot_;
-  std::mutex update_mu_;  // serializes this shard's snapshot builds
-  std::uint64_t next_generation_ = 2;           // guarded by update_mu_
-  std::size_t publishes_since_compaction_ = 0;  // guarded by update_mu_
-  GroupCommitQueue<PendingUpdate> commit_;
+  RatingPublisher publisher_;
 };
 
 }  // namespace greca

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <string>
 #include <utility>
 
@@ -19,7 +18,7 @@ ShardedEngine::ShardedEngine(const RatingsDataset& universe,
       router_(options.num_shards, study.num_participants(), options.strategy),
       num_universe_items_(universe.num_items()),
       num_periods_(study.periods.num_periods()),
-      knn_(std::make_unique<UserKnn>(universe, options.knn)),
+      knn_(std::make_unique<UserKnn>(universe, options.recommender.knn)),
       static_(ComputeCommonFriendCounts(study.graph)),
       periodic_(std::make_unique<PeriodicAffinity>(
           PeriodicAffinity::Compute(study.likes, study.periods))),
@@ -47,9 +46,10 @@ ShardedEngine::ShardedEngine(const RatingsDataset& universe,
   // recommender (the study outlives the engine by contract).
   auto base = std::shared_ptr<const RatingsDataset>(
       std::shared_ptr<const void>(), &study.study_ratings);
-  BuildShards(std::move(base), /*scale_max=*/5.0,
-              universe.TopPopularItems(options_.max_candidate_items),
-              universe.num_items());
+  BuildShards(
+      std::move(base), /*scale_max=*/5.0,
+      universe.TopPopularItems(options_.recommender.max_candidate_items),
+      universe.num_items());
 }
 
 ShardedEngine::ShardedEngine(ShardedEngineInputs inputs,
@@ -69,29 +69,26 @@ ShardedEngine::ShardedEngine(ShardedEngineInputs inputs,
 void ShardedEngine::BuildShards(std::shared_ptr<const RatingsDataset> base,
                                 double scale_max, std::vector<ItemId> pool,
                                 std::size_t num_universe_items) {
+  const RecommenderOptions& ropts = options_.recommender;
   period_cache_ =
-      std::make_shared<PeriodListCache>(options_.period_cache_max_entries);
+      std::make_shared<PeriodListCache>(ropts.period_cache_max_entries);
   pool_ = std::move(pool);
   const std::vector<std::uint32_t> breakpoints =
-      options_.index_layout == IndexLayout::kBanded
+      ropts.index_layout == IndexLayout::kBanded
           ? PreferenceIndex::GeometricBandBreakpoints(pool_.size(),
-                                                      options_.min_band_size)
+                                                      ropts.min_band_size)
           : std::vector<std::uint32_t>{};
   std::unique_ptr<ThreadPool> build_pool;
   if (options_.build_threads > 0) {
     build_pool = std::make_unique<ThreadPool>(options_.build_threads);
   }
-  ShardOptions shard_options;
-  shard_options.compact_every_n_publishes = options_.compact_every_n_publishes;
-  shard_options.compact_delta_fraction = options_.compact_delta_fraction;
-  shard_options.build_flat_twin = options_.build_flat_twin;
   std::vector<std::vector<UserId>> owned = router_.PartitionUsers();
   shards_.reserve(owned.size());
   for (std::size_t s = 0; s < owned.size(); ++s) {
     shards_.push_back(std::make_unique<Shard>(
         s, std::move(owned[s]), base, predictor_, scale_max,
-        pool_ /*copied per shard*/, num_universe_items, breakpoints,
-        shard_options, build_pool.get()));
+        pool_ /*copied per shard*/, num_universe_items, breakpoints, ropts,
+        build_pool.get()));
   }
   // batch_threads == 1 keeps batches inline on the calling thread (the
   // serial reference path); anything else gets a dedicated pool.
@@ -130,29 +127,18 @@ std::shared_ptr<const ShardedSnapshotSet> ShardedEngine::Pin() const {
     if (same) return last_pin_;
   }
   last_pin_ = std::make_shared<const ShardedSnapshotSet>(
-      std::move(snaps), options_.tombstone_cache_max_entries);
+      std::move(snaps), options_.recommender.tombstone_cache_max_entries);
   return last_pin_;
 }
 
 Status ShardedEngine::ApplyUpdates(std::span<const RatingEvent> events,
                                    ShardedUpdateReport* report) {
-  // All-or-nothing validation, identical to the monolithic path: no event
+  // All-or-nothing validation, shared with the monolithic path: no event
   // is applied anywhere when any event is invalid.
-  const std::size_t n = router_.num_users();
-  for (const RatingEvent& e : events) {
-    if (e.user >= n) {
-      return Status::NotFound("rating event for unknown user " +
-                              std::to_string(e.user) + " (population has " +
-                              std::to_string(n) + ")");
-    }
-    if (e.item >= num_universe_items_) {
-      return Status::NotFound("rating event for unknown universe item " +
-                              std::to_string(e.item) + " (universe has " +
-                              std::to_string(num_universe_items_) + ")");
-    }
-    if (!std::isfinite(e.rating)) {
-      return Status::InvalidArgument("rating event with non-finite rating");
-    }
+  if (Status s = ValidateRatingEvents(events, router_.num_users(),
+                                      num_universe_items_);
+      !s.ok()) {
+    return s;
   }
 
   // Scatter by ownership, preserving arrival order within each shard (a
@@ -270,7 +256,7 @@ Result<Recommendation> ShardedEngine::RecommendOnSet(
   // reuse one set while nothing publishes, so repeated groups across queries
   // hit too.
   ctx.tombstone_cache = &set->tombstone_cache();
-  ctx.exclude_group_rated = options_.exclude_group_rated;
+  ctx.exclude_group_rated = options_.recommender.exclude_group_rated;
   GroupProblem problem = AssembleGroupProblem(ctx, group, slices, spec,
                                               eval_period, nullptr, &ws);
   // The problem's views alias rows of every touched shard's pinned

@@ -63,24 +63,9 @@ namespace greca {
 struct ShardedEngineOptions {
   std::size_t num_shards = 4;
   ShardStrategy strategy = ShardStrategy::kHash;
-  /// CF backend config (study-backed construction only).
-  UserKnnConfig knn;
-  /// Popularity-pool size (study-backed construction only; the generic
-  /// constructor takes the pool itself).
-  std::size_t max_candidate_items = 3'900;
-  bool exclude_group_rated = true;
-  IndexLayout index_layout = IndexLayout::kBanded;
-  std::size_t min_band_size = 64;
-  /// Keep the global-order twin of banded rows (see
-  /// RecommenderOptions::build_flat_twin).
-  bool build_flat_twin = true;
-  /// Per-shard delta-log compaction policy (see RecommenderOptions).
-  std::size_t compact_every_n_publishes = 0;
-  double compact_delta_fraction = 0.25;
-  std::size_t period_cache_max_entries = PeriodListCache::kDefaultMaxEntries;
-  /// Residency cap of each pinned set's (group, pool) tombstone-bitmap memo
-  /// (0 = unbounded; see ShardedSnapshotSet::tombstone_cache).
-  std::size_t tombstone_cache_max_entries = TombstoneCache::kDefaultMaxEntries;
+  /// As on the monolithic engine (compaction triggers per shard); `knn` and
+  /// `max_candidate_items` apply to study-backed construction only.
+  RecommenderOptions recommender;
   /// Plan RecommendBatch calls before solving them (see EngineOptions::
   /// plan_batches): duplicate queries share one assembled + solved problem,
   /// bit-identical to the per-query reference path.

@@ -283,18 +283,18 @@ TEST_F(ApiTest, PluggableAffinitySourceSwapsCleanly) {
 
   // Null sources and swapping on a wrapping (non-owning) engine are
   // rejected, not UB.
-  EXPECT_EQ(engine.set_affinity_source(nullptr).code(),
+  EXPECT_EQ(engine.UpdateAffinitySource(nullptr).code(),
             StatusCode::kInvalidArgument);
   Engine wrapping(engine.recommender());
   auto base = std::make_shared<StudyAffinitySource>(
       engine.recommender().static_affinity(),
       engine.recommender().periodic_affinity());
-  EXPECT_EQ(wrapping.set_affinity_source(base).code(),
+  EXPECT_EQ(wrapping.UpdateAffinitySource(base).code(),
             StatusCode::kFailedPrecondition);
 
   // A decay-1 decorator over the study tables is the identity.
   ASSERT_TRUE(engine
-                  .set_affinity_source(
+                  .UpdateAffinitySource(
                       std::make_shared<DecayWeightedAffinitySource>(base, 1.0))
                   .ok());
   const auto identity = engine.Recommend(query);
@@ -304,7 +304,7 @@ TEST_F(ApiTest, PluggableAffinitySourceSwapsCleanly) {
 
   // A strongly decayed source still yields a full, valid top-k.
   ASSERT_TRUE(engine
-                  .set_affinity_source(
+                  .UpdateAffinitySource(
                       std::make_shared<DecayWeightedAffinitySource>(base, 0.2))
                   .ok());
   const auto decayed = engine.Recommend(query);

@@ -368,52 +368,6 @@ TEST_F(DeltaLogTest, RandomizedDeltaLogEquivalence) {
                             "delta-vs-fresh-fold");
 }
 
-// --- Parallel touched-row rebuild ------------------------------------------
-
-// ApplyRatingUpdates with update_threads > 0 fans the per-row CF predict +
-// index re-sort over an internal pool. Rows are independent, so the
-// published snapshots must be BIT-IDENTICAL to the serial path: same
-// predictions, same index rows, same recommendations, same reports.
-TEST_F(DeltaLogTest, ParallelRebuildMatchesSerialBitForBit) {
-  RecommenderOptions serial = BaseOptions();
-  serial.update_threads = 0;
-  RecommenderOptions parallel = BaseOptions();
-  parallel.update_threads = 3;
-
-  auto engine_serial = MakeEngine(serial);
-  auto engine_parallel = MakeEngine(parallel);
-  const std::vector<Query> mix = QueryMix();
-
-  for (std::uint64_t batch = 0; batch < 5; ++batch) {
-    // Wide batches so every round rebuilds many rows (the parallel path
-    // only engages past one touched row).
-    const std::vector<RatingEvent> events = RandomEvents(48, 6'200 + batch);
-    UpdateReport rs, rp;
-    ASSERT_TRUE(engine_serial->ApplyUpdates(events, &rs).ok());
-    ASSERT_TRUE(engine_parallel->ApplyUpdates(events, &rp).ok());
-    EXPECT_EQ(rs.events_applied, rp.events_applied) << "batch " << batch;
-    EXPECT_EQ(rs.events_ignored_stale, rp.events_ignored_stale);
-    EXPECT_EQ(rs.users_rebuilt, rp.users_rebuilt);
-    EXPECT_EQ(rs.published_generation, rp.published_generation);
-    EXPECT_EQ(rs.delta_log_ratings, rp.delta_log_ratings);
-
-    // Snapshot-level bit-identity: every touched user's full prediction row.
-    const auto ss = engine_serial->snapshot();
-    const auto sp = engine_parallel->snapshot();
-    for (const RatingEvent& e : events) {
-      const auto a = ss->predictions(e.user);
-      const auto b = sp->predictions(e.user);
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a[i], b[i]) << "user " << e.user << " item " << i;
-      }
-    }
-    ExpectSameRecommendations(RunMix(*engine_serial, mix),
-                              RunMix(*engine_parallel, mix),
-                              "serial-vs-parallel-rebuild");
-  }
-}
-
 // --- Group commit ----------------------------------------------------------
 
 // Concurrent ApplyUpdates callers must all land (possibly coalesced into

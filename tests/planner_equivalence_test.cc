@@ -217,7 +217,7 @@ class PlannerEquivalenceTest : public ::testing::Test {
       std::size_t num_shards, bool plan_batches, std::size_t batch_threads) {
     ShardedEngineOptions options;
     options.num_shards = num_shards;
-    options.max_candidate_items = 360;
+    options.recommender.max_candidate_items = 360;
     options.plan_batches = plan_batches;
     options.batch_threads = batch_threads;
     return std::make_unique<ShardedEngine>(universe_->dataset, *study_,

@@ -224,7 +224,7 @@ TEST_F(ServingRuntimeTest, RacingBatchesMatchSerialReferenceUnderPublish) {
 TEST_F(ServingRuntimeTest, ShardedRacingBatchesMatchPinnedReference) {
   ShardedEngineOptions options;
   options.num_shards = 4;
-  options.max_candidate_items = 240;
+  options.recommender.max_candidate_items = 240;
   options.batch_threads = 2;
   ShardedEngine engine(universe_->dataset, *study_, options);
 
@@ -270,7 +270,7 @@ TEST_F(ServingRuntimeTest, ShardedRacingBatchesMatchPinnedReference) {
 TEST_F(ServingRuntimeTest, PinNeverReusesStaleSetAcrossPublishStorm) {
   ShardedEngineOptions options;
   options.num_shards = 4;
-  options.max_candidate_items = 240;
+  options.recommender.max_candidate_items = 240;
   ShardedEngine engine(universe_->dataset, *study_, options);
 
   std::atomic<bool> stop{false};

@@ -53,15 +53,15 @@ class ShardedEquivalenceTest : public ::testing::Test {
     ShardedEngineOptions options;
     options.num_shards = num_shards;
     options.strategy = strategy;
-    options.max_candidate_items = 360;
-    options.compact_delta_fraction = 0.0;
+    options.recommender = MonoOptions();
     return options;
   }
 
-  static std::unique_ptr<Engine> MakeMono() {
+  static std::unique_ptr<Engine> MakeMono(
+      RecommenderOptions options = MonoOptions()) {
     EngineOptions eopts;
     eopts.num_threads = 2;
-    return std::make_unique<Engine>(universe_->dataset, *study_, MonoOptions(),
+    return std::make_unique<Engine>(universe_->dataset, *study_, options,
                                     eopts);
   }
 
@@ -166,6 +166,20 @@ class ShardedEquivalenceTest : public ::testing::Test {
       EXPECT_EQ(a.raw.early_terminated, b.raw.early_terminated)
           << label << " query " << i;
     }
+  }
+
+  /// Every UpdateReport field, publish for publish.
+  static void ExpectSameReport(const UpdateReport& a, const UpdateReport& b,
+                               std::uint64_t batch) {
+    EXPECT_EQ(a.published_generation, b.published_generation)
+        << "batch " << batch;
+    EXPECT_EQ(a.users_rebuilt, b.users_rebuilt) << "batch " << batch;
+    EXPECT_EQ(a.events_applied, b.events_applied) << "batch " << batch;
+    EXPECT_EQ(a.events_ignored_stale, b.events_ignored_stale)
+        << "batch " << batch;
+    EXPECT_EQ(a.batches_coalesced, b.batches_coalesced) << "batch " << batch;
+    EXPECT_EQ(a.compacted, b.compacted) << "batch " << batch;
+    EXPECT_EQ(a.delta_log_ratings, b.delta_log_ratings) << "batch " << batch;
   }
 
   static SyntheticRatings* universe_;
@@ -286,27 +300,53 @@ TEST_F(ShardedEquivalenceTest, RandomizedUpdateStreamEquivalence) {
 }
 
 // Compaction is a per-shard policy triggering at per-shard cadences that
-// can never line up with the monolithic engine's — and must still be
-// unobservable in the recommendations.
+// can never line up with a non-compacting monolithic engine's — and must
+// still be unobservable in the recommendations. On one shard the cadence
+// is the monolithic one: both owners run the same publisher, so every
+// publish reports the same generation, compaction and delta-log size.
 TEST_F(ShardedEquivalenceTest, CompactionIsUnobservableAcrossShardCounts) {
+  RecommenderOptions compacting = MonoOptions();
+  compacting.compact_every_n_publishes = 2;  // aggressive cadence
   const auto mono = MakeMono();  // never compacts
+  const auto mono_compacting = MakeMono(compacting);
   ShardedEngineOptions copts = ShardOptionsFor(4, ShardStrategy::kHash);
-  copts.compact_every_n_publishes = 2;  // aggressive per-shard cadence
+  copts.recommender = compacting;
   const auto sharded =
       std::make_unique<ShardedEngine>(universe_->dataset, *study_, copts);
+  ShardedEngineOptions single_opts = ShardOptionsFor(1, ShardStrategy::kHash);
+  single_opts.recommender = compacting;
+  const auto single = std::make_unique<ShardedEngine>(universe_->dataset,
+                                                      *study_, single_opts);
   const std::vector<Query> mix = QueryMix();
 
   bool saw_compaction = false;
+  bool saw_mono_compaction = false;
   for (std::uint64_t batch = 0; batch < 6; ++batch) {
     const std::vector<RatingEvent> events = RandomEvents(24, 2'900 + batch);
     ASSERT_TRUE(mono->ApplyUpdates(events).ok());
     ShardedUpdateReport report;
     ASSERT_TRUE(sharded->ApplyUpdates(events, &report).ok());
     saw_compaction = saw_compaction || report.total.compacted;
-    ExpectBitIdentical(RunMono(*mono, mix), RunSharded(*sharded, mix),
+
+    UpdateReport mono_report;
+    ASSERT_TRUE(mono_compacting->ApplyUpdates(events, &mono_report).ok());
+    ShardedUpdateReport single_report;
+    ASSERT_TRUE(single->ApplyUpdates(events, &single_report).ok());
+    ExpectSameReport(mono_report, single_report.total, batch);
+    ExpectSameReport(mono_report, single_report.per_shard[0], batch);
+    saw_mono_compaction = saw_mono_compaction || mono_report.compacted;
+
+    const auto baseline = RunMono(*mono, mix);
+    ExpectBitIdentical(baseline, RunSharded(*sharded, mix),
                        "compacting-shards");
+    ExpectBitIdentical(baseline, RunMono(*mono_compacting, mix),
+                       "compacting-mono");
+    ExpectBitIdentical(baseline, RunSharded(*single, mix),
+                       "compacting-single-shard");
   }
   EXPECT_TRUE(saw_compaction) << "the cadence never fired; test is vacuous";
+  EXPECT_TRUE(saw_mono_compaction)
+      << "the monolithic cadence never fired; test is vacuous";
 }
 
 // A pinned ShardedSnapshotSet is a cross-shard fence: publishes landing
@@ -364,8 +404,8 @@ TEST_F(ShardedEquivalenceTest, PinnedSetSurvivesConcurrentPublishes) {
                      "fresh-after-pin");
 }
 
-// Validation is all-or-nothing on both paths with matching status codes:
-// one bad event anywhere must leave every shard untouched.
+// Validation is all-or-nothing on both paths with matching statuses (code
+// and message): one bad event anywhere must leave every shard untouched.
 TEST_F(ShardedEquivalenceTest, ValidationParityAndAtomicity) {
   const auto mono = MakeMono();
   const auto sharded = MakeSharded(4, ShardStrategy::kHash);
@@ -386,6 +426,7 @@ TEST_F(ShardedEquivalenceTest, ValidationParityAndAtomicity) {
     EXPECT_FALSE(ms.ok());
     EXPECT_FALSE(ss.ok());
     EXPECT_EQ(ms.code(), ss.code());
+    EXPECT_EQ(ms.message(), ss.message());
   }
   // Nothing was applied anywhere: every shard still serves generation 1.
   const auto set = sharded->Pin();
@@ -394,31 +435,33 @@ TEST_F(ShardedEquivalenceTest, ValidationParityAndAtomicity) {
     EXPECT_EQ(set->shard(s).ratings->delta_ratings(), 0u);
   }
 
-  // Query validation parity: same codes for the same bad queries.
+  // Query validation parity: same statuses for the same bad queries.
   const std::vector<UserId> good_group = {1, 2, 3};
   QuerySpec spec;
   spec.num_candidate_items = 360;
   Query q;
   q.group = good_group;
   q.spec = spec;
+  const auto expect_same_status = [&](const char* label) {
+    const Status ms = mono->Recommend(q).status();
+    const Status ss = sharded->ValidateQuery(q.group, q.spec);
+    EXPECT_FALSE(ms.ok()) << label;
+    EXPECT_EQ(ms.code(), ss.code()) << label;
+    EXPECT_EQ(ms.message(), ss.message()) << label;
+  };
 
   q.group = {};
-  EXPECT_EQ(mono->Recommend(q).status().code(),
-            sharded->ValidateQuery(q.group, q.spec).code());
+  expect_same_status("empty group");
   q.group = {1, 1};
-  EXPECT_EQ(mono->Recommend(q).status().code(),
-            sharded->ValidateQuery(q.group, q.spec).code());
+  expect_same_status("duplicate member");
   q.group = {1, participants};
-  EXPECT_EQ(mono->Recommend(q).status().code(),
-            sharded->ValidateQuery(q.group, q.spec).code());
+  expect_same_status("unknown member");
   q.group = good_group;
   q.spec.k = 0;
-  EXPECT_EQ(mono->Recommend(q).status().code(),
-            sharded->ValidateQuery(q.group, q.spec).code());
+  expect_same_status("k = 0");
   q.spec = spec;
   q.spec.eval_period = static_cast<PeriodId>(study_->periods.num_periods());
-  EXPECT_EQ(mono->Recommend(q).status().code(),
-            sharded->ValidateQuery(q.group, q.spec).code());
+  expect_same_status("period out of range");
 }
 
 TEST_F(ShardedEquivalenceTest, ShardsTouchedMatchesRouterPlacement) {

@@ -149,7 +149,7 @@ TEST_F(SolverRegistryTest, UnknownSolverIdFailsValidationEverywhere) {
 
   ShardedEngineOptions sopts;
   sopts.num_shards = 3;
-  sopts.max_candidate_items = 280;
+  sopts.recommender.max_candidate_items = 280;
   const ShardedEngine sharded(universe_->dataset, *study_, sopts);
   EXPECT_EQ(sharded.ValidateQuery(group, spec).code(),
             StatusCode::kInvalidArgument);
@@ -249,7 +249,7 @@ TEST_F(SolverRegistryTest, ShardedRegistryPathMatchesMonolithic) {
   GroupRecommender mono(universe_->dataset, *study_, Options());
   ShardedEngineOptions sopts;
   sopts.num_shards = 4;
-  sopts.max_candidate_items = 280;
+  sopts.recommender.max_candidate_items = 280;
   ShardedEngine sharded(universe_->dataset, *study_, sopts);
   ASSERT_TRUE(mono.ApplyRatingUpdates(SomeUpdates()).ok());
   ASSERT_TRUE(sharded.ApplyUpdates(SomeUpdates()).ok());
@@ -310,7 +310,7 @@ TEST_F(SolverRegistryTest, InfluenceWeightingIsNonUniformAndFlowsEverywhere) {
   GroupRecommender mono(universe_->dataset, *study_, Options());
   ShardedEngineOptions sopts;
   sopts.num_shards = 3;
-  sopts.max_candidate_items = 280;
+  sopts.recommender.max_candidate_items = 280;
   ShardedEngine sharded(universe_->dataset, *study_, sopts);
 
   // The study graph yields genuinely non-uniform influence weights.
