@@ -1,18 +1,23 @@
 // google-benchmark microbenchmarks for the core building blocks: end-to-end
 // top-k latency per algorithm, CF prediction, affinity table construction and
-// incremental maintenance, the periodic-affinity closed form, and the index
+// incremental maintenance, the periodic-affinity closed form, the index
 // row-layout primitives (SoA-vs-AoS tombstone-skip scan, loser-tree-vs-argmin
-// band merge).
+// band merge), and the paged index's publish clone and row lookup.
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <numeric>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "affinity/dynamic_affinity.h"
 #include "bench_common.h"
 #include "core/greca.h"
+#include "index/preference_index.h"
 #include "topk/list_view.h"
 #include "topk/naive.h"
 #include "topk/sorted_list.h"
@@ -394,6 +399,99 @@ void BM_BandMergeArgmin(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BandMergeArgmin)->Arg(4)->Arg(8)->Arg(16);
+
+// ---- Copy-on-write index pages: publish clone and paged row lookup -------
+// The scale harness's shard shape: pool 256 over geometric bands plus the
+// flat twin (8 KiB per row, 8 rows per 64 KiB page), with synthetic scores
+// so the timings cover the index alone. Indexes are built once per row
+// count and shared by both benches.
+
+constexpr std::size_t kPagedPool = 256;
+
+double SyntheticScore(UserId row, std::size_t key) {
+  // splitmix64 of (row, key) onto the 0..5 star scale.
+  std::uint64_t z = (static_cast<std::uint64_t>(row) << 32 | key) +
+                    0x9E3779B97F4A7C15ull;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  z ^= z >> 31;
+  return 5.0 * static_cast<double>(z >> 11) * 0x1.0p-53;
+}
+
+const PreferenceIndex& PagedIndex(std::size_t rows) {
+  static std::map<std::size_t, std::unique_ptr<const PreferenceIndex>> cache;
+  auto& slot = cache[rows];
+  if (slot == nullptr) {
+    std::vector<ItemId> pool(kPagedPool);
+    std::iota(pool.begin(), pool.end(), ItemId{0});
+    slot = std::make_unique<const PreferenceIndex>(
+        PreferenceIndex::BuildStreaming(
+            rows,
+            [](UserId row, std::span<const ItemId>, std::span<Score> out) {
+              for (std::size_t k = 0; k < out.size(); ++k) {
+                out[k] = SyntheticScore(row, k);
+              }
+            },
+            /*scale_max=*/5.0, std::move(pool), kPagedPool,
+            PreferenceIndex::GeometricBandBreakpoints(kPagedPool)));
+  }
+  return *slot;
+}
+
+// Args = (rows, touched rows). The touched rows are spread evenly over the
+// population, so each lands on its own page (the clone's worst case). A
+// publish costs a page-table copy plus one page copy and row re-sort per
+// touched row, so time tracks touched rows far more than population.
+void BM_CloneWithUpdatedPoolRows(benchmark::State& state) {
+  const std::size_t rows = static_cast<std::size_t>(state.range(0));
+  const std::size_t touched = static_cast<std::size_t>(state.range(1));
+  const PreferenceIndex& index = PagedIndex(rows);
+  std::vector<UserId> users;
+  std::vector<std::vector<Score>> scores;
+  for (std::size_t i = 0; i < touched; ++i) {
+    const auto u = static_cast<UserId>(i * rows / touched);
+    users.push_back(u);
+    std::vector<Score>& row = scores.emplace_back(kPagedPool);
+    for (std::size_t k = 0; k < kPagedPool; ++k) {
+      row[k] = SyntheticScore(u + 1, k);
+    }
+  }
+  const std::vector<std::span<const Score>> views(scores.begin(),
+                                                  scores.end());
+  for (auto _ : state) {
+    const PreferenceIndex clone =
+        index.CloneWithUpdatedPoolRows(users, views);
+    benchmark::DoNotOptimize(clone.UserKeys(users[0]).data());
+  }
+  state.counters["index_mb"] =
+      static_cast<double>(index.MemoryBytes()) / (1024.0 * 1024.0);
+  state.counters["pages"] = static_cast<double>(
+      (rows + index.rows_per_page() - 1) / index.rows_per_page());
+}
+BENCHMARK(BM_CloneWithUpdatedPoolRows)
+    ->ArgsProduct({{1'250, 12'500, 125'000}, {1, 16}})
+    ->Unit(benchmark::kMicrosecond);
+
+// Arg = rows. One UserView per member lookup over a random row sequence at
+// the full pool prefix: the page-table load, the record offset and the
+// view set-up a query pays per member, with one random access so the row
+// itself is touched.
+void BM_UserViewLookup(benchmark::State& state) {
+  const std::size_t rows = static_cast<std::size_t>(state.range(0));
+  const PreferenceIndex& index = PagedIndex(rows);
+  std::mt19937 rng(2015);
+  std::uniform_int_distribution<UserId> any_row(
+      0, static_cast<UserId>(rows - 1));
+  std::vector<UserId> members(4096);
+  for (UserId& u : members) u = any_row(rng);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const UserId u = members[next++ & (members.size() - 1)];
+    const ListView view = index.UserView(u, kPagedPool, {}, kPagedPool);
+    benchmark::DoNotOptimize(view.ScoreOfKey(static_cast<ListKey>(u & 255)));
+  }
+}
+BENCHMARK(BM_UserViewLookup)->Arg(1'250)->Arg(12'500)->Arg(125'000);
 
 void BM_NaivePopulationAverage(benchmark::State& state) {
   const auto& ctx = BenchContext::Get();

@@ -1,5 +1,6 @@
 #include "api/snapshot.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -33,7 +34,7 @@ std::size_t PeriodListCache::MemoryBytes() const {
 Snapshot::Snapshot(
     std::uint64_t generation,
     std::shared_ptr<const RatingsOverlay> ratings,
-    std::shared_ptr<const std::vector<std::vector<Score>>> predictions,
+    std::vector<PredictionRow> predictions,
     std::shared_ptr<const PreferenceIndex> index,
     std::shared_ptr<const AffinitySource> affinity,
     std::shared_ptr<PeriodListCache> cache,
@@ -48,7 +49,9 @@ Snapshot::Snapshot(
       tombstone_cache_(
           std::make_shared<TombstoneCache>(tombstone_cache_max_entries)) {
   assert(ratings_ != nullptr);
-  assert(predictions_ != nullptr);
+  assert(std::ranges::none_of(predictions_, [](const PredictionRow& row) {
+    return row == nullptr;
+  }));
   assert(index_ != nullptr);
   assert(affinity_ != nullptr);
 }

@@ -306,9 +306,15 @@ class TombstoneCache {
   BoundedGroupCache<TombstoneSet> cache_;
 };
 
+/// One study participant's CF-predicted ratings (universe scale), one slot
+/// per universe item. Immutable and shared across generations until that
+/// participant's ratings change: a publish replaces only the touched rows.
+using PredictionRow = std::shared_ptr<const std::vector<Score>>;
+
 class Snapshot {
  public:
-  /// All parts but `cache` must be non-null; the snapshot shares their
+  /// All parts but `cache` must be non-null, and so must every prediction
+  /// row; the snapshot shares their
   /// ownership (the overlay's base may alias caller-owned storage on the
   /// initial generation — see GroupRecommender construction). `cache` is
   /// the period-list cache to share — pass the previous generation's cache
@@ -319,7 +325,7 @@ class Snapshot {
   /// `tombstone_cache_max_entries` bounds it.
   Snapshot(std::uint64_t generation,
            std::shared_ptr<const RatingsOverlay> ratings,
-           std::shared_ptr<const std::vector<std::vector<Score>>> predictions,
+           std::vector<PredictionRow> predictions,
            std::shared_ptr<const PreferenceIndex> index,
            std::shared_ptr<const AffinitySource> affinity,
            std::shared_ptr<PeriodListCache> cache = nullptr,
@@ -341,17 +347,16 @@ class Snapshot {
   const RatingsOverlay& ratings() const { return *ratings_; }
   /// CF-predicted ratings (universe scale) per study participant.
   std::span<const Score> predictions(UserId study_user) const {
-    return (*predictions_)[study_user];
+    return *predictions_[study_user];
   }
-  std::size_t num_users() const { return predictions_->size(); }
+  std::size_t num_users() const { return predictions_.size(); }
 
   /// Shared handles (what the next generation's builder reuses for the
   /// untouched parts).
   const std::shared_ptr<const RatingsOverlay>& ratings_ptr() const {
     return ratings_;
   }
-  const std::shared_ptr<const std::vector<std::vector<Score>>>&
-  predictions_ptr() const {
+  const std::vector<PredictionRow>& prediction_rows() const {
     return predictions_;
   }
   const std::shared_ptr<const PreferenceIndex>& index_ptr() const {
@@ -422,7 +427,7 @@ class Snapshot {
  private:
   const std::uint64_t generation_;
   const std::shared_ptr<const RatingsOverlay> ratings_;
-  const std::shared_ptr<const std::vector<std::vector<Score>>> predictions_;
+  const std::vector<PredictionRow> predictions_;
   const std::shared_ptr<const PreferenceIndex> index_;
   const std::shared_ptr<const AffinitySource> affinity_;
   const std::shared_ptr<PeriodListCache> cache_;  // never null

@@ -29,10 +29,10 @@ GroupRecommender::GroupRecommender(const RatingsDataset& universe,
           std::bind_front(&GroupRecommender::RebuildRatings, this),
           options.compact_every_n_publishes, options.compact_delta_fraction) {
   const std::size_t n = study.num_participants();
-  auto predictions = std::make_shared<std::vector<std::vector<Score>>>();
-  predictions->reserve(n);
+  std::vector<std::vector<Score>> predictions;
+  predictions.reserve(n);
   for (UserId su = 0; su < n; ++su) {
-    predictions->push_back(
+    predictions.push_back(
         knn_.PredictAll(study.study_ratings.RatingsOfUser(su)));
   }
   static_ = ComputeCommonFriendCounts(study.graph);
@@ -55,8 +55,14 @@ GroupRecommender::GroupRecommender(const RatingsDataset& universe,
                                                       options.min_band_size)
           : std::vector<std::uint32_t>{};
   auto index = std::make_shared<const PreferenceIndex>(PreferenceIndex::Build(
-      *predictions, /*scale_max=*/5.0, std::move(pool), universe.num_items(),
+      predictions, /*scale_max=*/5.0, std::move(pool), universe.num_items(),
       breakpoints, options_.build_flat_twin));
+  std::vector<PredictionRow> prediction_rows;
+  prediction_rows.reserve(n);
+  for (std::vector<Score>& row : predictions) {
+    prediction_rows.push_back(
+        std::make_shared<const std::vector<Score>>(std::move(row)));
+  }
   // Generation 1 aliases the study-owned ratings (non-owning shared_ptr —
   // the study outlives the recommender by contract) under an empty delta
   // log; live updates accumulate in later generations' logs until a
@@ -66,7 +72,7 @@ GroupRecommender::GroupRecommender(const RatingsDataset& universe,
   snapshot_ = std::make_shared<const Snapshot>(
       /*generation=*/1,
       std::make_shared<const RatingsOverlay>(std::move(base)),
-      std::move(predictions), std::move(index), std::move(source),
+      std::move(prediction_rows), std::move(index), std::move(source),
       std::make_shared<PeriodListCache>(options_.period_cache_max_entries),
       options_.tombstone_cache_max_entries);
 }
@@ -92,16 +98,17 @@ void GroupRecommender::RebuildRatings(
     std::span<const UserId> touched, std::uint64_t generation) {
   // Rebuild CF predictions + index rows for the touched users only, reading
   // through the merged view (base + delta) — identical input to a full
-  // re-fold, so the rebuilt rows are bit-identical too.
+  // re-fold, so the rebuilt rows are bit-identical too. Untouched prediction
+  // rows and index pages stay shared with the current generation.
   const std::shared_ptr<const Snapshot> cur = snapshot();
-  auto preds = std::make_shared<std::vector<std::vector<Score>>>(
-      *cur->predictions_ptr());
+  std::vector<PredictionRow> preds = cur->prediction_rows();
   std::vector<UserRatingEntry> scratch;
   std::vector<std::span<const Score>> touched_preds;
   touched_preds.reserve(touched.size());
   for (const UserId su : touched) {
-    (*preds)[su] = knn_.PredictAll(ratings->MergedRatingsOfUser(su, scratch));
-    touched_preds.emplace_back((*preds)[su]);
+    preds[su] = std::make_shared<const std::vector<Score>>(
+        knn_.PredictAll(ratings->MergedRatingsOfUser(su, scratch)));
+    touched_preds.emplace_back(*preds[su]);
   }
   auto index = std::make_shared<const PreferenceIndex>(
       cur->index().CloneWithUpdatedRows(touched, touched_preds));
@@ -124,7 +131,7 @@ Status GroupRecommender::UpdateAffinitySource(
   publisher_.PublishUnderLock([&](std::uint64_t generation) {
     const std::shared_ptr<const Snapshot> cur = snapshot();
     Publish(std::make_shared<const Snapshot>(
-        generation, cur->ratings_ptr(), cur->predictions_ptr(),
+        generation, cur->ratings_ptr(), cur->prediction_rows(),
         cur->index_ptr(), std::move(source),
         std::make_shared<PeriodListCache>(options_.period_cache_max_entries),
         options_.tombstone_cache_max_entries));

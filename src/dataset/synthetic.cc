@@ -113,7 +113,6 @@ SyntheticRatings GenerateScaleRatings(const ScaleRatingsConfig& config) {
   assert(config.num_items > 0);
   assert(config.min_ratings_per_user >= 1);
   assert(config.min_ratings_per_user <= config.max_ratings_per_user);
-  assert(config.max_ratings_per_user <= config.num_items);
   assert(config.pareto_alpha > 1.0);
   Rng rng(config.seed);
   Rng factor_rng = rng.Fork(1);
@@ -164,7 +163,11 @@ SyntheticRatings GenerateScaleRatings(const ScaleRatingsConfig& config) {
   records.reserve(config.num_users * config.min_ratings_per_user * 2);
   std::unordered_set<ItemId> seen;
   for (UserId u = 0; u < config.num_users; ++u) {
-    const std::size_t want = pareto_count(activity_rng);
+    // A user cannot rate more distinct items than exist: the target is
+    // clamped to num_items (the draw still consumes the activity stream, so
+    // configs with num_items >= max_ratings_per_user are unaffected).
+    const std::size_t want =
+        std::min(pareto_count(activity_rng), config.num_items);
     seen.clear();
     std::size_t attempts = 0;
     const std::size_t max_attempts = want * 30 + 100;

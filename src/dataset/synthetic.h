@@ -84,7 +84,8 @@ struct ScaleRatingsConfig {
   double popularity_exponent = 1.05;
   /// Per-user rating counts follow a Pareto with tail index
   /// `pareto_alpha` − 1, truncated to [min, max]:
-  /// count = clamp(min · U^(−1/(α−1)), min, max) for uniform U in (0, 1].
+  /// count = clamp(min · U^(−1/(α−1)), min, max) for uniform U in (0, 1],
+  /// then capped at num_items (a user rates each item at most once).
   std::size_t min_ratings_per_user = 4;
   std::size_t max_ratings_per_user = 512;
   double pareto_alpha = 2.2;

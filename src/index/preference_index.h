@@ -15,13 +15,24 @@
 // — no per-query sort, copy, or re-keying. One index snapshot is shared
 // read-only by every batch worker (src/api/engine.h).
 //
-// Row storage is structure-of-arrays: parallel key (uint32) and score
-// (double) arrays per row instead of interleaved (key, score) structs. The
+// Row storage is structure-of-arrays within a row: parallel key (uint32)
+// and score (double) arrays instead of interleaved (key, score) structs. The
 // serving hot loops — tombstone-skip scans, band-head skips — test liveness
 // from keys alone, so they read 4 bytes per entry (vs 16 padded) and
 // vectorize over the bare key array (topk/simd.h); scores are only touched
 // for entries actually consumed. 12 bytes/entry of row payload (key + score)
 // plus 4 bytes/entry of position map, per stored order.
+//
+// Rows live in fixed-size pages. A page is one immutable heap block holding
+// rows_per_page() consecutive row records (the last page may hold fewer); a
+// row record is contiguous — band-order scores, flat-twin scores, then the
+// band-order keys and key→position map and the flat twin's — so every view
+// over a row is a plain span and the scan, SIMD and merge code never sees
+// a page. rows_per_page() is the largest power of two whose records fit in
+// kPageBytes (at least one row), which keeps a page under glibc's mmap
+// threshold: allocations and frees recycle heap memory instead of
+// faulting fresh mappings. Row u is pages_[u >> shift] + (u & mask) ·
+// record bytes: one page-table load per member lookup, none per entry.
 //
 // Row layout. A row is partitioned into popularity bands: band b holds
 // exactly the keys [band_begin[b], band_begin[b+1]), each band sorted
@@ -48,17 +59,24 @@
 //
 // Live updates never mutate a published index. When ratings change, the
 // writer calls CloneWithUpdatedRows() with the affected users' fresh CF
-// predictions: the clone copies the untouched rows wholesale and re-sorts
-// only the affected ones, then gets published inside a new Snapshot
-// (src/api/snapshot.h) via atomic pointer swap — readers holding the old
-// index are unaffected.
+// predictions. The clone copies the page table, copies each page holding a
+// touched row once and rebuilds the touched rows in that copy; every other
+// page stays shared with the parent generation (shared_ptr), as do the pool
+// and the item→key map. A publish therefore costs O(pages + touched pages ×
+// kPageBytes + touched rows × P log P), not O(population × P). The clone is
+// published inside a new Snapshot (src/api/snapshot.h) via atomic pointer
+// swap — readers holding the old index keep its pages alive and are
+// unaffected; a page is freed when the last generation that references it
+// goes.
 #ifndef GRECA_INDEX_PREFERENCE_INDEX_H_
 #define GRECA_INDEX_PREFERENCE_INDEX_H_
 
 #include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -73,6 +91,11 @@ class PreferenceIndex {
  public:
   /// PoolPositionOf() marker for items outside the popular-item pool.
   static constexpr std::uint32_t kNotPooled = 0xFFFFFFFFu;
+
+  /// Byte budget of one row page (see the header comment): a page holds
+  /// the largest power-of-two number of row records that fits, and at least
+  /// one.
+  static constexpr std::size_t kPageBytes = std::size_t{64} << 10;
 
   /// Resident-size split of one index (MemoryBreakdownBytes): the banded SoA
   /// rows, the global-order twin rows, and the pool/key maps.
@@ -133,13 +156,15 @@ class PreferenceIndex {
   static std::vector<std::uint32_t> GeometricBandBreakpoints(
       std::size_t pool_size, std::size_t first_band = 64);
 
-  /// Incremental rebuild for live updates: a full copy of this index in
-  /// which the rows of `users` (parallel to `predictions`: predictions[i]
+  /// Incremental rebuild for live updates: a new generation of this index
+  /// in which the rows of `users` (parallel to `predictions`: predictions[i]
   /// is a view of users[i]'s fresh per-ItemId prediction array) are
-  /// re-normalized and re-sorted; every other row is copied bit-identically.
-  /// The pool, the item→key map and the score normalization (scale_max) are
-  /// inherited. Cost: one O(users × pool) memcpy plus O(pool log pool) per
-  /// updated row.
+  /// re-normalized and re-sorted; every other row reads bit-identically and
+  /// shares its page with this index (copy-on-write, see the header
+  /// comment). A user listed twice keeps its last entry. The pool, the
+  /// item→key map and the score normalization (scale_max) are inherited.
+  /// Cost: one page-table copy, one kPageBytes copy per touched page and
+  /// O(pool log pool) per updated row.
   PreferenceIndex CloneWithUpdatedRows(
       std::span<const UserId> users,
       std::span<const std::span<const Score>> predictions) const;
@@ -147,14 +172,16 @@ class PreferenceIndex {
   /// CloneWithUpdatedRows twin fed pool-position scores instead of
   /// per-universe-item predictions: pool_scores[i][key] is users[i]'s raw
   /// (universe-scale) score for pool()[key] — the per-shard publish path,
-  /// where full per-item arrays never exist. Same layout, normalization and
-  /// ordering guarantees as CloneWithUpdatedRows.
+  /// where full per-item arrays never exist. Same layout, normalization,
+  /// ordering and page-sharing guarantees as CloneWithUpdatedRows.
   PreferenceIndex CloneWithUpdatedPoolRows(
       std::span<const UserId> users,
       std::span<const std::span<const Score>> pool_scores) const;
 
   std::size_t num_users() const { return num_users_; }
-  std::size_t pool_size() const { return pool_.size(); }
+  std::size_t pool_size() const { return pool_size_; }
+  /// Rows per page (a power of two; the last page may hold fewer).
+  std::size_t rows_per_page() const { return std::size_t{1} << page_shift_; }
 
   /// Number of popularity bands per row (1 = flat layout).
   std::size_t num_bands() const { return band_begin_.size() - 1; }
@@ -164,26 +191,26 @@ class PreferenceIndex {
   }
   /// True when banded rows also carry the global-order twin (the wide-prefix
   /// fast path).
-  bool has_flat_twin() const { return !flat_keys_.empty(); }
+  bool has_flat_twin() const { return flat_twin_; }
 
   /// The popular-item pool in key order: pool()[key] is the universe item of
   /// candidate key `key` for every prefix slice.
-  std::span<const ItemId> pool() const { return pool_; }
+  std::span<const ItemId> pool() const { return key_space_->pool; }
 
   /// Pool position (== candidate key) of a universe item, or kNotPooled.
   std::uint32_t PoolPositionOf(ItemId item) const {
-    return item < pool_position_of_item_.size() ? pool_position_of_item_[item]
-                                                : kNotPooled;
+    const std::vector<std::uint32_t>& of_item = key_space_->position_of_item;
+    return item < of_item.size() ? of_item[item] : kNotPooled;
   }
 
   /// User `u`'s full row in band order (per-band descending score, ties by
   /// ascending key; globally sorted when num_bands() == 1): parallel
   /// key/score arrays, UserKeys(u)[p] scored UserScores(u)[p].
   std::span<const ListKey> UserKeys(UserId u) const {
-    return {keys_.data() + u * pool_.size(), pool_.size()};
+    return {RowWords(Row(u)), pool_size_};
   }
   std::span<const Score> UserScores(UserId u) const {
-    return {scores_.data() + u * pool_.size(), pool_.size()};
+    return {RowScores(Row(u)), pool_size_};
   }
 
   /// Non-owning preference list of user `u` restricted to the candidate-pool
@@ -198,13 +225,18 @@ class PreferenceIndex {
   ListView UserView(UserId u, std::size_t prefix,
                     std::span<const std::uint64_t> tombstones,
                     std::size_t live_entries) const {
-    const std::size_t pool_size = pool_.size();
+    const std::size_t pool_size = pool_size_;
     assert(prefix <= pool_size);
+    const std::byte* const row = Row(u);
+    const Score* const scores = RowScores(row);
+    const std::uint32_t* const words = RowWords(row);
+    // Band-order positions follow the band-order keys in the record.
+    const std::span<const std::uint32_t> positions{words + pool_size,
+                                                   pool_size};
     if (num_bands() == 1) {
       // Flat layout: the banded arrays ARE the globally sorted row.
-      return ListView(UserKeys(u), UserScores(u),
-                      {positions_.data() + u * pool_size, pool_size}, prefix,
-                      live_entries, tombstones);
+      return ListView({words, pool_size}, {scores, pool_size}, positions,
+                      prefix, live_entries, tombstones);
     }
     // Covered-band span: smallest nb with band_begin_[nb] >= prefix. The
     // grid is shared by every row, so the walk depends on the prefix alone;
@@ -226,42 +258,41 @@ class PreferenceIndex {
           std::memory_order_relaxed);
     }
     const std::size_t footprint = band_begin_[nb];
-    if (2 * footprint > pool_size && has_flat_twin()) {
+    if (2 * footprint > pool_size && flat_twin_) {
       // Cost-model guard: the merge must at least halve the walk, otherwise
       // the flat copy (no merge, pre-banding behavior) is the better lens.
-      return ListView({flat_keys_.data() + u * pool_size, pool_size},
-                      {flat_scores_.data() + u * pool_size, pool_size},
-                      {flat_positions_.data() + u * pool_size, pool_size},
-                      prefix, live_entries, tombstones);
+      return ListView({words + 2 * pool_size, pool_size},
+                      {scores + pool_size, pool_size},
+                      {words + 3 * pool_size, pool_size}, prefix,
+                      live_entries, tombstones);
     }
-    const std::span<const ListKey> keys{keys_.data() + u * pool_size,
-                                        footprint};
-    const std::span<const Score> scores{scores_.data() + u * pool_size,
-                                        footprint};
-    const std::span<const std::uint32_t> positions{
-        positions_.data() + u * pool_size, pool_size};
+    const std::span<const ListKey> keys{words, footprint};
+    const std::span<const Score> band_scores{scores, footprint};
     if (nb == 1) {
       // One covered band is already sorted — plain flat view, no merge.
-      return ListView(keys, scores, positions, prefix, live_entries,
+      return ListView(keys, band_scores, positions, prefix, live_entries,
                       tombstones);
     }
-    return ListView(keys, scores, positions, prefix, live_entries, tombstones,
+    return ListView(keys, band_scores, positions, prefix, live_entries,
+                    tombstones,
                     std::span<const std::uint32_t>(band_begin_.data(), nb + 1));
   }
 
   /// Resident size split by component, for capacity planning and the bench
-  /// JSON (BENCH_batch.json index_memory).
+  /// JSON (BENCH_batch.json index_memory): the logical bytes of every row
+  /// and map this index references, whether or not another generation
+  /// shares them.
   MemoryBreakdown MemoryBreakdownBytes() const {
     MemoryBreakdown b;
-    b.banded_bytes = keys_.size() * sizeof(ListKey) +
-                     scores_.size() * sizeof(Score) +
-                     positions_.size() * sizeof(std::uint32_t);
-    b.flat_twin_bytes = flat_keys_.size() * sizeof(ListKey) +
-                        flat_scores_.size() * sizeof(Score) +
-                        flat_positions_.size() * sizeof(std::uint32_t);
-    b.map_bytes = pool_.size() * sizeof(ItemId) +
-                  pool_position_of_item_.size() * sizeof(std::uint32_t) +
-                  band_begin_.size() * sizeof(std::uint32_t);
+    const std::size_t order_bytes =
+        num_users_ * pool_size_ *
+        (sizeof(ListKey) + sizeof(Score) + sizeof(std::uint32_t));
+    b.banded_bytes = order_bytes;
+    b.flat_twin_bytes = flat_twin_ ? order_bytes : 0;
+    b.map_bytes =
+        key_space_->pool.size() * sizeof(ItemId) +
+        key_space_->position_of_item.size() * sizeof(std::uint32_t) +
+        band_begin_.size() * sizeof(std::uint32_t);
     return b;
   }
 
@@ -269,20 +300,60 @@ class PreferenceIndex {
   std::size_t MemoryBytes() const { return MemoryBreakdownBytes().total(); }
 
  private:
-  /// Re-sorts user `u`'s row (per band) and its key→position map from a
-  /// raw score per pool position (pool_scores[key] scores pool_[key]).
-  /// Internal: only called on rows of an unpublished copy. Safe to call
-  /// concurrently on DISTINCT rows (each row's storage is disjoint; the sort
-  /// scratch is thread-local) — the parallel build path relies on that.
-  void RebuildRowFromPool(UserId u, std::span<const Score> pool_scores);
+  /// Everything a clone inherits unchanged, shared across generations: the
+  /// pool, the item→key map and the key→band map the row fill scatters by.
+  struct KeySpace {
+    std::vector<ItemId> pool;                     // key -> universe item
+    std::vector<std::uint32_t> position_of_item;  // item -> key
+    std::vector<std::uint8_t> band_of_key;        // key -> band
+  };
 
-  /// Sizes the SoA arrays (and the flat twins) and installs the pool, the
-  /// item→key map and the normalized band grid — everything before the
-  /// per-row fills.
-  void InitStorage(std::size_t num_rows, double scale_max,
-                   std::vector<ItemId> pool, std::size_t num_universe_items,
-                   std::span<const std::uint32_t> band_breakpoints,
-                   bool build_flat_twin);
+  /// One page: the row records of rows_per_page() consecutive rows (fewer
+  /// on the last page), immutable once published.
+  using Page = std::shared_ptr<const std::byte[]>;
+  using MutablePage = std::shared_ptr<std::byte[]>;
+
+  PreferenceIndex() = default;
+
+  /// Row record of user `u`. Record layout (P = pool size; the flat-twin
+  /// parts only when flat_twin_):
+  ///   Score[P] band-order scores, Score[P] flat scores,
+  ///   uint32[P] band-order keys, uint32[P] band-order key→position,
+  ///   uint32[P] flat keys, uint32[P] flat key→position.
+  const std::byte* Row(UserId u) const {
+    assert(u < num_users_);
+    return pages_[u >> page_shift_].get() + RecordOffset(u);
+  }
+  /// Byte offset of user `u`'s record within its page.
+  std::size_t RecordOffset(UserId u) const {
+    return (u & (rows_per_page() - 1)) * row_bytes_;
+  }
+  static const Score* RowScores(const std::byte* row) {
+    return reinterpret_cast<const Score*>(row);
+  }
+  const std::uint32_t* RowWords(const std::byte* row) const {
+    return reinterpret_cast<const std::uint32_t*>(row + words_offset_);
+  }
+
+  /// Rows held by page `page` (rows_per_page() except on a partial last
+  /// page).
+  std::size_t PageRows(std::size_t page) const;
+  /// A fresh, uninitialized page sized for PageRows(page) records.
+  MutablePage NewPage(std::size_t page) const;
+
+  /// Writes one row record at `row` — both orders and their key→position
+  /// maps — from a raw score per pool position (pool_scores[key] scores
+  /// pool()[key]). Internal: only called on pages not yet published. Safe
+  /// to call concurrently on DISTINCT records (the sort scratch is
+  /// thread-local) — the parallel build path relies on that.
+  void FillRow(std::byte* row, std::span<const Score> pool_scores) const;
+
+  /// Installs the pool, the item→key map, the normalized band grid and the
+  /// page geometry — everything before the pages are allocated and filled.
+  void InitLayout(std::size_t num_rows, double scale_max,
+                  std::vector<ItemId> pool, std::size_t num_universe_items,
+                  std::span<const std::uint32_t> band_breakpoints,
+                  bool build_flat_twin);
 
   /// The UserView band-span memo: one packed (prefix+1) << 32 | nb entry
   /// (0 = cold), atomic so concurrent batch workers share it without racing.
@@ -306,20 +377,18 @@ class PreferenceIndex {
   };
 
   std::size_t num_users_ = 0;
-  double scale_max_ = 1.0;                            // score normalization
-  std::vector<ItemId> pool_;                          // key -> universe item
-  std::vector<std::uint32_t> pool_position_of_item_;  // item -> key
+  std::size_t pool_size_ = 0;
+  double scale_max_ = 1.0;  // score normalization
+  bool flat_twin_ = false;  // records carry the global-order twin
+  std::shared_ptr<const KeySpace> key_space_;
   std::vector<std::uint32_t> band_begin_ = {0, 0};  // band b = [b, b+1) keys
-  // Band-order SoA rows, num_users × pool_size each: keys_[u·P + p] is the
-  // key at row position p, scores_ its score, positions_ the inverse map.
-  std::vector<ListKey> keys_;
-  std::vector<Score> scores_;
-  std::vector<std::uint32_t> positions_;  // key -> band-order row position
-  // Global-order twin of the row arrays, populated only when num_bands() > 1
-  // and build_flat_twin — the large-prefix fast path (see UserView).
-  std::vector<ListKey> flat_keys_;
-  std::vector<Score> flat_scores_;
-  std::vector<std::uint32_t> flat_positions_;
+  // Page geometry: row u is record (u & (rows_per_page() - 1)) of page
+  // u >> page_shift_; a record is row_bytes_ long and its uint32 arrays
+  // start words_offset_ bytes in (after the Score arrays).
+  std::size_t page_shift_ = 0;
+  std::size_t row_bytes_ = 0;
+  std::size_t words_offset_ = 0;
+  std::vector<Page> pages_;
   BandSpanMemo band_span_memo_;
 };
 

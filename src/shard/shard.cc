@@ -53,9 +53,9 @@ void Shard::RebuildRatings(std::shared_ptr<const RatingsOverlay> ratings,
                            std::span<const UserId> touched,
                            std::uint64_t generation) {
   // Rebuild only the touched local rows: predictor over the merged view →
-  // raw pool scores → CloneWithUpdatedPoolRows (wholesale copy of this
-  // shard's rows + per-touched-row re-sort). The clone is 1/N of what a
-  // monolithic publish would copy — the shard-scaling mechanism.
+  // raw pool scores → CloneWithUpdatedPoolRows (page-table copy + one
+  // page copy and re-sort per touched row; untouched pages stay shared with
+  // the current generation).
   const std::shared_ptr<const ShardSnapshot> cur = snapshot();
   const PreferenceIndex& index = *cur->index;
   std::vector<std::uint32_t> rows;

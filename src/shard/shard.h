@@ -12,10 +12,12 @@
 //    pair, swapped under a light mutex).
 //
 // Publish independence is the point: a rating batch touching only this
-// shard's users clones THIS shard's index (1/N of the population's rows),
-// not the whole fleet's — under locality-routed traffic the per-publish
-// byte cost drops by the shard count, which is where the multi-shard
-// throughput win comes from on a mixed read/write workload.
+// shard's users publishes THIS shard alone, under its own build lock, so
+// shards fold, re-predict and publish in parallel and a reader pins only
+// the shards its group touches. The clone itself is copy-on-write at any
+// shard size (PreferenceIndex pages): it copies the page table and the
+// pages holding touched rows, not the shard's rows, so a shard count is a
+// parallelism choice, not a way to make publishes cheaper.
 //
 // Prediction recompute goes through a PoolPredictor instead of stored
 // universe-scale prediction arrays: the predictor maps a user's merged

@@ -22,10 +22,10 @@
 // Updates scatter by ownership: ApplyUpdates validates the whole batch
 // up front (all-or-nothing, like the monolithic path), splits it per shard
 // preserving arrival order, and applies the sub-batches shard by shard —
-// each touched shard publishes independently, cloning only ITS rows. Under
-// locality-routed traffic a batch touches one shard and the publish cost
-// drops by the shard count; that per-publish byte reduction is the
-// multi-shard throughput mechanism measured by bench/bench_shard.cc.
+// each touched shard publishes independently, under its own build lock.
+// The index clone is copy-on-write (only the pages holding touched rows are
+// copied) at any shard count, so sharding buys publish parallelism and
+// narrower pins, not cheaper copies; bench/bench_shard.cc measures both.
 //
 // Sub-batches publish in shard order, so a concurrent reader can observe
 // shard A post-batch while shard B is still pre-batch; each shard's

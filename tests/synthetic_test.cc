@@ -206,6 +206,33 @@ TEST(ScaleRatingsTest, ActivityTailIndexMatchesConfiguredAlpha) {
       << "fitted tail slope " << slope << " for alpha " << config.pareto_alpha;
 }
 
+// Fewer items than the activity cap: each user's target is clamped to
+// num_items, so Debug and Release builds generate the same data and the
+// heavy tail saturates at "rated everything".
+TEST(ScaleRatingsTest, PerUserTargetClampedToItemCount) {
+  ScaleRatingsConfig config;
+  config.num_users = 2'000;
+  config.num_items = 24;
+  config.min_ratings_per_user = 4;
+  config.max_ratings_per_user = 512;
+  config.seed = 23;
+  const SyntheticRatings s = GenerateScaleRatings(config);
+  ASSERT_EQ(s.dataset.num_items(), 24u);
+  std::size_t saturated = 0;
+  for (UserId u = 0; u < s.dataset.num_users(); ++u) {
+    const auto row = s.dataset.RatingsOfUser(u);
+    EXPECT_GE(row.size(), 1u) << "user " << u;
+    ASSERT_LE(row.size(), config.num_items) << "user " << u;
+    for (std::size_t i = 1; i < row.size(); ++i) {
+      EXPECT_LT(row[i - 1].item, row[i].item) << "user " << u;
+    }
+    saturated += row.size() == config.num_items ? 1 : 0;
+  }
+  EXPECT_GT(saturated, 0u);
+  EXPECT_EQ(GenerateScaleRatings(config).dataset.num_ratings(),
+            s.dataset.num_ratings());
+}
+
 TEST(ScaleRatingsTest, ItemPopularityIsZipfSkewed) {
   const SyntheticRatings s = GenerateScaleRatings(SmallScaleConfig());
   const auto top = s.dataset.TopPopularItems(s.dataset.num_items());
