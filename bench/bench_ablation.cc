@@ -4,12 +4,14 @@
 //   3. closed-form population average vs naive O(|U|^2) pair scan,
 //   4. GRECA vs TA vs naive access accounting at paper scale.
 #include <iostream>
+#include <string_view>
 
 #include "affinity/dynamic_affinity.h"
 #include "bench_common.h"
 #include "common/stats.h"
 #include "common/stopwatch.h"
 #include "common/table_printer.h"
+#include "solver/solver_registry.h"
 
 int main() {
   using namespace greca;
@@ -105,15 +107,15 @@ int main() {
         "Ablation 4: access accounting, GRECA vs TA vs naive (k=10, size 6)");
     table.SetColumns({"algorithm", "avg SAs", "avg RAs", "avg total",
                       "avg %SA of full scan"});
-    for (const auto& [label, algorithm] :
-         std::vector<std::pair<std::string, Algorithm>>{
-             {"GRECA", Algorithm::kGreca},
-             {"TA", Algorithm::kTa},
-             {"naive", Algorithm::kNaive}}) {
+    for (const auto& [label, solver_id] :
+         std::vector<std::pair<std::string, std::string_view>>{
+             {"GRECA", kGrecaSolverId},
+             {"TA", kTaSolverId},
+             {"naive", kNaiveSolverId}}) {
       OnlineStats sas, ras, totals, pct;
       for (const Group& group : groups) {
         QuerySpec spec = PerformanceHarness::DefaultSpec();
-        spec.algorithm = algorithm;
+        spec.solver_id = std::string(solver_id);
         const Recommendation r = ctx.recommender->Recommend(group, spec).value();
         sas.Add(static_cast<double>(r.raw.accesses.sequential));
         ras.Add(static_cast<double>(r.raw.accesses.random));

@@ -214,7 +214,7 @@ int main() {
     QueryWorkspace ws;
     for (std::size_t pi = 0; pi < pools.size(); ++pi) {
       QuerySpec sweep_spec = spec;
-      sweep_spec.algorithm = Algorithm::kNaive;
+      sweep_spec.solver_id = std::string(kNaiveSolverId);
       sweep_spec.num_candidate_items = pools[pi];
 
       SweepRow row;
@@ -269,7 +269,7 @@ int main() {
       // Same datasets, flat rows: the pre-banding baseline.
       RecommenderOptions flat_options;
       flat_options.max_candidate_items = full_pool;
-      flat_options.index_layout = IndexLayout::kFlat;
+      flat_options.min_band_size = 0;
       const GroupRecommender flat_rec(ctx.universe, ctx.study, flat_options);
       if (!run_layout(flat_rec, "flat")) return 1;
     }
@@ -325,7 +325,8 @@ int main() {
 
   // Resident-size split of the serving index (satellite of the SoA rewrite):
   // banded SoA rows vs the global-order twin vs the pool/key maps. The twin
-  // component is what RecommenderOptions::build_flat_twin = false reclaims.
+  // component is what PreferenceIndex::Build(..., build_flat_twin = false)
+  // would reclaim.
   const auto mem = recommender.preference_index().MemoryBreakdownBytes();
   std::cout << "index_memory: banded " << mem.banded_bytes << " B, flat twin "
             << mem.flat_twin_bytes << " B, maps " << mem.map_bytes

@@ -13,6 +13,7 @@
 #include "common/table_printer.h"
 #include "core/pseudo_user.h"
 #include "groups/user_clustering.h"
+#include "solver/solver_registry.h"
 
 int main() {
   using namespace greca;
@@ -32,7 +33,7 @@ int main() {
     for (const Group& group : groups) {
       QuerySpec spec;
       spec.k = 10;
-      spec.algorithm = Algorithm::kNaive;  // exact list for judging
+      spec.solver_id = std::string(kNaiveSolverId);  // exact list for judging
       const std::vector<ItemId> consensus_list =
           recommender.Recommend(group, spec).value().items;
       const auto pseudo = RecommendPseudoUser(

@@ -34,6 +34,7 @@
 #include "common/table_printer.h"
 #include "groups/formation_pipeline.h"
 #include "shard/sharded_engine.h"
+#include "solver/solver_registry.h"
 
 namespace {
 
@@ -121,7 +122,7 @@ int main() {
   QuerySpec spec;
   spec.k = 10;
   spec.model = AffinityModelSpec::TimeAgnostic();
-  spec.algorithm = Algorithm::kGreca;
+  spec.solver_id = std::string(kGrecaSolverId);
   spec.num_candidate_items = engine.pool().size();
   spec.eval_period = 0;
   const std::vector<Query> queries =

@@ -96,7 +96,7 @@ const GroupRecommender& FlatRecommender() {
     RecommenderOptions options;
     options.max_candidate_items =
         ctx.recommender->preference_index().pool_size();
-    options.index_layout = IndexLayout::kFlat;
+    options.min_band_size = 0;
     return new GroupRecommender(ctx.universe, ctx.study, options);
   }();
   return *rec;

@@ -54,6 +54,7 @@
 #include "common/stopwatch.h"
 #include "common/table_printer.h"
 #include "shard/sharded_engine.h"
+#include "solver/solver_registry.h"
 
 namespace {
 
@@ -98,7 +99,7 @@ WorkloadResult RunWorkload(ShardedEngine& engine, double locality,
   QuerySpec spec;
   spec.k = 10;
   spec.model = AffinityModelSpec::TimeAgnostic();
-  spec.algorithm = Algorithm::kGreca;
+  spec.solver_id = std::string(kGrecaSolverId);
   spec.num_candidate_items = engine.pool().size();
   spec.eval_period = 0;
 
@@ -369,7 +370,7 @@ int main() {
     QuerySpec spec;
     spec.k = 10;
     spec.model = AffinityModelSpec::TimeAgnostic();
-    spec.algorithm = Algorithm::kGreca;
+    spec.solver_id = std::string(kGrecaSolverId);
     spec.num_candidate_items = pool.size();
     spec.eval_period = 0;
 

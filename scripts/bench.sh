@@ -1,15 +1,12 @@
 #!/usr/bin/env bash
 # Runs the perf-trajectory benches and records machine-readable results:
-#   BENCH_micro.json  — google-benchmark microbenchmarks when available
-#                       (BM_PrefixScanBanded/Flat track the banded-row
-#                       prefix-scan win, BM_BuildProblem / BM_ProblemAssembly
-#                       the zero-copy assembly cost); when google-benchmark
-#                       is not installed, bench_batch's per-pool-size
-#                       banded-vs-flat layout sweep is written here instead
-#                       so the file always carries the layout qps numbers.
+#   BENCH_micro.json  — google-benchmark microbenchmarks, only when
+#                       google-benchmark is installed (BM_PrefixScanBanded/
+#                       Flat track the banded-row prefix-scan win,
+#                       BM_BuildProblem / BM_ProblemAssembly the zero-copy
+#                       assembly cost).
 #   BENCH_batch.json  — bench_batch layout sweep (banded vs flat qps per
-#                       candidate-pool size + entries walked per scan) when
-#                       BENCH_micro.json is taken by google-benchmark.
+#                       candidate-pool size + entries walked per scan).
 #   BENCH_fig5.txt    — GRECA %SA scalability sweep (paper Figure 5)
 #   BENCH_batch.txt   — Engine::RecommendBatch vs sequential throughput plus
 #                       the problem_assembly_seconds / solve_seconds split,
@@ -62,21 +59,20 @@ BUILD_DIR="${BUILD_DIR:-build}"
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j --target bench_fig5_scalability bench_batch bench_online
 # bench_micro exists only when google-benchmark is installed; always rebuild
-# it so the recorded numbers match the current sources. Its output claims
-# BENCH_micro.json; otherwise bench_batch's layout sweep lands there.
-BATCH_JSON=BENCH_micro.json
+# it so the recorded numbers match the current sources.
+MICRO_NOTE=""
 if cmake --build "$BUILD_DIR" -j --target bench_micro 2>/dev/null; then
   "$BUILD_DIR"/bench/bench_micro \
     --benchmark_out=BENCH_micro.json --benchmark_out_format=json \
     --benchmark_repetitions=1
-  BATCH_JSON=BENCH_batch.json
+  MICRO_NOTE=" BENCH_micro.json,"
 else
   echo "bench_micro unavailable (google-benchmark not installed);" \
-       "BENCH_micro.json will carry bench_batch's layout sweep" >&2
+       "BENCH_micro.json not refreshed" >&2
 fi
 
 "$BUILD_DIR"/bench/bench_fig5_scalability | tee BENCH_fig5.txt
-GRECA_BATCH_LAYOUT="$LAYOUT" GRECA_BATCH_JSON="$BATCH_JSON" \
+GRECA_BATCH_LAYOUT="$LAYOUT" GRECA_BATCH_JSON=BENCH_batch.json \
   "$BUILD_DIR"/bench/bench_batch | tee BENCH_batch.txt
 GRECA_BENCH_ONLINE_JSON=BENCH_online.json \
   "$BUILD_DIR"/bench/bench_online | tee BENCH_online.txt
@@ -89,9 +85,5 @@ if [[ "$RUN_SHARDS" == "1" ]]; then
   SHARD_NOTE=" BENCH_shard.txt, BENCH_shard.json,"
 fi
 
-EXTRA_JSON=""
-if [[ "$BATCH_JSON" != "BENCH_micro.json" ]]; then
-  EXTRA_JSON=" $BATCH_JSON,"
-fi
-echo "Wrote BENCH_micro.json,${EXTRA_JSON}${SHARD_NOTE} BENCH_fig5.txt," \
+echo "Wrote${MICRO_NOTE} BENCH_batch.json,${SHARD_NOTE} BENCH_fig5.txt," \
      "BENCH_batch.txt, BENCH_online.txt, BENCH_online.json"

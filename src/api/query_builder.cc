@@ -40,12 +40,6 @@ QueryBuilder& QueryBuilder::AtLastPeriod() {
   return *this;
 }
 
-QueryBuilder& QueryBuilder::Using(Algorithm algorithm) {
-  query_.spec.algorithm = algorithm;
-  query_.spec.solver_id.clear();  // last selection wins
-  return *this;
-}
-
 QueryBuilder& QueryBuilder::Using(std::string solver_id) {
   query_.spec.solver_id = std::move(solver_id);
   return *this;

@@ -56,9 +56,6 @@ class QueryBuilder {
   QueryBuilder& AtPeriod(PeriodId period);
   /// Evaluates at the last study period (the default).
   QueryBuilder& AtLastPeriod();
-  /// Selects a solver by legacy enum alias. Clears any solver id a previous
-  /// Using(std::string) set — last call wins, like every builder setter.
-  QueryBuilder& Using(Algorithm algorithm);
   /// Selects a registered solver by id (solver/solver_registry.h). Unknown
   /// ids fail at Build() with kInvalidArgument.
   QueryBuilder& Using(std::string solver_id);

@@ -45,18 +45,16 @@ GroupRecommender::GroupRecommender(const RatingsDataset& universe,
       static_, periodic_, &dynamic_, std::move(influence));
   // One shared, immutable sorted-preference index over the popular-item
   // pool; every query (and every batch worker) slices it by prefix. Banded
-  // rows (the default) keep small-prefix scans proportional to the prefix;
-  // the flat fallback stores one globally sorted row per user.
+  // rows keep small-prefix scans proportional to the prefix; a zero
+  // min_band_size stores one globally sorted row per user.
   std::vector<ItemId> pool =
       universe.TopPopularItems(options.max_candidate_items);
   const std::vector<std::uint32_t> breakpoints =
-      options.index_layout == IndexLayout::kBanded
-          ? PreferenceIndex::GeometricBandBreakpoints(pool.size(),
-                                                      options.min_band_size)
-          : std::vector<std::uint32_t>{};
+      PreferenceIndex::GeometricBandBreakpoints(pool.size(),
+                                                options.min_band_size);
   auto index = std::make_shared<const PreferenceIndex>(PreferenceIndex::Build(
       predictions, /*scale_max=*/5.0, std::move(pool), universe.num_items(),
-      breakpoints, options_.build_flat_twin));
+      breakpoints));
   std::vector<PredictionRow> prediction_rows;
   prediction_rows.reserve(n);
   for (std::vector<Score>& row : predictions) {
@@ -225,7 +223,6 @@ Result<GroupProblem> GroupRecommender::BuildProblem(
   ctx.affinity = &snap->affinity();
   ctx.period_cache = snap->period_cache_ptr().get();
   ctx.tombstone_cache = snap->tombstone_cache_ptr().get();
-  ctx.exclude_group_rated = options_.exclude_group_rated;
   GroupProblem problem = AssembleGroupProblem(ctx, group, slices, spec,
                                               eval_period, candidates_out,
                                               workspace);

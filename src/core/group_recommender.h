@@ -69,16 +69,6 @@
 
 namespace greca {
 
-/// Legacy solver selector, kept as a thin alias for API compatibility: each
-/// enumerator maps to a registered solver id (solver/solver_registry.h's
-/// AlgorithmSolverId). New code — and any solver beyond these three — selects
-/// by QuerySpec::solver_id instead; a non-empty solver_id always wins.
-enum class Algorithm {
-  kGreca,
-  kNaive,
-  kTa,
-};
-
 /// How member preferences are weighted inside the consensus functions.
 enum class MemberWeighting {
   /// Every member counts equally — the historical, bit-identical default.
@@ -90,41 +80,19 @@ enum class MemberWeighting {
   kInfluence,
 };
 
-/// Row layout of the shared PreferenceIndex (identical recommendations and
-/// access counts either way — the layouts differ only in how many raw
-/// entries a prefix-restricted sequential scan walks).
-enum class IndexLayout {
-  /// Rows bucketed by popularity band (geometric pool-position breakpoints),
-  /// each band score-sorted: a prefix-restricted view walks only the bands
-  /// its candidate pool intersects (≤ 2× the prefix), restoring the paper's
-  /// access-cost model for small-pool queries.
-  kBanded,
-  /// One globally score-sorted row per user: exhausting a prefix slice skips
-  /// every out-of-prefix entry one by one, walking the full row. Kept as the
-  /// equivalence and bench baseline.
-  kFlat,
-};
-
 struct RecommenderOptions {
   UserKnnConfig knn;
   /// Candidate pool = the top-N most popular universe items (the paper's
   /// scalability experiments sweep 900..3900 items).
   std::size_t max_candidate_items = 3'900;
-  /// Drop items any group member has already rated (paper §2.4).
-  bool exclude_group_rated = true;
 
-  /// How index rows are stored (see IndexLayout).
-  IndexLayout index_layout = IndexLayout::kBanded;
-  /// Smallest popularity band of the banded layout (the first breakpoint;
-  /// bands double from here up to the pool size). Pool prefixes of at least
-  /// half this size keep exhaustive scans within 2× the prefix.
+  /// Smallest popularity band of the index rows (the first breakpoint; bands
+  /// double from here up to the pool size — index/preference_index.h). Pool
+  /// prefixes of at least half this size keep exhaustive scans within 2× the
+  /// prefix. 0 = one globally sorted band per row (the flat layout, the
+  /// banded≡flat equivalence and bench baseline). Recommendations and access
+  /// counts are identical for every value.
   std::size_t min_band_size = 64;
-  /// Whether banded rows also keep a global-order twin — the wide-prefix
-  /// fast path (served when a prefix covers more than half the row). False
-  /// halves index row storage; wide prefixes then pay the banded merge.
-  /// Results are bit-identical either way. Ignored on kFlat (no twin
-  /// exists). See PreferenceIndex::MemoryBreakdownBytes for the split.
-  bool build_flat_twin = true;
 
   // --- Delta-log compaction policy (live updates) ---
   // Live ratings accumulate in a per-user delta log (keeping publishes
@@ -161,12 +129,10 @@ struct QuerySpec {
   /// period"; explicit indices must be in range — ResolvePeriod rejects
   /// out-of-range values with kOutOfRange instead of clamping.
   std::optional<PeriodId> eval_period;
-  Algorithm algorithm = Algorithm::kGreca;
-  /// Registry solver id (solver/solver_registry.h). Empty — the default —
-  /// falls back to the `algorithm` enum alias; non-empty always wins, so the
-  /// enum never constrains which registered solver runs. Unknown ids are
-  /// rejected at validation with kInvalidArgument.
-  std::string solver_id;
+  /// Registry solver id (solver/solver_registry.h): "greca", "naive", "ta",
+  /// "submodular" or any client-registered id. Unknown ids — the empty one
+  /// included — are rejected at validation with kInvalidArgument.
+  std::string solver_id = "greca";
   /// Per-member consensus weighting (see MemberWeighting). kUniform keeps
   /// the historical bit-identical scoring path.
   MemberWeighting weighting = MemberWeighting::kUniform;
@@ -175,9 +141,8 @@ struct QuerySpec {
   std::size_t num_candidate_items = 3'900;
 
   /// Field-wise equality. Note the batch planner (plan/batch_planner.h)
-  /// buckets on RESOLVED periods and RESOLVED solver ids, so specs differing
-  /// only in "nullopt vs explicit last period" (or "enum alias vs its
-  /// explicit solver id") compare unequal here but still share a bucket.
+  /// buckets on RESOLVED periods, so specs differing only in "nullopt vs
+  /// explicit last period" compare unequal here but still share a bucket.
   friend bool operator==(const QuerySpec&, const QuerySpec&) = default;
 };
 

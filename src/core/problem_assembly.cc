@@ -30,11 +30,10 @@ Status ValidateGroupQuery(std::span<const UserId> group, const QuerySpec& spec,
   if (group.empty()) {
     return Status::InvalidArgument("group must not be empty");
   }
-  // Solver resolution plus the solver's own veto hook, at the exact position
-  // of the historical GRECA group-size check (GrecaSolver::ValidateQuery
-  // reproduces its message byte for byte), so error sequences are unchanged.
+  // Solver lookup plus the solver's own veto hook, at the position of the
+  // historical GRECA group-size check, so error sequences are unchanged.
   const GroupSolver* solver =
-      SolverRegistry::Global().Find(ResolveSolverId(spec));
+      SolverRegistry::Global().Find(spec.solver_id);
   if (solver == nullptr) {
     return Status::InvalidArgument("unknown solver id \"" + spec.solver_id +
                                    "\"");
@@ -81,6 +80,7 @@ GroupProblem AssembleGroupProblem(const AssemblyContext& ctx,
                                   std::vector<ItemId>* candidates_out,
                                   QueryWorkspace* workspace) {
   assert(members.size() == group.size());
+  assert(ctx.tombstone_cache != nullptr);
   const PreferenceIndex& key_index = *ctx.key_index;
   const AffinitySource& source = *ctx.affinity;
 
@@ -95,64 +95,49 @@ GroupProblem AssembleGroupProblem(const AssemblyContext& ctx,
   // exclusion), so no preference list is sorted or copied per query.
   const std::size_t pool =
       std::min(spec.num_candidate_items, key_index.pool_size());
-  // A member's rated items = the immutable base row plus the live delta
-  // row of the overlay that SERVES that member (the member's own shard on
-  // the sharded path — deltas are partitioned by user, so the union is
-  // identical to the single-overlay fold).
-  const auto mark_group_rated = [&](std::vector<std::uint64_t>& words) {
-    const auto mark = [&](ItemId item) {
-      const std::uint32_t key = key_index.PoolPositionOf(item);
-      if (key < pool) words[key >> 6] |= 1ull << (key & 63u);
-    };
-    for (const MemberSlice& m : members) {
-      const RatingsOverlay& ratings = *m.ratings;
-      for (const auto& e : ratings.base().RatingsOfUser(m.ratings_user)) {
-        mark(e.item);
-      }
-      for (const auto& e : ratings.DeltaOfUser(m.ratings_user)) mark(e.item);
-    }
-  };
-  const auto count_live = [pool](std::span<const std::uint64_t> words) {
-    std::size_t tombstoned = 0;
-    for (const std::uint64_t word : words) {
-      tombstoned += static_cast<std::size_t>(std::popcount(word));
-    }
-    return pool - tombstoned;
-  };
-
-  std::span<const std::uint64_t> tombstones;
-  std::size_t live = pool;
-  arena.tombstone_pin.reset();
-  if (ctx.exclude_group_rated && ctx.tombstone_cache != nullptr) {
-    // Memoized path: bitmaps depend only on (group, pool) within one
-    // snapshot generation — repeated groups skip the per-member rated-item
-    // walk entirely. The pin keeps an evicted bitmap alive for the
-    // problem's lifetime (the arena outlives the problem by contract).
-    std::shared_ptr<const TombstoneSet> set = ctx.tombstone_cache->GetShared(
-        group, pool, [&]() -> std::shared_ptr<const TombstoneSet> {
-          auto fresh = std::make_shared<TombstoneSet>();
-          fresh->words.assign((pool + 63) / 64, 0);
-          mark_group_rated(fresh->words);
-          fresh->live = count_live(fresh->words);
-          return fresh;
-        });
-    tombstones = set->words;
-    live = set->live;
-    arena.tombstone_pin = std::move(set);
-  } else {
-    arena.tombstones.assign((pool + 63) / 64, 0);
-    if (ctx.exclude_group_rated) {
-      mark_group_rated(arena.tombstones);
-      live = count_live(arena.tombstones);
-    }
-    tombstones = arena.tombstones;
-  }
+  // Bitmaps depend only on (group, pool) within one snapshot generation, so
+  // they are memoized: repeated groups skip the per-member rated-item walk
+  // entirely. A member's rated items = the immutable base row plus the live
+  // delta row of the overlay that SERVES that member (the member's own shard
+  // on the sharded path — deltas are partitioned by user, so the union is
+  // identical to the single-overlay fold). The pin keeps an evicted bitmap
+  // alive for the problem's lifetime (the arena outlives the problem by
+  // contract).
+  std::shared_ptr<const TombstoneSet> tombstones =
+      ctx.tombstone_cache->GetShared(
+          group, pool, [&]() -> std::shared_ptr<const TombstoneSet> {
+            auto fresh = std::make_shared<TombstoneSet>();
+            fresh->words.assign((pool + 63) / 64, 0);
+            const auto mark = [&](ItemId item) {
+              const std::uint32_t key = key_index.PoolPositionOf(item);
+              if (key < pool) fresh->words[key >> 6] |= 1ull << (key & 63u);
+            };
+            for (const MemberSlice& m : members) {
+              const RatingsOverlay& ratings = *m.ratings;
+              for (const auto& e :
+                   ratings.base().RatingsOfUser(m.ratings_user)) {
+                mark(e.item);
+              }
+              for (const auto& e : ratings.DeltaOfUser(m.ratings_user)) {
+                mark(e.item);
+              }
+            }
+            std::size_t tombstoned = 0;
+            for (const std::uint64_t word : fresh->words) {
+              tombstoned += static_cast<std::size_t>(std::popcount(word));
+            }
+            fresh->live = pool - tombstoned;
+            return fresh;
+          });
+  const std::span<const std::uint64_t> words = tombstones->words;
+  const std::size_t live = tombstones->live;
+  arena.tombstone_pin = std::move(tombstones);
 
   arena.preference_views.clear();
   arena.preference_views.reserve(members.size());
   for (const MemberSlice& m : members) {
     arena.preference_views.push_back(
-        m.index->UserView(m.row, pool, tombstones, live));
+        m.index->UserView(m.row, pool, words, live));
   }
 
   // Affinity lists come only from the bound source: the static list is
@@ -294,7 +279,7 @@ Recommendation SolveGroupProblem(GroupProblem& problem, const QuerySpec& spec,
                                  QueryWorkspace& workspace) {
   Recommendation rec;
   const GroupSolver* solver =
-      SolverRegistry::Global().Find(ResolveSolverId(spec));
+      SolverRegistry::Global().Find(spec.solver_id);
   // ValidateGroupQuery rejects unknown ids before any assembly happens; a
   // null here means a caller skipped validation.
   assert(solver != nullptr);

@@ -45,12 +45,11 @@ struct AssemblyContext {
   /// The (group, period) list cache; may be null only for models that read
   /// no period lists (!time_aware or !affinity_aware).
   PeriodListCache* period_cache = nullptr;
-  /// The (group, pool) tombstone-bitmap memo — scoped to whatever pins the
-  /// members' rated-item state (the Snapshot's generation on the monolithic
-  /// path, the ShardedSnapshotSet's generation vector on the sharded path);
-  /// null = build the bitmap per call.
+  /// Required: the (group, pool) memo of the bitmap that excludes the
+  /// group's rated items (paper §2.4) — scoped to whatever pins the members'
+  /// rated-item state (the Snapshot's generation on the monolithic path, the
+  /// ShardedSnapshotSet's generation vector on the sharded path).
   TombstoneCache* tombstone_cache = nullptr;
-  bool exclude_group_rated = true;
 };
 
 /// The single resolution point for the last-period convention: nullopt
@@ -61,7 +60,7 @@ Result<PeriodId> ResolveEvalPeriod(std::optional<PeriodId> requested,
 
 /// Validation shared by every facade: non-empty group of known, distinct
 /// members, a registered solver (unknown QuerySpec::solver_id values are
-/// rejected with kInvalidArgument; the resolved solver's own ValidateQuery
+/// rejected with kInvalidArgument; the selected solver's own ValidateQuery
 /// hook may veto further — GRECA caps groups at 32 members), k >= 1, a
 /// non-empty candidate pool, an in-range evaluation period and (for
 /// time+affinity aware models) an affinity source covering it.
@@ -96,8 +95,8 @@ GroupProblem AssembleGroupProblem(const AssemblyContext& ctx,
                                   std::vector<ItemId>* candidates_out,
                                   QueryWorkspace* workspace);
 
-/// Dispatches the spec's RESOLVED solver (solver/solver_registry.h) over an
-/// assembled problem and maps the result keys back to universe items through
+/// Dispatches the spec's solver (solver/solver_registry.h) over an assembled
+/// problem and maps the result keys back to universe items through
 /// `pool_items` (the shared pool, key order). `workspace` provides the
 /// solvers' reusable buffers. The spec must have passed ValidateGroupQuery —
 /// that is where unknown solver ids are rejected.

@@ -46,8 +46,7 @@ QualityHarness::QualityHarness(const GroupRecommender& recommender,
 std::vector<ItemId> QualityHarness::RecommendList(
     const StudyGroup& group, const RecommendationVariant& v) const {
   // The naive solver gives the exact, totally-ordered list; quality results
-  // must not depend on GRECA's partial order. Selected through the registry
-  // id (the builder path) rather than the legacy enum.
+  // must not depend on GRECA's partial order.
   const Result<Query> query = QueryBuilder(*recommender_)
                                   .Members(group.members)
                                   .TopK(k_)
@@ -155,8 +154,6 @@ QuerySpec PerformanceHarness::DefaultSpec() {
   spec.k = 10;
   spec.model = AffinityModelSpec::Default();
   spec.consensus = ConsensusSpec::AveragePreference();
-  // Registry id rather than the legacy enum (no engine in scope here, so the
-  // spec carries the id directly instead of going through QueryBuilder).
   spec.solver_id = std::string(kGrecaSolverId);
   spec.num_candidate_items = 3'900;
   return spec;

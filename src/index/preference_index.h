@@ -45,17 +45,17 @@
 // and access counts are bit-identical across layouts. With a single band
 // (the flat layout, band_begin = {0, pool}) the row is globally sorted and
 // views degenerate to the plain linear walk — kept as an equivalence and
-// bench baseline (RecommenderOptions::index_layout).
+// bench baseline (RecommenderOptions::min_band_size = 0).
 //
 // A banded index additionally keeps each row in global (flat) order: when a
 // prefix covers most of the row the band merge cannot pay for itself (few
 // skipped entries, per-read head comparisons), so UserView serves the flat
 // copy whenever the covered footprint exceeds half the row — large-prefix
 // queries keep the exact pre-banding fast path. The dual order doubles
-// per-row storage (MemoryBreakdownBytes() reports the split); callers that
-// never serve wide prefixes can skip the twin at build time
-// (build_flat_twin = false), in which case wide prefixes take the banded
-// merge — same results, no twin bytes.
+// per-row storage (MemoryBreakdownBytes() reports the split). Both engines
+// always build it; Build(..., build_flat_twin = false) skips it, and wide
+// prefixes then take the banded merge — same results, no twin bytes (the
+// reference build of the sort-once test).
 //
 // Live updates never mutate a published index. When ratings change, the
 // writer calls CloneWithUpdatedRows() with the affected users' fresh CF

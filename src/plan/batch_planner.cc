@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "core/problem_assembly.h"
-#include "solver/solver_registry.h"
 
 namespace greca {
 
@@ -45,10 +44,7 @@ std::uint64_t HashSignature(const Signature& s) {
   mix_double(spec.consensus.w2);
   mix_double(spec.consensus.disagreement_scale);
   mix(s.resolved_period);
-  // Solver identity goes in RESOLVED (solver/solver_registry.h), so the enum
-  // alias and its explicit solver_id spelling share a bucket — mirroring the
-  // resolved-period convention above.
-  for (const char c : ResolveSolverId(spec)) {
+  for (const char c : spec.solver_id) {
     mix(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
   }
   mix(static_cast<std::uint64_t>(spec.weighting));
@@ -62,7 +58,7 @@ bool SameSignature(const Signature& a, const Signature& b) {
   const QuerySpec& y = b.query->spec;
   return a.resolved_period == b.resolved_period && x.k == y.k &&
          x.model == y.model && x.consensus == y.consensus &&
-         ResolveSolverId(x) == ResolveSolverId(y) &&
+         x.solver_id == y.solver_id &&
          x.weighting == y.weighting && x.termination == y.termination &&
          x.num_candidate_items == y.num_candidate_items &&
          std::ranges::equal(a.query->group, b.query->group);

@@ -8,16 +8,13 @@
 // executes, queries are bucketed by their execution signature — the ordered
 // group plus every solve-relevant QuerySpec field: k, the affinity model,
 // the consensus spec, the termination policy, the pool size, the weighting
-// mode, and the solver identity, with two fields stored RESOLVED rather than
-// as written: the evaluation period (so "nullopt" and an explicit last
-// period land in one bucket) and the solver id (so the legacy Algorithm enum
-// and its explicit QuerySpec::solver_id spelling land in one bucket, while
-// two genuinely different solvers never merge). Any new QuerySpec field that
-// can change a result MUST be added to both HashSignature and SameSignature
-// — tests/planner_equivalence_test.cc pins this by flipping every field and
-// asserting the bucket splits. Each bucket assembles and solves one
-// GroupProblem (one arena slot,
-// one tombstone bitmap, one affinity/agreement build, one top-k run) and the
+// mode, and the solver id, with the evaluation period stored RESOLVED rather
+// than as written (so "nullopt" and an explicit last period land in one
+// bucket). Any new QuerySpec field that can change a result MUST be added to
+// both HashSignature and SameSignature — tests/planner_equivalence_test.cc
+// pins this by flipping every field and asserting the bucket splits. Each
+// bucket assembles and solves one GroupProblem (one arena slot, one
+// tombstone bitmap, one affinity/agreement build, one top-k run) and the
 // result fans back out to every duplicate; per-query attribution (which
 // bucket, who solved) is reported so callers can audit the sharing.
 //
@@ -137,7 +134,7 @@ class BatchPlanner {
   /// Plans `queries`: validates each through `validate`, resolves the
   /// evaluation period against `num_periods`, and buckets the valid ones by
   /// (group order-significant, k, model, consensus, resolved period,
-  /// resolved solver id, weighting, termination, pool size). Deterministic:
+  /// solver id, weighting, termination, pool size). Deterministic:
   /// bucket order is first-appearance order, duplicates keep input order.
   static BatchPlan Plan(std::span<const Query> queries,
                         const Validator& validate, std::size_t num_periods);

@@ -76,7 +76,7 @@ class Shard {
   /// ShardRouter::PartitionUsers order); `base` is the SHARED immutable
   /// ratings dataset of the whole population; `pool` the shared popularity
   /// pool (copied per shard — each index owns its pool vector, all equal).
-  /// `options` supplies build_flat_twin and the per-shard compaction policy.
+  /// `options` supplies the per-shard compaction policy.
   /// `build_threads`, when non-null, fans the initial row fills out
   /// (bit-identical to serial — rows are disjoint).
   Shard(std::size_t shard_id, std::vector<UserId> users,

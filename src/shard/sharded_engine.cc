@@ -74,10 +74,8 @@ void ShardedEngine::BuildShards(std::shared_ptr<const RatingsDataset> base,
       std::make_shared<PeriodListCache>(ropts.period_cache_max_entries);
   pool_ = std::move(pool);
   const std::vector<std::uint32_t> breakpoints =
-      ropts.index_layout == IndexLayout::kBanded
-          ? PreferenceIndex::GeometricBandBreakpoints(pool_.size(),
-                                                      ropts.min_band_size)
-          : std::vector<std::uint32_t>{};
+      PreferenceIndex::GeometricBandBreakpoints(pool_.size(),
+                                                ropts.min_band_size);
   std::unique_ptr<ThreadPool> build_pool;
   if (options_.build_threads > 0) {
     build_pool = std::make_unique<ThreadPool>(options_.build_threads);
@@ -256,7 +254,6 @@ Result<Recommendation> ShardedEngine::RecommendOnSet(
   // reuse one set while nothing publishes, so repeated groups across queries
   // hit too.
   ctx.tombstone_cache = &set->tombstone_cache();
-  ctx.exclude_group_rated = options_.recommender.exclude_group_rated;
   GroupProblem problem = AssembleGroupProblem(ctx, group, slices, spec,
                                               eval_period, nullptr, &ws);
   // The problem's views alias rows of every touched shard's pinned

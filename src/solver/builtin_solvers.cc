@@ -15,7 +15,7 @@ Status GrecaSolver::ValidateQuery(std::span<const UserId> group,
   if (group.size() > 32) {
     return Status::InvalidArgument(
         "GRECA is limited to 32-member groups (got " +
-        std::to_string(group.size()) + "); use kNaive or kTa");
+        std::to_string(group.size()) + "); use solver \"naive\" or \"ta\"");
   }
   return Status::Ok();
 }

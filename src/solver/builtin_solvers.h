@@ -1,8 +1,8 @@
 // Registry adapters for the three original algorithms. Each wraps the
 // existing free-function implementation (core/greca.h, topk/naive.h,
 // topk/ta.h) unchanged — with uniform weights the registry-dispatched path
-// is bit-identical (items, scores, access counts) to the historical
-// enum-switch, which tests/solver_registry_test.cc pins on both engines.
+// is bit-identical (items, scores, access counts) to calling those functions
+// directly, which tests/solver_registry_test.cc pins on both engines.
 #ifndef GRECA_SOLVER_BUILTIN_SOLVERS_H_
 #define GRECA_SOLVER_BUILTIN_SOLVERS_H_
 

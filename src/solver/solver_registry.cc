@@ -54,21 +54,4 @@ std::vector<std::string> SolverRegistry::RegisteredIds() const {
   return ids;  // std::map iterates sorted
 }
 
-std::string_view AlgorithmSolverId(Algorithm algorithm) {
-  switch (algorithm) {
-    case Algorithm::kGreca:
-      return kGrecaSolverId;
-    case Algorithm::kNaive:
-      return kNaiveSolverId;
-    case Algorithm::kTa:
-      return kTaSolverId;
-  }
-  return kGrecaSolverId;  // unreachable with a valid enum
-}
-
-std::string_view ResolveSolverId(const QuerySpec& spec) {
-  if (!spec.solver_id.empty()) return spec.solver_id;
-  return AlgorithmSolverId(spec.algorithm);
-}
-
 }  // namespace greca

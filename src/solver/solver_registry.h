@@ -24,7 +24,8 @@
 
 namespace greca {
 
-/// Built-in solver ids — the enum aliases plus the submodular objective.
+/// Built-in solver ids: the paper's GRECA, its two baselines and the
+/// submodular objective. kGrecaSolverId is QuerySpec::solver_id's default.
 inline constexpr std::string_view kGrecaSolverId = "greca";
 inline constexpr std::string_view kNaiveSolverId = "naive";
 inline constexpr std::string_view kTaSolverId = "ta";
@@ -53,14 +54,6 @@ class SolverRegistry {
   std::map<std::string, std::unique_ptr<const GroupSolver>, std::less<>>
       solvers_;
 };
-
-/// The registry id the legacy Algorithm enum aliases to.
-std::string_view AlgorithmSolverId(Algorithm algorithm);
-
-/// The solver id a spec actually selects: a non-empty spec.solver_id wins,
-/// otherwise the enum alias. This is the planner's bucketing key — two specs
-/// with equal resolved ids run the same solver.
-std::string_view ResolveSolverId(const QuerySpec& spec);
 
 }  // namespace greca
 

@@ -71,12 +71,10 @@ struct MemberSlice {
 /// buffer across a batch; an arena must back at most one live GroupProblem
 /// at a time (rebuilding it invalidates the previous problem's views).
 struct ProblemArena {
-  /// 1 bit per candidate-pool key; set = excluded (group-rated) item.
-  std::vector<std::uint64_t> tombstones;
-  /// Keep-alive for a CACHED tombstone bitmap the preference views alias
-  /// instead of `tombstones` (api/snapshot.h's TombstoneCache; type-erased
-  /// so topk stays independent of the api layer). Null when the bitmap was
-  /// built into `tombstones`.
+  /// Keep-alive for the cached tombstone bitmap (1 bit per candidate-pool
+  /// key; set = excluded, group-rated item) the preference views alias
+  /// (api/snapshot.h's TombstoneCache; type-erased so topk stays independent
+  /// of the api layer).
   std::shared_ptr<const void> tombstone_pin;
   std::vector<ListView> preference_views;
   SortedList static_list;

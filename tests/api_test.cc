@@ -9,12 +9,14 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "api/engine.h"
 #include "api/query_builder.h"
 #include "common/thread_pool.h"
+#include "solver/solver_registry.h"
 
 namespace greca {
 namespace {
@@ -60,8 +62,8 @@ class ApiTest : public ::testing::Test {
     const ConsensusSpec consensus[] = {
         ConsensusSpec::AveragePreference(), ConsensusSpec::LeastMisery(),
         ConsensusSpec::PairwiseDisagreement(0.8)};
-    const Algorithm algorithms[] = {Algorithm::kGreca, Algorithm::kNaive,
-                                    Algorithm::kTa};
+    const std::string_view solvers[] = {kGrecaSolverId, kNaiveSolverId,
+                                        kTaSolverId};
     std::vector<Query> batch;
     for (std::size_t i = 0; i < 64; ++i) {
       Query q;
@@ -76,7 +78,7 @@ class ApiTest : public ::testing::Test {
       q.spec.k = 3 + i % 8;
       q.spec.model = models[i % 4];
       q.spec.consensus = consensus[i % 3];
-      q.spec.algorithm = algorithms[i % 3];
+      q.spec.solver_id = std::string(solvers[i % 3]);
       q.spec.num_candidate_items = 400;
       q.spec.eval_period = static_cast<PeriodId>(i % num_periods);
       batch.push_back(std::move(q));
@@ -178,7 +180,7 @@ TEST_F(ApiTest, ValidationErrorsSurfaceAsStatus) {
   r = QueryBuilder(*engine_)
           .Members(big_group)
           .TopK(3)
-          .Using(Algorithm::kNaive)
+          .Using(std::string(kNaiveSolverId))
           .Build();
   ASSERT_TRUE(r.ok()) << r.status().ToString();
 

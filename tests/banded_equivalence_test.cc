@@ -7,9 +7,10 @@
 // Three levels:
 //  * ListView: randomized banded rows walked head-to-head against flat rows
 //    (merged order, counters, MaxScore/PeekScore/ScoreOfKey, cursor rewind);
-//  * facade: two GroupRecommenders differing only in RecommenderOptions::
-//    index_layout, randomized groups/pools/specs, all algorithms — including
-//    after ApplyRatingUpdates rebuilds rows through CloneWithUpdatedRows;
+//  * facade: engines differing only in RecommenderOptions::min_band_size
+//    (0 = flat), randomized groups/pools/specs, all algorithms — including
+//    after ApplyRatingUpdates rebuilds rows through CloneWithUpdatedRows, and
+//    a flat ShardedEngine, whose build derives its band grid on its own path;
 //  * cost model: scan_footprint() of small-prefix views (the acceptance
 //    criterion the bench_batch layout sweep measures as qps).
 #include <gtest/gtest.h>
@@ -18,12 +19,15 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/greca.h"
 #include "core/group_recommender.h"
 #include "index/preference_index.h"
+#include "shard/sharded_engine.h"
+#include "solver/solver_registry.h"
 #include "topk/list_view.h"
 #include "topk/naive.h"
 #include "topk/simd.h"
@@ -323,11 +327,12 @@ class BandedFacadeTest : public ::testing::Test {
     universe_ = nullptr;
   }
 
-  static RecommenderOptions Options(IndexLayout layout) {
+  /// 32 gives several bands even at this test scale; 0 gives the flat
+  /// layout.
+  static RecommenderOptions Options(std::size_t min_band_size) {
     RecommenderOptions options;
     options.max_candidate_items = 240;
-    options.index_layout = layout;
-    options.min_band_size = 32;  // several bands even at this test scale
+    options.min_band_size = min_band_size;
     return options;
   }
 
@@ -343,10 +348,11 @@ class BandedFacadeTest : public ::testing::Test {
     return group;
   }
 
-  /// Runs randomized queries against both recommenders and asserts
-  /// bit-identical recommendations and access counts.
+  /// Runs randomized queries against both engines and asserts bit-identical
+  /// recommendations and access counts.
+  template <typename FlatEngine>
   static void ExpectEquivalentServing(const GroupRecommender& banded,
-                                      const GroupRecommender& flat,
+                                      const FlatEngine& flat,
                                       std::uint64_t seed,
                                       const std::string& phase) {
     Rng rng(seed);
@@ -355,9 +361,9 @@ class BandedFacadeTest : public ::testing::Test {
         ConsensusSpec::PairwiseDisagreement(0.6)};
     const AffinityModelSpec model_menu[] = {AffinityModelSpec::Default(),
                                             AffinityModelSpec::TimeAgnostic()};
-    const Algorithm algorithms[] = {Algorithm::kNaive, Algorithm::kTa,
-                                    Algorithm::kGreca};
-    const std::size_t participants = banded.study().num_participants();
+    const std::string_view solvers[] = {kNaiveSolverId, kTaSolverId,
+                                        kGrecaSolverId};
+    const std::size_t participants = study_->num_participants();
     QueryWorkspace banded_ws, flat_ws;
 
     for (int trial = 0; trial < 12; ++trial) {
@@ -369,11 +375,11 @@ class BandedFacadeTest : public ::testing::Test {
           static_cast<std::size_t>(rng.NextInt(8, 240));
       spec.consensus = consensus_menu[rng.NextBounded(3)];
       spec.model = model_menu[rng.NextBounded(2)];
-      for (const Algorithm algorithm : algorithms) {
-        spec.algorithm = algorithm;
+      for (const std::string_view id : solvers) {
+        spec.solver_id = std::string(id);
         const std::string label =
-            phase + " trial " + std::to_string(trial) + " alg " +
-            std::to_string(static_cast<int>(algorithm)) + " pool " +
+            phase + " trial " + std::to_string(trial) + " solver " +
+            spec.solver_id + " pool " +
             std::to_string(spec.num_candidate_items) + " g " +
             std::to_string(g);
         const Recommendation b =
@@ -398,16 +404,28 @@ SyntheticRatings* BandedFacadeTest::universe_ = nullptr;
 FacebookStudy* BandedFacadeTest::study_ = nullptr;
 
 TEST_F(BandedFacadeTest, AllAlgorithmsBitIdenticalAcrossLayouts) {
-  const GroupRecommender banded(*universe_, *study_, Options(IndexLayout::kBanded));
-  const GroupRecommender flat(*universe_, *study_, Options(IndexLayout::kFlat));
+  const GroupRecommender banded(*universe_, *study_, Options(32));
+  const GroupRecommender flat(*universe_, *study_, Options(0));
   EXPECT_GT(banded.preference_index().num_bands(), 1u);
   EXPECT_EQ(flat.preference_index().num_bands(), 1u);
   ExpectEquivalentServing(banded, flat, /*seed=*/41, "fresh");
 }
 
+TEST_F(BandedFacadeTest, ShardedFlatBuildBitIdenticalToBanded) {
+  const GroupRecommender banded(*universe_, *study_, Options(32));
+  ShardedEngineOptions sopts;
+  sopts.num_shards = 3;
+  sopts.recommender = Options(0);
+  const ShardedEngine flat(universe_->dataset, *study_, sopts);
+  for (std::size_t s = 0; s < flat.num_shards(); ++s) {
+    EXPECT_EQ(flat.shard(s).snapshot()->index->num_bands(), 1u) << s;
+  }
+  ExpectEquivalentServing(banded, flat, /*seed=*/47, "sharded flat");
+}
+
 TEST_F(BandedFacadeTest, EquivalenceSurvivesApplyUpdatesRowRebuilds) {
-  GroupRecommender banded(*universe_, *study_, Options(IndexLayout::kBanded));
-  GroupRecommender flat(*universe_, *study_, Options(IndexLayout::kFlat));
+  GroupRecommender banded(*universe_, *study_, Options(32));
+  GroupRecommender flat(*universe_, *study_, Options(0));
 
   // Same live-rating batches into both: touched rows rebuild through
   // CloneWithUpdatedRows and must land in the same layout-specific order.
@@ -431,8 +449,8 @@ TEST_F(BandedFacadeTest, EquivalenceSurvivesApplyUpdatesRowRebuilds) {
 }
 
 TEST_F(BandedFacadeTest, SmallPrefixScanFootprintWithinTwiceThePrefix) {
-  const GroupRecommender banded(*universe_, *study_, Options(IndexLayout::kBanded));
-  const GroupRecommender flat(*universe_, *study_, Options(IndexLayout::kFlat));
+  const GroupRecommender banded(*universe_, *study_, Options(32));
+  const GroupRecommender flat(*universe_, *study_, Options(0));
   const std::size_t row = banded.preference_index().pool_size();
   const std::vector<UserId> group{1, 4, 9};
 

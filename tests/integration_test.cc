@@ -6,6 +6,7 @@
 
 #include "core/group_recommender.h"
 #include "eval/experiments.h"
+#include "solver/solver_registry.h"
 
 namespace greca {
 namespace {
@@ -59,9 +60,9 @@ TEST_F(IntegrationTest, GrecaMatchesNaiveThroughFacade) {
         AffinityModelSpec::AffinityAgnostic()}) {
     QuerySpec spec = BaseSpec();
     spec.model = model;
-    spec.algorithm = Algorithm::kGreca;
+    spec.solver_id = std::string(kGrecaSolverId);
     const Recommendation greca = recommender_->Recommend(group, spec).value();
-    spec.algorithm = Algorithm::kNaive;
+    spec.solver_id = std::string(kNaiveSolverId);
     const Recommendation naive = recommender_->Recommend(group, spec).value();
     ASSERT_EQ(greca.items.size(), naive.items.size()) << model.Name();
     const std::set<ItemId> gs(greca.items.begin(), greca.items.end());
@@ -73,9 +74,9 @@ TEST_F(IntegrationTest, GrecaMatchesNaiveThroughFacade) {
 TEST_F(IntegrationTest, TaMatchesNaiveThroughFacade) {
   const Group group{1, 5, 23};
   QuerySpec spec = BaseSpec();
-  spec.algorithm = Algorithm::kTa;
+  spec.solver_id = std::string(kTaSolverId);
   const Recommendation ta = recommender_->Recommend(group, spec).value();
-  spec.algorithm = Algorithm::kNaive;
+  spec.solver_id = std::string(kNaiveSolverId);
   const Recommendation naive = recommender_->Recommend(group, spec).value();
   const std::set<ItemId> ts(ta.items.begin(), ta.items.end());
   const std::set<ItemId> ns(naive.items.begin(), naive.items.end());
@@ -139,7 +140,7 @@ TEST_F(IntegrationTest, RecommendationsDifferAcrossModels) {
   std::size_t differing = 0;
   for (const Group& group : groups) {
     QuerySpec spec = BaseSpec();
-    spec.algorithm = Algorithm::kNaive;
+    spec.solver_id = std::string(kNaiveSolverId);
     const auto with_affinity = recommender_->Recommend(group, spec).value().items;
     spec.model = AffinityModelSpec::AffinityAgnostic();
     const auto without = recommender_->Recommend(group, spec).value().items;
@@ -179,9 +180,9 @@ TEST_F(IntegrationTest, GrecaMatchesNaiveForEveryConsensusThroughFacade) {
         ConsensusSpec::VarianceDisagreement(0.8)}) {
     QuerySpec spec = BaseSpec();
     spec.consensus = consensus;
-    spec.algorithm = Algorithm::kGreca;
+    spec.solver_id = std::string(kGrecaSolverId);
     const Recommendation greca = recommender_->Recommend(group, spec).value();
-    spec.algorithm = Algorithm::kNaive;
+    spec.solver_id = std::string(kNaiveSolverId);
     const Recommendation naive = recommender_->Recommend(group, spec).value();
     const std::set<ItemId> gs(greca.items.begin(), greca.items.end());
     const std::set<ItemId> ns(naive.items.begin(), naive.items.end());

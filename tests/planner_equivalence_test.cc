@@ -87,29 +87,6 @@ TEST(BatchPlannerTest, NulloptAndExplicitLastPeriodShareABucket) {
   EXPECT_EQ(plan.buckets[1].queries, (std::vector<std::uint32_t>{2}));
 }
 
-// Likewise the solver id is bucketed RESOLVED: the legacy enum alias and the
-// explicit QuerySpec::solver_id spelling of the same solver are the same
-// execution — one solve — while genuinely different solvers never merge.
-TEST(BatchPlannerTest, EnumAliasAndExplicitSolverIdShareABucket) {
-  QuerySpec via_enum = SmallSpec();
-  via_enum.algorithm = Algorithm::kNaive;
-  QuerySpec via_id = SmallSpec();
-  via_id.algorithm = Algorithm::kGreca;  // overridden by the explicit id
-  via_id.solver_id = std::string(kNaiveSolverId);
-  QuerySpec other_solver = SmallSpec();
-  other_solver.solver_id = std::string(kSubmodularSolverId);
-  QuerySpec other_weighting = via_enum;
-  other_weighting.weighting = MemberWeighting::kInfluence;
-
-  const BatchPlan plan = PlanAllValid(
-      {MakeQuery({1, 2}, via_enum), MakeQuery({1, 2}, via_id),
-       MakeQuery({1, 2}, other_solver), MakeQuery({1, 2}, other_weighting)});
-  ASSERT_EQ(plan.buckets.size(), 3u);
-  EXPECT_EQ(plan.buckets[0].queries, (std::vector<std::uint32_t>{0, 1}));
-  EXPECT_EQ(plan.buckets[1].queries, (std::vector<std::uint32_t>{2}));
-  EXPECT_EQ(plan.buckets[2].queries, (std::vector<std::uint32_t>{3}));
-}
-
 // Group order is part of the signature (members map to problem rows by
 // position), and every spec field that reaches the solve must split buckets.
 TEST(BatchPlannerTest, SignatureCoversGroupOrderAndEverySpecField) {
@@ -121,7 +98,7 @@ TEST(BatchPlannerTest, SignatureCoversGroupOrderAndEverySpecField) {
     queries.push_back(MakeQuery({1, 2, 3}, std::move(spec)));
   };
   add([](QuerySpec& s) { s.k = 9; });
-  add([](QuerySpec& s) { s.algorithm = Algorithm::kNaive; });
+  add([](QuerySpec& s) { s.solver_id = std::string(kNaiveSolverId); });
   add([](QuerySpec& s) { s.solver_id = std::string(kSubmodularSolverId); });
   add([](QuerySpec& s) { s.weighting = MemberWeighting::kInfluence; });
   add([](QuerySpec& s) { s.eval_period = 0; });
@@ -237,8 +214,8 @@ class PlannerEquivalenceTest : public ::testing::Test {
     const AffinityModelSpec models[] = {AffinityModelSpec::Default(),
                                         AffinityModelSpec::Continuous(),
                                         AffinityModelSpec::TimeAgnostic()};
-    const Algorithm algorithms[] = {Algorithm::kGreca, Algorithm::kNaive,
-                                    Algorithm::kTa};
+    const std::string_view solvers[] = {kGrecaSolverId, kNaiveSolverId,
+                                        kTaSolverId};
     const ConsensusSpec consensus[] = {ConsensusSpec::AveragePreference(),
                                        ConsensusSpec::PairwiseDisagreement(),
                                        ConsensusSpec::LeastMisery()};
@@ -255,7 +232,7 @@ class PlannerEquivalenceTest : public ::testing::Test {
       }
       q.spec.k = 4 + i % 5;
       q.spec.model = models[i % 3];
-      q.spec.algorithm = algorithms[(i / 3) % 3];
+      q.spec.solver_id = std::string(solvers[(i / 3) % 3]);
       q.spec.consensus = consensus[i % 3];
       q.spec.num_candidate_items = 360;
       if (i % 4 == 0) {

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "api/engine.h"
 #include "common/rng.h"
 #include "shard/sharded_engine.h"
+#include "solver/solver_registry.h"
 
 namespace greca {
 namespace {
@@ -79,8 +81,8 @@ class ShardedEquivalenceTest : public ::testing::Test {
     const AffinityModelSpec models[] = {AffinityModelSpec::Default(),
                                         AffinityModelSpec::Continuous(),
                                         AffinityModelSpec::TimeAgnostic()};
-    const Algorithm algorithms[] = {Algorithm::kGreca, Algorithm::kNaive,
-                                    Algorithm::kTa};
+    const std::string_view solvers[] = {kGrecaSolverId, kNaiveSolverId,
+                                        kTaSolverId};
     Rng rng(626);
     std::vector<Query> queries;
     for (std::size_t i = 0; i < 15; ++i) {
@@ -94,7 +96,7 @@ class ShardedEquivalenceTest : public ::testing::Test {
       }
       q.spec.k = 4 + i % 5;
       q.spec.model = models[i % 3];
-      q.spec.algorithm = algorithms[(i / 3) % 3];
+      q.spec.solver_id = std::string(solvers[(i / 3) % 3]);
       q.spec.num_candidate_items = 360;
       q.spec.eval_period = static_cast<PeriodId>(i % num_periods);
       queries.push_back(std::move(q));

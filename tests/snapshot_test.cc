@@ -9,12 +9,14 @@
 #include <atomic>
 #include <limits>
 #include <memory>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "api/engine.h"
 #include "api/query_builder.h"
 #include "common/rng.h"
+#include "solver/solver_registry.h"
 
 namespace greca {
 namespace {
@@ -57,8 +59,8 @@ class SnapshotTest : public ::testing::Test {
     const AffinityModelSpec models[] = {
         AffinityModelSpec::Default(), AffinityModelSpec::Continuous(),
         AffinityModelSpec::TimeAgnostic()};
-    const Algorithm algorithms[] = {Algorithm::kGreca, Algorithm::kNaive,
-                                    Algorithm::kTa};
+    const std::string_view solvers[] = {kGrecaSolverId, kNaiveSolverId,
+                                        kTaSolverId};
     Rng rng(seed);
     std::vector<Query> batch;
     for (std::size_t i = 0; i < count; ++i) {
@@ -73,7 +75,7 @@ class SnapshotTest : public ::testing::Test {
       }
       q.spec.k = 3 + i % 6;
       q.spec.model = models[i % 3];
-      q.spec.algorithm = algorithms[i % 3];
+      q.spec.solver_id = std::string(solvers[i % 3]);
       q.spec.num_candidate_items = 400;
       q.spec.eval_period = static_cast<PeriodId>(i % num_periods);
       batch.push_back(std::move(q));

@@ -1,11 +1,11 @@
 // The pluggable-solver contract:
 //  * the global registry serves the four built-ins and rejects bad
 //    registrations (null, empty id, duplicates) without clobbering;
-//  * enum aliases and explicit solver ids resolve to the same solver, and
-//    unknown ids fail validation — on the builder, the monolithic engine and
-//    the sharded engine alike;
+//  * QuerySpec::solver_id is the one solver selector: the default spec runs
+//    GRECA, and unknown ids (the empty one included) fail validation — on
+//    the builder, the monolithic engine and the sharded engine alike;
 //  * the registry-dispatched uniform-weight path is BIT-IDENTICAL (items,
-//    scores, access counts, rounds) to the historical enum-switch — i.e. to
+//    scores, access counts, rounds) to a switch over the id — i.e. to
 //    calling Greca/NaiveTopK/TaTopK directly on the same assembled problem —
 //    on both engines and across live publishes on pinned snapshots;
 //  * a custom registered solver runs end-to-end through QuerySpec::solver_id;
@@ -119,58 +119,68 @@ TEST_F(SolverRegistryTest, BadRegistrationsRejectedWithoutClobbering) {
   EXPECT_FALSE(registry.Register(std::make_unique<EmptyIdSolver>()).ok());
 }
 
-TEST_F(SolverRegistryTest, ResolutionPrefersExplicitId) {
-  QuerySpec spec;
-  spec.algorithm = Algorithm::kTa;
-  EXPECT_EQ(ResolveSolverId(spec), kTaSolverId);
-  spec.solver_id = std::string(kSubmodularSolverId);
-  EXPECT_EQ(ResolveSolverId(spec), kSubmodularSolverId);
-  EXPECT_EQ(AlgorithmSolverId(Algorithm::kGreca), kGrecaSolverId);
-  EXPECT_EQ(AlgorithmSolverId(Algorithm::kNaive), kNaiveSolverId);
-  EXPECT_EQ(AlgorithmSolverId(Algorithm::kTa), kTaSolverId);
-}
-
 TEST_F(SolverRegistryTest, UnknownSolverIdFailsValidationEverywhere) {
   const GroupRecommender recommender(universe_->dataset, *study_, Options());
-  QuerySpec spec;
-  spec.num_candidate_items = 280;
-  spec.solver_id = "definitely-not-registered";
-  const std::vector<UserId> group{0, 1, 2};
-  const Status direct = recommender.ValidateQuery(group, spec);
-  EXPECT_EQ(direct.code(), StatusCode::kInvalidArgument);
-
-  const Result<Query> built = QueryBuilder(recommender)
-                                  .Members({0, 1, 2})
-                                  .Using("definitely-not-registered")
-                                  .CandidatePool(280)
-                                  .Build();
-  EXPECT_FALSE(built.ok());
-  EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
-
   ShardedEngineOptions sopts;
   sopts.num_shards = 3;
   sopts.recommender.max_candidate_items = 280;
   const ShardedEngine sharded(universe_->dataset, *study_, sopts);
-  EXPECT_EQ(sharded.ValidateQuery(group, spec).code(),
-            StatusCode::kInvalidArgument);
+  const std::vector<UserId> group{0, 1, 2};
+  // An empty id selects nothing: it is just one more unknown id.
+  for (const std::string id : {"definitely-not-registered", ""}) {
+    QuerySpec spec;
+    spec.num_candidate_items = 280;
+    spec.solver_id = id;
+    const Status direct = recommender.ValidateQuery(group, spec);
+    EXPECT_EQ(direct.code(), StatusCode::kInvalidArgument) << id;
+
+    const Result<Query> built = QueryBuilder(recommender)
+                                    .Members({0, 1, 2})
+                                    .Using(id)
+                                    .CandidatePool(280)
+                                    .Build();
+    EXPECT_FALSE(built.ok()) << id;
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument) << id;
+
+    EXPECT_EQ(sharded.ValidateQuery(group, spec).code(),
+              StatusCode::kInvalidArgument)
+        << id;
+  }
+}
+
+TEST_F(SolverRegistryTest, DefaultSpecSolvesAsGreca) {
+  const GroupRecommender recommender(universe_->dataset, *study_, Options());
+  const std::vector<UserId> group{1, 4, 9, 16};
+  QuerySpec by_default;
+  by_default.num_candidate_items = 280;
+  QuerySpec by_id = by_default;
+  by_id.solver_id = std::string(kGrecaSolverId);
+  const Result<Recommendation> a = recommender.Recommend(group, by_default);
+  const Result<Recommendation> b = recommender.Recommend(group, by_id);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ExpectSameRecommendation(a.value(), b.value());
+  EXPECT_GT(a.value().greca_stats.stop_checks, 0u);  // GRECA ran
 }
 
 TEST_F(SolverRegistryTest, GrecaGroupCapEnforcedThroughSolverHook) {
   const GroupRecommender recommender(universe_->dataset, *study_, Options());
   std::vector<UserId> big(33);
   for (UserId u = 0; u < 33; ++u) big[u] = u;
-  QuerySpec spec;  // defaults to kGreca
+  QuerySpec spec;  // defaults to "greca"
   spec.num_candidate_items = 280;
   const Status status = recommender.ValidateQuery(big, spec);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("32-member"), std::string::npos);
+  EXPECT_NE(status.message().find("use solver \"naive\" or \"ta\""),
+            std::string::npos);
   // The same group passes for solvers without the cap.
   spec.solver_id = std::string(kNaiveSolverId);
   EXPECT_TRUE(recommender.ValidateQuery(big, spec).ok());
 }
 
-// The historical enum-switch body, applied to the same assembled problem the
-// registry path solves — the pre-refactor reference.
+// A direct switch over the built-in ids, applied to the same assembled
+// problem the registry path solves — the pre-registry reference.
 Recommendation SolveViaSwitch(const GroupRecommender& recommender,
                               const std::shared_ptr<const Snapshot>& snap,
                               const std::vector<UserId>& group,
@@ -181,20 +191,17 @@ Recommendation SolveViaSwitch(const GroupRecommender& recommender,
       recommender.BuildProblem(snap, group, spec, &candidates, &ws);
   EXPECT_TRUE(problem.ok());
   Recommendation rec;
-  switch (spec.algorithm) {
-    case Algorithm::kGreca: {
-      GrecaConfig config;
-      config.k = spec.k;
-      config.termination = spec.termination;
-      rec.raw = Greca(problem.value(), config, &rec.greca_stats, &ws.greca);
-      break;
-    }
-    case Algorithm::kNaive:
-      rec.raw = NaiveTopK(problem.value(), spec.k);
-      break;
-    case Algorithm::kTa:
-      rec.raw = TaTopK(problem.value(), spec.k);
-      break;
+  if (spec.solver_id == kGrecaSolverId) {
+    GrecaConfig config;
+    config.k = spec.k;
+    config.termination = spec.termination;
+    rec.raw = Greca(problem.value(), config, &rec.greca_stats, &ws.greca);
+  } else if (spec.solver_id == kNaiveSolverId) {
+    rec.raw = NaiveTopK(problem.value(), spec.k);
+  } else if (spec.solver_id == kTaSolverId) {
+    rec.raw = TaTopK(problem.value(), spec.k);
+  } else {
+    ADD_FAILURE() << "no switch case for solver " << spec.solver_id;
   }
   for (const ListEntry& e : rec.raw.items) {
     rec.items.push_back(candidates[e.id]);
@@ -208,8 +215,6 @@ TEST_F(SolverRegistryTest, RegistryPathBitIdenticalToSwitchAcrossPublishes) {
   const std::vector<UserId> group{1, 4, 9, 16};
   const ConsensusSpec consensuses[] = {ConsensusSpec::AveragePreference(),
                                        ConsensusSpec::PairwiseDisagreement()};
-  const Algorithm algorithms[] = {Algorithm::kGreca, Algorithm::kNaive,
-                                  Algorithm::kTa};
   // Pin the pre-update snapshot, publish, then check both generations: the
   // pinned one must still solve bit-identically after the publish.
   const std::shared_ptr<const Snapshot> before = recommender.snapshot();
@@ -219,27 +224,19 @@ TEST_F(SolverRegistryTest, RegistryPathBitIdenticalToSwitchAcrossPublishes) {
 
   for (const auto& snap : {before, after}) {
     for (const ConsensusSpec& consensus : consensuses) {
-      for (const Algorithm algorithm : algorithms) {
+      for (const std::string_view id :
+           {kGrecaSolverId, kNaiveSolverId, kTaSolverId}) {
         QuerySpec spec;
         spec.k = 8;
         spec.consensus = consensus;
-        spec.algorithm = algorithm;
+        spec.solver_id = std::string(id);
         spec.num_candidate_items = 280;
         const Recommendation reference =
             SolveViaSwitch(recommender, snap, group, spec);
-        // Registry dispatch via the enum alias...
-        const Result<Recommendation> via_enum =
+        const Result<Recommendation> via_registry =
             recommender.Recommend(snap, group, spec);
-        ASSERT_TRUE(via_enum.ok());
-        ExpectSameRecommendation(via_enum.value(), reference);
-        // ...and via the explicit solver id: same bucket, same bits.
-        QuerySpec by_id = spec;
-        by_id.algorithm = Algorithm::kGreca;  // alias deliberately "wrong"
-        by_id.solver_id = std::string(AlgorithmSolverId(algorithm));
-        const Result<Recommendation> via_id =
-            recommender.Recommend(snap, group, by_id);
-        ASSERT_TRUE(via_id.ok());
-        ExpectSameRecommendation(via_id.value(), reference);
+        ASSERT_TRUE(via_registry.ok()) << id;
+        ExpectSameRecommendation(via_registry.value(), reference);
       }
     }
   }
