@@ -67,12 +67,12 @@ int main() {
     batch.push_back(Query{group, spec});
   }
 
-  // Cold assembly pass, before anything touches the snapshot's
+  // Cold assembly pass, before anything touches the recommender's
   // (group, period) period-list cache: every query materializes its periodic
   // lists. The warm pass below re-assembles the same batch with the cache
-  // full — the difference is what snapshot-scoped period caching buys
-  // repeated-group workloads.
-  const auto snapshot = recommender.snapshot();
+  // full — the difference is what period caching buys repeated-group
+  // workloads.
+  const PeriodListCache& period_cache = recommender.period_cache();
   QueryWorkspace cold_workspace;
   Stopwatch cold_watch;
   for (const Query& q : batch) {
@@ -84,7 +84,7 @@ int main() {
     }
   }
   const double cold_asm_seconds = cold_watch.ElapsedSeconds();
-  const std::uint64_t cold_misses = snapshot->period_cache_misses();
+  const std::uint64_t cold_misses = period_cache.misses();
 
   // Sequential baseline: one query at a time through the facade, with a
   // single reused workspace (the fairest single-thread configuration).
@@ -126,11 +126,10 @@ int main() {
   for (const std::size_t threads : {2u, 4u, 8u}) {
     EngineOptions eopts;
     eopts.num_threads = threads;
-    const Engine engine(recommender, eopts);
-    // Warm-up run so worker workspaces reach steady-state capacity.
-    const std::size_t warmup = std::min<std::size_t>(4, batch.size());
-    engine.RecommendBatch(
-        std::vector<Query>(batch.begin(), batch.begin() + warmup));
+    const Engine engine(ctx.universe, ctx.study, ctx.options, eopts);
+    // Warm-up run so worker workspaces reach steady-state capacity and the
+    // engine's own period cache is as warm as the sequential pass's was.
+    engine.RecommendBatch(batch);
     Stopwatch watch;
     const auto results = engine.RecommendBatch(batch);
     const double seconds = watch.ElapsedSeconds();
@@ -168,8 +167,7 @@ int main() {
             << "period_cache: cold assembly " << cold_per_query_us
             << " us/query (" << cold_misses << " lists materialized) vs warm "
             << per_query_us << " us/query ("
-            << (snapshot->period_cache_hits()) << " hits, "
-            << snapshot->period_cache_misses()
+            << period_cache.hits() << " hits, " << period_cache.misses()
             << " misses total) — speedup "
             << (asm_seconds > 0.0 ? cold_asm_seconds / asm_seconds : 0.0)
             << "x\n";
@@ -197,7 +195,7 @@ int main() {
   // of the index row — the workload candidate-pool restriction creates) up
   // to the full row, where the banded index falls back to its flat-order
   // twin and must match the flat baseline.
-  const std::size_t full_pool = recommender.preference_index().pool_size();
+  const std::size_t full_pool = recommender.snapshot()->index().pool_size();
   const std::vector<std::size_t> pools = {full_pool / 16, full_pool / 4,
                                           full_pool / 2, full_pool};
   struct SweepRow {
@@ -327,7 +325,7 @@ int main() {
   // banded SoA rows vs the global-order twin vs the pool/key maps. The twin
   // component is what PreferenceIndex::Build(..., build_flat_twin = false)
   // would reclaim.
-  const auto mem = recommender.preference_index().MemoryBreakdownBytes();
+  const auto mem = recommender.snapshot()->index().MemoryBreakdownBytes();
   std::cout << "index_memory: banded " << mem.banded_bytes << " B, flat twin "
             << mem.flat_twin_bytes << " B, maps " << mem.map_bytes
             << " B, total " << mem.total() << " B\n";
@@ -338,7 +336,7 @@ int main() {
   // assembled and solved once, results fanned back out (plan/
   // batch_planner.h). The sweep replays a Zipf-repeated batch at duplicate
   // factors 1/4/16 through a planning engine and the unplanned reference
-  // engine — same recommender, same thread count, so the ratio isolates
+  // engine — same datasets, same thread count, so the ratio isolates
   // planning — verifying bit-identical results. With duplicate factor d the
   // planned path solves batch/d problems, so planned qps should approach d×
   // unplanned and hold parity at d = 1; GRECA_BATCH_ASSERT_PLANNER=1 (CI)
@@ -357,11 +355,13 @@ int main() {
   {
     EngineOptions planned_opts;
     planned_opts.num_threads = 4;
-    const Engine planned_engine(recommender, planned_opts);
+    const Engine planned_engine(ctx.universe, ctx.study, ctx.options,
+                                planned_opts);
     EngineOptions unplanned_opts;
     unplanned_opts.num_threads = 4;
     unplanned_opts.plan_batches = false;
-    const Engine unplanned_engine(recommender, unplanned_opts);
+    const Engine unplanned_engine(ctx.universe, ctx.study, ctx.options,
+                                  unplanned_opts);
 
     Rng rng(4242);
     const ConsensusSpec consensus_mix[] = {

@@ -26,11 +26,10 @@ BenchContext* BuildContext() {
   FacebookStudyConfig sc;
   ctx->study = GenerateFacebookStudy(sc, ctx->universe);
 
-  RecommenderOptions options;
-  options.max_candidate_items =
+  ctx->options.max_candidate_items =
       std::min<std::size_t>(3'900, ctx->universe.dataset.num_items());
-  ctx->recommender = std::make_unique<GroupRecommender>(ctx->universe,
-                                                        ctx->study, options);
+  ctx->recommender = std::make_unique<GroupRecommender>(
+      ctx->universe, ctx->study, ctx->options);
   ctx->oracle = std::make_unique<SatisfactionOracle>(
       ctx->universe.truth, ctx->study.like_truth, ctx->study.universe_user,
       OracleWeights{});

@@ -18,6 +18,9 @@ namespace greca::bench {
 struct BenchContext {
   SyntheticRatings universe;
   FacebookStudy study;
+  /// What `recommender` was built with; benches that need their own Engine
+  /// over the same datasets build it with these options.
+  RecommenderOptions options;
   std::unique_ptr<GroupRecommender> recommender;
   std::unique_ptr<SatisfactionOracle> oracle;
 

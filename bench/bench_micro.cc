@@ -95,7 +95,7 @@ const GroupRecommender& FlatRecommender() {
     const auto& ctx = BenchContext::Get();
     RecommenderOptions options;
     options.max_candidate_items =
-        ctx.recommender->preference_index().pool_size();
+        ctx.recommender->snapshot()->index().pool_size();
     options.min_band_size = 0;
     return new GroupRecommender(ctx.universe, ctx.study, options);
   }();

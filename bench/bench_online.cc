@@ -123,8 +123,8 @@ std::vector<RatingEvent> RandomEvents(Rng& rng, std::size_t count,
 
 int main() {
   const auto& ctx = bench::BenchContext::Get();
-  GroupRecommender& recommender = *ctx.recommender;  // writer entry point
-  const Engine engine(recommender);                  // serving entry point
+  Engine engine(ctx.universe, ctx.study, ctx.options);
+  const GroupRecommender& recommender = engine.recommender();
 
   const std::size_t hw = std::thread::hardware_concurrency();
   const std::size_t readers = EnvSize(
@@ -181,7 +181,7 @@ int main() {
           RandomEvents(rng, events_per_batch, participants, num_items, ts);
       ts += static_cast<Timestamp>(events_per_batch);
       Stopwatch watch;
-      const Status status = recommender.ApplyRatingUpdates(events);
+      const Status status = engine.ApplyUpdates(events);
       publish_ms.push_back(watch.ElapsedMillis());
       if (!status.ok()) {
         std::cerr << "ERROR: update failed: " << status.ToString() << "\n";
@@ -220,7 +220,7 @@ int main() {
       ts += static_cast<Timestamp>(curve_events);
       UpdateReport report;
       Stopwatch watch;
-      const Status status = recommender.ApplyRatingUpdates(events, &report);
+      const Status status = engine.ApplyUpdates(events, &report);
       const double ms = watch.ElapsedMillis();
       if (!status.ok()) {
         std::cerr << "ERROR: curve update failed: " << status.ToString()

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace greca {
 
@@ -108,20 +107,6 @@ double StudyAffinitySource::CumulativeDrift(UserId u, UserId v,
     return dynamic_->CumulativeDrift(u, v, p);
   }
   return AffinitySource::CumulativeDrift(u, v, p);
-}
-
-DecayWeightedAffinitySource::DecayWeightedAffinitySource(
-    std::shared_ptr<const AffinitySource> base, double decay)
-    : base_(std::move(base)), decay_(decay) {
-  assert(base_ != nullptr);
-  assert(decay_ > 0.0 && decay_ <= 1.0);
-}
-
-double DecayWeightedAffinitySource::Weight(PeriodId p) const {
-  const std::size_t periods = num_periods();
-  if (periods == 0) return 1.0;
-  const auto age = static_cast<double>(periods - 1 - std::min<std::size_t>(p, periods - 1));
-  return std::pow(decay_, age);
 }
 
 }  // namespace greca

@@ -4,9 +4,8 @@
 // The paper's deployment computes static affinity from common Facebook
 // friends and periodic affinity from common page-like categories (§2.1,
 // §4.1.2); StudyAffinitySource wraps exactly those precomputed tables plus
-// the incremental drift index of Equation 1. Alternative affinity models
-// (decay-weighted, similarity-derived, learned) implement the same interface
-// and plug into the engine without touching core/.
+// the incremental drift index of Equation 1; ConstantAffinitySource serves
+// populations with no social signal (the sharded scale harness).
 //
 // Contract invariants every implementation must keep:
 //  * Periodic() and PeriodAverage() are on the normalized [0, 1] scale;
@@ -14,12 +13,14 @@
 //    group- and population-level normalizations both derive from these;
 //  * all values are monotone inputs to the temporal combiner, which is what
 //    keeps the consensus bounds sound (Lemma 1);
-//  * implementations are immutable once bound to a Snapshot and safe for
-//    concurrent const reads: MaterializePeriodListInto is the fill hook of
-//    the snapshot-scoped (group, period) list cache (api/snapshot.h), which
-//    may invoke it from any batch worker. To change an affinity model at
-//    runtime, publish a NEW source via Engine::UpdateAffinitySource — never
-//    mutate one in place.
+//  * a source is fixed for its engine's lifetime. The paper builds its
+//    affinities once from the study, so GroupRecommender and ShardedEngine
+//    each bind one source at construction, next to an engine-owned
+//    (group, period) list cache (PeriodListCache, api/snapshot.h) that
+//    serves every rating generation; no cached list is ever invalidated;
+//  * implementations are immutable and safe for concurrent const reads:
+//    MaterializePeriodListInto is the cache's fill hook, which may run on
+//    any batch worker.
 #ifndef GRECA_AFFINITY_AFFINITY_SOURCE_H_
 #define GRECA_AFFINITY_AFFINITY_SOURCE_H_
 
@@ -170,44 +171,6 @@ class ConstantAffinitySource final : public AffinitySource {
   std::size_t num_periods_;
   double static_value_;
   double periodic_value_;
-};
-
-/// Pluggability demonstrator: wraps another source and exponentially
-/// down-weights periodic affinities by age, weight(p) = decay^(P−1−p) for P
-/// available periods — recent togetherness counts more than old
-/// togetherness. Averages scale identically, so drifts stay consistent, and
-/// scaling by a positive constant preserves the monotonicity the consensus
-/// bounds rely on.
-class DecayWeightedAffinitySource final : public AffinitySource {
- public:
-  /// `decay` must lie in (0, 1]; 1 reproduces `base` exactly.
-  DecayWeightedAffinitySource(std::shared_ptr<const AffinitySource> base,
-                              double decay);
-
-  std::size_t num_users() const override { return base_->num_users(); }
-  std::size_t num_periods() const override { return base_->num_periods(); }
-  double Static(UserId u, UserId v) const override {
-    return base_->Static(u, v);
-  }
-  double MaxStatic() const override { return base_->MaxStatic(); }
-  double Periodic(UserId u, UserId v, PeriodId p) const override {
-    return Weight(p) * base_->Periodic(u, v, p);
-  }
-  double PeriodAverage(PeriodId p) const override {
-    return Weight(p) * base_->PeriodAverage(p);
-  }
-  /// Influence weights are a property of the wrapped social signal, not of
-  /// the temporal decay — forward to the base source.
-  void MaterializeMemberWeightsInto(std::span<const UserId> group,
-                                    std::span<double> out) const override {
-    base_->MaterializeMemberWeightsInto(group, out);
-  }
-
- private:
-  double Weight(PeriodId p) const;
-
-  std::shared_ptr<const AffinitySource> base_;
-  double decay_;
 };
 
 }  // namespace greca

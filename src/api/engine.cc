@@ -9,62 +9,42 @@ namespace greca {
 
 Engine::Engine(const RatingsDataset& universe, const FacebookStudy& study,
                RecommenderOptions options, EngineOptions engine_options)
-    : owned_(std::make_unique<GroupRecommender>(universe, study, options)),
-      recommender_(owned_.get()),
-      pool_(std::make_unique<ThreadPool>(
-          ResolveBatchThreads(engine_options.num_threads))),
-      plan_batches_(engine_options.plan_batches) {}
-
-Engine::Engine(const GroupRecommender& recommender,
-               EngineOptions engine_options)
-    : recommender_(&recommender),
+    : recommender_(universe, study, options),
       pool_(std::make_unique<ThreadPool>(
           ResolveBatchThreads(engine_options.num_threads))),
       plan_batches_(engine_options.plan_batches) {}
 
 Status Engine::ApplyUpdates(std::span<const RatingEvent> events,
                             UpdateReport* report) {
-  if (owned_ == nullptr) {
-    return Status::FailedPrecondition(
-        "engine wraps an external recommender; apply updates through its "
-        "owner");
-  }
-  return owned_->ApplyRatingUpdates(events, report);
-}
-
-Status Engine::UpdateAffinitySource(
-    std::shared_ptr<const AffinitySource> source) {
-  if (source == nullptr) {
-    return Status::InvalidArgument("affinity source must not be null");
-  }
-  if (owned_ == nullptr) {
-    return Status::FailedPrecondition(
-        "engine wraps an external recommender; swap its affinity source "
-        "through its owner");
-  }
-  return owned_->UpdateAffinitySource(std::move(source));
+  return recommender_.ApplyRatingUpdates(events, report);
 }
 
 Result<Recommendation> Engine::Recommend(const Query& query) const {
-  return recommender_->Recommend(query.group, query.spec);
+  return recommender_.Recommend(query.group, query.spec);
 }
 
 Result<Recommendation> Engine::Recommend(
     const Query& query, std::shared_ptr<const Snapshot> snap) const {
-  return recommender_->Recommend(snap, query.group, query.spec);
+  return recommender_.Recommend(snap, query.group, query.spec);
 }
 
 std::vector<Result<Recommendation>> Engine::RecommendBatch(
     std::span<const Query> queries, BatchReport* report) const {
   // One snapshot pin per batch: every query in the batch sees the same
   // generation no matter how many updates publish while it runs.
-  return RecommendBatch(queries, recommender_->snapshot(), report);
+  return RecommendBatch(queries, recommender_.snapshot(), report);
 }
 
 std::vector<Result<Recommendation>> Engine::RecommendBatch(
     std::span<const Query> queries, std::shared_ptr<const Snapshot> snap,
     BatchReport* report) const {
-  const SnapshotServingBackend backend(*recommender_, std::move(snap));
+  if (snap == nullptr) {
+    return std::vector<Result<Recommendation>>(
+        queries.size(),
+        Result<Recommendation>(
+            Status::InvalidArgument("snapshot must not be null")));
+  }
+  const SnapshotServingBackend backend(recommender_, std::move(snap));
   return BatchExecutor::Execute(backend, queries, plan_batches_, pool_.get(),
                                 workspace_pool_, report);
 }

@@ -8,19 +8,20 @@
 //
 //  * Reads — Recommend / RecommendBatch — pin the currently published
 //    immutable Snapshot (pre-sorted PreferenceIndex + CF predictions +
-//    bound AffinitySource + generation id, see snapshot.h) and read nothing
-//    else for their whole lifetime. A batch executes in parallel over an
+//    study ratings + generation id, see snapshot.h) for their whole
+//    lifetime; the affinity source and the period-list cache they also read
+//    are fixed at construction. A batch executes in parallel over an
 //    internal thread pool through the unified serving runtime
 //    (serve/batch_executor.h), all workers sharing the one pinned snapshot;
 //    each worker leases a reusable QueryWorkspace holding only mutable
 //    scratch from a shared pool, so steady-state queries sort nothing and
 //    allocate nothing on the hot path — and concurrent batches interleave
 //    instead of serializing.
-//  * Writes — ApplyUpdates / UpdateAffinitySource — rebuild the affected
-//    index rows and CF state OFF the serving path and publish the result as
-//    a new snapshot generation with an atomic pointer swap. Readers never
-//    block on writers; a publish mid-batch cannot change the batch's
-//    results (it keeps its pinned generation).
+//  * Writes — ApplyUpdates — rebuild the affected index rows and CF state
+//    OFF the serving path and publish the result as a new snapshot
+//    generation with an atomic pointer swap. Readers never block on
+//    writers; a publish mid-batch cannot change the batch's results (it
+//    keeps its pinned generation).
 //
 // Failures are per-query: RecommendBatch returns one Result<Recommendation>
 // per input query in input order, so one malformed query never poisons the
@@ -73,20 +74,13 @@ class Engine {
          RecommenderOptions options = {}, EngineOptions engine_options = {})
       : Engine(universe.dataset, study, options, engine_options) {}
 
-  /// Wraps an existing recommender (non-owning; must outlive the engine).
-  /// A wrapping engine serves queries — including against snapshots the
-  /// wrapped recommender's owner publishes — but cannot mutate: the
-  /// update entry points below return kFailedPrecondition.
-  explicit Engine(const GroupRecommender& recommender,
-                  EngineOptions engine_options = {});
-
   // --- Snapshot lifecycle ---
 
   /// Pins the currently published serving state. Hold the pointer to keep a
   /// generation alive across calls (e.g. a paginated session that must see
   /// stable results); pass it to the snapshot-explicit overloads below.
   std::shared_ptr<const Snapshot> snapshot() const {
-    return recommender_->snapshot();
+    return recommender_.snapshot();
   }
 
   /// Applies a batch of live rating events and publishes a new snapshot
@@ -95,17 +89,9 @@ class Engine {
   /// delta log, not a re-fold of the whole dataset — and calls arriving
   /// while a publish is in flight group-commit into one generation
   /// (`report->batches_coalesced`). Serving never blocks: in-flight queries
-  /// finish on their pinned snapshot. Returns kFailedPrecondition on
-  /// engines that wrap an external recommender (the wrapped instance is
-  /// const; apply updates through its owner instead).
+  /// finish on their pinned snapshot.
   Status ApplyUpdates(std::span<const RatingEvent> events,
                       UpdateReport* report = nullptr);
-
-  /// Swaps the pluggable affinity backend (see AffinitySource) by
-  /// publishing a new snapshot generation bound to `source`. Same wrapping
-  /// restriction as ApplyUpdates. Safe with respect to in-flight queries —
-  /// they keep the source their snapshot was bound to.
-  Status UpdateAffinitySource(std::shared_ptr<const AffinitySource> source);
 
   // --- Queries ---
 
@@ -138,24 +124,17 @@ class Engine {
   /// Batch execution against an explicitly pinned snapshot — e.g. to replay
   /// a batch on a retired generation, or to split one logical workload
   /// across several RecommendBatch calls that must all see the same data.
+  /// A null `snap` yields one kInvalidArgument per query (`report` is left
+  /// untouched), like ShardedEngine's null set.
   std::vector<Result<Recommendation>> RecommendBatch(
       std::span<const Query> queries, std::shared_ptr<const Snapshot> snap,
       BatchReport* report = nullptr) const;
 
-  const GroupRecommender& recommender() const { return *recommender_; }
+  const GroupRecommender& recommender() const { return recommender_; }
   std::size_t num_threads() const { return pool_->size(); }
 
-  /// The preference index of the current snapshot. The reference does not
-  /// pin its snapshot: it is safe only while no concurrent writer can
-  /// publish. Pin snapshot() and use snapshot()->index() when updates may
-  /// race this call.
-  const PreferenceIndex& preference_index() const {
-    return recommender_->preference_index();
-  }
-
  private:
-  std::unique_ptr<GroupRecommender> owned_;  // null when wrapping
-  const GroupRecommender* recommender_;
+  GroupRecommender recommender_;
   std::unique_ptr<ThreadPool> pool_;
   const bool plan_batches_;
   mutable WorkspacePool workspace_pool_;

@@ -3,13 +3,10 @@
 // QueryBuilder front-loads validation: Build() checks the group, k, the
 // candidate pool and the evaluation period against the engine's datasets and
 // returns either a ready-to-run Query or the first greca::Status error —
-// before any per-query work happens. A query that Build() returned OK
-// cannot fail validation against the snapshot generation Build() validated
-// on. Execution pins its own (possibly newer) snapshot, so an intervening
-// UpdateAffinitySource to a source covering fewer periods can still fail a
-// time-aware query at Recommend time — callers serving across live affinity
-// swaps should pin engine.snapshot() and pass it to the snapshot-explicit
-// overloads alongside the built query.
+// before any per-query work happens. Validation reads only what is fixed at
+// engine construction (the study population, its periods and the affinity
+// source's coverage), so a query that Build() returned OK cannot fail
+// validation at Recommend time on any snapshot generation.
 //
 // Duplicate members: a repeated UserId in a group would double-weight that
 // member in every consensus function (their preference list would be counted
@@ -60,7 +57,7 @@ class QueryBuilder {
   /// ids fail at Build() with kInvalidArgument.
   QueryBuilder& Using(std::string solver_id);
   /// Per-member consensus weighting (kUniform default; kInfluence derives
-  /// weights from social-graph centrality through the bound AffinitySource).
+  /// weights from social-graph centrality through the engine's AffinitySource).
   QueryBuilder& Weighting(MemberWeighting weighting);
   QueryBuilder& Termination(TerminationPolicy policy);
   QueryBuilder& CandidatePool(std::size_t num_items);

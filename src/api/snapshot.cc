@@ -31,21 +31,15 @@ std::size_t PeriodListCache::MemoryBytes() const {
   });
 }
 
-Snapshot::Snapshot(
-    std::uint64_t generation,
-    std::shared_ptr<const RatingsOverlay> ratings,
-    std::vector<PredictionRow> predictions,
-    std::shared_ptr<const PreferenceIndex> index,
-    std::shared_ptr<const AffinitySource> affinity,
-    std::shared_ptr<PeriodListCache> cache,
-    std::size_t tombstone_cache_max_entries)
+Snapshot::Snapshot(std::uint64_t generation,
+                   std::shared_ptr<const RatingsOverlay> ratings,
+                   std::vector<PredictionRow> predictions,
+                   std::shared_ptr<const PreferenceIndex> index,
+                   std::size_t tombstone_cache_max_entries)
     : generation_(generation),
       ratings_(std::move(ratings)),
       predictions_(std::move(predictions)),
       index_(std::move(index)),
-      affinity_(std::move(affinity)),
-      cache_(cache != nullptr ? std::move(cache)
-                              : std::make_shared<PeriodListCache>()),
       tombstone_cache_(
           std::make_shared<TombstoneCache>(tombstone_cache_max_entries)) {
   assert(ratings_ != nullptr);
@@ -53,7 +47,6 @@ Snapshot::Snapshot(
     return row == nullptr;
   }));
   assert(index_ != nullptr);
-  assert(affinity_ != nullptr);
 }
 
 }  // namespace greca

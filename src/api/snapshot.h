@@ -1,41 +1,34 @@
 // The immutable unit of serving state that every query pins.
 //
-// A Snapshot bundles everything a query reads — the pre-sorted
-// PreferenceIndex, the CF predictions it was built from, the study ratings
-// (base + live delta log, the tombstone source for §2.4's already-rated
-// exclusion) and the bound AffinitySource — under one generation id.
-// Queries pin a snapshot for their whole lifetime (one per query via
-// Engine::Recommend, one per batch via
-// Engine::RecommendBatch), so a concurrently published update can never
-// change a running query's inputs: updates build a NEW snapshot off the
-// serving path and publish it with a constant-time pointer swap (RCU-style;
-// see update.h and GroupRecommender::ApplyRatingUpdates).
+// A Snapshot bundles everything a query reads that changes with ratings —
+// the pre-sorted PreferenceIndex, the CF predictions it was built from and
+// the study ratings (base + live delta log, the tombstone source for §2.4's
+// already-rated exclusion) — under one generation id. Queries pin a
+// snapshot for their whole lifetime (one per query via Engine::Recommend,
+// one per batch via Engine::RecommendBatch), so a concurrently published
+// update can never change a running query's inputs: updates build a NEW
+// snapshot off the serving path and publish it with a constant-time pointer
+// swap (RCU-style; see update.h and GroupRecommender::ApplyRatingUpdates).
 //
-// Period-list caching: the materialized periodic-affinity pair lists
-// consumed by BuildProblem depend only on (group, period) and the bound
-// AffinitySource — not on the query's candidate pool and not on ratings —
-// and batch workloads repeat groups constantly. PeriodList() memoizes them
-// in a PeriodListCache scoped to the affinity binding: rating-update
-// generations SHARE the cache of the snapshot they were built from (their
-// lists are bit-identical), while an affinity-source swap starts a fresh
-// one. Invalidation is therefore free — when the last snapshot sharing a
-// cache retires, the cache goes with it — and a steady rating-update stream
-// never re-colds the cache. Cached lists are immutable once inserted and
-// pointer-stable, so GroupProblem views alias them directly and stay valid
-// as long as the snapshot lives (GroupProblem keeps it alive).
+// What does NOT change with ratings is not in a Snapshot. The AffinitySource
+// and the (group, period) PeriodListCache below are fixed at construction
+// and owned by the engine (GroupRecommender, ShardedEngine): a period list
+// depends only on (group, period) and the source — not on the candidate
+// pool and not on ratings — so every generation shares one cache and a
+// steady rating-update stream never re-colds it.
 //
-// Thread-safety: all members are const after construction except the cache,
-// which is internally synchronized — any number of threads may call
-// PeriodList() concurrently. Cache hits are allocation-free (heterogeneous
-// key lookup on the group span).
+// Thread-safety: a Snapshot is const after construction except its
+// tombstone cache, and both memo caches below are internally synchronized —
+// any number of batch workers may fill and read them concurrently. Cache
+// hits are allocation-free (heterogeneous key lookup on the group span).
 //
-// The cache is BOUNDED: at most max_entries (group, period) lists stay
-// resident, evicted least-recently-used once the cap is hit, so a long-lived
-// generation under adversarial ad-hoc group churn cannot grow without bound.
-// Entries are handed out as shared_ptrs — a problem assembled from a list
-// that gets evicted mid-flight keeps its copy alive through the arena's
-// period pins (topk/problem.h), so eviction is never a correctness event.
-// Eviction counters sit next to the hit/miss counters for observability.
+// Both caches are BOUNDED: at most max_entries values stay resident,
+// evicted least-recently-used once the cap is hit, so adversarial ad-hoc
+// group churn cannot grow them without bound. Entries are handed out as
+// shared_ptrs — a problem assembled from a list that gets evicted mid-flight
+// keeps its copy alive through the arena's pins (topk/problem.h), so
+// eviction is never a correctness event. Eviction counters sit next to the
+// hit/miss counters for observability.
 #ifndef GRECA_API_SNAPSHOT_H_
 #define GRECA_API_SNAPSHOT_H_
 
@@ -57,7 +50,7 @@
 
 namespace greca {
 
-/// The bounded-LRU machinery shared by the snapshot-scoped memo caches
+/// The bounded-LRU machinery shared by the two memo caches
 /// (PeriodListCache, TombstoneCache): (ordered group, uint64 tag) →
 /// immutable shared value, internally synchronized, with hit/miss/eviction
 /// counters. Values are built OUTSIDE the lock (a lost insert race discards
@@ -212,8 +205,9 @@ class BoundedGroupCache {
 };
 
 /// Memoized (group, period) → materialized periodic-affinity pair list.
-/// Internally synchronized; shared by every snapshot generation bound to
-/// the same AffinitySource. Entries are immutable and pointer-stable.
+/// Internally synchronized; one per engine, built at construction next to
+/// the engine's AffinitySource and shared by every rating generation.
+/// Entries are immutable and pointer-stable.
 class PeriodListCache {
  public:
   /// Default residency cap: generous for real batch workloads (which repeat
@@ -264,8 +258,7 @@ struct TombstoneSet {
 /// Memoized (group, pool-prefix) → tombstone bitmap. Bitmaps depend on the
 /// group members' rated items — base rows plus the live delta log — so a
 /// cache instance is scoped to ONE snapshot generation (Snapshot creates a
-/// fresh one per publish; invalidation is free, exactly like the period
-/// cache's affinity scoping). Batch workloads repeat groups constantly, and
+/// fresh one per publish, so invalidation is free). Batch workloads repeat groups constantly, and
 /// between publishes every repeat skips the per-member rated-item walk.
 class TombstoneCache {
  public:
@@ -313,22 +306,16 @@ using PredictionRow = std::shared_ptr<const std::vector<Score>>;
 
 class Snapshot {
  public:
-  /// All parts but `cache` must be non-null, and so must every prediction
-  /// row; the snapshot shares their
-  /// ownership (the overlay's base may alias caller-owned storage on the
-  /// initial generation — see GroupRecommender construction). `cache` is
-  /// the period-list cache to share — pass the previous generation's cache
-  /// when the affinity binding is unchanged (rating updates, delta-log
-  /// compactions), null to start cold (construction, affinity swaps). The
-  /// tombstone cache is ALWAYS fresh per snapshot (bitmaps depend on the
-  /// ratings overlay, which changes every publish);
+  /// All parts must be non-null, and so must every prediction row; the
+  /// snapshot shares their ownership (the overlay's base may alias
+  /// caller-owned storage on the initial generation — see GroupRecommender
+  /// construction). The tombstone cache is ALWAYS fresh per snapshot
+  /// (bitmaps depend on the ratings overlay, which changes every publish);
   /// `tombstone_cache_max_entries` bounds it.
   Snapshot(std::uint64_t generation,
            std::shared_ptr<const RatingsOverlay> ratings,
            std::vector<PredictionRow> predictions,
            std::shared_ptr<const PreferenceIndex> index,
-           std::shared_ptr<const AffinitySource> affinity,
-           std::shared_ptr<PeriodListCache> cache = nullptr,
            std::size_t tombstone_cache_max_entries =
                TombstoneCache::kDefaultMaxEntries);
 
@@ -339,7 +326,6 @@ class Snapshot {
   std::uint64_t generation() const { return generation_; }
 
   const PreferenceIndex& index() const { return *index_; }
-  const AffinitySource& affinity() const { return *affinity_; }
   /// The study participants' own ratings as of this generation: the
   /// immutable base plus the live per-user delta log, merged on read
   /// (tombstone source for the group-rated exclusion). Use
@@ -362,48 +348,11 @@ class Snapshot {
   const std::shared_ptr<const PreferenceIndex>& index_ptr() const {
     return index_;
   }
-  const std::shared_ptr<const AffinitySource>& affinity_ptr() const {
-    return affinity_;
-  }
-  const std::shared_ptr<PeriodListCache>& period_cache_ptr() const {
-    return cache_;
-  }
   /// The generation-scoped (group, pool) → tombstone-bitmap memo (never
   /// null; see TombstoneCache for the scoping rationale).
   const std::shared_ptr<TombstoneCache>& tombstone_cache_ptr() const {
     return tombstone_cache_;
   }
-
-  /// The materialized periodic-affinity list of `group` (ordered; local pair
-  /// key order, see LocalPairIndex) at period `p`, served from the shared
-  /// PeriodListCache. Thread-safe; the returned list is immutable and valid
-  /// while it stays resident in the bounded cache (or while a
-  /// PeriodListShared copy pins it) — hot-path consumers pin via
-  /// PeriodListShared, tests may use this convenience.
-  const SortedList& PeriodList(std::span<const UserId> group,
-                               PeriodId p) const {
-    return cache_->Get(group, p, *affinity_);
-  }
-
-  /// Ownership-sharing variant: the returned list stays valid even if the
-  /// cache evicts it (problem assembly pins these for the problem lifetime).
-  std::shared_ptr<const SortedList> PeriodListShared(
-      std::span<const UserId> group, PeriodId p) const {
-    return cache_->GetShared(group, p, *affinity_);
-  }
-
-  /// Cache observability (counters are cache-lifetime, i.e. shared across
-  /// the rating-update generations bound to the same affinity source).
-  /// hits + misses == PeriodList() calls.
-  std::uint64_t period_cache_hits() const { return cache_->hits(); }
-  std::uint64_t period_cache_misses() const { return cache_->misses(); }
-  /// Entries the bounded cache has dropped (LRU; 0 while the working set
-  /// fits max_entries).
-  std::uint64_t period_cache_evictions() const { return cache_->evictions(); }
-  /// Number of distinct (group, period) lists currently materialized.
-  std::size_t period_cache_size() const { return cache_->size(); }
-  /// Resident bytes of the cached period lists (excludes the shared index).
-  std::size_t PeriodCacheMemoryBytes() const { return cache_->MemoryBytes(); }
 
   /// Tombstone-cache observability (counters are generation-scoped — every
   /// publish starts a fresh cache). hits + misses == cached assemblies with
@@ -429,8 +378,6 @@ class Snapshot {
   const std::shared_ptr<const RatingsOverlay> ratings_;
   const std::vector<PredictionRow> predictions_;
   const std::shared_ptr<const PreferenceIndex> index_;
-  const std::shared_ptr<const AffinitySource> affinity_;
-  const std::shared_ptr<PeriodListCache> cache_;  // never null
   const std::shared_ptr<TombstoneCache> tombstone_cache_;  // never null
 };
 

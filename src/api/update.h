@@ -63,8 +63,7 @@ struct UpdateReport {
   /// means group commit coalesced concurrent callers into one generation).
   std::size_t batches_coalesced = 0;
   /// True when this publish folded the delta log back into a fresh immutable
-  /// base (see RecommenderOptions::compact_every_n_publishes /
-  /// compact_delta_fraction).
+  /// base (see RecommenderOptions::compact_delta_fraction).
   bool compacted = false;
   /// Delta-log entries resident after this call (0 right after compaction).
   std::size_t delta_log_ratings = 0;

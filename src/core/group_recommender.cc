@@ -18,8 +18,10 @@ GroupRecommender::GroupRecommender(const RatingsDataset& universe,
       study_(&study),
       options_(options),
       knn_(universe, options.knn),
+      static_(ComputeCommonFriendCounts(study.graph)),
       periodic_(PeriodicAffinity::Compute(study.likes, study.periods)),
       dynamic_(DynamicAffinityIndex::Build(periodic_)),
+      period_cache_(options.period_cache_max_entries),
       publisher_(
           [this] {
             const std::shared_ptr<const Snapshot> cur = snapshot();
@@ -27,7 +29,7 @@ GroupRecommender::GroupRecommender(const RatingsDataset& universe,
                                               cur->ratings_ptr()};
           },
           std::bind_front(&GroupRecommender::RebuildRatings, this),
-          options.compact_every_n_publishes, options.compact_delta_fraction) {
+          options.compact_delta_fraction) {
   const std::size_t n = study.num_participants();
   std::vector<std::vector<Score>> predictions;
   predictions.reserve(n);
@@ -35,13 +37,12 @@ GroupRecommender::GroupRecommender(const RatingsDataset& universe,
     predictions.push_back(
         knn_.PredictAll(study.study_ratings.RatingsOfUser(su)));
   }
-  static_ = ComputeCommonFriendCounts(study.graph);
   // Influence weights for kInfluence queries: propagation centrality over
-  // the friendship graph, shared by every snapshot generation (the study
-  // graph is immutable).
+  // the immutable friendship graph — the same backing as ShardedEngine, so
+  // influence-weighted queries score identically on both engines.
   auto influence = std::make_shared<const std::vector<double>>(
       PropagationCentrality(study.graph));
-  auto source = std::make_shared<StudyAffinitySource>(
+  affinity_ = std::make_shared<StudyAffinitySource>(
       static_, periodic_, &dynamic_, std::move(influence));
   // One shared, immutable sorted-preference index over the popular-item
   // pool; every query (and every batch worker) slices it by prefix. Banded
@@ -70,15 +71,8 @@ GroupRecommender::GroupRecommender(const RatingsDataset& universe,
   snapshot_ = std::make_shared<const Snapshot>(
       /*generation=*/1,
       std::make_shared<const RatingsOverlay>(std::move(base)),
-      std::move(prediction_rows), std::move(index), std::move(source),
-      std::make_shared<PeriodListCache>(options_.period_cache_max_entries),
+      std::move(prediction_rows), std::move(index),
       options_.tombstone_cache_max_entries);
-}
-
-void GroupRecommender::Publish(std::shared_ptr<const Snapshot> next) {
-  // All building happened before this point; the swap itself is O(1).
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  snapshot_ = std::move(next);
 }
 
 Status GroupRecommender::ApplyRatingUpdates(
@@ -110,31 +104,12 @@ void GroupRecommender::RebuildRatings(
   }
   auto index = std::make_shared<const PreferenceIndex>(
       cur->index().CloneWithUpdatedRows(touched, touched_preds));
-  // The affinity binding is unchanged (compaction included), so the
-  // period-list cache carries forward: a steady rating-update stream never
-  // re-colds it.
-  Publish(std::make_shared<const Snapshot>(
+  auto next = std::make_shared<const Snapshot>(
       generation, std::move(ratings), std::move(preds), std::move(index),
-      cur->affinity_ptr(), cur->period_cache_ptr(),
-      options_.tombstone_cache_max_entries));
-}
-
-Status GroupRecommender::UpdateAffinitySource(
-    std::shared_ptr<const AffinitySource> source) {
-  if (source == nullptr) {
-    return Status::InvalidArgument("affinity source must not be null");
-  }
-  // New affinity binding → the period lists change: start a cold cache
-  // (bounded by the same policy as the construction-time one).
-  publisher_.PublishUnderLock([&](std::uint64_t generation) {
-    const std::shared_ptr<const Snapshot> cur = snapshot();
-    Publish(std::make_shared<const Snapshot>(
-        generation, cur->ratings_ptr(), cur->prediction_rows(),
-        cur->index_ptr(), std::move(source),
-        std::make_shared<PeriodListCache>(options_.period_cache_max_entries),
-        options_.tombstone_cache_max_entries));
-  });
-  return Status::Ok();
+      options_.tombstone_cache_max_entries);
+  // All building happened before this point; the swap itself is O(1).
+  std::lock_guard<std::mutex> swap_lock(snapshot_mu_);
+  snapshot_ = std::move(next);
 }
 
 Result<PeriodId> GroupRecommender::ResolvePeriod(
@@ -147,18 +122,12 @@ Status GroupRecommender::ValidateQuery(std::span<const UserId> group,
   return ValidateQuery(*snapshot(), group, spec);
 }
 
-Status GroupRecommender::ValidateQuery(const Snapshot& snap,
+Status GroupRecommender::ValidateQuery(const Snapshot& /*snap*/,
                                        std::span<const UserId> group,
                                        const QuerySpec& spec) const {
   return ValidateGroupQuery(group, spec, study_->num_participants(),
                             study_->periods.num_periods(),
-                            snap.affinity().num_periods());
-}
-
-std::span<const Score> GroupRecommender::Predictions(UserId study_user) const {
-  const std::shared_ptr<const Snapshot> snap = snapshot();
-  assert(study_user < snap->num_users());
-  return snap->predictions(study_user);
+                            affinity_->num_periods());
 }
 
 double GroupRecommender::RatingSimilarity(UserId a, UserId b) const {
@@ -175,8 +144,7 @@ double GroupRecommender::ModelAffinity(UserId a, UserId b,
   assert(resolved.ok() && "ModelAffinity requires an in-range period");
   if (!resolved.ok()) return 0.0;
   const PeriodId p = resolved.value();
-  const std::shared_ptr<const Snapshot> snap = snapshot();
-  const AffinitySource& source = snap->affinity();
+  const AffinitySource& source = *affinity_;
   std::vector<double> averages = source.PeriodAverages(p);
   std::vector<double> aff_p;
   aff_p.reserve(p + 1);
@@ -217,17 +185,17 @@ Result<GroupProblem> GroupRecommender::BuildProblem(
   for (const UserId su : group) {
     slices.push_back({&snap->index(), su, &snap->ratings(), su});
   }
-  StampMemberWeights(snap->affinity(), group, spec, slices);
+  StampMemberWeights(*affinity_, group, spec, slices);
   AssemblyContext ctx;
   ctx.key_index = &snap->index();
-  ctx.affinity = &snap->affinity();
-  ctx.period_cache = snap->period_cache_ptr().get();
+  ctx.affinity = affinity_.get();
+  ctx.period_cache = &period_cache_;
   ctx.tombstone_cache = snap->tombstone_cache_ptr().get();
   GroupProblem problem = AssembleGroupProblem(ctx, group, slices, spec,
                                               eval_period, candidates_out,
                                               workspace);
-  // The problem's views alias the snapshot's index rows and cached period
-  // lists: share ownership so they survive a concurrent publish.
+  // The problem's views alias the snapshot's index rows: share ownership so
+  // they survive a concurrent publish (assembly pinned the period lists).
   problem.PinLifetime(snap);
   return problem;
 }

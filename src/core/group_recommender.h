@@ -13,18 +13,20 @@
 //     the index (no sort, no copy);
 //  3. static affinities from common friends, normalized within the group;
 //  4. periodic affinities from common page-like categories per period,
-//     served from the snapshot's (group, period) list cache;
+//     served from the recommender's (group, period) list cache;
 //  5. the chosen temporal model + consensus function form a GroupProblem
 //     solved by GRECA / TA / the naive scan.
 //
-// Serving state lives in an immutable Snapshot (src/api/snapshot.h): the
-// preference index, the CF predictions, the study ratings (immutable base +
-// per-user delta log, dataset/ratings_overlay.h) and the bound
-// AffinitySource, all under one generation id. Every query pins the current
-// snapshot at entry and reads nothing else, so the live-update path —
-// ApplyRatingUpdates / UpdateAffinitySource — can rebuild the affected state
-// off the serving path and publish a new generation with an atomic pointer
-// swap (RCU-style) without ever blocking or corrupting in-flight queries.
+// Serving state that changes with ratings lives in an immutable Snapshot
+// (src/api/snapshot.h): the preference index, the CF predictions and the
+// study ratings (immutable base + per-user delta log,
+// dataset/ratings_overlay.h), all under one generation id. Every query pins
+// the current snapshot at entry, so the live-update path —
+// ApplyRatingUpdates — can rebuild the affected state off the serving path
+// and publish a new generation with an atomic pointer swap (RCU-style)
+// without ever blocking or corrupting in-flight queries. The AffinitySource
+// and the (group, period) list cache never change after construction and
+// are owned here, exactly as on ShardedEngine (affinity(), period_cache()).
 //
 // Update cost is O(delta), not O(dataset): a batch folds into the delta log
 // (touched users' rows only), and a compaction policy (RecommenderOptions)
@@ -75,7 +77,7 @@ enum class MemberWeighting {
   kUniform,
   /// Per-member weights from social-graph influence (propagation
   /// centrality over the study's friendship graph), materialized by the
-  /// bound AffinitySource and normalized per group. Flows through every
+  /// engine's AffinitySource and normalized per group. Flows through every
   /// registered solver without per-solver code.
   kInfluence,
 };
@@ -94,23 +96,18 @@ struct RecommenderOptions {
   /// counts are identical for every value.
   std::size_t min_band_size = 64;
 
-  // --- Delta-log compaction policy (live updates) ---
-  // Live ratings accumulate in a per-user delta log (keeping publishes
-  // O(delta)); compaction folds the log back into a fresh immutable base —
-  // an O(dataset) step paid rarely instead of on every publish. Both
-  // triggers are checked before each rating publish; either suffices.
-  // Compaction changes no observable state (recommendations, reports and
-  // the period-list cache behave identically — tests/delta_log_test.cc).
-
-  /// Compact after this many rating publishes since the last compaction
-  /// (0 = never by count).
-  std::size_t compact_every_n_publishes = 0;
-  /// Compact when the delta log exceeds this fraction of the base's rating
-  /// count (0 = never by size). The default bounds the overlay — and the
-  /// per-query merge overhead — to a quarter of the base.
+  /// Delta-log compaction policy (live updates). Live ratings accumulate in
+  /// a per-user delta log (keeping publishes O(delta)); compaction folds the
+  /// log back into a fresh immutable base — an O(dataset) step paid rarely
+  /// instead of on every publish. A rating publish compacts when the delta
+  /// log exceeds this fraction of the base's rating count (0 = never). The
+  /// default bounds the overlay — and the per-query merge overhead — to a
+  /// quarter of the base. Compaction changes no observable state
+  /// (recommendations, reports and the period-list cache behave identically
+  /// — tests/delta_log_test.cc).
   double compact_delta_fraction = 0.25;
 
-  /// Residency cap of the snapshot-scoped (group, period) list cache; least
+  /// Residency cap of the engine-owned (group, period) list cache; least
   /// recently used lists are evicted past it (0 = unbounded). See
   /// PeriodListCache.
   std::size_t period_cache_max_entries = PeriodListCache::kDefaultMaxEntries;
@@ -180,7 +177,9 @@ class GroupRecommender {
  public:
   /// Both references must outlive this object (and every snapshot pinned
   /// from it). Construction precomputes CF predictions for every study
-  /// participant and all affinity tables, and publishes generation 1.
+  /// participant and all affinity tables, binds the affinity source and the
+  /// period-list cache for the recommender's lifetime, and publishes
+  /// generation 1.
   /// `universe` may be any collaborative rating dataset — the synthetic twin
   /// or a parsed real MovieLens file.
   GroupRecommender(const RatingsDataset& universe, const FacebookStudy& study,
@@ -234,13 +233,6 @@ class GroupRecommender {
   Status ApplyRatingUpdates(std::span<const RatingEvent> events,
                             UpdateReport* report = nullptr);
 
-  /// Swaps the affinity backend by publishing a new snapshot generation
-  /// bound to `source` — same non-blocking contract as ApplyRatingUpdates,
-  /// so the swap is safe with respect to in-flight queries. The source must
-  /// cover the study's participants and periods and be internally
-  /// thread-safe for concurrent const reads.
-  Status UpdateAffinitySource(std::shared_ptr<const AffinitySource> source);
-
   // --- Queries ---
 
   /// Recommends spec.k items to `group` (study participant ids) against the
@@ -264,8 +256,8 @@ class GroupRecommender {
   /// Zero-copy hot path: member preference lists are ListView slices of the
   /// snapshot's PreferenceIndex (pool-prefix keys, group-rated items
   /// tombstoned) — no per-query sort or copy; periodic affinity lists come
-  /// from the snapshot's (group, period) cache, and only the small static /
-  /// agreement lists are materialized into the workspace's arena.
+  /// from period_cache(), and only the small static / agreement lists are
+  /// materialized into the workspace's arena.
   ///
   /// `candidates_out`, when non-null, receives the candidate-pool items in
   /// key order (problem key k ↔ candidates_out[k]; tombstoned keys never
@@ -273,8 +265,8 @@ class GroupRecommender {
   /// point into its arena — the workspace must outlive the problem and not
   /// be reused before the problem is dropped; when null the problem owns its
   /// arena. Either way the problem shares ownership of the snapshot it was
-  /// built from, so index rows and cached period lists outlive any
-  /// subsequent publish.
+  /// built from and pins the cached period lists it reads, so its views
+  /// outlive any subsequent publish and any cache eviction.
   Result<GroupProblem> BuildProblem(
       std::span<const UserId> group, const QuerySpec& spec,
       std::vector<ItemId>* candidates_out = nullptr,
@@ -289,38 +281,13 @@ class GroupRecommender {
 
   /// Validates a query without running it: non-empty group of known,
   /// distinct participants (≤ 32 for GRECA, its seen-bitmask limit), k ≥ 1,
-  /// a non-empty candidate pool and an in-range evaluation period.
+  /// a non-empty candidate pool and an in-range evaluation period. Nothing
+  /// validated depends on the rating generation, so both overloads agree
+  /// for every snapshot; the explicit one is the serving backend's hook.
   Status ValidateQuery(std::span<const UserId> group,
                        const QuerySpec& spec) const;
   Status ValidateQuery(const Snapshot& snap, std::span<const UserId> group,
                        const QuerySpec& spec) const;
-
-  // Legacy direct accessors into the CURRENT snapshot, for tests and the
-  // evaluation harnesses. They return references/spans whose backing
-  // snapshot they do not pin, so they are safe only while no concurrent
-  // writer can publish (a publish may free the old generation the moment
-  // its last pin drops). Code that coexists with ApplyRatingUpdates /
-  // UpdateAffinitySource must pin snapshot() and read through it instead.
-
-  /// The affinity source bound to the current snapshot (lifetime caveat
-  /// above).
-  const AffinitySource& affinity_source() const {
-    return snapshot()->affinity();
-  }
-
-  /// CF-predicted ratings (universe scale) for a study participant, as of
-  /// the current snapshot (lifetime caveat above).
-  std::span<const Score> Predictions(UserId study_user) const;
-
-  /// The sorted-preference index of the current snapshot (lifetime caveat
-  /// above).
-  const PreferenceIndex& preference_index() const {
-    return snapshot()->index();
-  }
-  /// Ownership-sharing handle to the current snapshot's index.
-  std::shared_ptr<const PreferenceIndex> preference_index_snapshot() const {
-    return snapshot()->index_ptr();
-  }
 
   /// Group cohesiveness signal: overlap-cosine of two participants' own
   /// study ratings (§4.1.3). Reads the immutable as-generated study ratings,
@@ -336,6 +303,15 @@ class GroupRecommender {
   double ModelAffinity(UserId a, UserId b, std::optional<PeriodId> period,
                        const AffinityModelSpec& spec) const;
 
+  /// The affinity backend, fixed at construction (StudyAffinitySource over
+  /// the tables below).
+  const AffinitySource& affinity() const { return *affinity_; }
+  /// The (group, period) list cache shared by every rating generation
+  /// (internally synchronized; RecommenderOptions::period_cache_max_entries
+  /// bounds it). Mutable state behind a const engine, hence the const
+  /// accessor.
+  PeriodListCache& period_cache() const { return period_cache_; }
+
   const PeriodicAffinity& periodic_affinity() const { return periodic_; }
   const PairTable& static_affinity() const { return static_; }
   const DynamicAffinityIndex& dynamic_index() const { return dynamic_; }
@@ -348,9 +324,6 @@ class GroupRecommender {
   Result<PeriodId> ResolvePeriod(std::optional<PeriodId> requested) const;
 
  private:
-  /// The RCU swap; callers run under the publisher's build lock.
-  void Publish(std::shared_ptr<const Snapshot> next);
-
   /// The publisher's rebuild step (see RatingPublisher::Rebuild).
   void RebuildRatings(std::shared_ptr<const RatingsOverlay> ratings,
                       std::span<const UserId> touched,
@@ -363,6 +336,8 @@ class GroupRecommender {
   PairTable static_;       // raw common-friend counts (immutable study table)
   PeriodicAffinity periodic_;
   DynamicAffinityIndex dynamic_;
+  std::shared_ptr<const AffinitySource> affinity_;
+  mutable PeriodListCache period_cache_;
 
   // The RCU publication point: queries copy the pointer, the publisher
   // (serialized by its build lock) swaps in a freshly built snapshot.
@@ -370,8 +345,7 @@ class GroupRecommender {
   // rebuilding. Never null after construction.
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<const Snapshot> snapshot_;
-  // The write path; rating rounds and affinity swaps both publish under
-  // its build lock and generation counter.
+  // The write path: owns the build lock and the generation counter.
   RatingPublisher publisher_;
 };
 

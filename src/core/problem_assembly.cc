@@ -140,7 +140,7 @@ GroupProblem AssembleGroupProblem(const AssemblyContext& ctx,
         m.index->UserView(m.row, pool, words, live));
   }
 
-  // Affinity lists come only from the bound source: the static list is
+  // Affinity lists come only from the engine's source: the static list is
   // group-normalized (paper §4.1.2) and materialized into the arena, plus
   // one periodic list per period 0..eval_period served from the shared
   // (group, period) cache — repeated groups in a batch rebuild nothing, and

@@ -32,11 +32,9 @@ Status ValidateRatingEvents(std::span<const RatingEvent> events,
 
 RatingPublisher::RatingPublisher(std::function<Published()> published,
                                  Rebuild rebuild,
-                                 std::size_t compact_every_n_publishes,
                                  double compact_delta_fraction)
     : published_(std::move(published)),
       rebuild_(std::move(rebuild)),
-      compact_every_n_publishes_(compact_every_n_publishes),
       compact_delta_fraction_(compact_delta_fraction) {}
 
 Status RatingPublisher::Apply(std::span<const RatingEvent> events,
@@ -102,36 +100,26 @@ void RatingPublisher::PublishRound(std::span<PendingUpdate* const> round) {
 
   // Compaction stays off the serving path and is amortized across the
   // publishes since the last fold.
-  bool compacted = false;
-  if ((compact_every_n_publishes_ > 0 &&
-       publishes_since_compaction_ + 1 >= compact_every_n_publishes_) ||
-      (compact_delta_fraction_ > 0.0 &&
-       static_cast<double>(overlay->delta_ratings()) >
-           compact_delta_fraction_ *
-               static_cast<double>(overlay->base().num_ratings()))) {
+  const bool compacted =
+      compact_delta_fraction_ > 0.0 &&
+      static_cast<double>(overlay->delta_ratings()) >
+          compact_delta_fraction_ *
+              static_cast<double>(overlay->base().num_ratings());
+  if (compacted) {
     overlay = std::make_shared<const RatingsOverlay>(
         std::make_shared<const RatingsDataset>(overlay->Compact()));
-    compacted = true;
   }
 
   const std::size_t delta_after = overlay->delta_ratings();
   const std::uint64_t generation = next_generation_;
   rebuild_(std::move(overlay), touched, generation);
   ++next_generation_;
-  publishes_since_compaction_ = compacted ? 0 : publishes_since_compaction_ + 1;
   for (PendingUpdate* batch : round) {
     batch->report.published_generation = generation;
     batch->report.users_rebuilt = touched.size();
     batch->report.compacted = compacted;
     batch->report.delta_log_ratings = delta_after;
   }
-}
-
-void RatingPublisher::PublishUnderLock(
-    const std::function<void(std::uint64_t)>& publish) {
-  std::lock_guard<std::mutex> lock(build_mu_);
-  publish(next_generation_);
-  ++next_generation_;
 }
 
 }  // namespace greca

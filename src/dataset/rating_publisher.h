@@ -41,21 +41,15 @@ class RatingPublisher {
       std::shared_ptr<const RatingsOverlay> ratings,
       std::span<const UserId> touched, std::uint64_t generation)>;
 
-  /// Compaction runs every `compact_every_n_publishes` publishes or once
-  /// the log exceeds `compact_delta_fraction` of the base (0 disables
-  /// either trigger). The owner's initial view is generation 1.
+  /// Compaction runs once the log exceeds `compact_delta_fraction` of the
+  /// base (0 disables it). The owner's initial view is generation 1.
   RatingPublisher(std::function<Published()> published, Rebuild rebuild,
-                  std::size_t compact_every_n_publishes,
                   double compact_delta_fraction);
 
   /// Folds one PRE-VALIDATED batch and publishes it (group-committed with
   /// concurrent callers). `report` receives this batch's attribution; an
   /// empty batch publishes nothing and reports the current state.
   Status Apply(std::span<const RatingEvent> events, UpdateReport* report);
-
-  /// Runs `publish(generation)` under the build lock with the next
-  /// generation id, for owner publishes that change no ratings.
-  void PublishUnderLock(const std::function<void(std::uint64_t)>& publish);
 
  private:
   /// One Apply call waiting in the group-commit queue.
@@ -70,12 +64,10 @@ class RatingPublisher {
 
   const std::function<Published()> published_;
   const Rebuild rebuild_;
-  const std::size_t compact_every_n_publishes_;
   const double compact_delta_fraction_;
 
   std::mutex build_mu_;  // serializes every publish of the owner
-  std::uint64_t next_generation_ = 2;           // guarded by build_mu_
-  std::size_t publishes_since_compaction_ = 0;  // guarded by build_mu_
+  std::uint64_t next_generation_ = 2;  // guarded by build_mu_
   GroupCommitQueue<PendingUpdate> commit_;
 };
 

@@ -82,9 +82,10 @@ struct BatchReport {
   std::size_t agreement_lists_materialized = 0;
   std::size_t agreement_lists_skipped = 0;
 
-  /// Snapshot-cache counter deltas across the batch (monolithic: the pinned
-  /// Snapshot's caches; sharded: the engine period cache + the pinned set's
-  /// generation-vector-scoped tombstone memo).
+  /// Cache counter deltas across the batch: the engine's period cache on
+  /// both engines, plus the tombstone memo of the pinned view (monolithic:
+  /// the Snapshot's; sharded: the pinned set's generation-vector-scoped
+  /// one).
   std::uint64_t period_cache_hits = 0;
   std::uint64_t period_cache_misses = 0;
   std::uint64_t tombstone_cache_hits = 0;

@@ -28,9 +28,9 @@ Result<Recommendation> SnapshotServingBackend::SolveOne(
 }
 
 ServingCacheCounters SnapshotServingBackend::Counters() const {
-  return {snap_->period_cache_hits(), snap_->period_cache_misses(),
-          snap_->tombstone_cache_hits(), snap_->tombstone_cache_misses(),
-          snap_->tombstone_cache_evictions()};
+  const PeriodListCache& periods = recommender_.period_cache();
+  return {periods.hits(), periods.misses(), snap_->tombstone_cache_hits(),
+          snap_->tombstone_cache_misses(), snap_->tombstone_cache_evictions()};
 }
 
 std::size_t SnapshotServingBackend::num_periods() const {
@@ -47,9 +47,10 @@ Result<Recommendation> ShardedSetServingBackend::SolveOne(
 }
 
 ServingCacheCounters ShardedSetServingBackend::Counters() const {
+  const PeriodListCache& periods = engine_.period_cache();
   const TombstoneCache& tombs = set_->tombstone_cache();
-  return {engine_.period_cache_->hits(), engine_.period_cache_->misses(),
-          tombs.hits(), tombs.misses(), tombs.evictions()};
+  return {periods.hits(), periods.misses(), tombs.hits(), tombs.misses(),
+          tombs.evictions()};
 }
 
 std::size_t ShardedSetServingBackend::num_periods() const {

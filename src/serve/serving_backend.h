@@ -11,8 +11,10 @@
 //    of a batch sees the same generation(s);
 //  * how one query is validated and how one representative problem is
 //    built + solved on a caller-provided workspace;
-//  * where the cache counters live (snapshot-owned vs engine period cache +
-//    set-scoped tombstone memo).
+//  * where the tombstone counters live (the Snapshot's generation-scoped
+//    memo vs the ShardedSnapshotSet's set-scoped one). Period-cache
+//    counters are read the same way on both: from the engine's
+//    period_cache(), which every generation shares.
 //
 // Everything else — planning, bucket solving, fan-out, report assembly —
 // lives once in BatchExecutor (batch_executor.h) and both engines dispatch
@@ -90,6 +92,7 @@ class ServingBackend {
 
 /// Monolithic backend: one pinned Snapshot, solved via the recommender's
 /// BuildProblem + SolveGroupProblem (exactly GroupRecommender::Recommend).
+/// The snapshot must be non-null.
 class SnapshotServingBackend final : public ServingBackend {
  public:
   SnapshotServingBackend(const GroupRecommender& recommender,

@@ -22,7 +22,7 @@ Shard::Shard(std::size_t shard_id, std::vector<UserId> users,
             return RatingPublisher::Published{cur->generation, cur->ratings};
           },
           std::bind_front(&Shard::RebuildRatings, this),
-          options.compact_every_n_publishes, options.compact_delta_fraction) {
+          options.compact_delta_fraction) {
   assert(std::is_sorted(users_.begin(), users_.end()));
   assert(base != nullptr);
   // Generation 1: empty delta log + streaming-built index (one row per

@@ -23,7 +23,8 @@ ShardedEngine::ShardedEngine(const RatingsDataset& universe,
       periodic_(std::make_unique<PeriodicAffinity>(
           PeriodicAffinity::Compute(study.likes, study.periods))),
       dynamic_(std::make_unique<DynamicAffinityIndex>(
-          DynamicAffinityIndex::Build(*periodic_))) {
+          DynamicAffinityIndex::Build(*periodic_))),
+      period_cache_(options.recommender.period_cache_max_entries) {
   // Same influence backing as the monolithic recommender: propagation
   // centrality over the immutable study graph, so influence-weighted queries
   // score identically on both engines.
@@ -60,6 +61,7 @@ ShardedEngine::ShardedEngine(ShardedEngineInputs inputs,
       num_universe_items_(inputs.num_universe_items),
       num_periods_(inputs.num_periods),
       affinity_(std::move(inputs.affinity)),
+      period_cache_(options.recommender.period_cache_max_entries),
       predictor_(std::move(inputs.predictor)) {
   assert(affinity_ != nullptr && predictor_ != nullptr);
   BuildShards(std::move(inputs.ratings), inputs.prediction_scale_max,
@@ -70,8 +72,6 @@ void ShardedEngine::BuildShards(std::shared_ptr<const RatingsDataset> base,
                                 double scale_max, std::vector<ItemId> pool,
                                 std::size_t num_universe_items) {
   const RecommenderOptions& ropts = options_.recommender;
-  period_cache_ =
-      std::make_shared<PeriodListCache>(ropts.period_cache_max_entries);
   pool_ = std::move(pool);
   const std::vector<std::uint32_t> breakpoints =
       PreferenceIndex::GeometricBandBreakpoints(pool_.size(),
@@ -246,7 +246,7 @@ Result<Recommendation> ShardedEngine::RecommendOnSet(
   AssemblyContext ctx;
   ctx.key_index = set->shard(0).index.get();
   ctx.affinity = affinity_.get();
-  ctx.period_cache = period_cache_.get();
+  ctx.period_cache = &period_cache_;
   // Tombstone memo scoped to the SET: members pin a mix of per-shard
   // generations, so no single generation can scope a cache — but the set
   // pins that exact generation-vector mix for its whole lifetime, so its own
@@ -278,13 +278,10 @@ std::vector<Result<Recommendation>> ShardedEngine::RecommendBatch(
     const std::shared_ptr<const ShardedSnapshotSet>& set,
     std::span<const Query> queries, BatchReport* report) const {
   if (set == nullptr) {
-    std::vector<Result<Recommendation>> results;
-    results.reserve(queries.size());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      results.emplace_back(
-          Status::InvalidArgument("snapshot set must not be null"));
-    }
-    return results;
+    return std::vector<Result<Recommendation>>(
+        queries.size(),
+        Result<Recommendation>(
+            Status::InvalidArgument("snapshot set must not be null")));
   }
   const ShardedSetServingBackend backend(*this, set);
   return BatchExecutor::Execute(backend, queries, options_.plan_batches,

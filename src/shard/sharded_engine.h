@@ -235,14 +235,17 @@ class ShardedEngine {
   /// workload).
   std::size_t ShardsTouched(std::span<const UserId> group) const;
 
+  /// The affinity backend, fixed at construction.
   const AffinitySource& affinity() const { return *affinity_; }
+  /// The (group, period) list cache shared by every shard generation
+  /// (internally synchronized; bounded like GroupRecommender::period_cache).
+  PeriodListCache& period_cache() const { return period_cache_; }
   /// The shared popularity pool (identical in every shard's index).
   std::span<const ItemId> pool() const;
 
  private:
   // The sharded backend of the unified serving runtime forwards to
-  // RecommendOnSet and reads the engine-owned period cache for its
-  // counter deltas.
+  // RecommendOnSet.
   friend class ShardedSetServingBackend;
 
   void BuildShards(std::shared_ptr<const RatingsDataset> base,
@@ -269,8 +272,8 @@ class ShardedEngine {
   std::unique_ptr<DynamicAffinityIndex> dynamic_;
 
   std::shared_ptr<const AffinitySource> affinity_;
+  mutable PeriodListCache period_cache_;
   PoolPredictor predictor_;
-  std::shared_ptr<PeriodListCache> period_cache_;
   /// Engine-owned copy of the shared pool (pool() stays valid without
   /// pinning any shard generation).
   std::vector<ItemId> pool_;

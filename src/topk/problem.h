@@ -78,8 +78,8 @@ struct ProblemArena {
   std::shared_ptr<const void> tombstone_pin;
   std::vector<ListView> preference_views;
   SortedList static_list;
-  /// Periodic lists themselves live in the snapshot-scoped (group, period)
-  /// cache; the arena holds the per-query views plus one shared_ptr pin per
+  /// Periodic lists themselves live in the engine's (group, period) cache;
+  /// the arena holds the per-query views plus one shared_ptr pin per
   /// list, so a problem survives the bounded cache evicting its lists.
   std::vector<ListView> period_views;
   std::vector<std::shared_ptr<const SortedList>> period_pins;

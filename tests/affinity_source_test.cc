@@ -1,11 +1,7 @@
 // Tests for the pluggable AffinitySource layer: the study-backed source must
-// reproduce the raw tables and the legacy group normalization exactly, the
-// default CumulativeDrift must match the incremental index, and the
-// decay-weighted decorator must degenerate to its base at decay = 1.
+// reproduce the raw tables and the legacy group normalization exactly, and
+// the default CumulativeDrift must match the incremental index.
 #include <gtest/gtest.h>
-
-#include <cmath>
-#include <memory>
 
 #include "affinity/affinity_source.h"
 #include "affinity/dynamic_affinity.h"
@@ -104,36 +100,6 @@ TEST_F(AffinitySourceTest, DefaultCumulativeDriftMatchesIncrementalIndex) {
         EXPECT_NEAR(without_index.CumulativeDrift(u, v, p), reference, 1e-12);
       }
     }
-  }
-}
-
-TEST_F(AffinitySourceTest, DecayOneReproducesBaseSource) {
-  auto base = std::make_shared<StudyAffinitySource>(static_, periodic_);
-  const DecayWeightedAffinitySource decayed(base, 1.0);
-  for (PeriodId p = 0; p < 3; ++p) {
-    EXPECT_DOUBLE_EQ(decayed.PeriodAverage(p), base->PeriodAverage(p));
-    EXPECT_DOUBLE_EQ(decayed.Periodic(0, 1, p), base->Periodic(0, 1, p));
-  }
-  EXPECT_DOUBLE_EQ(decayed.Static(0, 1), base->Static(0, 1));
-  EXPECT_DOUBLE_EQ(decayed.MaxStatic(), base->MaxStatic());
-}
-
-TEST_F(AffinitySourceTest, DecayDownWeightsOldPeriodsOnly) {
-  auto base = std::make_shared<StudyAffinitySource>(static_, periodic_);
-  const double decay = 0.5;
-  const DecayWeightedAffinitySource decayed(base, decay);
-  // Newest period (p = 2) keeps full weight; older periods shrink
-  // geometrically.
-  for (PeriodId p = 0; p < 3; ++p) {
-    const double weight = std::pow(decay, 2 - p);
-    for (UserId u = 0; u < 4; ++u) {
-      for (UserId v = u + 1; v < 4; ++v) {
-        EXPECT_NEAR(decayed.Periodic(u, v, p),
-                    weight * base->Periodic(u, v, p), 1e-12);
-      }
-    }
-    EXPECT_NEAR(decayed.PeriodAverage(p), weight * base->PeriodAverage(p),
-                1e-12);
   }
 }
 

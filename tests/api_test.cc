@@ -1,7 +1,6 @@
 // Tests for the batch-first public API: Engine::RecommendBatch equivalence
 // with sequential execution, QueryBuilder validation, determinism across
-// thread counts, workspace reuse, the thread pool itself, and pluggable
-// affinity sources.
+// thread counts, workspace reuse and the thread pool itself.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -33,11 +32,9 @@ class ApiTest : public ::testing::Test {
     FacebookStudyConfig sc;
     sc.diversity_pool = 200;
     study_ = new FacebookStudy(GenerateFacebookStudy(sc, *universe_));
-    RecommenderOptions options;
-    options.max_candidate_items = 400;
     EngineOptions eopts;
     eopts.num_threads = 4;
-    engine_ = new Engine(*universe_, *study_, options, eopts);
+    engine_ = new Engine(*universe_, *study_, Options(), eopts);
   }
   static void TearDownTestSuite() {
     delete engine_;
@@ -46,6 +43,12 @@ class ApiTest : public ::testing::Test {
     engine_ = nullptr;
     study_ = nullptr;
     universe_ = nullptr;
+  }
+
+  static RecommenderOptions Options() {
+    RecommenderOptions options;
+    options.max_candidate_items = 400;
+    return options;
   }
 
   /// A mixed 64-query batch: group sizes 2..7, all algorithms, several
@@ -117,8 +120,8 @@ TEST_F(ApiTest, BatchIsDeterministicAcrossThreadCounts) {
   two.num_threads = 2;
   EngineOptions five;
   five.num_threads = 5;
-  const Engine engine2(engine_->recommender(), two);
-  const Engine engine5(engine_->recommender(), five);
+  const Engine engine2(*universe_, *study_, Options(), two);
+  const Engine engine5(*universe_, *study_, Options(), five);
   EXPECT_EQ(engine2.num_threads(), 2u);
   EXPECT_EQ(engine5.num_threads(), 5u);
   const auto r2 = engine2.RecommendBatch(batch);
@@ -133,7 +136,7 @@ TEST_F(ApiTest, BatchIsDeterministicAcrossThreadCounts) {
 }
 
 TEST_F(ApiTest, DefaultEngineUsesAtLeastTwoThreads) {
-  const Engine engine(engine_->recommender());
+  const Engine engine(*universe_, *study_, Options());
   EXPECT_GE(engine.num_threads(), 2u);
 }
 
@@ -266,55 +269,6 @@ TEST_F(ApiTest, WorkspaceReuseMatchesFreshExecution) {
     ASSERT_TRUE(fresh.ok());
     EXPECT_EQ(reused.value().items, fresh.value().items) << "query " << i;
     EXPECT_EQ(reused.value().scores, fresh.value().scores) << "query " << i;
-  }
-}
-
-TEST_F(ApiTest, PluggableAffinitySourceSwapsCleanly) {
-  RecommenderOptions options;
-  options.max_candidate_items = 400;
-  EngineOptions eopts;
-  eopts.num_threads = 2;
-  Engine engine(*universe_, *study_, options, eopts);
-
-  Query query;
-  query.group = {4, 17, 29};
-  query.spec.k = 5;
-  query.spec.num_candidate_items = 400;
-  const auto baseline = engine.Recommend(query);
-  ASSERT_TRUE(baseline.ok());
-
-  // Null sources and swapping on a wrapping (non-owning) engine are
-  // rejected, not UB.
-  EXPECT_EQ(engine.UpdateAffinitySource(nullptr).code(),
-            StatusCode::kInvalidArgument);
-  Engine wrapping(engine.recommender());
-  auto base = std::make_shared<StudyAffinitySource>(
-      engine.recommender().static_affinity(),
-      engine.recommender().periodic_affinity());
-  EXPECT_EQ(wrapping.UpdateAffinitySource(base).code(),
-            StatusCode::kFailedPrecondition);
-
-  // A decay-1 decorator over the study tables is the identity.
-  ASSERT_TRUE(engine
-                  .UpdateAffinitySource(
-                      std::make_shared<DecayWeightedAffinitySource>(base, 1.0))
-                  .ok());
-  const auto identity = engine.Recommend(query);
-  ASSERT_TRUE(identity.ok());
-  EXPECT_EQ(identity.value().items, baseline.value().items);
-  EXPECT_EQ(identity.value().scores, baseline.value().scores);
-
-  // A strongly decayed source still yields a full, valid top-k.
-  ASSERT_TRUE(engine
-                  .UpdateAffinitySource(
-                      std::make_shared<DecayWeightedAffinitySource>(base, 0.2))
-                  .ok());
-  const auto decayed = engine.Recommend(query);
-  ASSERT_TRUE(decayed.ok());
-  EXPECT_EQ(decayed.value().items.size(), 5u);
-  for (const double score : decayed.value().scores) {
-    EXPECT_GE(score, 0.0);
-    EXPECT_LE(score, 1.0);
   }
 }
 

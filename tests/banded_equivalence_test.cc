@@ -406,8 +406,8 @@ FacebookStudy* BandedFacadeTest::study_ = nullptr;
 TEST_F(BandedFacadeTest, AllAlgorithmsBitIdenticalAcrossLayouts) {
   const GroupRecommender banded(*universe_, *study_, Options(32));
   const GroupRecommender flat(*universe_, *study_, Options(0));
-  EXPECT_GT(banded.preference_index().num_bands(), 1u);
-  EXPECT_EQ(flat.preference_index().num_bands(), 1u);
+  EXPECT_GT(banded.snapshot()->index().num_bands(), 1u);
+  EXPECT_EQ(flat.snapshot()->index().num_bands(), 1u);
   ExpectEquivalentServing(banded, flat, /*seed=*/41, "fresh");
 }
 
@@ -451,7 +451,7 @@ TEST_F(BandedFacadeTest, EquivalenceSurvivesApplyUpdatesRowRebuilds) {
 TEST_F(BandedFacadeTest, SmallPrefixScanFootprintWithinTwiceThePrefix) {
   const GroupRecommender banded(*universe_, *study_, Options(32));
   const GroupRecommender flat(*universe_, *study_, Options(0));
-  const std::size_t row = banded.preference_index().pool_size();
+  const std::size_t row = banded.snapshot()->index().pool_size();
   const std::vector<UserId> group{1, 4, 9};
 
   QuerySpec spec;

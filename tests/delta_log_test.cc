@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string_view>
@@ -47,6 +48,13 @@ class DeltaLogTest : public ::testing::Test {
     RecommenderOptions options;
     options.max_candidate_items = 380;
     return options;
+  }
+
+  /// The compact_delta_fraction that compacts a publish once the delta log
+  /// holds more than `log_ratings` ratings over the initial study base.
+  static double CompactPast(std::size_t log_ratings) {
+    return static_cast<double>(log_ratings) /
+           static_cast<double>(study_->study_ratings.num_ratings());
   }
 
   static std::unique_ptr<Engine> MakeEngine(const RecommenderOptions& options) {
@@ -280,20 +288,17 @@ TEST_F(DeltaLogTest, EmptyBatchReportsCurrentGeneration) {
 // --- The tentpole equivalence ----------------------------------------------
 
 // N event batches applied through the delta log must match (1) compaction on
-// every publish — the old full-re-fold behavior — and (2) periodic forced
-// compactions, bit for bit: recommendations, reports and period-cache
-// counters. Finally the delta-log engine must match a FRESH engine built
+// every publish — the old full-re-fold behavior — and (2) periodic
+// compactions forced by a small size trigger, bit for bit: recommendations,
+// reports and period-cache counters. Finally the delta-log engine must match a FRESH engine built
 // over the offline fold of all events.
 TEST_F(DeltaLogTest, RandomizedDeltaLogEquivalence) {
   RecommenderOptions pure = BaseOptions();  // delta log only, never compacts
-  pure.compact_every_n_publishes = 0;
   pure.compact_delta_fraction = 0.0;
   RecommenderOptions refold = BaseOptions();  // compacts on every publish
-  refold.compact_every_n_publishes = 1;
-  refold.compact_delta_fraction = 0.0;
-  RecommenderOptions periodic = BaseOptions();  // forced compaction cadence
-  periodic.compact_every_n_publishes = 3;
-  periodic.compact_delta_fraction = 0.0;
+  refold.compact_delta_fraction = std::numeric_limits<double>::min();
+  RecommenderOptions periodic = BaseOptions();  // every ~3rd 24-event publish
+  periodic.compact_delta_fraction = CompactPast(60);
 
   auto engine_pure = MakeEngine(pure);
   auto engine_refold = MakeEngine(refold);
@@ -337,16 +342,17 @@ TEST_F(DeltaLogTest, RandomizedDeltaLogEquivalence) {
             engine_pure->snapshot()->ratings().delta_ratings());
 
   // Identical query sequences produced identical period-cache behavior —
-  // the cache carries across delta publishes AND compactions.
-  const auto& sp = *engine_pure->snapshot();
-  const auto& sr = *engine_refold->snapshot();
-  const auto& sc = *engine_periodic->snapshot();
-  EXPECT_EQ(sp.period_cache_hits(), sr.period_cache_hits());
-  EXPECT_EQ(sp.period_cache_misses(), sr.period_cache_misses());
-  EXPECT_EQ(sp.period_cache_size(), sr.period_cache_size());
-  EXPECT_EQ(sp.period_cache_hits(), sc.period_cache_hits());
-  EXPECT_EQ(sp.period_cache_misses(), sc.period_cache_misses());
-  EXPECT_EQ(sp.period_cache_size(), sc.period_cache_size());
+  // one cache serves every generation, across delta publishes AND
+  // compactions.
+  const PeriodListCache& sp = engine_pure->recommender().period_cache();
+  const PeriodListCache& sr = engine_refold->recommender().period_cache();
+  const PeriodListCache& sc = engine_periodic->recommender().period_cache();
+  EXPECT_EQ(sp.hits(), sr.hits());
+  EXPECT_EQ(sp.misses(), sr.misses());
+  EXPECT_EQ(sp.size(), sr.size());
+  EXPECT_EQ(sp.hits(), sc.hits());
+  EXPECT_EQ(sp.misses(), sc.misses());
+  EXPECT_EQ(sp.size(), sc.size());
 
   // Ground truth: a fresh engine over the offline fold of every event sees
   // the exact same world as the delta-log engine that never compacted.
@@ -468,8 +474,7 @@ TEST_F(DeltaLogTest, ConcurrentCallersGroupCommit) {
 
 TEST_F(DeltaLogTest, CompactionCadenceAndPinnedSnapshots) {
   RecommenderOptions options = BaseOptions();
-  options.compact_every_n_publishes = 2;
-  options.compact_delta_fraction = 0.0;
+  options.compact_delta_fraction = CompactPast(24);
   auto engine = MakeEngine(options);
   const std::vector<Query> mix = QueryMix();
 
@@ -481,7 +486,8 @@ TEST_F(DeltaLogTest, CompactionCadenceAndPinnedSnapshots) {
     UpdateReport report;
     ASSERT_TRUE(
         engine->ApplyUpdates(RandomEvents(16, 4'000 + batch), &report).ok());
-    // Every 2nd rating publish folds the log into a fresh base.
+    // Two 16-event batches pass the 24-rating trigger: every 2nd rating
+    // publish folds the log into a fresh base.
     EXPECT_EQ(report.compacted, batch % 2 == 1) << "batch " << batch;
     if (report.compacted) {
       saw_compaction = true;

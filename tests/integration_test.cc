@@ -167,8 +167,8 @@ TEST_F(IntegrationTest, ModelAffinityInUnitInterval) {
 }
 
 TEST_F(IntegrationTest, PredictionsCoverEveryItem) {
-  const auto preds = recommender_->Predictions(0);
-  EXPECT_EQ(preds.size(), universe_->dataset.num_items());
+  const auto snap = recommender_->snapshot();
+  EXPECT_EQ(snap->predictions(0).size(), universe_->dataset.num_items());
 }
 
 TEST_F(IntegrationTest, GrecaMatchesNaiveForEveryConsensusThroughFacade) {

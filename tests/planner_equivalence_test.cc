@@ -175,13 +175,14 @@ class PlannerEquivalenceTest : public ::testing::Test {
                                     eopts);
   }
 
-  /// The unplanned reference engine: wraps the SAME recommender (and so
-  /// serves the same snapshots) with planning disabled.
-  static std::unique_ptr<Engine> WrapUnplanned(const Engine& planned) {
+  /// The unplanned reference engine: MakePlanned's inputs with planning
+  /// disabled.
+  static std::unique_ptr<Engine> MakeUnplanned() {
     EngineOptions eopts;
     eopts.num_threads = 2;
     eopts.plan_batches = false;
-    return std::make_unique<Engine>(planned.recommender(), eopts);
+    return std::make_unique<Engine>(universe_->dataset, *study_, MonoOptions(),
+                                    eopts);
   }
 
   static std::unique_ptr<ShardedEngine> MakeSharded(bool plan_batches) {
@@ -356,7 +357,7 @@ FacebookStudy* PlannerEquivalenceTest::study_ = nullptr;
 
 TEST_F(PlannerEquivalenceTest, PlannedMatchesUnplannedOnTheMonolithicEngine) {
   const auto planned = MakePlanned();
-  const auto unplanned = WrapUnplanned(*planned);
+  const auto unplanned = MakeUnplanned();
 
   for (const std::size_t dup : {1u, 4u, 16u}) {
     const std::vector<Query> batch = DuplicateHeavyBatch(12, dup, 900 + dup);
@@ -386,24 +387,28 @@ TEST_F(PlannerEquivalenceTest, PlannedMatchesUnplannedOnTheMonolithicEngine) {
 
 // A batch replayed on a pinned snapshot must ignore publishes entirely —
 // planned and unplanned alike — while fresh batches see the new generation,
-// still identically across the two paths.
+// still identically across the two paths (both engines get every update).
 TEST_F(PlannerEquivalenceTest, PinnedSnapshotSurvivesPublishesOnBothPaths) {
   const auto planned = MakePlanned();
-  const auto unplanned = WrapUnplanned(*planned);
+  const auto unplanned = MakeUnplanned();
   const std::vector<Query> batch = DuplicateHeavyBatch(10, 4, 911);
 
   const auto pin = planned->snapshot();
+  const auto unplanned_pin = unplanned->snapshot();
   const auto before = planned->RecommendBatch(batch, pin, nullptr);
-  ExpectBatchIdentical(before, unplanned->RecommendBatch(batch, pin, nullptr),
+  ExpectBatchIdentical(before,
+                       unplanned->RecommendBatch(batch, unplanned_pin, nullptr),
                        "pinned-before");
 
   for (std::uint64_t round = 0; round < 3; ++round) {
-    ASSERT_TRUE(planned->ApplyUpdates(RandomEvents(24, 1'300 + round)).ok());
+    const std::vector<RatingEvent> events = RandomEvents(24, 1'300 + round);
+    ASSERT_TRUE(planned->ApplyUpdates(events).ok());
+    ASSERT_TRUE(unplanned->ApplyUpdates(events).ok());
     ExpectBatchIdentical(before, planned->RecommendBatch(batch, pin, nullptr),
                          "pinned-replay-planned");
-    ExpectBatchIdentical(before,
-                         unplanned->RecommendBatch(batch, pin, nullptr),
-                         "pinned-replay-unplanned");
+    ExpectBatchIdentical(
+        before, unplanned->RecommendBatch(batch, unplanned_pin, nullptr),
+        "pinned-replay-unplanned");
   }
   ExpectBatchIdentical(planned->RecommendBatch(batch),
                        unplanned->RecommendBatch(batch), "fresh-after");

@@ -308,7 +308,10 @@ TEST_F(ShardedEquivalenceTest, RandomizedUpdateStreamEquivalence) {
 // publish reports the same generation, compaction and delta-log size.
 TEST_F(ShardedEquivalenceTest, CompactionIsUnobservableAcrossShardCounts) {
   RecommenderOptions compacting = MonoOptions();
-  compacting.compact_every_n_publishes = 2;  // aggressive cadence
+  // Aggressive size trigger: compact once a log holds more than 12 ratings
+  // — almost every publish on one shard, every few on each of four.
+  compacting.compact_delta_fraction =
+      12.0 / static_cast<double>(study_->study_ratings.num_ratings());
   const auto mono = MakeMono();  // never compacts
   const auto mono_compacting = MakeMono(compacting);
   ShardedEngineOptions copts = ShardOptionsFor(4, ShardStrategy::kHash);
@@ -349,6 +352,59 @@ TEST_F(ShardedEquivalenceTest, CompactionIsUnobservableAcrossShardCounts) {
   EXPECT_TRUE(saw_compaction) << "the cadence never fired; test is vacuous";
   EXPECT_TRUE(saw_mono_compaction)
       << "the monolithic cadence never fired; test is vacuous";
+}
+
+// Both engines own one period-list cache that every rating generation
+// shares, and the batch executor reads its counters the same way on each.
+// With one batch worker the counts are exact, so a monolithic Engine and 1-
+// and 3-shard ShardedEngines report identical per-batch hits and misses —
+// and after a rating publish the repeated batch adds zero misses on all
+// three.
+TEST_F(ShardedEquivalenceTest, PeriodCacheCountersMatchAcrossEngines) {
+  EngineOptions serial;
+  serial.num_threads = 1;
+  Engine mono(universe_->dataset, *study_, MonoOptions(), serial);
+  std::vector<std::unique_ptr<ShardedEngine>> sharded;
+  for (const std::size_t shards : {1u, 3u}) {
+    ShardedEngineOptions options = ShardOptionsFor(shards, ShardStrategy::kHash);
+    options.batch_threads = 1;
+    sharded.push_back(
+        std::make_unique<ShardedEngine>(universe_->dataset, *study_, options));
+  }
+  const std::vector<Query> mix = QueryMix();
+
+  // Runs the mix once on every engine and returns the monolithic report.
+  const auto run_all = [&](const char* phase) {
+    BatchReport mono_report;
+    mono.RecommendBatch(mix, &mono_report);
+    for (const auto& engine : sharded) {
+      BatchReport report;
+      engine->RecommendBatch(mix, &report);
+      EXPECT_EQ(report.period_cache_hits, mono_report.period_cache_hits)
+          << phase << ", " << engine->num_shards() << " shards";
+      EXPECT_EQ(report.period_cache_misses, mono_report.period_cache_misses)
+          << phase << ", " << engine->num_shards() << " shards";
+    }
+    return mono_report;
+  };
+
+  const BatchReport cold = run_all("cold");
+  EXPECT_GT(cold.period_cache_misses, 0u);
+  const BatchReport warm = run_all("warm");
+  EXPECT_EQ(warm.period_cache_misses, 0u);
+  EXPECT_EQ(warm.period_cache_hits,
+            cold.period_cache_hits + cold.period_cache_misses);
+
+  const std::vector<RatingEvent> events = RandomEvents(24, 6'100);
+  UpdateReport update;
+  ASSERT_TRUE(mono.ApplyUpdates(events, &update).ok());
+  ASSERT_GT(update.events_applied, 0u) << "nothing published; test is vacuous";
+  for (const auto& engine : sharded) {
+    ASSERT_TRUE(engine->ApplyUpdates(events).ok());
+  }
+  const BatchReport published = run_all("after publish");
+  EXPECT_EQ(published.period_cache_misses, 0u);
+  EXPECT_EQ(published.period_cache_hits, warm.period_cache_hits);
 }
 
 // A pinned ShardedSnapshotSet is a cross-shard fence: publishes landing

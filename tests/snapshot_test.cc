@@ -1,8 +1,8 @@
 // Tests for the snapshot-centric serving API: RCU-style publish semantics
 // (pinned generations are immutable under concurrent updates), the
 // live-update path (ApplyUpdates rebuilds predictions + index rows +
-// tombstones), the snapshot-scoped period-list cache, and the
-// affinity-swap-mid-batch regression the old API documented as racy.
+// tombstones), the engine-owned period-list cache every generation shares,
+// and the generation-scoped tombstone cache.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -123,20 +123,10 @@ TEST_F(SnapshotTest, GenerationsIncrementAndReportsFill) {
   // The pinned generation-1 snapshot is untouched.
   EXPECT_EQ(g1->generation(), 1u);
 
-  // Affinity swaps publish too.
-  auto base = std::make_shared<StudyAffinitySource>(
-      engine->recommender().static_affinity(),
-      engine->recommender().periodic_affinity());
-  ASSERT_TRUE(engine
-                  ->UpdateAffinitySource(
-                      std::make_shared<DecayWeightedAffinitySource>(base, 0.5))
-                  .ok());
-  EXPECT_EQ(engine->snapshot()->generation(), 3u);
-
   // Empty batches publish nothing (every generation means a state change).
   ASSERT_TRUE(engine->ApplyUpdates({}, &report).ok());
   EXPECT_EQ(report.events_applied, 0u);
-  EXPECT_EQ(engine->snapshot()->generation(), 3u);
+  EXPECT_EQ(engine->snapshot()->generation(), 2u);
 }
 
 TEST_F(SnapshotTest, InvalidEventsRejectAtomically) {
@@ -163,31 +153,32 @@ TEST_F(SnapshotTest, InvalidEventsRejectAtomically) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(engine->snapshot()->generation(), 1u);
 
-  // A null explicit snapshot is a Status, not a crash.
+  // A null explicit snapshot is a Status, not a crash — for one query, and
+  // for every query of a batch on planned and unplanned engines alike.
   Query query;
   query.group = {4, 17};
   query.spec.k = 3;
   const auto null_snap = engine->Recommend(query, nullptr);
   ASSERT_FALSE(null_snap.ok());
   EXPECT_EQ(null_snap.status().code(), StatusCode::kInvalidArgument);
-}
 
-TEST_F(SnapshotTest, WrappingEngineRejectsUpdates) {
-  auto engine = MakeEngine();
-  Engine wrapping(engine->recommender());
-  EXPECT_EQ(wrapping.ApplyUpdates(RandomEvents(2, 3)).code(),
-            StatusCode::kFailedPrecondition);
-  auto base = std::make_shared<StudyAffinitySource>(
-      engine->recommender().static_affinity(),
-      engine->recommender().periodic_affinity());
-  EXPECT_EQ(wrapping.UpdateAffinitySource(base).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(wrapping.UpdateAffinitySource(nullptr).code(),
-            StatusCode::kInvalidArgument);
-
-  // But it serves snapshots its owner publishes.
-  ASSERT_TRUE(engine->ApplyUpdates(RandomEvents(4, 5)).ok());
-  EXPECT_EQ(wrapping.snapshot()->generation(), 2u);
+  RecommenderOptions options;
+  options.max_candidate_items = 400;
+  EngineOptions unplanned_opts;
+  unplanned_opts.num_threads = 2;
+  unplanned_opts.plan_batches = false;
+  const Engine unplanned(*universe_, *study_, options, unplanned_opts);
+  const std::vector<Query> batch = {query, query, query};
+  const Engine* engines[] = {engine.get(), &unplanned};
+  for (const Engine* e : engines) {
+    BatchReport report;
+    const auto results = e->RecommendBatch(batch, nullptr, &report);
+    ASSERT_EQ(results.size(), batch.size());
+    for (const auto& r : results) {
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 // The tentpole guarantee: a batch pinned to generation G returns
@@ -200,18 +191,10 @@ TEST_F(SnapshotTest, PinnedBatchIsImmuneToConcurrentPublishes) {
     const std::vector<Query> batch = MixedBatch(*engine, 24, 100 + trial);
     const auto before = engine->RecommendBatch(batch, pinned);
 
-    // Publish one or two newer generations: rating updates always, an
-    // affinity swap on odd trials.
+    // Publish one or two newer generations.
     ASSERT_TRUE(engine->ApplyUpdates(RandomEvents(32, 200 + trial)).ok());
     if (trial % 2 == 1) {
-      auto base = std::make_shared<StudyAffinitySource>(
-          engine->recommender().static_affinity(),
-          engine->recommender().periodic_affinity());
-      ASSERT_TRUE(engine
-                      ->UpdateAffinitySource(
-                          std::make_shared<DecayWeightedAffinitySource>(
-                              base, 0.5 + 0.1 * static_cast<double>(trial)))
-                      .ok());
+      ASSERT_TRUE(engine->ApplyUpdates(RandomEvents(32, 300 + trial)).ok());
     }
     EXPECT_GT(engine->snapshot()->generation(), pinned->generation());
 
@@ -267,9 +250,11 @@ TEST_F(SnapshotTest, AppliedRatingsTombstoneRecommendedItems) {
 }
 
 // Period-list cache: the first query for a (group, period) materializes, a
-// repeated group served from the same snapshot rebuilds nothing.
+// repeated group rebuilds nothing — on the same snapshot and on every later
+// rating generation, which all share the recommender's one cache.
 TEST_F(SnapshotTest, PeriodCacheHitsOnRepeatedGroups) {
   auto engine = MakeEngine();
+  const PeriodListCache& cache = engine->recommender().period_cache();
   const auto snap = engine->snapshot();
   const auto last_period =
       static_cast<PeriodId>(engine->recommender().num_periods() - 1);
@@ -281,60 +266,45 @@ TEST_F(SnapshotTest, PeriodCacheHitsOnRepeatedGroups) {
   query.spec.num_candidate_items = 400;
   query.spec.eval_period = last_period;  // touches every period list
 
-  EXPECT_EQ(snap->period_cache_hits(), 0u);
-  EXPECT_EQ(snap->period_cache_misses(), 0u);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 0u);
 
   ASSERT_TRUE(engine->Recommend(query, snap).ok());
-  EXPECT_EQ(snap->period_cache_misses(), periods);
-  EXPECT_EQ(snap->period_cache_hits(), 0u);
-  EXPECT_EQ(snap->period_cache_size(), periods);
+  EXPECT_EQ(cache.misses(), periods);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.size(), periods);
 
   // Second identical query: zero pair-list rebuild work — every period list
   // is a cache hit and no new list is materialized.
   ASSERT_TRUE(engine->Recommend(query, snap).ok());
-  EXPECT_EQ(snap->period_cache_misses(), periods) << "no rebuild on repeat";
-  EXPECT_EQ(snap->period_cache_hits(), periods);
-  EXPECT_EQ(snap->period_cache_size(), periods);
+  EXPECT_EQ(cache.misses(), periods) << "no rebuild on repeat";
+  EXPECT_EQ(cache.hits(), periods);
+  EXPECT_EQ(cache.size(), periods);
 
   // A different group misses again (cache is keyed by (group, period)).
   Query other = query;
   other.group = {3, 11};
   ASSERT_TRUE(engine->Recommend(other, snap).ok());
-  EXPECT_EQ(snap->period_cache_misses(), 2 * periods);
-  EXPECT_EQ(snap->period_cache_size(), 2 * periods);
+  EXPECT_EQ(cache.misses(), 2 * periods);
+  EXPECT_EQ(cache.size(), 2 * periods);
 
-  EXPECT_GT(snap->PeriodCacheMemoryBytes(), 0u);
+  EXPECT_GT(cache.MemoryBytes(), 0u);
 
-  // Rating updates do not change the affinity binding, so the next
-  // generation CARRIES the cache — the repeated group stays warm across a
-  // steady update stream.
+  // Rating updates and compactions leave the affinity source alone, so the
+  // next generation reads the same warm cache — a steady update stream
+  // never re-colds it.
   ASSERT_TRUE(engine->ApplyUpdates(RandomEvents(4, 17)).ok());
   const auto next = engine->snapshot();
-  EXPECT_EQ(next->period_cache_size(), 2 * periods);
-  EXPECT_EQ(next->period_cache_misses(), 2 * periods);
-  const auto hits_before = next->period_cache_hits();
+  ASSERT_GT(next->generation(), snap->generation());
+  EXPECT_EQ(cache.size(), 2 * periods);
   ASSERT_TRUE(engine->Recommend(query, next).ok());
-  EXPECT_EQ(next->period_cache_misses(), 2 * periods) << "still warm";
-  EXPECT_EQ(next->period_cache_hits(), hits_before + periods);
-
-  // An affinity-source swap DOES change the lists: its generation starts a
-  // cold cache, and dropping the old generations drops theirs.
-  auto base = std::make_shared<StudyAffinitySource>(
-      engine->recommender().static_affinity(),
-      engine->recommender().periodic_affinity());
-  ASSERT_TRUE(engine
-                  ->UpdateAffinitySource(
-                      std::make_shared<DecayWeightedAffinitySource>(base, 0.7))
-                  .ok());
-  const auto swapped = engine->snapshot();
-  EXPECT_EQ(swapped->period_cache_misses(), 0u);
-  EXPECT_EQ(swapped->period_cache_size(), 0u);
-  EXPECT_EQ(swapped->PeriodCacheMemoryBytes(), 0u);
+  EXPECT_EQ(cache.misses(), 2 * periods) << "still warm";
+  EXPECT_EQ(cache.hits(), 2 * periods);
 }
 
 // The period-list cache is bounded: entries past the cap evict least
 // recently used, the eviction counter sits next to hit/miss, and a
-// GetShared/PeriodListShared copy held by a query survives its own eviction.
+// GetShared copy held by a query survives its own eviction.
 TEST_F(SnapshotTest, PeriodCacheEvictsLeastRecentlyUsedPastCap) {
   const auto last_period =
       static_cast<PeriodId>(study_->periods.num_periods() - 1);
@@ -346,6 +316,8 @@ TEST_F(SnapshotTest, PeriodCacheEvictsLeastRecentlyUsedPastCap) {
   EngineOptions eopts;
   eopts.num_threads = 2;
   auto engine = std::make_unique<Engine>(*universe_, *study_, options, eopts);
+  const GroupRecommender& recommender = engine->recommender();
+  PeriodListCache& cache = recommender.period_cache();
   const auto snap = engine->snapshot();
 
   Query query;
@@ -358,31 +330,31 @@ TEST_F(SnapshotTest, PeriodCacheEvictsLeastRecentlyUsedPastCap) {
   ASSERT_TRUE(engine->Recommend(query, snap).ok());
   const auto first = engine->Recommend(query, snap);
   ASSERT_TRUE(first.ok());
-  EXPECT_EQ(snap->period_cache_size(), periods);
-  EXPECT_EQ(snap->period_cache_evictions(), 0u);
-  EXPECT_EQ(snap->period_cache_hits(), periods) << "repeat was all hits";
+  EXPECT_EQ(cache.size(), periods);
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.hits(), periods) << "repeat was all hits";
 
   // Hold one of A's lists across the churn below.
   const std::shared_ptr<const SortedList> pinned =
-      snap->PeriodListShared(query.group, 0);
+      cache.GetShared(query.group, 0, recommender.affinity());
 
   // Group B displaces A entry by entry; the size never passes the cap.
   Query other = query;
   other.group = {3, 11};
   ASSERT_TRUE(engine->Recommend(other, snap).ok());
-  EXPECT_EQ(snap->period_cache_size(), periods);
-  EXPECT_EQ(snap->period_cache_evictions(), periods);
+  EXPECT_EQ(cache.size(), periods);
+  EXPECT_EQ(cache.evictions(), periods);
 
   // B is resident (all hits), A was evicted (all misses again) — LRU, not
   // random or insertion-order eviction.
-  const auto hits_before = snap->period_cache_hits();
-  const auto misses_before = snap->period_cache_misses();
+  const auto hits_before = cache.hits();
+  const auto misses_before = cache.misses();
   ASSERT_TRUE(engine->Recommend(other, snap).ok());
-  EXPECT_EQ(snap->period_cache_hits(), hits_before + periods);
-  EXPECT_EQ(snap->period_cache_misses(), misses_before);
+  EXPECT_EQ(cache.hits(), hits_before + periods);
+  EXPECT_EQ(cache.misses(), misses_before);
   const auto replay = engine->Recommend(query, snap);
   ASSERT_TRUE(replay.ok());
-  EXPECT_EQ(snap->period_cache_misses(), misses_before + periods)
+  EXPECT_EQ(cache.misses(), misses_before + periods)
       << "evicted lists rebuild from scratch";
 
   // Eviction is invisible to results: the rebuilt lists answer identically.
@@ -392,7 +364,7 @@ TEST_F(SnapshotTest, PeriodCacheEvictsLeastRecentlyUsedPastCap) {
   // The held copy outlived its eviction and still matches a direct
   // materialization.
   const SortedList direct =
-      snap->affinity().MaterializePeriodList(query.group, 0);
+      recommender.affinity().MaterializePeriodList(query.group, 0);
   ASSERT_EQ(pinned->size(), direct.size());
   for (std::size_t i = 0; i < direct.size(); ++i) {
     EXPECT_EQ(pinned->entry(i).id, direct.entry(i).id);
@@ -404,24 +376,26 @@ TEST_F(SnapshotTest, PeriodCacheEvictsLeastRecentlyUsedPastCap) {
   unbounded.period_cache_max_entries = 0;
   auto engine2 =
       std::make_unique<Engine>(*universe_, *study_, unbounded, eopts);
-  const auto snap2 = engine2->snapshot();
-  ASSERT_TRUE(engine2->Recommend(query, snap2).ok());
-  ASSERT_TRUE(engine2->Recommend(other, snap2).ok());
-  EXPECT_EQ(snap2->period_cache_size(), 2 * periods);
-  EXPECT_EQ(snap2->period_cache_evictions(), 0u);
+  const PeriodListCache& cache2 = engine2->recommender().period_cache();
+  ASSERT_TRUE(engine2->Recommend(query).ok());
+  ASSERT_TRUE(engine2->Recommend(other).ok());
+  EXPECT_EQ(cache2.size(), 2 * periods);
+  EXPECT_EQ(cache2.evictions(), 0u);
 }
 
 // Cached lists must be identical to freshly materialized ones (the cache is
 // a pure memoization, not an approximation).
 TEST_F(SnapshotTest, CachedPeriodListsMatchDirectMaterialization) {
   auto engine = MakeEngine();
-  const auto snap = engine->snapshot();
+  const GroupRecommender& recommender = engine->recommender();
+  PeriodListCache& cache = recommender.period_cache();
+  const AffinitySource& source = recommender.affinity();
   const std::vector<UserId> group = {2, 9, 23, 31};
   const auto last_period =
-      static_cast<PeriodId>(engine->recommender().num_periods() - 1);
+      static_cast<PeriodId>(recommender.num_periods() - 1);
   for (PeriodId p = 0; p <= last_period; ++p) {
-    const SortedList& cached = snap->PeriodList(group, p);
-    const SortedList direct = snap->affinity().MaterializePeriodList(group, p);
+    const SortedList& cached = cache.Get(group, p, source);
+    const SortedList direct = source.MaterializePeriodList(group, p);
     ASSERT_EQ(cached.size(), direct.size()) << "period " << p;
     for (std::size_t i = 0; i < direct.size(); ++i) {
       EXPECT_EQ(cached.entry(i).id, direct.entry(i).id) << "period " << p;
@@ -429,58 +403,14 @@ TEST_F(SnapshotTest, CachedPeriodListsMatchDirectMaterialization) {
           << "period " << p;
     }
     // Second lookup returns the same stable address.
-    EXPECT_EQ(&snap->PeriodList(group, p), &cached);
+    EXPECT_EQ(&cache.Get(group, p, source), &cached);
   }
-}
-
-// Regression for the old documented race: swapping the affinity source while
-// batches are in flight. Under ASan/TSan this must be clean, and every
-// result must be either the old or the new source's answer — never a blend.
-TEST_F(SnapshotTest, AffinitySwapMidBatchIsSafe) {
-  auto engine = MakeEngine(/*threads=*/3);
-  const std::vector<Query> batch = MixedBatch(*engine, 32, 424);
-
-  auto base = std::make_shared<StudyAffinitySource>(
-      engine->recommender().static_affinity(),
-      engine->recommender().periodic_affinity());
-
-  std::atomic<bool> stop{false};
-  std::thread writer([&] {
-    std::uint64_t i = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      const double decay = (i++ % 2 == 0) ? 1.0 : 0.3;
-      ASSERT_TRUE(engine
-                      ->UpdateAffinitySource(
-                          std::make_shared<DecayWeightedAffinitySource>(base,
-                                                                        decay))
-                      .ok());
-      std::this_thread::yield();
-    }
-  });
-
-  // Consistency oracle: each batch pins one snapshot, so its results must
-  // equal a sequential replay against that same snapshot.
-  for (int round = 0; round < 8; ++round) {
-    const auto pinned = engine->snapshot();
-    const auto results = engine->RecommendBatch(batch, pinned);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      ASSERT_TRUE(results[i].ok()) << "round " << round << " query " << i;
-      const auto replay = engine->Recommend(batch[i], pinned);
-      ASSERT_TRUE(replay.ok());
-      EXPECT_EQ(results[i].value().items, replay.value().items)
-          << "round " << round << " query " << i;
-      EXPECT_EQ(results[i].value().scores, replay.value().scores)
-          << "round " << round << " query " << i;
-    }
-  }
-  stop.store(true);
-  writer.join();
 }
 
 // Rating updates racing a query stream: queries must never crash or error,
-// and every RecommendBatch must be internally consistent with the one
-// snapshot it pinned. (The ASan/TSan CI jobs turn latent races into
-// failures here.)
+// and every RecommendBatch must equal sequential Recommend calls on the one
+// snapshot it pinned while ApplyUpdates keeps publishing. (The ASan/TSan CI
+// jobs turn latent races into failures here.)
 TEST_F(SnapshotTest, RatingUpdatesRacingQueriesAreSafe) {
   auto engine = MakeEngine(/*threads=*/3);
   const std::vector<Query> batch = MixedBatch(*engine, 24, 777);
@@ -495,6 +425,19 @@ TEST_F(SnapshotTest, RatingUpdatesRacingQueriesAreSafe) {
   });
 
   for (int round = 0; round < 8; ++round) {
+    const auto pinned = engine->snapshot();
+    const auto results = engine->RecommendBatch(batch, pinned);
+    ASSERT_EQ(results.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_TRUE(results[i].ok()) << "round " << round << " query " << i;
+      const auto replay = engine->Recommend(batch[i], pinned);
+      ASSERT_TRUE(replay.ok());
+      EXPECT_EQ(results[i].value().items, replay.value().items)
+          << "round " << round << " query " << i;
+      EXPECT_EQ(results[i].value().scores, replay.value().scores)
+          << "round " << round << " query " << i;
+    }
+    // The unpinned entry point serves the newest generation without error.
     for (const auto& r : engine->RecommendBatch(batch)) {
       ASSERT_TRUE(r.ok()) << "round " << round;
     }

@@ -313,7 +313,7 @@ TEST_F(SolverRegistryTest, InfluenceWeightingIsNonUniformAndFlowsEverywhere) {
   // The study graph yields genuinely non-uniform influence weights.
   const std::vector<UserId> group{0, 5, 10, 20};
   std::vector<double> weights(group.size());
-  mono.snapshot()->affinity().MaterializeMemberWeightsInto(group, weights);
+  mono.affinity().MaterializeMemberWeightsInto(group, weights);
   bool non_uniform = false;
   for (const double w : weights) {
     EXPECT_GT(w, 0.0);
