@@ -12,6 +12,7 @@
 #include <numeric>
 #include <random>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "affinity/dynamic_affinity.h"
@@ -403,10 +404,14 @@ BENCHMARK(BM_BandMergeArgmin)->Arg(4)->Arg(8)->Arg(16);
 // ---- Copy-on-write index pages: publish clone and paged row lookup -------
 // The scale harness's shard shape: pool 256 over geometric bands plus the
 // flat twin (8 KiB per row, 8 rows per 64 KiB page), with synthetic scores
-// so the timings cover the index alone. Indexes are built once per row
-// count and shared by both benches.
+// so the timings cover the index alone. Indexes are built once per (row
+// count, pool) and shared by the benches below.
 
 constexpr std::size_t kPagedPool = 256;
+// The paper's geometry: 72 study participants over the 3 900-item pool,
+// default bands plus the twin (~122 KiB per row, one row per page).
+constexpr std::size_t kPaperRows = 72;
+constexpr std::size_t kPaperPool = 3'900;
 
 double SyntheticScore(UserId row, std::size_t key) {
   // splitmix64 of (row, key) onto the 0..5 star scale.
@@ -418,11 +423,14 @@ double SyntheticScore(UserId row, std::size_t key) {
   return 5.0 * static_cast<double>(z >> 11) * 0x1.0p-53;
 }
 
-const PreferenceIndex& PagedIndex(std::size_t rows) {
-  static std::map<std::size_t, std::unique_ptr<const PreferenceIndex>> cache;
-  auto& slot = cache[rows];
+const PreferenceIndex& PagedIndex(std::size_t rows,
+                                  std::size_t pool_size = kPagedPool) {
+  static std::map<std::pair<std::size_t, std::size_t>,
+                  std::unique_ptr<const PreferenceIndex>>
+      cache;
+  auto& slot = cache[{rows, pool_size}];
   if (slot == nullptr) {
-    std::vector<ItemId> pool(kPagedPool);
+    std::vector<ItemId> pool(pool_size);
     std::iota(pool.begin(), pool.end(), ItemId{0});
     slot = std::make_unique<const PreferenceIndex>(
         PreferenceIndex::BuildStreaming(
@@ -432,27 +440,25 @@ const PreferenceIndex& PagedIndex(std::size_t rows) {
                 out[k] = SyntheticScore(row, k);
               }
             },
-            /*scale_max=*/5.0, std::move(pool), kPagedPool,
-            PreferenceIndex::GeometricBandBreakpoints(kPagedPool)));
+            /*scale_max=*/5.0, std::move(pool), pool_size,
+            PreferenceIndex::GeometricBandBreakpoints(pool_size)));
   }
   return *slot;
 }
 
-// Args = (rows, touched rows). The touched rows are spread evenly over the
-// population, so each lands on its own page (the clone's worst case). A
-// publish costs a page-table copy plus one page copy and row re-sort per
-// touched row, so time tracks touched rows far more than population.
-void BM_CloneWithUpdatedPoolRows(benchmark::State& state) {
-  const std::size_t rows = static_cast<std::size_t>(state.range(0));
-  const std::size_t touched = static_cast<std::size_t>(state.range(1));
-  const PreferenceIndex& index = PagedIndex(rows);
+// Clones `index` with `touched` rows spread evenly over the population, so
+// each lands on its own page (the clone's worst case).
+void RunClone(benchmark::State& state, const PreferenceIndex& index,
+              std::size_t touched) {
+  const std::size_t rows = index.num_users();
+  const std::size_t pool = index.pool_size();
   std::vector<UserId> users;
   std::vector<std::vector<Score>> scores;
   for (std::size_t i = 0; i < touched; ++i) {
     const auto u = static_cast<UserId>(i * rows / touched);
     users.push_back(u);
-    std::vector<Score>& row = scores.emplace_back(kPagedPool);
-    for (std::size_t k = 0; k < kPagedPool; ++k) {
+    std::vector<Score>& row = scores.emplace_back(pool);
+    for (std::size_t k = 0; k < pool; ++k) {
       row[k] = SyntheticScore(u + 1, k);
     }
   }
@@ -468,8 +474,28 @@ void BM_CloneWithUpdatedPoolRows(benchmark::State& state) {
   state.counters["pages"] = static_cast<double>(
       (rows + index.rows_per_page() - 1) / index.rows_per_page());
 }
+
+// Args = (rows, touched rows) at pool 256. A publish costs a page-table
+// copy plus, per touched row, one page copy and a linear-time row rebuild,
+// so time tracks touched rows far more than population.
+void BM_CloneWithUpdatedPoolRows(benchmark::State& state) {
+  RunClone(state, PagedIndex(static_cast<std::size_t>(state.range(0))),
+           static_cast<std::size_t>(state.range(1)));
+}
 BENCHMARK(BM_CloneWithUpdatedPoolRows)
     ->ArgsProduct({{1'250, 12'500, 125'000}, {1, 16}})
+    ->Unit(benchmark::kMicrosecond);
+
+// Arg = touched rows at the paper's geometry. Every touched page is fully
+// rewritten (one row per page), so the clone skips the page copy and the
+// time is the row rebuild: scaling, the radix sort and the band scatter.
+void BM_CloneWithUpdatedPoolRowsPaper(benchmark::State& state) {
+  RunClone(state, PagedIndex(kPaperRows, kPaperPool),
+           static_cast<std::size_t>(state.range(0)));
+}
+BENCHMARK(BM_CloneWithUpdatedPoolRowsPaper)
+    ->Arg(1)
+    ->Arg(8)
     ->Unit(benchmark::kMicrosecond);
 
 // Arg = rows. One UserView per member lookup over a random row sequence at

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
+#include <cmath>
 #include <cstring>
 #include <iterator>
 #include <numeric>
@@ -14,14 +16,69 @@ namespace greca {
 
 namespace {
 
-/// AoS fill/sort scratch, one per thread: rows are filled and sorted as
-/// interleaved (key, score) entries — exactly the pre-SoA semantics, under
-/// the one canonical ListEntryOrder — then scattered into the record's
-/// parallel arrays. Thread-local so the parallel build fan-out stays
-/// allocation-free after warm-up without sharing buffers across workers.
-std::vector<ListEntry>& RowScratch() {
-  thread_local std::vector<ListEntry> scratch;
+/// Per-thread FillRow scratch: the row's normalized scores and radix keys
+/// by pool key, and the two key buffers the radix sort ping-pongs between.
+/// Thread-local so the parallel build fan-out stays allocation-free after
+/// warm-up without sharing buffers across workers.
+struct RowScratchBuffers {
+  std::vector<Score> scores;
+  std::vector<std::uint64_t> radix_keys;
+  std::vector<std::uint32_t> order;
+  std::vector<std::uint32_t> spare;
+};
+
+RowScratchBuffers& RowScratch() {
+  thread_local RowScratchBuffers scratch;
   return scratch;
+}
+
+/// Radix key of a normalized score: ascending keys are descending scores.
+/// FillRow scores are never NaN or negative, so their IEEE bits order like
+/// their values once -0.0 is folded onto +0.0 (the two compare equal).
+std::uint64_t DescendingKey(Score score) {
+  return ~(score == 0.0 ? std::uint64_t{0}
+                        : std::bit_cast<std::uint64_t>(score));
+}
+
+/// Stable LSD radix sort of the pool keys 0..n-1 by radix_keys[key], 8 bits
+/// per pass, ping-ponging between `order` and `spare` (both n long); returns
+/// the buffer holding the sorted keys. The keys start in ascending order
+/// and the sort is stable, so equal scores keep ascending key order: the
+/// result is exactly ListEntryOrder. A pass whose digit is the same for
+/// every key is skipped; the cost is linear in n whatever the scores are.
+std::span<const std::uint32_t> SortKeysByRadixKey(
+    std::span<const std::uint64_t> radix_keys, std::span<std::uint32_t> order,
+    std::span<std::uint32_t> spare) {
+  constexpr unsigned kDigitBits = 8;
+  constexpr std::size_t kRadix = std::size_t{1} << kDigitBits;
+  constexpr unsigned kPasses = 64 / kDigitBits;
+  const std::size_t n = radix_keys.size();
+  const auto digit = [](std::uint64_t radix_key, unsigned pass) {
+    return static_cast<std::size_t>(radix_key >> (pass * kDigitBits)) &
+           (kRadix - 1);
+  };
+  // Every pass's histogram in one read of the keys.
+  std::array<std::array<std::uint32_t, kRadix>, kPasses> counts{};
+  for (const std::uint64_t radix_key : radix_keys) {
+    for (unsigned pass = 0; pass < kPasses; ++pass) {
+      ++counts[pass][digit(radix_key, pass)];
+    }
+  }
+  std::uint32_t* src = order.data();
+  std::uint32_t* dst = spare.data();
+  std::iota(src, src + n, std::uint32_t{0});
+  for (unsigned pass = 0; n > 0 && pass < kPasses; ++pass) {
+    std::array<std::uint32_t, kRadix>& next = counts[pass];
+    if (next[digit(radix_keys[0], pass)] == n) continue;
+    std::uint32_t begin = 0;  // counts -> each digit's first output slot
+    for (std::uint32_t& c : next) begin += std::exchange(c, begin);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t key = src[i];
+      dst[next[digit(radix_keys[key], pass)]++] = key;
+    }
+    std::swap(src, dst);
+  }
+  return {src, n};
 }
 
 /// Gathers a per-universe-item prediction array down to pool order
@@ -65,50 +122,45 @@ void PreferenceIndex::FillRow(std::byte* row,
   assert(scale_max_ > 0.0);
   const std::size_t pool_size = pool_size_;
   assert(pool_scores.size() == pool_size);
-  std::vector<ListEntry>& entries = RowScratch();
-  entries.resize(pool_size);
-  for (std::uint32_t key = 0; key < pool_size; ++key) {
-    entries[key] = {key, std::clamp(pool_scores[key] / scale_max_, 0.0, 1.0)};
+  RowScratchBuffers& scratch = RowScratch();
+  scratch.scores.resize(pool_size);
+  scratch.radix_keys.resize(pool_size);
+  scratch.order.resize(pool_size);
+  scratch.spare.resize(pool_size);
+  for (std::size_t key = 0; key < pool_size; ++key) {
+    // NaN (a caller's predictor may emit one) would pass the clamp and has
+    // no place in a descending order: it is stored as 0.
+    const Score s = pool_scores[key] / scale_max_;
+    scratch.scores[key] = std::isnan(s) ? 0.0 : std::clamp(s, 0.0, 1.0);
+    scratch.radix_keys[key] = DescendingKey(scratch.scores[key]);
   }
-  constexpr ListEntryOrder by_score{};
+  const std::span<const Score> normalized = scratch.scores;
+  // One global sort serves every order. Band b holds exactly the keys
+  // [band_begin_[b], band_begin_[b+1]), and scattering the globally sorted
+  // keys into their bands, in order, yields exactly each band's sorted
+  // order; with one band (the flat layout) the scatter is the identity.
+  const std::span<const std::uint32_t> sorted =
+      SortKeysByRadixKey(scratch.radix_keys, scratch.order, scratch.spare);
   auto* const scores = reinterpret_cast<Score*>(row);
   auto* const keys = reinterpret_cast<std::uint32_t*>(row + words_offset_);
   std::uint32_t* const pos = keys + pool_size;
-  if (flat_twin_) {
-    // One global sort serves both orders. ListEntryOrder is a strict total
-    // order (keys are distinct), so scattering the globally sorted entries
-    // into their bands, in order, yields exactly each band's sorted order.
-    std::sort(entries.begin(), entries.end(), by_score);
-    Score* const flat_scores = scores + pool_size;
-    std::uint32_t* const flat_keys = keys + 2 * pool_size;
-    std::uint32_t* const flat_pos = keys + 3 * pool_size;
-    std::array<std::uint32_t, ListView::kMaxBands> next{};  // band cursors
-    std::copy(band_begin_.begin(), band_begin_.end() - 1, next.begin());
-    const std::uint8_t* const band_of = key_space_->band_of_key.data();
-    for (std::uint32_t p = 0; p < pool_size; ++p) {
-      const ListEntry& e = entries[p];
-      flat_keys[p] = e.id;
-      flat_scores[p] = e.score;
-      flat_pos[e.id] = p;
-      const std::uint32_t q = next[band_of[e.id]]++;
-      keys[q] = e.id;
-      scores[q] = e.score;
-      pos[e.id] = q;
-    }
-    return;
+  std::array<std::uint32_t, ListView::kMaxBands> next{};  // band cursors
+  std::copy(band_begin_.begin(), band_begin_.end() - 1, next.begin());
+  const std::uint8_t* const band_of = key_space_->band_of_key.data();
+  for (const std::uint32_t key : sorted) {
+    const std::uint32_t q = next[band_of[key]]++;
+    keys[q] = key;
+    scores[q] = normalized[key];
+    pos[key] = q;
   }
-  // Band b holds exactly the keys [band_begin_[b], band_begin_[b+1]), so
-  // the key-order fill already places every entry in its band; each band is
-  // then score-sorted independently. One band (the flat layout) degenerates
-  // to the global sort.
-  for (std::size_t b = 0; b + 1 < band_begin_.size(); ++b) {
-    std::sort(entries.begin() + band_begin_[b],
-              entries.begin() + band_begin_[b + 1], by_score);
-  }
+  if (!flat_twin_) return;
+  Score* const flat_scores = scores + pool_size;
+  std::uint32_t* const flat_keys = keys + 2 * pool_size;
+  std::uint32_t* const flat_pos = keys + 3 * pool_size;
   for (std::uint32_t p = 0; p < pool_size; ++p) {
-    keys[p] = entries[p].id;
-    scores[p] = entries[p].score;
-    pos[entries[p].id] = p;
+    flat_keys[p] = sorted[p];
+    flat_scores[p] = normalized[sorted[p]];
+    flat_pos[sorted[p]] = p;
   }
 }
 
@@ -239,23 +291,34 @@ PreferenceIndex PreferenceIndex::CloneWithUpdatedPoolRows(
   // The copy shares every page and the key space (the band-span memo starts
   // cold); only the pages holding touched rows are replaced below.
   PreferenceIndex clone = *this;
-  // Visit the touched rows page by page. The sort is stable, so a row
-  // listed twice is rebuilt in input order and keeps its last scores.
+  // Visit the touched rows in row order, which groups them by page. The
+  // sort is stable, so of a row listed twice the last entry comes last;
+  // only that one is kept, so the row ends with its last scores.
   std::vector<std::size_t> order(users.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
+                                                   std::size_t b) {
+    return users[a] < users[b];
+  });
+  const auto same_row = [&](std::size_t a, std::size_t b) {
+    return users[a] == users[b];
+  };
+  order.erase(order.begin(),
+              std::unique(order.rbegin(), order.rend(), same_row).base());
   const auto page_of = [&](std::size_t i) {
     assert(users[i] < num_users_);
     return static_cast<std::size_t>(users[i]) >> page_shift_;
   };
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
-                                                   std::size_t b) {
-    return page_of(a) < page_of(b);
-  });
   for (std::size_t i = 0; i < order.size();) {
     const std::size_t page = page_of(order[i]);
+    std::size_t end = i;
+    while (end < order.size() && page_of(order[end]) == page) ++end;
     MutablePage copy = NewPage(page);
-    std::memcpy(copy.get(), pages_[page].get(), PageRows(page) * row_bytes_);
-    for (; i < order.size() && page_of(order[i]) == page; ++i) {
+    // A page whose every row is rebuilt needs nothing from its parent.
+    if (end - i < PageRows(page)) {
+      std::memcpy(copy.get(), pages_[page].get(), PageRows(page) * row_bytes_);
+    }
+    for (; i < end; ++i) {
       FillRow(copy.get() + RecordOffset(users[order[i]]),
               pool_scores[order[i]]);
     }

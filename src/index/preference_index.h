@@ -59,11 +59,15 @@
 //
 // Live updates never mutate a published index. When ratings change, the
 // writer calls CloneWithUpdatedRows() with the affected users' fresh CF
-// predictions. The clone copies the page table, copies each page holding a
-// touched row once and rebuilds the touched rows in that copy; every other
-// page stays shared with the parent generation (shared_ptr), as do the pool
-// and the item→key map. A publish therefore costs O(pages + touched pages ×
-// kPageBytes + touched rows × P log P), not O(population × P). The clone is
+// predictions. The clone copies the page table and gives each page holding
+// a touched row one fresh block, in which it rebuilds the touched rows; the
+// block starts as a copy of the parent's page unless every row of the page
+// is rebuilt (always the case at one row per page). Every other page stays
+// shared with the parent generation (shared_ptr), as do the pool and the
+// item→key map. A row rebuild is linear in P: one stable LSD radix sort
+// over the score bits serves the band order and the twin. A publish
+// therefore costs O(pages + partly rewritten pages × kPageBytes + touched
+// rows × P), not O(population × P). The clone is
 // published inside a new Snapshot (src/api/snapshot.h) via atomic pointer
 // swap — readers holding the old index keep its pages alive and are
 // unaffected; a page is freed when the last generation that references it
@@ -114,7 +118,8 @@ class PreferenceIndex {
   /// Builds the index: one sorted row per user in `predictions` (each a
   /// per-ItemId prediction array covering every universe item) over `pool`
   /// (universe items in popularity order). Scores are predictions / scale_max
-  /// clamped to [0, 1]; `num_universe_items` sizes the reverse item→pool map.
+  /// clamped to [0, 1] (NaN reads as 0); `num_universe_items` sizes the
+  /// reverse item→pool map.
   /// `band_breakpoints` are ascending interior pool-position breakpoints of
   /// the banded row layout; out-of-range or non-ascending values are
   /// dropped and the count is clamped to ListView::kMaxBands bands (a bad
@@ -163,8 +168,9 @@ class PreferenceIndex {
   /// shares its page with this index (copy-on-write, see the header
   /// comment). A user listed twice keeps its last entry. The pool, the
   /// item→key map and the score normalization (scale_max) are inherited.
-  /// Cost: one page-table copy, one kPageBytes copy per touched page and
-  /// O(pool log pool) per updated row.
+  /// Cost: one page-table copy, one kPageBytes copy per touched page that
+  /// keeps some parent rows (none when every row of the page is updated)
+  /// and O(pool) per updated row.
   PreferenceIndex CloneWithUpdatedRows(
       std::span<const UserId> users,
       std::span<const std::span<const Score>> predictions) const;
@@ -335,6 +341,27 @@ class PreferenceIndex {
     return reinterpret_cast<const std::uint32_t*>(row + words_offset_);
   }
 
+  /// One stored order of a row: parallel key/score arrays, keys[p] scored
+  /// scores[p], and the key→position map, keys[positions[key]] == key.
+  struct RowOrder {
+    std::span<const ListKey> keys;
+    std::span<const Score> scores;
+    std::span<const std::uint32_t> positions;
+  };
+  /// User `u`'s band order (keys and scores as UserKeys/UserScores), or
+  /// with `flat` the global-order twin (requires flat_twin_). Only the
+  /// tests read the key→position maps and the twin directly; queries go
+  /// through UserView.
+  RowOrder UserOrder(UserId u, bool flat = false) const {
+    assert(!flat || flat_twin_);
+    const std::size_t p = pool_size_;
+    const std::byte* const row = Row(u);
+    const Score* const scores = RowScores(row) + (flat ? p : 0);
+    const std::uint32_t* const words = RowWords(row) + (flat ? 2 * p : 0);
+    return {{words, p}, {scores, p}, {words + p, p}};
+  }
+  friend class PreferenceIndexTestPeer;
+
   /// Rows held by page `page` (rows_per_page() except on a partial last
   /// page).
   std::size_t PageRows(std::size_t page) const;
@@ -343,9 +370,10 @@ class PreferenceIndex {
 
   /// Writes one row record at `row` — both orders and their key→position
   /// maps — from a raw score per pool position (pool_scores[key] scores
-  /// pool()[key]). Internal: only called on pages not yet published. Safe
-  /// to call concurrently on DISTINCT records (the sort scratch is
-  /// thread-local) — the parallel build path relies on that.
+  /// pool()[key]; NaN is stored as 0). Linear in the pool size: one stable
+  /// radix sort feeds every order. Internal: only called on pages not yet
+  /// published. Safe to call concurrently on DISTINCT records (the sort
+  /// scratch is thread-local) — the parallel build path relies on that.
   void FillRow(std::byte* row, std::span<const Score> pool_scores) const;
 
   /// Installs the pool, the item→key map, the normalized band grid and the

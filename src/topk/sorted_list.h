@@ -11,8 +11,8 @@
 // the tombstone-skip scans of the ListView layer — then read 4 bytes per
 // entry instead of a 16-byte padded struct, and the key array is directly
 // vectorizable (topk/simd.h). Entry-shaped values still cross the API
-// (ListEntry by value); ListEntryOrder below stays THE comparator for every
-// sort in the system.
+// (ListEntry by value); ListEntryOrder below stays THE order of every sort
+// in the system (PreferenceIndex rows are radix-sorted into exactly it).
 //
 // SortedList owns its storage. The algorithms themselves consume the
 // non-owning ListView (list_view.h), which either wraps a SortedList or
@@ -38,10 +38,15 @@ using ListEntry = ScoredEntry<ListKey>;
 inline constexpr std::uint32_t kMissingPosition = 0xFFFFFFFFu;
 
 /// THE list order: descending score, ties by ascending key. Every sorted
-/// structure shares it — owning SortedLists, the PreferenceIndex's flat and
-/// band-local row sorts, and ListView's k-way band merge. The banded-vs-flat
-/// bit-identical guarantee rests on all of them using exactly this functor,
-/// so never re-spell the comparison inline.
+/// structure shares it — owning SortedLists, PreferenceIndex rows and
+/// ListView's k-way band merge. The banded-vs-flat bit-identical guarantee
+/// rests on all of them agreeing on exactly this order, so never re-spell
+/// the comparison inline. The one deliberate second spelling is the radix
+/// sort that produces PreferenceIndex rows (index/preference_index.cc): its
+/// DescendingKey (-0.0 folded onto +0.0, score bits inverted) plus a stable
+/// sort over ascending keys yield this order, and the test
+/// PreferenceIndexRadixTest.RowsMatchStableSortReference pins the two
+/// together. Any change here must change DescendingKey too.
 struct ListEntryOrder {
   constexpr bool operator()(const ListEntry& a, const ListEntry& b) const {
     if (a.score != b.score) return a.score > b.score;

@@ -1,21 +1,47 @@
 // Tests for the shared PreferenceIndex: row ordering, the item↔key maps,
-// prefix/tombstone slicing through UserView, and the copy-on-write pages
-// behind CloneWithUpdated*Rows.
+// prefix/tombstone slicing through UserView, the copy-on-write pages
+// behind CloneWithUpdated*Rows, the radix row sort against a comparator
+// reference, and NaN scores from a caller's predictor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <initializer_list>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <random>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "affinity/affinity_source.h"
+#include "dataset/synthetic.h"
 #include "index/preference_index.h"
+#include "shard/sharded_engine.h"
 #include "topk/list_view.h"
+#include "topk/sorted_list.h"
 
 namespace greca {
+
+/// Reads PreferenceIndex's private per-order row accessor: every stored
+/// order with its key→position map, for bit-level row checks.
+class PreferenceIndexTestPeer {
+ public:
+  using RowOrder = PreferenceIndex::RowOrder;
+  static RowOrder UserOrder(const PreferenceIndex& index, UserId u,
+                            bool flat = false) {
+    return index.UserOrder(u, flat);
+  }
+};
+
 namespace {
+
+using Peer = PreferenceIndexTestPeer;
+using RowOrder = Peer::RowOrder;
 
 /// Zips a row's SoA key/score arrays back into entry order for assertions.
 std::vector<ListEntry> RowEntries(const PreferenceIndex& index, UserId u) {
@@ -433,6 +459,355 @@ TEST(PreferenceIndexPagesTest, PerItemCloneMatchesPoolClone) {
       parent.CloneWithUpdatedRows(touched, Views(predictions, touched));
   ExpectSameRows(clone, PreferenceIndex::Build(predictions, 5.0, pool, kItems,
                                                breakpoints));
+}
+
+// --- Radix row sort vs a comparator reference -------------------------------
+
+/// Pool-order raw scores at universe scale (scale_max 5) built to stress the
+/// radix sort: exact ties, -0.0 beside +0.0, values outside [0, scale_max]
+/// (±inf included), 1-ulp neighbours, subnormals and all-equal rows. Row r
+/// takes kind r % 7; the last kind mixes the others per entry.
+std::vector<Score> AdversarialRow(std::size_t pool, std::size_t kind,
+                                  std::mt19937& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  const auto pick = [&](std::initializer_list<double> values) {
+    std::uniform_int_distribution<std::size_t> any(0, values.size() - 1);
+    return values.begin()[any(rng)];
+  };
+  std::uniform_real_distribution<double> stars(0.0, 5.0);
+  std::uniform_int_distribution<int> small(0, 6);
+  const double near = 2.5;
+  std::vector<Score> row(pool);
+  for (Score& s : row) {
+    const std::size_t k = kind == 6 ? small(rng) % 6 : kind;
+    switch (k) {
+      case 0:  // exact ties on a coarse grid
+        s = 1.25 * small(rng);
+        break;
+      case 1:  // signed zeros among positives
+        s = pick({-0.0, 0.0, -0.0, 2.5});
+        break;
+      case 2:  // outside [0, scale_max]: clamps to 0 or 1
+        s = pick({-3.0, -1e-300, 7.5, kInf, -kInf, 5.0, 0.0, stars(rng)});
+        break;
+      case 3:  // 1-ulp neighbours
+        s = pick({near, std::nextafter(near, kInf), std::nextafter(near, 0.0),
+                  std::nextafter(std::nextafter(near, kInf), kInf), 5.0,
+                  std::nextafter(5.0, 0.0)});
+        break;
+      case 4:  // subnormals: 5·k·denorm_min / 5 is exactly k·denorm_min
+        s = 5.0 * kTiny * small(rng);
+        break;
+      default:  // all equal
+        s = 3.0;
+        break;
+    }
+  }
+  return row;
+}
+
+/// Reference normalization: raw / scale_max clamped to [0, 1], NaN as 0.
+Score Normalized(Score raw, double scale_max) {
+  const Score s = raw / scale_max;
+  return std::isnan(s) ? 0.0 : std::clamp(s, 0.0, 1.0);
+}
+
+/// Reference order of keys [begin, end) of `raw`: std::stable_sort under
+/// ListEntryOrder.
+std::vector<ListEntry> ReferenceOrder(std::span<const Score> raw,
+                                      std::size_t begin, std::size_t end,
+                                      double scale_max) {
+  std::vector<ListEntry> entries;
+  for (std::size_t key = begin; key < end; ++key) {
+    entries.push_back(
+        {static_cast<ListKey>(key), Normalized(raw[key], scale_max)});
+  }
+  std::stable_sort(entries.begin(), entries.end(), ListEntryOrder{});
+  return entries;
+}
+
+/// `got` holds exactly `want`: keys, scores bit for bit (-0.0 is not +0.0)
+/// and the key→position map.
+void ExpectOrder(const RowOrder& got,
+                 const std::vector<ListEntry>& want, const std::string& what) {
+  ASSERT_EQ(got.keys.size(), want.size()) << what;
+  for (std::size_t p = 0; p < want.size(); ++p) {
+    ASSERT_EQ(got.keys[p], want[p].id) << what << " position " << p;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.scores[p]),
+              std::bit_cast<std::uint64_t>(want[p].score))
+        << what << " position " << p;
+    ASSERT_EQ(got.positions[want[p].id], p) << what << " key " << want[p].id;
+  }
+}
+
+/// Every row of `index` equals the reference built from `raw` (pool-order
+/// raw scores per row): each band in band order, and the whole row in the
+/// twin when the index has one.
+void ExpectMatchesReference(const PreferenceIndex& index,
+                            const std::vector<std::vector<Score>>& raw,
+                            double scale_max, const std::string& what) {
+  ASSERT_EQ(index.num_users(), raw.size());
+  const auto bounds = index.band_boundaries();
+  for (UserId u = 0; u < raw.size(); ++u) {
+    std::vector<ListEntry> banded;
+    for (std::size_t b = 0; b + 1 < bounds.size(); ++b) {
+      const auto band = ReferenceOrder(raw[u], bounds[b], bounds[b + 1],
+                                       scale_max);
+      banded.insert(banded.end(), band.begin(), band.end());
+    }
+    ExpectOrder(Peer::UserOrder(index, u), banded,
+                what + " row " + std::to_string(u) + " band order");
+    if (index.has_flat_twin()) {
+      ExpectOrder(Peer::UserOrder(index, u, /*flat=*/true),
+                  ReferenceOrder(raw[u], 0, raw[u].size(), scale_max),
+                  what + " row " + std::to_string(u) + " twin");
+    }
+  }
+}
+
+/// The three row layouts: banded with the twin, banded without it, flat.
+struct Layout {
+  const char* name;
+  bool banded;
+  bool twin;
+};
+constexpr Layout kLayouts[] = {
+    {"banded+twin", true, true},
+    {"banded", true, false},
+    {"flat", false, false},
+};
+
+PreferenceIndex BuildRaw(const std::vector<std::vector<Score>>& raw,
+                         std::size_t pool, const Layout& layout) {
+  return PreferenceIndex::BuildStreaming(
+      raw.size(),
+      [&](UserId u, std::span<const ItemId>, std::span<Score> out) {
+        std::copy(raw[u].begin(), raw[u].end(), out.begin());
+      },
+      /*scale_max=*/5.0, IdentityPool(pool), pool,
+      layout.banded ? PreferenceIndex::GeometricBandBreakpoints(pool, 16)
+                    : std::vector<std::uint32_t>{},
+      layout.twin);
+}
+
+TEST(PreferenceIndexRadixTest, RowsMatchStableSortReference) {
+  constexpr std::size_t kRows = 14;  // every row kind twice
+  for (const std::size_t pool :
+       {1u, 2u, 63u, 64u, 65u, 255u, 256u, 257u, 3'900u}) {
+    std::mt19937 rng(static_cast<std::uint32_t>(pool));
+    std::vector<std::vector<Score>> raw;
+    for (std::size_t r = 0; r < kRows; ++r) {
+      raw.push_back(AdversarialRow(pool, r % 7, rng));
+    }
+    for (const Layout& layout : kLayouts) {
+      const PreferenceIndex index = BuildRaw(raw, pool, layout);
+      EXPECT_EQ(index.has_flat_twin(), layout.twin && index.num_bands() > 1);
+      ExpectMatchesReference(
+          index, raw, 5.0,
+          std::string(layout.name) + " pool " + std::to_string(pool));
+    }
+  }
+}
+
+/// Row `u` of both indexes reads bit-identically in every stored array.
+void ExpectRowBitIdentical(const PreferenceIndex& a,
+                           const PreferenceIndex& b, UserId u) {
+  const auto same = [](auto x, auto y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size_bytes()) == 0;
+  };
+  for (const bool flat : {false, true}) {
+    if (flat && !a.has_flat_twin()) continue;
+    const RowOrder x = Peer::UserOrder(a, u, flat);
+    const RowOrder y = Peer::UserOrder(b, u, flat);
+    EXPECT_TRUE(same(x.keys, y.keys)) << "row " << u << " flat " << flat;
+    EXPECT_TRUE(same(x.scores, y.scores)) << "row " << u << " flat " << flat;
+    EXPECT_TRUE(same(x.positions, y.positions))
+        << "row " << u << " flat " << flat;
+  }
+}
+
+// Pool 256 with the twin: 8 rows per page, so 21 rows are pages {0..7},
+// {8..15} and a partial last page {16..20}.
+class PreferenceIndexCloneTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kPool = 256;
+  static constexpr std::size_t kRows = 21;
+
+  PreferenceIndexCloneTest() : rng_(21) {
+    for (std::size_t r = 0; r < kRows; ++r) {
+      raw_.push_back(AdversarialRow(kPool, r % 7, rng_));
+    }
+    parent_ = std::make_unique<PreferenceIndex>(
+        BuildRaw(raw_, kPool, kLayouts[0]));
+  }
+
+  /// Clones the parent with fresh adversarial scores for `users` (in that
+  /// order; a repeat gets its own scores) and records the last scores of
+  /// each user in raw_, the reference of the result.
+  PreferenceIndex Clone(const std::vector<UserId>& users) {
+    std::vector<std::vector<Score>> fresh;
+    for (std::size_t i = 0; i < users.size(); ++i) {
+      fresh.push_back(AdversarialRow(kPool, 6, rng_));
+    }
+    const std::vector<std::span<const Score>> views(fresh.begin(),
+                                                    fresh.end());
+    PreferenceIndex clone = parent_->CloneWithUpdatedPoolRows(users, views);
+    for (std::size_t i = 0; i < users.size(); ++i) {
+      raw_[users[i]] = fresh[i];
+    }
+    return clone;
+  }
+
+  bool Shared(const PreferenceIndex& clone, UserId u) const {
+    return clone.UserKeys(u).data() == parent_->UserKeys(u).data();
+  }
+
+  std::mt19937 rng_;
+  std::vector<std::vector<Score>> raw_;
+  std::unique_ptr<PreferenceIndex> parent_;
+};
+
+TEST_F(PreferenceIndexCloneTest, FullyRewrittenPagesNeedNoParentCopy) {
+  ASSERT_EQ(parent_->rows_per_page(), 8u);
+  // Every row of page 1 and of the partial last page, out of order: both
+  // pages are rebuilt in full, so neither starts from a copy of its parent.
+  const PreferenceIndex clone =
+      Clone({12, 8, 15, 9, 20, 14, 10, 17, 13, 11, 16, 18, 19});
+  ExpectMatchesReference(clone, raw_, 5.0, "clone");
+  for (UserId u = 0; u < kRows; ++u) EXPECT_EQ(Shared(clone, u), u < 8) << u;
+}
+
+TEST_F(PreferenceIndexCloneTest, RowListedTwiceOnFullyRewrittenPage) {
+  // Page 1 in full with row 11 listed three times: it keeps its last scores.
+  const PreferenceIndex clone =
+      Clone({11, 8, 9, 10, 11, 12, 13, 14, 15, 11});
+  ExpectMatchesReference(clone, raw_, 5.0, "clone");
+}
+
+TEST_F(PreferenceIndexCloneTest, PartlyRewrittenPageKeepsOtherRowsIntact) {
+  // Eight entries on page 1 but only seven distinct rows: row 15 must come
+  // from the parent's page, bit for bit. Row 18 alone on the last page
+  // leaves four parent rows there.
+  const PreferenceIndex clone = Clone({8, 9, 9, 10, 11, 12, 13, 14, 18});
+  ExpectMatchesReference(clone, raw_, 5.0, "clone");
+  for (const UserId u : {15u, 16u, 17u, 19u, 20u}) {
+    EXPECT_FALSE(Shared(clone, u)) << u;
+    ExpectRowBitIdentical(clone, *parent_, u);
+  }
+}
+
+// --- NaN scores --------------------------------------------------------------
+
+/// Every band of every row (and the twin) is in descending score order with
+/// ties by ascending key, and holds no NaN.
+void ExpectBandsSorted(const PreferenceIndex& index) {
+  const auto bounds = index.band_boundaries();
+  const auto sorted = [](std::span<const ListKey> keys,
+                         std::span<const Score> scores) {
+    for (std::size_t p = 0; p < keys.size(); ++p) {
+      if (std::isnan(scores[p])) return false;
+      if (p > 0 && !ListEntryOrder{}({keys[p - 1], scores[p - 1]},
+                                     {keys[p], scores[p]})) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (UserId u = 0; u < index.num_users(); ++u) {
+    const RowOrder row = Peer::UserOrder(index, u);
+    for (std::size_t b = 0; b + 1 < bounds.size(); ++b) {
+      const std::size_t len = bounds[b + 1] - bounds[b];
+      EXPECT_TRUE(sorted(row.keys.subspan(bounds[b], len),
+                         row.scores.subspan(bounds[b], len)))
+          << "row " << u << " band " << b;
+    }
+    if (index.has_flat_twin()) {
+      const RowOrder flat = Peer::UserOrder(index, u, true);
+      EXPECT_TRUE(sorted(flat.keys, flat.scores)) << "row " << u << " twin";
+    }
+  }
+}
+
+TEST(PreferenceIndexNanTest, StreamingBuildStoresNanAsZero) {
+  constexpr std::size_t kPool = 3'900;
+  std::mt19937 rng(97);
+  std::uniform_real_distribution<double> stars(0.0, 5.0);
+  std::vector<std::vector<Score>> raw(4, std::vector<Score>(kPool));
+  for (auto& row : raw) {
+    for (std::size_t key = 0; key < kPool; ++key) {
+      row[key] = key % 97 == 0 ? std::numeric_limits<double>::quiet_NaN()
+                               : stars(rng);
+    }
+  }
+  for (const Layout& layout : kLayouts) {
+    const PreferenceIndex index = BuildRaw(raw, kPool, layout);
+    ExpectBandsSorted(index);
+    ExpectMatchesReference(index, raw, 5.0, layout.name);
+    const RowOrder row = Peer::UserOrder(index, 0);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(row.scores[row.positions[97]]),
+              std::bit_cast<std::uint64_t>(0.0));
+  }
+}
+
+TEST(PreferenceIndexNanTest, ShardedEngineWithNanPredictorServes) {
+  ScaleRatingsConfig sc;
+  sc.num_users = 400;
+  sc.num_items = 300;
+  sc.seed = 5;
+  const SyntheticRatings scale = GenerateScaleRatings(sc);
+  constexpr std::size_t kPool = 200;
+  ShardedEngineInputs inputs;
+  inputs.ratings = std::shared_ptr<const RatingsDataset>(
+      std::shared_ptr<const void>(), &scale.dataset);
+  inputs.affinity = std::make_shared<const ConstantAffinitySource>(
+      scale.dataset.num_users(), /*num_periods=*/1, /*static_value=*/1.0,
+      /*periodic_value=*/1.0);
+  // Every 7th (user, key) cell is NaN; the rest is the ground truth, shifted
+  // by the user's rating count so a publish changes the row.
+  inputs.predictor = [&scale](UserId u,
+                              std::span<const UserRatingEntry> merged,
+                              std::span<const ItemId> pool,
+                              std::span<Score> out) {
+    for (std::size_t k = 0; k < pool.size(); ++k) {
+      out[k] = (u + k) % 7 == 0 ? std::numeric_limits<double>::quiet_NaN()
+                                : scale.truth.TruePreference(u, pool[k]) +
+                                      0.01 * static_cast<double>(merged.size());
+    }
+  };
+  inputs.pool = scale.dataset.TopPopularItems(kPool);
+  inputs.num_universe_items = scale.dataset.num_items();
+  ShardedEngineOptions options;
+  options.num_shards = 2;
+  options.batch_threads = 1;
+  ShardedEngine engine(std::move(inputs), options);
+
+  QuerySpec spec;
+  spec.k = 8;
+  spec.model = AffinityModelSpec::TimeAgnostic();
+  spec.num_candidate_items = kPool;
+  spec.eval_period = 0;
+  const auto check = [&] {
+    for (std::size_t s = 0; s < engine.num_shards(); ++s) {
+      ExpectBandsSorted(*engine.shard(s).snapshot()->index);
+    }
+    for (UserId first = 0; first + 4 < 400; first += 37) {
+      const std::vector<UserId> group{first, first + 1, first + 2, first + 3};
+      const Result<Recommendation> rec = engine.Recommend(group, spec);
+      ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+      EXPECT_EQ(rec.value().items.size(), spec.k);
+    }
+  };
+  check();
+  // A publish rebuilds the touched rows through the clone path.
+  std::vector<RatingEvent> events;
+  for (UserId u = 0; u < 400; u += 9) {
+    events.push_back({u, scale.dataset.TopPopularItems(1)[0], 4.0,
+                      std::numeric_limits<Timestamp>::max() / 2});
+  }
+  ASSERT_TRUE(engine.ApplyUpdates(events).ok());
+  check();
 }
 
 }  // namespace
