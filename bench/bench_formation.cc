@@ -132,9 +132,7 @@ int main() {
   const auto results = engine.RecommendBatch(queries, &report);
   const double serve_seconds = serve_watch.ElapsedSeconds();
   std::cout << "served " << queries.size() << " group queries in "
-            << serve_seconds << "s (" << report.num_buckets
-            << " buckets, planned=" << (report.planned ? "true" : "false")
-            << ")\n";
+            << serve_seconds << "s (" << report.num_buckets << " buckets)\n";
 
   // Stage 5: ground-truth satisfaction.
   const SatisfactionOracle oracle(truth);
@@ -196,8 +194,6 @@ int main() {
        << "  \"groups_failed\": " << score.groups_failed << ",\n"
        << "  \"form_seconds\": " << form_seconds << ",\n"
        << "  \"serve_seconds\": " << serve_seconds << ",\n"
-       << "  \"batch_planned\": " << (report.planned ? "true" : "false")
-       << ",\n"
        << "  \"batch_buckets\": " << report.num_buckets << ",\n"
        << "  \"mean_satisfaction_pct\": " << score.mean_satisfaction_pct
        << ",\n"

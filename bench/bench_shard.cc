@@ -20,13 +20,13 @@
 // so each of them publishes a slice of it. The bench sweeps shards x
 // locality to show both effects.
 //
-// A second sweep exercises the unified serving runtime's PLANNED BATCH
+// A second sweep exercises the unified serving runtime's planned batch
 // path (serve/batch_executor.h): duplicate-heavy read-only batches (dup
 // factor 1/4/16 over a fixed set of distinct groups) at 1 and 4 shards,
-// served three ways — parallel planned (bucket solving on the batch pool),
-// serial planned (batch_threads=1 inline reference), and unplanned serial.
-// All three produce bit-identical recommendations; the sweep measures what
-// dedup + parallelism buy in throughput.
+// served two ways — parallel (bucket solving on the batch pool) and serial
+// (batch_threads=1 inline reference). Both batches are checked
+// bit-identical to sequential ShardedEngine::Recommend calls on one pinned
+// set; the sweep measures what dedup + parallelism buy in throughput.
 //
 // Output: a table plus BENCH_shard.json (override with
 // GRECA_BENCH_SHARD_JSON). Env knobs: GRECA_BENCH_SMALL=1 (smoke scale),
@@ -35,8 +35,8 @@
 // GRECA_SHARD_EVENTS. GRECA_SHARD_ASSERT=1 exits nonzero unless the
 // 2-shard high-locality configuration reaches 0.9x single-shard throughput
 // (the CI smoke gate: sharding must not cost throughput).
-// GRECA_SHARD_ASSERT_PLANNER=1 exits nonzero unless parallel planned
-// serving reaches 1.3x the serial planned reference at 4 shards / dup 16
+// GRECA_SHARD_ASSERT_PLANNER=1 exits nonzero unless parallel batch serving
+// reaches 1.3x the serial (batch_threads=1) reference at 4 shards / dup 16
 // (skipped on single-core hosts, which cannot show wall-clock parallelism).
 #include <algorithm>
 #include <cstdlib>
@@ -190,8 +190,7 @@ struct PlannerSweepResult {
   double dedup_ratio = 0.0;
   double parallel_qps = 0.0;
   double serial_qps = 0.0;
-  double unplanned_qps = 0.0;
-  /// parallel_qps / serial_qps, both planned — what ParallelFor buys.
+  /// parallel_qps / serial_qps — what ParallelFor buys.
   double parallel_speedup = 0.0;
 };
 
@@ -214,6 +213,24 @@ double BatchQps(const ShardedEngine& engine, std::span<const Query> queries,
   }
   return static_cast<double>(queries.size() * rounds) /
          watch.ElapsedSeconds();
+}
+
+/// True when RecommendBatch on one pinned set returns, for every query, the
+/// items and scores of a sequential Recommend call on that set.
+bool BatchMatchesSequential(const ShardedEngine& engine,
+                            std::span<const Query> queries) {
+  const auto set = engine.Pin();
+  const auto batch = engine.RecommendBatch(set, queries);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto single = engine.Recommend(set, queries[i].group,
+                                         queries[i].spec);
+    if (!batch[i].ok() || !single.ok() ||
+        batch[i].value().items != single.value().items ||
+        batch[i].value().scores != single.value().scores) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -340,11 +357,10 @@ int main() {
   std::vector<PlannerSweepResult> planner_results;
 
   for (const std::size_t n : planner_shards) {
-    const auto engine_with = [&](bool plan, std::size_t threads) {
+    const auto engine_with = [&](std::size_t threads) {
       ShardedEngineOptions options;
       options.num_shards = n;
       options.strategy = ShardStrategy::kHash;
-      options.plan_batches = plan;
       options.batch_threads = threads;
       ShardedEngineInputs inputs;
       inputs.ratings = base;
@@ -355,9 +371,8 @@ int main() {
       inputs.num_periods = 1;
       return std::make_unique<ShardedEngine>(std::move(inputs), options);
     };
-    const auto parallel = engine_with(/*plan=*/true, /*threads=*/4);
-    const auto serial = engine_with(/*plan=*/true, /*threads=*/1);
-    const auto unplanned = engine_with(/*plan=*/false, /*threads=*/1);
+    const auto parallel = engine_with(/*threads=*/4);
+    const auto serial = engine_with(/*threads=*/1);
 
     ScaleGroupsConfig gc;
     gc.num_groups = planner_distinct;
@@ -391,29 +406,31 @@ int main() {
       r.buckets = report.num_buckets;
       r.dedup_ratio = report.dedup_ratio;
       r.serial_qps = BatchQps(*serial, batch, planner_rounds, nullptr);
-      r.unplanned_qps = BatchQps(*unplanned, batch, planner_rounds, nullptr);
       r.parallel_speedup = r.parallel_qps / r.serial_qps;
+      if (!BatchMatchesSequential(*parallel, batch) ||
+          !BatchMatchesSequential(*serial, batch)) {
+        std::cerr << "ERROR: batch differs from sequential Recommend at "
+                  << n << " shards / dup " << dup << "\n";
+        return 1;
+      }
       planner_results.push_back(r);
       std::cout << "  planner shards=" << n << " dup=" << dup
                 << "  parallel=" << r.parallel_qps
-                << " serial=" << r.serial_qps
-                << " unplanned=" << r.unplanned_qps << " qps\n";
+                << " serial=" << r.serial_qps << " qps\n";
     }
   }
 
   TablePrinter planner_table(
-      "Planned batch serving: parallel vs serial vs unplanned (qps, " +
+      "Planned batch serving: parallel vs serial (qps, " +
       std::to_string(planner_distinct) + " distinct groups)");
   planner_table.SetColumns({"shards", "dup", "queries", "buckets",
-                            "parallel qps", "serial qps", "unplanned qps",
-                            "parallel/serial"});
+                            "parallel qps", "serial qps", "parallel/serial"});
   for (const PlannerSweepResult& r : planner_results) {
     planner_table.AddRow(
         {std::to_string(r.shards), std::to_string(r.dup),
          std::to_string(r.batch_queries), std::to_string(r.buckets),
          TablePrinter::Cell(r.parallel_qps, 1),
          TablePrinter::Cell(r.serial_qps, 1),
-         TablePrinter::Cell(r.unplanned_qps, 1),
          TablePrinter::Cell(r.parallel_speedup, 2)});
   }
   planner_table.Print(std::cout);
@@ -425,7 +442,7 @@ int main() {
     std::abort();
   };
   const double planner_speedup = planner_find(4, 16).parallel_speedup;
-  std::cout << "parallel planned vs serial planned at 4 shards / dup 16: "
+  std::cout << "parallel vs serial batch serving at 4 shards / dup 16: "
             << planner_speedup << "x\n";
 
   const char* json_env = std::getenv("GRECA_BENCH_SHARD_JSON");
@@ -465,7 +482,6 @@ int main() {
          << ", \"dedup_ratio\": " << r.dedup_ratio
          << ", \"parallel_qps\": " << r.parallel_qps
          << ", \"serial_qps\": " << r.serial_qps
-         << ", \"unplanned_qps\": " << r.unplanned_qps
          << ", \"parallel_speedup\": " << r.parallel_speedup << "}"
          << (i + 1 < planner_results.size() ? "," : "") << "\n";
   }
@@ -492,7 +508,7 @@ int main() {
       std::cout << "planner assert skipped: single-core host ("
                 << planner_speedup << "x measured)\n";
     } else if (planner_speedup < 1.3) {
-      std::cerr << "ASSERT FAILED: parallel planned serving is "
+      std::cerr << "ASSERT FAILED: parallel batch serving is "
                 << planner_speedup
                 << "x of the serial reference at 4 shards / dup 16 "
                    "(expected >= 1.3x)\n";

@@ -11,8 +11,7 @@ Engine::Engine(const RatingsDataset& universe, const FacebookStudy& study,
                RecommenderOptions options, EngineOptions engine_options)
     : recommender_(universe, study, options),
       pool_(std::make_unique<ThreadPool>(
-          ResolveBatchThreads(engine_options.num_threads))),
-      plan_batches_(engine_options.plan_batches) {}
+          ResolveBatchThreads(engine_options.num_threads))) {}
 
 Status Engine::ApplyUpdates(std::span<const RatingEvent> events,
                             UpdateReport* report) {
@@ -45,8 +44,8 @@ std::vector<Result<Recommendation>> Engine::RecommendBatch(
             Status::InvalidArgument("snapshot must not be null")));
   }
   const SnapshotServingBackend backend(recommender_, std::move(snap));
-  return BatchExecutor::Execute(backend, queries, plan_batches_, pool_.get(),
-                                workspace_pool_, report);
+  return BatchExecutor::Execute(backend, queries, pool_.get(), workspace_pool_,
+                                report);
 }
 
 }  // namespace greca

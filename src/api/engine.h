@@ -15,8 +15,9 @@
 //    (serve/batch_executor.h), all workers sharing the one pinned snapshot;
 //    each worker leases a reusable QueryWorkspace holding only mutable
 //    scratch from a shared pool, so steady-state queries sort nothing and
-//    allocate nothing on the hot path — and concurrent batches interleave
-//    instead of serializing.
+//    allocate nothing on the hot path. Concurrent batches share the pool:
+//    their multi-bucket solve phases take turns on it (see
+//    serve/batch_executor.h).
 //  * Writes — ApplyUpdates — rebuild the affected index rows and CF state
 //    OFF the serving path and publish the result as a new snapshot
 //    generation with an atomic pointer swap. Readers never block on
@@ -54,12 +55,6 @@ struct EngineOptions {
   /// Worker threads for RecommendBatch. 0 picks
   /// max(2, std::thread::hardware_concurrency()).
   std::size_t num_threads = 0;
-  /// Plan batches before solving them (plan/batch_planner.h): duplicate
-  /// (group, spec-signature) queries share one assembled and solved problem,
-  /// with results fanned back out per query. Bit-identical to the unplanned
-  /// path (the algorithms are deterministic); disable to force the
-  /// one-problem-per-query reference path.
-  bool plan_batches = true;
 };
 
 class Engine {
@@ -109,15 +104,14 @@ class Engine {
   /// concurrent publishes; they are identical to issuing the queries
   /// sequentially against that snapshot (the algorithms are deterministic
   /// and workspaces only amortize allocations). Thread-safe; concurrent
-  /// batches interleave (each checks its workspaces out of a shared pool —
-  /// see serve/batch_executor.h) rather than queueing on a whole-batch lock.
+  /// batches each lease their own workspaces, but their multi-bucket solve
+  /// phases take turns on the one thread pool (see serve/batch_executor.h).
   ///
-  /// With EngineOptions::plan_batches (the default) the batch is PLANNED
-  /// first: duplicate (group, spec-signature) queries share one assembled
-  /// and solved problem and the result is fanned back out — bit-identical
-  /// results at a fraction of the work on duplicate-heavy traffic (see
-  /// plan/batch_planner.h). `report`, when non-null, receives the planner's
-  /// stats and per-query attribution.
+  /// The batch is PLANNED first: duplicate (group, spec-signature) queries
+  /// share one assembled and solved problem and the result is fanned back
+  /// out — bit-identical results at a fraction of the work on
+  /// duplicate-heavy traffic (see plan/batch_planner.h). `report`, when
+  /// non-null, receives the planner's stats and per-query attribution.
   std::vector<Result<Recommendation>> RecommendBatch(
       std::span<const Query> queries, BatchReport* report = nullptr) const;
 
@@ -136,7 +130,6 @@ class Engine {
  private:
   GroupRecommender recommender_;
   std::unique_ptr<ThreadPool> pool_;
-  const bool plan_batches_;
   mutable WorkspacePool workspace_pool_;
 };
 

@@ -48,6 +48,24 @@ Status ValidateGroupQuery(std::span<const UserId> group, const QuerySpec& spec,
   if (spec.num_candidate_items == 0) {
     return Status::InvalidArgument("candidate pool must not be empty");
   }
+  // Negative weights make the consensus non-monotone in member preferences,
+  // which voids GRECA's exact-itemset guarantee (§3.1) and the greedy
+  // solver's (1-1/e) premise; NaN or inf would poison every score.
+  const auto finite_non_negative = [](double v) {
+    return std::isfinite(v) && v >= 0.0;
+  };
+  if (!finite_non_negative(spec.consensus.w1) ||
+      !finite_non_negative(spec.consensus.w2)) {
+    return Status::InvalidArgument(
+        "consensus weights w1 and w2 must be finite and >= 0");
+  }
+  if (!finite_non_negative(spec.consensus.disagreement_scale)) {
+    return Status::InvalidArgument(
+        "consensus disagreement_scale must be finite and >= 0");
+  }
+  if (!std::isfinite(spec.model.drift_gain)) {
+    return Status::InvalidArgument("model drift_gain must be finite");
+  }
   for (std::size_t i = 0; i < group.size(); ++i) {
     if (group[i] >= num_users) {
       return Status::NotFound("unknown study participant " +

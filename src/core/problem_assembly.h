@@ -62,8 +62,9 @@ Result<PeriodId> ResolveEvalPeriod(std::optional<PeriodId> requested,
 /// members, a registered solver (unknown QuerySpec::solver_id values are
 /// rejected with kInvalidArgument; the selected solver's own ValidateQuery
 /// hook may veto further — GRECA caps groups at 32 members), k >= 1, a
-/// non-empty candidate pool, an in-range evaluation period and (for
-/// time+affinity aware models) an affinity source covering it.
+/// non-empty candidate pool, finite non-negative consensus weights and
+/// disagreement scale, a finite drift gain, an in-range evaluation period
+/// and (for time+affinity aware models) an affinity source covering it.
 Status ValidateGroupQuery(std::span<const UserId> group, const QuerySpec& spec,
                           std::size_t num_users, std::size_t num_periods,
                           std::size_t affinity_num_periods);

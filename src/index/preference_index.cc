@@ -167,7 +167,7 @@ void PreferenceIndex::FillRow(std::byte* row,
 void PreferenceIndex::InitLayout(
     std::size_t num_rows, double scale_max, std::vector<ItemId> pool,
     std::size_t num_universe_items,
-    std::span<const std::uint32_t> band_breakpoints, bool build_flat_twin) {
+    std::span<const std::uint32_t> band_breakpoints) {
   num_users_ = num_rows;
   scale_max_ = scale_max;
   pool_size_ = pool.size();
@@ -186,7 +186,7 @@ void PreferenceIndex::InitLayout(
   }
   band_begin_.push_back(static_cast<std::uint32_t>(pool_size));
   assert(num_bands() <= ListView::kMaxBands);
-  flat_twin_ = num_bands() > 1 && build_flat_twin;
+  flat_twin_ = num_bands() > 1;
 
   auto key_space = std::make_shared<KeySpace>();
   key_space->position_of_item.assign(num_universe_items, kNotPooled);
@@ -216,24 +216,22 @@ void PreferenceIndex::InitLayout(
 PreferenceIndex PreferenceIndex::Build(
     std::span<const std::vector<Score>> predictions, double scale_max,
     std::vector<ItemId> pool, std::size_t num_universe_items,
-    std::span<const std::uint32_t> band_breakpoints, bool build_flat_twin) {
+    std::span<const std::uint32_t> band_breakpoints) {
   return BuildStreaming(
       predictions.size(),
       [&](UserId u, std::span<const ItemId> p, std::span<Score> out) {
         GatherPoolScores(predictions[u], p, out);
       },
-      scale_max, std::move(pool), num_universe_items, band_breakpoints,
-      build_flat_twin);
+      scale_max, std::move(pool), num_universe_items, band_breakpoints);
 }
 
 PreferenceIndex PreferenceIndex::BuildStreaming(
     std::size_t num_rows, const PoolScoreFiller& fill, double scale_max,
     std::vector<ItemId> pool, std::size_t num_universe_items,
-    std::span<const std::uint32_t> band_breakpoints, bool build_flat_twin,
-    ThreadPool* threads) {
+    std::span<const std::uint32_t> band_breakpoints, ThreadPool* threads) {
   PreferenceIndex index;
   index.InitLayout(num_rows, scale_max, std::move(pool), num_universe_items,
-                   band_breakpoints, build_flat_twin);
+                   band_breakpoints);
   const std::size_t pool_size = index.pool_size_;
   // Every page is allocated up front, on this thread; the fills below write
   // disjoint records of them.

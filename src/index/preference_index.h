@@ -52,10 +52,8 @@
 // skipped entries, per-read head comparisons), so UserView serves the flat
 // copy whenever the covered footprint exceeds half the row — large-prefix
 // queries keep the exact pre-banding fast path. The dual order doubles
-// per-row storage (MemoryBreakdownBytes() reports the split). Both engines
-// always build it; Build(..., build_flat_twin = false) skips it, and wide
-// prefixes then take the banded merge — same results, no twin bytes (the
-// reference build of the sort-once test).
+// per-row storage (MemoryBreakdownBytes() reports the split); every banded
+// index carries it.
 //
 // Live updates never mutate a published index. When ratings change, the
 // writer calls CloneWithUpdatedRows() with the affected users' fresh CF
@@ -106,7 +104,7 @@ class PreferenceIndex {
   struct MemoryBreakdown {
     /// Band-order rows: keys + scores + key→position maps.
     std::size_t banded_bytes = 0;
-    /// Global-order twin rows (0 on flat layouts or build_flat_twin=false).
+    /// Global-order twin rows (0 on flat layouts).
     std::size_t flat_twin_bytes = 0;
     /// Pool vector, item→key map and the band grid.
     std::size_t map_bytes = 0;
@@ -124,14 +122,12 @@ class PreferenceIndex {
   /// the banded row layout; out-of-range or non-ascending values are
   /// dropped and the count is clamped to ListView::kMaxBands bands (a bad
   /// grid degrades to coarser bands, never to UB). Empty means one band —
-  /// the flat, globally sorted layout. `build_flat_twin` = false skips the
-  /// global-order twin of banded rows (halves row storage; wide prefixes
-  /// then use the banded merge).
+  /// the flat, globally sorted layout. Banded rows always carry the
+  /// global-order twin.
   static PreferenceIndex Build(
       std::span<const std::vector<Score>> predictions, double scale_max,
       std::vector<ItemId> pool, std::size_t num_universe_items,
-      std::span<const std::uint32_t> band_breakpoints = {},
-      bool build_flat_twin = true);
+      std::span<const std::uint32_t> band_breakpoints = {});
 
   /// Fills raw (universe-scale, un-normalized) scores for one row, one slot
   /// per POOL POSITION: out[key] is the prediction for pool[key]. The
@@ -151,7 +147,7 @@ class PreferenceIndex {
       std::size_t num_rows, const PoolScoreFiller& fill, double scale_max,
       std::vector<ItemId> pool, std::size_t num_universe_items,
       std::span<const std::uint32_t> band_breakpoints = {},
-      bool build_flat_twin = true, ThreadPool* threads = nullptr);
+      ThreadPool* threads = nullptr);
 
   /// The default banded grid: geometric (doubling) breakpoints
   /// {first_band, 2·first_band, ...} below `pool_size`, capped at
@@ -195,9 +191,6 @@ class PreferenceIndex {
   std::span<const std::uint32_t> band_boundaries() const {
     return band_begin_;
   }
-  /// True when banded rows also carry the global-order twin (the wide-prefix
-  /// fast path).
-  bool has_flat_twin() const { return flat_twin_; }
 
   /// The popular-item pool in key order: pool()[key] is the universe item of
   /// candidate key `key` for every prefix slice.
@@ -322,7 +315,7 @@ class PreferenceIndex {
   PreferenceIndex() = default;
 
   /// Row record of user `u`. Record layout (P = pool size; the flat-twin
-  /// parts only when flat_twin_):
+  /// parts only on banded layouts):
   ///   Score[P] band-order scores, Score[P] flat scores,
   ///   uint32[P] band-order keys, uint32[P] band-order key→position,
   ///   uint32[P] flat keys, uint32[P] flat key→position.
@@ -349,7 +342,7 @@ class PreferenceIndex {
     std::span<const std::uint32_t> positions;
   };
   /// User `u`'s band order (keys and scores as UserKeys/UserScores), or
-  /// with `flat` the global-order twin (requires flat_twin_). Only the
+  /// with `flat` the global-order twin (banded layouts only). Only the
   /// tests read the key→position maps and the twin directly; queries go
   /// through UserView.
   RowOrder UserOrder(UserId u, bool flat = false) const {
@@ -380,8 +373,7 @@ class PreferenceIndex {
   /// page geometry — everything before the pages are allocated and filled.
   void InitLayout(std::size_t num_rows, double scale_max,
                   std::vector<ItemId> pool, std::size_t num_universe_items,
-                  std::span<const std::uint32_t> band_breakpoints,
-                  bool build_flat_twin);
+                  std::span<const std::uint32_t> band_breakpoints);
 
   /// The UserView band-span memo: one packed (prefix+1) << 32 | nb entry
   /// (0 = cold), atomic so concurrent batch workers share it without racing.
@@ -407,7 +399,7 @@ class PreferenceIndex {
   std::size_t num_users_ = 0;
   std::size_t pool_size_ = 0;
   double scale_max_ = 1.0;  // score normalization
-  bool flat_twin_ = false;  // records carry the global-order twin
+  bool flat_twin_ = false;  // num_bands() > 1: records carry the twin
   std::shared_ptr<const KeySpace> key_space_;
   std::vector<std::uint32_t> band_begin_ = {0, 0};  // band b = [b, b+1) keys
   // Page geometry: row u is record (u & (rows_per_page() - 1)) of page

@@ -11,9 +11,9 @@ namespace greca {
 namespace {
 
 /// The execution signature of one valid query: everything Recommend's result
-/// depends on besides the snapshot. Group order is significant (it IS on the
-/// unplanned path: member slot order decides pair indexing), and the period
-/// is stored RESOLVED so nullopt and an explicit last period share a bucket.
+/// depends on besides the snapshot. Group order is significant (member slot
+/// order decides pair indexing in the solve), and the period is stored
+/// RESOLVED so nullopt and an explicit last period share a bucket.
 struct Signature {
   const Query* query;
   PeriodId resolved_period;
@@ -21,14 +21,15 @@ struct Signature {
 
 std::uint64_t HashSignature(const Signature& s) {
   // FNV-1a over the group ids and every result-relevant spec field; doubles
-  // go in by bit pattern (bucketing wants exact equality, not numeric fuzz).
+  // go in by bit pattern (bucketing wants exact equality, not numeric fuzz),
+  // with -0.0 folded onto +0.0 because SameSignature compares with ==.
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](std::uint64_t v) {
     h ^= v;
     h *= 1099511628211ull;
   };
   const auto mix_double = [&mix](double v) {
-    mix(std::bit_cast<std::uint64_t>(v));
+    mix(std::bit_cast<std::uint64_t>(v == 0.0 ? 0.0 : v));
   };
   const QuerySpec& spec = s.query->spec;
   for (const UserId u : s.query->group) mix(u);

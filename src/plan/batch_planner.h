@@ -21,16 +21,18 @@
 // Equivalence contract: the algorithms are deterministic functions of
 // (snapshot, group, spec), so a fanned-out copy is bit-identical — items,
 // scores, access counts — to solving the duplicate query itself, and invalid
-// queries receive exactly the Status the unplanned path would produce
+// queries receive exactly the Status a single Recommend call returns
 // (planning validates with the same shared ValidateGroupQuery). Enforced by
-// tests/planner_equivalence_test.cc on both Engine and ShardedEngine.
+// tests/planner_equivalence_test.cc on both Engine and ShardedEngine, against
+// sequential Recommend calls on the same pin.
 //
 // Cost model: planning is O(total group ids) hashing + one hash-map probe
 // per query, a few hundred ns per query — negligible against a solve (tens
 // of µs to ms). With duplicate factor d (queries per distinct signature),
-// solve work drops by ~d while plan + fan-out cost stays linear, so planned
-// throughput approaches d× on duplicate-heavy batches and parity at d = 1
-// (BENCH_batch.json planner_sweep).
+// solve work drops by ~d while plan + fan-out cost stays linear, so batch
+// throughput approaches d× on duplicate-heavy batches, and on unique traffic
+// (d = 1) planning is a rounding error of the batch (perfbench adhoc_unique,
+// plan.plan_us). Every batch is planned; there is no per-query bypass.
 #ifndef GRECA_PLAN_BATCH_PLANNER_H_
 #define GRECA_PLAN_BATCH_PLANNER_H_
 
@@ -55,22 +57,19 @@ struct BatchQueryAttribution {
   bool representative = false;
 };
 
-/// Execution stats of one planned (or unplanned) batch: what the planner
-/// shared, what the lazy-agreement path skipped, and what the snapshot
-/// caches did while the batch ran. Filled by Engine::RecommendBatch /
+/// Execution stats of one batch: what the planner shared, what the
+/// lazy-agreement path skipped, and what the snapshot caches did while the
+/// batch ran. Filled by Engine::RecommendBatch /
 /// ShardedEngine::RecommendBatch when the caller passes one.
 struct BatchReport {
-  /// False when the engine ran the one-problem-per-query reference path
-  /// (plan_batches = false); the counters below are still filled.
-  bool planned = false;
   std::size_t num_queries = 0;
   /// Queries rejected by validation (non-OK Result, no bucket).
   std::size_t num_invalid = 0;
   /// Distinct execution signatures among the valid queries == problems
-  /// assembled and solved on the planned path.
+  /// assembled and solved.
   std::size_t num_buckets = 0;
-  /// Valid queries served by another query's solve (num_valid − num_buckets
-  /// on the planned path, 0 unplanned).
+  /// Valid queries served by another query's solve (num_valid −
+  /// num_buckets).
   std::size_t duplicates_shared = 0;
   /// valid / buckets — the batch's duplicate factor (1.0 when nothing
   /// repeats or the batch is empty).
@@ -110,7 +109,7 @@ struct BatchPlan {
   /// planned execution order is deterministic).
   std::vector<Bucket> buckets;
   /// One entry per input query: Ok() for bucketed queries, the validation
-  /// error otherwise — exactly what the unplanned path would return.
+  /// error otherwise — exactly what a single Recommend call would return.
   std::vector<Status> statuses;
   /// Parallel to the input: each valid query's bucket ordinal
   /// (BatchQueryAttribution::kInvalid for rejected queries).
@@ -128,8 +127,8 @@ struct BatchPlan {
 class BatchPlanner {
  public:
   /// Per-query validation hook — the engine passes its own ValidateQuery so
-  /// rejected queries carry byte-identical Status messages to the unplanned
-  /// path.
+  /// rejected queries carry byte-identical Status messages to a single
+  /// Recommend call.
   using Validator = std::function<Status(const Query&)>;
 
   /// Plans `queries`: validates each through `validate`, resolves the

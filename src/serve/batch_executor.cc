@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <optional>
 #include <thread>
-#include <utility>
 
 namespace greca {
 
@@ -36,46 +35,12 @@ void RunUnits(std::size_t n, ThreadPool* pool, WorkspacePool& workspaces,
       n, [&](std::size_t worker, std::size_t i) { fn(*leases[worker], i); });
 }
 
-std::vector<Result<Recommendation>> ExecuteUnplanned(
-    const ServingBackend& backend, std::span<const Query> queries,
-    ThreadPool* pool, WorkspacePool& workspaces,
-    const ServingCacheCounters& before, BatchReport* report) {
-  // One problem per query; SolveOne validates internally, so invalid queries
-  // surface their validation Status in place.
-  std::vector<std::optional<Result<Recommendation>>> scratch(queries.size());
-  RunUnits(queries.size(), pool, workspaces,
-           [&](QueryWorkspace& ws, std::size_t i) {
-             scratch[i].emplace(backend.SolveOne(queries[i], ws, nullptr));
-           });
-  std::vector<Result<Recommendation>> results;
-  results.reserve(queries.size());
-  for (auto& r : scratch) {
-    results.push_back(std::move(*r));
-  }
-  if (report != nullptr) {
-    *report = BatchReport{};
-    report->planned = false;
-    report->num_queries = queries.size();
-    report->per_query.resize(queries.size());
-    std::uint32_t bucket = 0;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      if (!results[i].ok()) {
-        ++report->num_invalid;
-        continue;
-      }
-      // Every valid query is its own single-member bucket here.
-      report->per_query[i] = {bucket++, /*representative=*/true};
-    }
-    report->num_buckets = bucket;
-    backend.Counters().DeltaInto(before, *report);
-  }
-  return results;
-}
+}  // namespace
 
-std::vector<Result<Recommendation>> ExecutePlanned(
+std::vector<Result<Recommendation>> BatchExecutor::Execute(
     const ServingBackend& backend, std::span<const Query> queries,
-    ThreadPool* pool, WorkspacePool& workspaces,
-    const ServingCacheCounters& before, BatchReport* report) {
+    ThreadPool* pool, WorkspacePool& workspaces, BatchReport* report) {
+  const ServingCacheCounters before = backend.Counters();
   BatchPlan plan = BatchPlanner::Plan(
       queries, [&](const Query& q) { return backend.Validate(q); },
       backend.num_periods());
@@ -110,7 +75,6 @@ std::vector<Result<Recommendation>> ExecutePlanned(
 
   if (report != nullptr) {
     *report = BatchReport{};
-    report->planned = true;
     report->num_queries = queries.size();
     report->num_invalid = queries.size() - plan.num_valid;
     report->num_buckets = plan.buckets.size();
@@ -133,19 +97,6 @@ std::vector<Result<Recommendation>> ExecutePlanned(
     backend.Counters().DeltaInto(before, *report);
   }
   return results;
-}
-
-}  // namespace
-
-std::vector<Result<Recommendation>> BatchExecutor::Execute(
-    const ServingBackend& backend, std::span<const Query> queries,
-    bool planned, ThreadPool* pool, WorkspacePool& workspaces,
-    BatchReport* report) {
-  const ServingCacheCounters before = backend.Counters();
-  return planned ? ExecutePlanned(backend, queries, pool, workspaces, before,
-                                  report)
-                 : ExecuteUnplanned(backend, queries, pool, workspaces, before,
-                                    report);
 }
 
 }  // namespace greca

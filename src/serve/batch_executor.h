@@ -5,30 +5,31 @@
 // serving_backend.h), the executor owns everything the two engines used to
 // duplicate:
 //
-//  * the PLANNED path — the sole BatchPlanner::Plan call site in the
-//    library: bucket valid queries by execution signature, solve one
-//    representative per bucket, fan the result to every duplicate in input
-//    order;
-//  * the UNPLANNED reference path — one problem per query, kept selectable
-//    so the planner's bit-identity contract stays testable against it;
-//  * parallelism — work units (buckets when planned, queries when not) run
-//    over the caller's thread pool, each worker on its own workspace leased
-//    from a WorkspacePool; a null pool runs them inline on the calling
-//    thread, which doubles as the serial reference for the parallel path;
+//  * planning — the sole BatchPlanner::Plan call site in the library:
+//    bucket valid queries by execution signature, solve one representative
+//    per bucket, fan the result to every duplicate in input order;
+//  * parallelism — buckets run over the caller's thread pool, each worker on
+//    its own workspace leased from a WorkspacePool; a null pool runs them
+//    inline on the calling thread, which doubles as the serial reference for
+//    the parallel path;
 //  * BatchReport assembly — dedup ratio, lazy-agreement counters, cache
 //    deltas (via the backend's counters), per-query attribution — one
-//    builder for all four {engine} × {planned} combinations.
+//    builder for both engines.
 //
-// Determinism: work units are independent and the algorithms are
-// deterministic functions of (pinned view, query), so parallel and serial
-// execution produce bit-identical results — items, scores, access counts,
-// statuses. Cache hit/miss counters may differ between the two (racing
-// workers can both miss the same key) but cached VALUES never do.
+// Determinism: buckets are independent and the algorithms are deterministic
+// functions of (pinned view, query), so parallel and serial execution
+// produce bit-identical results — items, scores, access counts, statuses —
+// and so does issuing each query alone through the engine's Recommend on the
+// same pin (tests/planner_equivalence_test.cc). Cache hit/miss counters may
+// differ between the two (racing workers can both miss the same key) but
+// cached VALUES never do.
 //
 // Concurrency: Execute is re-entrant. Workspaces come from the pool per
-// call, so concurrent batches on one engine interleave instead of queueing
-// behind a whole-batch mutex; the pinned view is backend-owned and
-// immutable.
+// call and the pinned view is backend-owned and immutable, so concurrent
+// batches on one engine validate, plan, fan out and run single-bucket
+// solves side by side. Their multi-bucket solve phases queue, though:
+// ThreadPool::ParallelFor runs one dispatch at a time, so a second batch's
+// buckets wait until the first batch's buckets have all finished.
 #ifndef GRECA_SERVE_BATCH_EXECUTOR_H_
 #define GRECA_SERVE_BATCH_EXECUTOR_H_
 
@@ -51,15 +52,13 @@ std::size_t ResolveBatchThreads(std::size_t requested);
 class BatchExecutor {
  public:
   /// Runs `queries` against `backend`'s pinned view and returns one result
-  /// per query in input order. `planned` selects plan-then-solve vs the
-  /// one-problem-per-query reference path. `pool` is the parallelism source:
-  /// null runs every work unit inline on the calling thread (the serial
-  /// reference). `report`, when non-null, receives planner stats, cache
-  /// deltas, and per-query attribution.
+  /// per query in input order, planned: duplicate queries share one solve.
+  /// `pool` is the parallelism source: null runs every bucket inline on the
+  /// calling thread (the serial reference). `report`, when non-null,
+  /// receives planner stats, cache deltas, and per-query attribution.
   static std::vector<Result<Recommendation>> Execute(
       const ServingBackend& backend, std::span<const Query> queries,
-      bool planned, ThreadPool* pool, WorkspacePool& workspaces,
-      BatchReport* report);
+      ThreadPool* pool, WorkspacePool& workspaces, BatchReport* report);
 };
 
 }  // namespace greca

@@ -1,9 +1,8 @@
 // The engine-side contract of the unified serving runtime.
 //
-// Engine (monolithic) and ShardedEngine used to each own a full copy of the
-// batch execution path — planner invocation, unplanned fallback, duplicate
-// fan-out, per-query attribution, cache-counter deltas — ~300 lines of
-// drift-prone duplication. A ServingBackend captures the only parts that
+// Engine (monolithic) and ShardedEngine share one batch execution path —
+// planner invocation, duplicate fan-out, per-query attribution,
+// cache-counter deltas. A ServingBackend captures the only parts that
 // genuinely differ between them:
 //
 //  * the pinned consistent view (one Snapshot vs one ShardedSnapshotSet),

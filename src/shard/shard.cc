@@ -38,7 +38,7 @@ Shard::Shard(std::size_t shard_id, std::vector<UserId> users,
             predictor_(global, ratings.RatingsOfUser(global), p, out);
           },
           scale_max, std::move(pool), num_universe_items, band_breakpoints,
-          /*build_flat_twin=*/true, build_threads));
+          build_threads));
   snapshot_ = std::make_shared<const ShardSnapshot>(
       ShardSnapshot{/*generation=*/1, std::move(overlay), std::move(index)});
 }

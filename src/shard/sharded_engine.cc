@@ -284,8 +284,8 @@ std::vector<Result<Recommendation>> ShardedEngine::RecommendBatch(
             Status::InvalidArgument("snapshot set must not be null")));
   }
   const ShardedSetServingBackend backend(*this, set);
-  return BatchExecutor::Execute(backend, queries, options_.plan_batches,
-                                batch_pool_.get(), workspace_pool_, report);
+  return BatchExecutor::Execute(backend, queries, batch_pool_.get(),
+                                workspace_pool_, report);
 }
 
 }  // namespace greca

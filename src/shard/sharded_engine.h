@@ -66,17 +66,12 @@ struct ShardedEngineOptions {
   /// As on the monolithic engine (compaction triggers per shard); `knn` and
   /// `max_candidate_items` apply to study-backed construction only.
   RecommenderOptions recommender;
-  /// Plan RecommendBatch calls before solving them (see EngineOptions::
-  /// plan_batches): duplicate queries share one assembled + solved problem,
-  /// bit-identical to the per-query reference path.
-  bool plan_batches = true;
   /// Worker threads fanning out the initial per-row index fills at
   /// construction (0 = serial; results are bit-identical either way).
   std::size_t build_threads = 0;
-  /// Worker threads for RecommendBatch work units (planner buckets, or
-  /// queries on the unplanned path). 0 picks max(2, hardware_concurrency);
-  /// 1 runs every unit inline on the calling thread — the serial reference
-  /// the parallel path is bit-identical to.
+  /// Worker threads for RecommendBatch's planner buckets. 0 picks
+  /// max(2, hardware_concurrency); 1 runs every bucket inline on the calling
+  /// thread — the serial reference the parallel path is bit-identical to.
   std::size_t batch_threads = 0;
 };
 
@@ -211,11 +206,11 @@ class ShardedEngine {
       QueryWorkspace* workspace = nullptr) const;
 
   /// Batch execution against one pinned set (pinned internally; every query
-  /// sees the same per-shard generation vector). Planned by default (see
-  /// ShardedEngineOptions::plan_batches): duplicate queries share one
-  /// assembled + solved problem. Work units run in parallel over the batch
-  /// pool (ShardedEngineOptions::batch_threads) through the unified serving
-  /// runtime (serve/batch_executor.h), bit-identical to serial execution.
+  /// sees the same per-shard generation vector), planned: duplicate queries
+  /// share one assembled + solved problem. Buckets run in parallel over the
+  /// batch pool (ShardedEngineOptions::batch_threads) through the unified
+  /// serving runtime (serve/batch_executor.h), bit-identical to serial
+  /// execution and to sequential Recommend calls on the same set.
   /// `report`, when non-null, receives planner stats + attribution.
   std::vector<Result<Recommendation>> RecommendBatch(
       std::span<const Query> queries, BatchReport* report = nullptr) const;

@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "dataset/page_likes.h"
 #include "dataset/social_graph.h"
+#include "timeline/period.h"
 
 namespace greca {
 namespace {
@@ -196,6 +197,63 @@ TEST_F(PeriodicAffinityTest, MeanDriftBounded) {
       }
     }
   }
+}
+
+// Streaming maintenance (the paper's §6 question of maintaining the index as
+// time advances): appending one closed period at a time to PeriodicAffinity
+// and DynamicAffinityIndex must agree exactly with batch construction, and
+// never touch what earlier periods stored.
+class StreamingAffinityTest : public ::testing::Test {
+ protected:
+  StreamingAffinityTest() {
+    PageLikeGenConfig config;
+    config.num_users = 24;
+    config.seed = 77;
+    timeline_ = Timeline::FixedWindows(0, 6 * 61 * kSecondsPerDay,
+                                       61 * kSecondsPerDay);
+    likes_ = GeneratePageLikes(config, timeline_).log;
+  }
+  Timeline timeline_ = Timeline::FixedWindows(0, 1, 1);
+  PageLikeLog likes_;
+};
+
+TEST_F(StreamingAffinityTest, StreamingEqualsBatchPeriodByPeriod) {
+  const PeriodicAffinity batch = PeriodicAffinity::Compute(likes_, timeline_);
+  const DynamicAffinityIndex batch_drift = DynamicAffinityIndex::Build(batch);
+  PeriodicAffinity periodic(likes_.num_users());
+  DynamicAffinityIndex drift(likes_.num_users());
+  for (PeriodId p = 0; p < timeline_.num_periods(); ++p) {
+    periodic.AppendPeriod(likes_, timeline_.period(p));
+    drift.AppendPeriod(periodic, p);
+    ASSERT_EQ(periodic.num_periods(), p + 1u);
+    ASSERT_EQ(drift.num_periods(), p + 1u);
+    for (UserId u = 0; u < likes_.num_users(); ++u) {
+      for (UserId v = u + 1; v < likes_.num_users(); ++v) {
+        EXPECT_DOUBLE_EQ(periodic.Raw(u, v, p), batch.Raw(u, v, p));
+        EXPECT_DOUBLE_EQ(periodic.Normalized(u, v, p),
+                         batch.Normalized(u, v, p));
+        EXPECT_DOUBLE_EQ(drift.CumulativeDrift(u, v, p),
+                         batch_drift.CumulativeDrift(u, v, p));
+      }
+    }
+    EXPECT_DOUBLE_EQ(periodic.PopulationAverageRaw(p),
+                     batch.PopulationAverageRaw(p));
+  }
+}
+
+TEST_F(StreamingAffinityTest, EarlierPeriodsAreImmutable) {
+  PeriodicAffinity periodic(likes_.num_users());
+  DynamicAffinityIndex drift(likes_.num_users());
+  periodic.AppendPeriod(likes_, timeline_.period(0));
+  drift.AppendPeriod(periodic, 0);
+  const double before = periodic.Raw(0, 1, 0);
+  const double drift_before = drift.CumulativeDrift(0, 1, 0);
+  for (PeriodId p = 1; p < 3; ++p) {
+    periodic.AppendPeriod(likes_, timeline_.period(p));
+    drift.AppendPeriod(periodic, p);
+  }
+  EXPECT_DOUBLE_EQ(periodic.Raw(0, 1, 0), before);
+  EXPECT_DOUBLE_EQ(drift.CumulativeDrift(0, 1, 0), drift_before);
 }
 
 // ---------------------------------------------------------------------------

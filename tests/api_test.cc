@@ -5,16 +5,21 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/engine.h"
 #include "api/query_builder.h"
 #include "common/thread_pool.h"
+#include "shard/sharded_engine.h"
 #include "solver/solver_registry.h"
 
 namespace greca {
@@ -193,6 +198,106 @@ TEST_F(ApiTest, ValidationErrorsSurfaceAsStatus) {
   const auto rec = engine_->Recommend(r.value());
   ASSERT_TRUE(rec.ok());
   EXPECT_EQ(rec.value().items.size(), 5u);
+}
+
+// Numeric spec fields reach every score: NaN or inf poisons them, and a
+// negative consensus weight or disagreement scale makes the consensus
+// non-monotone, which breaks GRECA's exact-itemset guarantee. Every entry
+// point rejects them, under every registered solver, on both engines.
+TEST_F(ApiTest, NonFiniteOrNegativeSpecNumbersAreRejected) {
+  ShardedEngineOptions sopts;
+  sopts.num_shards = 2;
+  sopts.recommender = Options();
+  const ShardedEngine sharded(universe_->dataset, *study_, sopts);
+
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<const char*, std::function<void(QuerySpec&)>>>
+      bad = {
+          {"w1 NaN", [](QuerySpec& s) { s.consensus.w1 = kNaN; }},
+          {"w1 -1, w2 2",
+           [](QuerySpec& s) {
+             s.consensus.w1 = -1.0;
+             s.consensus.w2 = 2.0;
+           }},
+          {"w1 inf", [](QuerySpec& s) { s.consensus.w1 = kInf; }},
+          {"w2 NaN", [](QuerySpec& s) { s.consensus.w2 = kNaN; }},
+          {"w2 -0.5", [](QuerySpec& s) { s.consensus.w2 = -0.5; }},
+          {"scale -1e300",
+           [](QuerySpec& s) { s.consensus.disagreement_scale = -1e300; }},
+          {"scale NaN",
+           [](QuerySpec& s) { s.consensus.disagreement_scale = kNaN; }},
+          {"scale inf",
+           [](QuerySpec& s) { s.consensus.disagreement_scale = kInf; }},
+          {"drift_gain NaN", [](QuerySpec& s) { s.model.drift_gain = kNaN; }},
+          {"drift_gain -inf",
+           [](QuerySpec& s) { s.model.drift_gain = -kInf; }},
+      };
+  const auto expect_rejected = [](const Status& status,
+                                  const std::string& what) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << what;
+  };
+
+  for (const std::string& id : SolverRegistry::Global().RegisteredIds()) {
+    for (const bool pairwise : {false, true}) {
+      for (const auto& [name, mutate] : bad) {
+        const std::string what = id + " / " + name +
+                                 (pairwise ? " / PD" : " / AP");
+        Query q;
+        q.group = {4, 17, 29, 33};
+        q.spec.k = 5;
+        q.spec.solver_id = id;
+        q.spec.num_candidate_items = 400;
+        if (pairwise) q.spec.consensus = ConsensusSpec::PairwiseDisagreement();
+        mutate(q.spec);
+
+        const auto built = QueryBuilder(*engine_)
+                               .Members(q.group)
+                               .TopK(q.spec.k)
+                               .Using(id)
+                               .Model(q.spec.model)
+                               .Consensus(q.spec.consensus)
+                               .CandidatePool(q.spec.num_candidate_items)
+                               .Build();
+        ASSERT_FALSE(built.ok()) << what;
+        expect_rejected(built.status(), what + " QueryBuilder");
+
+        const auto mono = engine_->Recommend(q);
+        ASSERT_FALSE(mono.ok()) << what;
+        expect_rejected(mono.status(), what + " Engine::Recommend");
+        const auto shard = sharded.Recommend(q.group, q.spec);
+        ASSERT_FALSE(shard.ok()) << what;
+        expect_rejected(shard.status(), what + " ShardedEngine::Recommend");
+
+        const std::vector<Query> batch = {q, q};
+        for (const auto& r : engine_->RecommendBatch(batch)) {
+          ASSERT_FALSE(r.ok()) << what;
+          expect_rejected(r.status(), what + " Engine::RecommendBatch");
+        }
+        for (const auto& r : sharded.RecommendBatch(batch)) {
+          ASSERT_FALSE(r.ok()) << what;
+          expect_rejected(r.status(), what + " ShardedEngine::RecommendBatch");
+        }
+      }
+    }
+  }
+
+  // The boundary stays open: zero weights (either sign of zero), a zero
+  // scale and a negative but finite drift gain are all accepted.
+  ConsensusSpec zero = ConsensusSpec::PairwiseDisagreement(1.0);
+  zero.w2 = -0.0;
+  zero.disagreement_scale = 0.0;
+  AffinityModelSpec negative_gain;
+  negative_gain.drift_gain = -1.0;
+  const auto ok = QueryBuilder(*engine_)
+                      .Members({4, 17, 29, 33})
+                      .TopK(5)
+                      .Consensus(zero)
+                      .Model(negative_gain)
+                      .Build();
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_TRUE(engine_->Recommend(ok.value()).ok());
+  EXPECT_TRUE(sharded.Recommend(ok.value().group, ok.value().spec).ok());
 }
 
 TEST_F(ApiTest, DuplicateMembersAreDeduplicatedByBuilder) {

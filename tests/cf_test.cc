@@ -3,7 +3,6 @@
 
 #include <cmath>
 
-#include "cf/preference_list.h"
 #include "cf/similarity.h"
 #include "cf/user_knn.h"
 #include "dataset/synthetic.h"
@@ -115,28 +114,6 @@ TEST_F(UserKnnTest, PredictWithNeighborsMatchesKnownRatingsRoughly) {
   }
   // Reconstruction MAE well under random guessing (~1.5 stars).
   EXPECT_LT(err / static_cast<double>(count), 1.0);
-}
-
-TEST(PreferenceListTest, EntriesSortedAndNormalized) {
-  const std::vector<Score> predictions{4.0, 2.0, 5.0, 3.0};
-  const std::vector<ItemId> candidates{0, 1, 2};
-  const auto entries = BuildPreferenceEntries(predictions, 5.0, candidates);
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[0].id, 2u);  // prediction 5.0 -> 1.0
-  EXPECT_DOUBLE_EQ(entries[0].score, 1.0);
-  EXPECT_EQ(entries[1].id, 0u);  // 4.0 -> 0.8
-  EXPECT_DOUBLE_EQ(entries[1].score, 0.8);
-  EXPECT_EQ(entries[2].id, 1u);
-  EXPECT_DOUBLE_EQ(entries[2].score, 0.4);
-}
-
-TEST(PreferenceListTest, KeysAreCandidatePositionsNotItemIds) {
-  const std::vector<Score> predictions{1.0, 5.0};
-  const std::vector<ItemId> candidates{1};  // only item 1
-  const auto entries = BuildPreferenceEntries(predictions, 5.0, candidates);
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].id, 0u);  // key 0 = candidates[0] = item 1
-  EXPECT_DOUBLE_EQ(entries[0].score, 1.0);
 }
 
 }  // namespace

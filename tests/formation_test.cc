@@ -2,10 +2,10 @@
 // sample → cluster → form → RecommendBatch → satisfaction, over a scale
 // population served by the sharded engine. The pipeline's contract is
 // end-to-end determinism — identical groups, recommendations, and
-// satisfaction scores across runs and across the planned / unplanned /
-// parallel / serial serving paths — plus the structural invariants of
-// formation itself (disjoint groups of the requested size, drawn from
-// cohort members only).
+// satisfaction scores across runs and across the parallel batch, serial
+// batch and sequential Recommend serving paths — plus the structural
+// invariants of formation itself (disjoint groups of the requested size,
+// drawn from cohort members only).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -39,7 +39,6 @@ class FormationPipelineTest : public ::testing::Test {
   }
 
   static std::unique_ptr<ShardedEngine> MakeEngine(std::size_t num_shards,
-                                                   bool plan_batches,
                                                    std::size_t batch_threads) {
     const RatingGroundTruth& truth = scale_->truth;
     ShardedEngineInputs inputs;
@@ -67,7 +66,6 @@ class FormationPipelineTest : public ::testing::Test {
     inputs.num_periods = 1;
     ShardedEngineOptions options;
     options.num_shards = num_shards;
-    options.plan_batches = plan_batches;
     options.batch_threads = batch_threads;
     return std::make_unique<ShardedEngine>(std::move(inputs), options);
   }
@@ -138,20 +136,19 @@ TEST_F(FormationPipelineTest, FormationIsDeterministicAcrossRuns) {
 
 // The full round trip — form → RecommendBatch → satisfaction — reproduces
 // identical scores across independent runs and across serving paths
-// (planned-parallel vs unplanned-serial engines over the same data).
+// (a parallel batch vs a serial batch and sequential Recommend calls on a
+// second engine over the same data).
 TEST_F(FormationPipelineTest, RoundTripSatisfactionIsDeterministic) {
   const std::vector<FormedGroup> groups = MakePipeline().FormGroups();
   const std::vector<Query> queries =
       FormationPipeline::MakeQueries(groups, Spec());
   const SatisfactionOracle oracle(scale_->truth);
 
-  const auto planned = MakeEngine(2, /*plan_batches=*/true,
-                                  /*batch_threads=*/2);
-  const auto unplanned = MakeEngine(2, /*plan_batches=*/false,
-                                    /*batch_threads=*/1);
+  const auto parallel = MakeEngine(2, /*batch_threads=*/2);
+  const auto serial = MakeEngine(2, /*batch_threads=*/1);
 
   BatchReport report;
-  const auto results = planned->RecommendBatch(queries, &report);
+  const auto results = parallel->RecommendBatch(queries, &report);
   const FormationScore score =
       ScoreFormedGroups(oracle, groups, results, /*period=*/0);
 
@@ -161,22 +158,30 @@ TEST_F(FormationPipelineTest, RoundTripSatisfactionIsDeterministic) {
   EXPECT_LE(score.max_satisfaction_pct, 100.0);
   EXPECT_GE(score.min_satisfaction_pct, 0.0);
   ASSERT_EQ(score.per_group_pct.size(), groups.size());
-  EXPECT_TRUE(report.planned);
   EXPECT_EQ(report.num_queries, queries.size());
 
   // Second run, fresh everything: bit-identical scores.
   const std::vector<FormedGroup> groups2 = MakePipeline().FormGroups();
-  const auto results2 = planned->RecommendBatch(
+  const auto results2 = parallel->RecommendBatch(
       FormationPipeline::MakeQueries(groups2, Spec()), nullptr);
   const FormationScore score2 =
       ScoreFormedGroups(oracle, groups2, results2, /*period=*/0);
   EXPECT_EQ(score.per_group_pct, score2.per_group_pct);
 
-  // The unplanned serial engine serves the same lists, so the same scores.
-  const auto results3 = unplanned->RecommendBatch(queries, nullptr);
+  // The serial engine serves the same lists, batched or one query at a
+  // time, so the same scores.
+  const auto results3 = serial->RecommendBatch(queries, nullptr);
   const FormationScore score3 =
       ScoreFormedGroups(oracle, groups, results3, /*period=*/0);
   EXPECT_EQ(score.per_group_pct, score3.per_group_pct);
+  const auto set = serial->Pin();
+  std::vector<Result<Recommendation>> sequential;
+  for (const Query& q : queries) {
+    sequential.push_back(serial->Recommend(set, q.group, q.spec));
+  }
+  const FormationScore score4 =
+      ScoreFormedGroups(oracle, groups, sequential, /*period=*/0);
+  EXPECT_EQ(score.per_group_pct, score4.per_group_pct);
 }
 
 }  // namespace

@@ -1,19 +1,21 @@
-// The batch planner's load-bearing contract: a PLANNED RecommendBatch —
-// duplicate queries bucketed by execution signature, one assembled + solved
-// problem per bucket, results fanned back out — is BIT-IDENTICAL to the
-// unplanned one-problem-per-query reference path, on both the monolithic
-// Engine and the ShardedEngine, with invalid queries mixed in, and across
-// publishes landing around a pinned snapshot / snapshot set. "Bit-identical"
-// covers the full observable surface: per-query ok/status, recommended
-// items, scores, raw access counters, rounds, and early termination. The
-// planner's report (buckets, attribution, dedup ratio, lazy-agreement and
-// cache counters) is audited alongside.
+// The batch planner's load-bearing contract: a RecommendBatch — duplicate
+// queries bucketed by execution signature, one assembled + solved problem
+// per bucket, results fanned back out — is BIT-IDENTICAL to issuing every
+// query alone through the engine's Recommend on the same pin, a reference
+// that never touches BatchExecutor or BatchPlanner. It holds on both the
+// monolithic Engine and the ShardedEngine, with invalid queries mixed in,
+// and across publishes landing around a pinned snapshot / snapshot set.
+// "Bit-identical" covers the full observable surface: per-query ok/status,
+// recommended items, scores, raw access counters, rounds, early termination
+// and GRECA's execution stats. The planner's report (buckets, attribution,
+// dedup ratio, lazy-agreement and cache counters) is audited alongside.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -121,6 +123,22 @@ TEST(BatchPlannerTest, SignatureCoversGroupOrderAndEverySpecField) {
       << "two distinct signatures collapsed into one bucket";
 }
 
+// SameSignature compares doubles with ==, so the hash must agree on the one
+// pair of distinct bit patterns == calls equal: -0.0 and +0.0.
+TEST(BatchPlannerTest, SignedZeroWeightsShareABucket) {
+  QuerySpec positive = SmallSpec();
+  positive.consensus.w2 = 0.0;
+  QuerySpec negative = SmallSpec();
+  negative.consensus.w2 = -0.0;
+  ASSERT_TRUE(positive == negative);
+
+  const BatchPlan plan = PlanAllValid(
+      {MakeQuery({1, 2}, positive), MakeQuery({1, 2}, negative)});
+  ASSERT_EQ(plan.buckets.size(), 1u);
+  EXPECT_EQ(plan.buckets[0].queries, (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_DOUBLE_EQ(plan.DedupRatio(), 2.0);
+}
+
 TEST(BatchPlannerTest, RejectedQueriesCarryTheValidatorStatus) {
   const std::vector<Query> queries = {MakeQuery({1, 2}, SmallSpec()),
                                       MakeQuery({}, SmallSpec()),
@@ -168,38 +186,50 @@ class PlannerEquivalenceTest : public ::testing::Test {
     return options;
   }
 
-  static std::unique_ptr<Engine> MakePlanned() {
+  static std::unique_ptr<Engine> MakeMono() {
     EngineOptions eopts;
     eopts.num_threads = 2;
     return std::make_unique<Engine>(universe_->dataset, *study_, MonoOptions(),
                                     eopts);
   }
 
-  /// The unplanned reference engine: MakePlanned's inputs with planning
-  /// disabled.
-  static std::unique_ptr<Engine> MakeUnplanned() {
-    EngineOptions eopts;
-    eopts.num_threads = 2;
-    eopts.plan_batches = false;
-    return std::make_unique<Engine>(universe_->dataset, *study_, MonoOptions(),
-                                    eopts);
-  }
-
-  static std::unique_ptr<ShardedEngine> MakeSharded(bool plan_batches) {
-    return MakeShardedN(4, plan_batches, /*batch_threads=*/0);
+  static std::unique_ptr<ShardedEngine> MakeSharded() {
+    return MakeShardedN(4, /*batch_threads=*/0);
   }
 
   /// `batch_threads == 1` is the serial reference the executor's parallel
   /// path must be bit-identical to.
   static std::unique_ptr<ShardedEngine> MakeShardedN(
-      std::size_t num_shards, bool plan_batches, std::size_t batch_threads) {
+      std::size_t num_shards, std::size_t batch_threads) {
     ShardedEngineOptions options;
     options.num_shards = num_shards;
     options.recommender.max_candidate_items = 360;
-    options.plan_batches = plan_batches;
     options.batch_threads = batch_threads;
     return std::make_unique<ShardedEngine>(universe_->dataset, *study_,
                                            options);
+  }
+
+  /// The sequential reference: every query alone through Engine::Recommend
+  /// on `pin` — no planner, no executor, no shared workspace.
+  static std::vector<Result<Recommendation>> Sequential(
+      const Engine& engine, std::span<const Query> batch,
+      const std::shared_ptr<const Snapshot>& pin) {
+    std::vector<Result<Recommendation>> results;
+    results.reserve(batch.size());
+    for (const Query& q : batch) results.push_back(engine.Recommend(q, pin));
+    return results;
+  }
+
+  /// The sharded sequential reference on one pinned set.
+  static std::vector<Result<Recommendation>> Sequential(
+      const ShardedEngine& engine, std::span<const Query> batch,
+      const std::shared_ptr<const ShardedSnapshotSet>& set) {
+    std::vector<Result<Recommendation>> results;
+    results.reserve(batch.size());
+    for (const Query& q : batch) {
+      results.push_back(engine.Recommend(set, q.group, q.spec));
+    }
+    return results;
   }
 
   /// A duplicate-heavy batch: `num_base` distinct valid queries across
@@ -306,6 +336,17 @@ class PlannerEquivalenceTest : public ::testing::Test {
       EXPECT_EQ(x.raw.rounds, y.raw.rounds) << label << " query " << i;
       EXPECT_EQ(x.raw.early_terminated, y.raw.early_terminated)
           << label << " query " << i;
+      const GrecaStats& gx = x.greca_stats;
+      const GrecaStats& gy = y.greca_stats;
+      EXPECT_EQ(gx.peak_buffer_size, gy.peak_buffer_size)
+          << label << " query " << i;
+      EXPECT_EQ(gx.pruned_items, gy.pruned_items) << label << " query " << i;
+      EXPECT_EQ(gx.stop_checks, gy.stop_checks) << label << " query " << i;
+      EXPECT_EQ(gx.stopped_by_buffer_condition,
+                gy.stopped_by_buffer_condition)
+          << label << " query " << i;
+      EXPECT_EQ(gx.final_threshold, gy.final_threshold)
+          << label << " query " << i;
     }
   }
 
@@ -314,7 +355,6 @@ class PlannerEquivalenceTest : public ::testing::Test {
   /// per bucket, and the representative is the bucket's first appearance.
   static void CheckPlannedReport(const BatchReport& report,
                                  std::size_t num_queries, const char* label) {
-    EXPECT_TRUE(report.planned) << label;
     EXPECT_EQ(report.num_queries, num_queries) << label;
     ASSERT_EQ(report.per_query.size(), num_queries) << label;
     const std::size_t valid = report.num_queries - report.num_invalid;
@@ -355,90 +395,76 @@ class PlannerEquivalenceTest : public ::testing::Test {
 SyntheticRatings* PlannerEquivalenceTest::universe_ = nullptr;
 FacebookStudy* PlannerEquivalenceTest::study_ = nullptr;
 
-TEST_F(PlannerEquivalenceTest, PlannedMatchesUnplannedOnTheMonolithicEngine) {
-  const auto planned = MakePlanned();
-  const auto unplanned = MakeUnplanned();
+TEST_F(PlannerEquivalenceTest, PlannedMatchesSequentialOnTheMonolithicEngine) {
+  const auto engine = MakeMono();
 
   for (const std::size_t dup : {1u, 4u, 16u}) {
     const std::vector<Query> batch = DuplicateHeavyBatch(12, dup, 900 + dup);
-    BatchReport planned_report, unplanned_report;
-    const auto a = planned->RecommendBatch(batch, &planned_report);
-    const auto b = unplanned->RecommendBatch(batch, &unplanned_report);
-    ExpectBatchIdentical(a, b, "mono");
+    const auto pin = engine->snapshot();
+    BatchReport report;
+    const auto planned = engine->RecommendBatch(batch, pin, &report);
+    ExpectBatchIdentical(planned, Sequential(*engine, batch, pin), "mono");
 
-    CheckPlannedReport(planned_report, batch.size(), "mono-planned");
-    EXPECT_EQ(planned_report.num_invalid, 5u);
+    CheckPlannedReport(report, batch.size(), "mono-planned");
+    EXPECT_EQ(report.num_invalid, 5u);
     const std::size_t valid = batch.size() - 5;
-    EXPECT_EQ(planned_report.num_buckets, valid / dup)
+    EXPECT_EQ(report.num_buckets, valid / dup)
         << "every duplicate must share its base query's bucket";
-    EXPECT_NEAR(planned_report.dedup_ratio, static_cast<double>(dup), 1e-12);
+    EXPECT_NEAR(report.dedup_ratio, static_cast<double>(dup), 1e-12);
     // Pairwise-consensus problems were solved, so their agreement lists
     // must have been built (every algorithm scores through them).
-    EXPECT_GT(planned_report.agreement_lists_materialized, 0u);
-
-    // The reference path reports one bucket per valid query, no sharing.
-    EXPECT_FALSE(unplanned_report.planned);
-    EXPECT_EQ(unplanned_report.num_invalid, 5u);
-    EXPECT_EQ(unplanned_report.num_buckets, valid);
-    EXPECT_EQ(unplanned_report.duplicates_shared, 0u);
-    EXPECT_DOUBLE_EQ(unplanned_report.dedup_ratio, 1.0);
+    EXPECT_GT(report.agreement_lists_materialized, 0u);
   }
 }
 
 // A batch replayed on a pinned snapshot must ignore publishes entirely —
-// planned and unplanned alike — while fresh batches see the new generation,
-// still identically across the two paths (both engines get every update).
-TEST_F(PlannerEquivalenceTest, PinnedSnapshotSurvivesPublishesOnBothPaths) {
-  const auto planned = MakePlanned();
-  const auto unplanned = MakeUnplanned();
+// and so must the sequential reference on that pin — while fresh batches
+// see the new generation, still identically to the sequential reference on
+// the fresh pin.
+TEST_F(PlannerEquivalenceTest, PinnedSnapshotSurvivesPublishes) {
+  const auto engine = MakeMono();
   const std::vector<Query> batch = DuplicateHeavyBatch(10, 4, 911);
 
-  const auto pin = planned->snapshot();
-  const auto unplanned_pin = unplanned->snapshot();
-  const auto before = planned->RecommendBatch(batch, pin, nullptr);
-  ExpectBatchIdentical(before,
-                       unplanned->RecommendBatch(batch, unplanned_pin, nullptr),
+  const auto pin = engine->snapshot();
+  const auto before = engine->RecommendBatch(batch, pin, nullptr);
+  ExpectBatchIdentical(before, Sequential(*engine, batch, pin),
                        "pinned-before");
 
   for (std::uint64_t round = 0; round < 3; ++round) {
     const std::vector<RatingEvent> events = RandomEvents(24, 1'300 + round);
-    ASSERT_TRUE(planned->ApplyUpdates(events).ok());
-    ASSERT_TRUE(unplanned->ApplyUpdates(events).ok());
-    ExpectBatchIdentical(before, planned->RecommendBatch(batch, pin, nullptr),
-                         "pinned-replay-planned");
-    ExpectBatchIdentical(
-        before, unplanned->RecommendBatch(batch, unplanned_pin, nullptr),
-        "pinned-replay-unplanned");
+    ASSERT_TRUE(engine->ApplyUpdates(events).ok());
+    ExpectBatchIdentical(before, engine->RecommendBatch(batch, pin, nullptr),
+                         "pinned-replay-batch");
+    ExpectBatchIdentical(before, Sequential(*engine, batch, pin),
+                         "pinned-replay-sequential");
   }
-  ExpectBatchIdentical(planned->RecommendBatch(batch),
-                       unplanned->RecommendBatch(batch), "fresh-after");
+  const auto fresh = engine->snapshot();
+  ASSERT_NE(fresh.get(), pin.get());
+  ExpectBatchIdentical(engine->RecommendBatch(batch, fresh, nullptr),
+                       Sequential(*engine, batch, fresh), "fresh-after");
 }
 
-// Sharded planned == sharded unplanned == monolithic, from fresh engines and
-// after every batch of a shared update stream.
-TEST_F(PlannerEquivalenceTest, ShardedPlannedMatchesUnplannedAndMonolithic) {
-  const auto mono = MakePlanned();
-  const auto sharded_planned = MakeSharded(/*plan_batches=*/true);
-  const auto sharded_unplanned = MakeSharded(/*plan_batches=*/false);
+// Sharded batch == sharded sequential on the same set == monolithic batch,
+// from fresh engines and after every batch of a shared update stream.
+TEST_F(PlannerEquivalenceTest, ShardedPlannedMatchesSequentialAndMonolithic) {
+  const auto mono = MakeMono();
+  const auto sharded = MakeSharded();
 
   for (std::uint64_t round = 0; round < 3; ++round) {
     const std::vector<Query> batch = DuplicateHeavyBatch(10, 4, 1'500 + round);
-    BatchReport sp_report, su_report;
-    const auto sp = sharded_planned->RecommendBatch(batch, &sp_report);
-    const auto su = sharded_unplanned->RecommendBatch(batch, &su_report);
-    ExpectBatchIdentical(sp, su, "sharded-planned-vs-unplanned");
-    ExpectBatchIdentical(sp, mono->RecommendBatch(batch),
+    const auto set = sharded->Pin();
+    BatchReport report;
+    const auto planned = sharded->RecommendBatch(set, batch, &report);
+    ExpectBatchIdentical(planned, Sequential(*sharded, batch, set),
+                         "sharded-planned-vs-sequential");
+    ExpectBatchIdentical(planned, mono->RecommendBatch(batch),
                          "sharded-vs-mono");
-    CheckPlannedReport(sp_report, batch.size(), "sharded-planned");
-    EXPECT_NEAR(sp_report.dedup_ratio, 4.0, 1e-12);
-    EXPECT_FALSE(su_report.planned);
-    EXPECT_EQ(su_report.num_buckets,
-              batch.size() - su_report.num_invalid);
+    CheckPlannedReport(report, batch.size(), "sharded-planned");
+    EXPECT_NEAR(report.dedup_ratio, 4.0, 1e-12);
 
     const std::vector<RatingEvent> events = RandomEvents(20, 2'700 + round);
     ASSERT_TRUE(mono->ApplyUpdates(events).ok());
-    ASSERT_TRUE(sharded_planned->ApplyUpdates(events).ok());
-    ASSERT_TRUE(sharded_unplanned->ApplyUpdates(events).ok());
+    ASSERT_TRUE(sharded->ApplyUpdates(events).ok());
   }
 }
 
@@ -447,7 +473,7 @@ TEST_F(PlannerEquivalenceTest, ShardedPlannedMatchesUnplannedAndMonolithic) {
 // the memo; a publish retires the set (fresh pin, fresh memo) without
 // perturbing batches replayed on the old one.
 TEST_F(PlannerEquivalenceTest, PinnedSetReuseAndTombstoneMemo) {
-  const auto sharded = MakeSharded(/*plan_batches=*/true);
+  const auto sharded = MakeSharded();
   const std::vector<Query> batch = DuplicateHeavyBatch(10, 4, 1'777);
 
   const auto set = sharded->Pin();
@@ -482,27 +508,25 @@ TEST_F(PlannerEquivalenceTest, PinnedSetReuseAndTombstoneMemo) {
 
 // The unified executor's parallel sharded path: planned buckets solved over
 // the batch pool must be bit-identical to the serial reference
-// (batch_threads = 1, inline on the calling thread) AND to the unplanned
-// per-query path, at every shard count, on duplicate-heavy batches with
-// invalid queries mixed in, and across publishes landing around pinned sets.
+// (batch_threads = 1, inline on the calling thread) AND to sequential
+// Recommend calls on the same set, at every shard count, on duplicate-heavy
+// batches with invalid queries mixed in, and across publishes landing
+// around pinned sets.
 TEST_F(PlannerEquivalenceTest, ShardedParallelPlannedMatchesSerialReference) {
   for (const std::size_t num_shards : {1u, 2u, 4u}) {
-    const auto parallel =
-        MakeShardedN(num_shards, /*plan_batches=*/true, /*batch_threads=*/4);
-    const auto serial =
-        MakeShardedN(num_shards, /*plan_batches=*/true, /*batch_threads=*/1);
-    const auto unplanned =
-        MakeShardedN(num_shards, /*plan_batches=*/false, /*batch_threads=*/1);
+    const auto parallel = MakeShardedN(num_shards, /*batch_threads=*/4);
+    const auto serial = MakeShardedN(num_shards, /*batch_threads=*/1);
 
     for (const std::size_t dup : {4u, 16u}) {
       const std::vector<Query> batch =
           DuplicateHeavyBatch(10, dup, 5'000 + 10 * num_shards + dup);
+      const auto set = parallel->Pin();
       BatchReport parallel_report, serial_report;
-      const auto p = parallel->RecommendBatch(batch, &parallel_report);
+      const auto p = parallel->RecommendBatch(set, batch, &parallel_report);
       const auto s = serial->RecommendBatch(batch, &serial_report);
       ExpectBatchIdentical(p, s, "sharded-parallel-vs-serial");
-      ExpectBatchIdentical(p, unplanned->RecommendBatch(batch),
-                           "sharded-parallel-vs-unplanned");
+      ExpectBatchIdentical(p, Sequential(*parallel, batch, set),
+                           "sharded-parallel-vs-sequential");
       CheckPlannedReport(parallel_report, batch.size(), "sharded-parallel");
       CheckPlannedReport(serial_report, batch.size(), "sharded-serial");
       // Attribution is deterministic (the plan is computed before any solve
@@ -553,7 +577,7 @@ TEST_F(PlannerEquivalenceTest, ShardedParallelPlannedMatchesSerialReference) {
 // only when an algorithm walks it, with TotalEntries (the paper's EDA cost
 // surface) exact in both states.
 TEST_F(PlannerEquivalenceTest, LazyAgreementDeferAndMaterialize) {
-  const auto engine = MakePlanned();
+  const auto engine = MakeMono();
   const GroupRecommender& rec = engine->recommender();
 
   QuerySpec pairwise = SmallSpec();

@@ -258,12 +258,14 @@ std::vector<ItemId> IdentityPool(std::size_t pool) {
 }
 
 /// An index over pool == universe items 0..P-1 (so pool-order scores are
-/// also the per-item predictions), geometric bands, flat twin on request.
+/// also the per-item predictions): geometric bands with the flat twin, or
+/// the flat layout on request.
 PreferenceIndex BuildPoolIndex(const std::vector<std::vector<Score>>& scores,
-                               std::size_t pool, bool flat_twin = true) {
+                               std::size_t pool, bool banded = true) {
   return PreferenceIndex::Build(
       scores, /*scale_max=*/5.0, IdentityPool(pool), pool,
-      PreferenceIndex::GeometricBandBreakpoints(pool), flat_twin);
+      banded ? PreferenceIndex::GeometricBandBreakpoints(pool)
+             : std::vector<std::uint32_t>{});
 }
 
 /// Reads a view to exhaustion as (key, score) entries, plus every key's
@@ -311,11 +313,11 @@ std::vector<std::span<const Score>> Views(
 }
 
 TEST(PreferenceIndexPagesTest, PageGeometryFollowsTheByteBudget) {
-  // 256 keys x (key + score + position) = 4 KiB per order: 8 twin records
-  // or 16 single-order records per 64 KiB page.
+  // 256 keys x (key + score + position) = 4 KiB per order: 8 banded+twin
+  // records or 16 flat (single-order) records per 64 KiB page.
   const auto scores = RandomPoolScores(3, 256, 1);
   EXPECT_EQ(BuildPoolIndex(scores, 256).rows_per_page(), 8u);
-  EXPECT_EQ(BuildPoolIndex(scores, 256, /*flat_twin=*/false).rows_per_page(),
+  EXPECT_EQ(BuildPoolIndex(scores, 256, /*banded=*/false).rows_per_page(),
             16u);
   // Pool 3 900 with the twin needs ~122 KiB per record: one row per page.
   const auto wide = RandomPoolScores(2, 3'900, 2);
@@ -325,20 +327,6 @@ TEST(PreferenceIndexPagesTest, PageGeometryFollowsTheByteBudget) {
   // MemoryBreakdownBytes reports the logical row bytes, page slack aside.
   EXPECT_EQ(index.MemoryBreakdownBytes().banded_bytes, 2u * 3'900u * 16u);
   EXPECT_EQ(index.MemoryBreakdownBytes().flat_twin_bytes, 2u * 3'900u * 16u);
-}
-
-TEST(PreferenceIndexPagesTest, SortOnceMatchesPerBandSorts) {
-  // With the twin, band order is scattered from the one global sort; without
-  // it, every band is sorted on its own. Both must give the same rows.
-  const auto scores = RandomPoolScores(9, 700, 3);
-  const PreferenceIndex twin = BuildPoolIndex(scores, 700);
-  const PreferenceIndex banded = BuildPoolIndex(scores, 700, false);
-  ASSERT_TRUE(twin.has_flat_twin());
-  ASSERT_FALSE(banded.has_flat_twin());
-  for (UserId u = 0; u < twin.num_users(); ++u) {
-    EXPECT_TRUE(std::ranges::equal(twin.UserKeys(u), banded.UserKeys(u)));
-    EXPECT_TRUE(std::ranges::equal(twin.UserScores(u), banded.UserScores(u)));
-  }
 }
 
 TEST(PreferenceIndexPagesTest, CloneSharesUntouchedPagesAndKeepsParent) {
@@ -543,7 +531,7 @@ void ExpectOrder(const RowOrder& got,
 
 /// Every row of `index` equals the reference built from `raw` (pool-order
 /// raw scores per row): each band in band order, and the whole row in the
-/// twin when the index has one.
+/// twin on banded layouts.
 void ExpectMatchesReference(const PreferenceIndex& index,
                             const std::vector<std::vector<Score>>& raw,
                             double scale_max, const std::string& what) {
@@ -558,7 +546,7 @@ void ExpectMatchesReference(const PreferenceIndex& index,
     }
     ExpectOrder(Peer::UserOrder(index, u), banded,
                 what + " row " + std::to_string(u) + " band order");
-    if (index.has_flat_twin()) {
+    if (index.num_bands() > 1) {
       ExpectOrder(Peer::UserOrder(index, u, /*flat=*/true),
                   ReferenceOrder(raw[u], 0, raw[u].size(), scale_max),
                   what + " row " + std::to_string(u) + " twin");
@@ -566,16 +554,14 @@ void ExpectMatchesReference(const PreferenceIndex& index,
   }
 }
 
-/// The three row layouts: banded with the twin, banded without it, flat.
+/// The two row layouts: banded (always with the twin) and flat.
 struct Layout {
   const char* name;
   bool banded;
-  bool twin;
 };
 constexpr Layout kLayouts[] = {
-    {"banded+twin", true, true},
-    {"banded", true, false},
-    {"flat", false, false},
+    {"banded+twin", true},
+    {"flat", false},
 };
 
 PreferenceIndex BuildRaw(const std::vector<std::vector<Score>>& raw,
@@ -587,8 +573,7 @@ PreferenceIndex BuildRaw(const std::vector<std::vector<Score>>& raw,
       },
       /*scale_max=*/5.0, IdentityPool(pool), pool,
       layout.banded ? PreferenceIndex::GeometricBandBreakpoints(pool, 16)
-                    : std::vector<std::uint32_t>{},
-      layout.twin);
+                    : std::vector<std::uint32_t>{});
 }
 
 TEST(PreferenceIndexRadixTest, RowsMatchStableSortReference) {
@@ -602,7 +587,7 @@ TEST(PreferenceIndexRadixTest, RowsMatchStableSortReference) {
     }
     for (const Layout& layout : kLayouts) {
       const PreferenceIndex index = BuildRaw(raw, pool, layout);
-      EXPECT_EQ(index.has_flat_twin(), layout.twin && index.num_bands() > 1);
+      EXPECT_EQ(index.num_bands() > 1, layout.banded && pool > 16);
       ExpectMatchesReference(
           index, raw, 5.0,
           std::string(layout.name) + " pool " + std::to_string(pool));
@@ -618,7 +603,7 @@ void ExpectRowBitIdentical(const PreferenceIndex& a,
            std::memcmp(x.data(), y.data(), x.size_bytes()) == 0;
   };
   for (const bool flat : {false, true}) {
-    if (flat && !a.has_flat_twin()) continue;
+    if (flat && a.num_bands() == 1) continue;
     const RowOrder x = Peer::UserOrder(a, u, flat);
     const RowOrder y = Peer::UserOrder(b, u, flat);
     EXPECT_TRUE(same(x.keys, y.keys)) << "row " << u << " flat " << flat;
@@ -723,7 +708,7 @@ void ExpectBandsSorted(const PreferenceIndex& index) {
                          row.scores.subspan(bounds[b], len)))
           << "row " << u << " band " << b;
     }
-    if (index.has_flat_twin()) {
+    if (index.num_bands() > 1) {
       const RowOrder flat = Peer::UserOrder(index, u, true);
       EXPECT_TRUE(sorted(flat.keys, flat.scores)) << "row " << u << " twin";
     }

@@ -154,7 +154,7 @@ TEST_F(SnapshotTest, InvalidEventsRejectAtomically) {
   EXPECT_EQ(engine->snapshot()->generation(), 1u);
 
   // A null explicit snapshot is a Status, not a crash — for one query, and
-  // for every query of a batch on planned and unplanned engines alike.
+  // for every query of a batch.
   Query query;
   query.group = {4, 17};
   query.spec.k = 3;
@@ -162,22 +162,13 @@ TEST_F(SnapshotTest, InvalidEventsRejectAtomically) {
   ASSERT_FALSE(null_snap.ok());
   EXPECT_EQ(null_snap.status().code(), StatusCode::kInvalidArgument);
 
-  RecommenderOptions options;
-  options.max_candidate_items = 400;
-  EngineOptions unplanned_opts;
-  unplanned_opts.num_threads = 2;
-  unplanned_opts.plan_batches = false;
-  const Engine unplanned(*universe_, *study_, options, unplanned_opts);
   const std::vector<Query> batch = {query, query, query};
-  const Engine* engines[] = {engine.get(), &unplanned};
-  for (const Engine* e : engines) {
-    BatchReport report;
-    const auto results = e->RecommendBatch(batch, nullptr, &report);
-    ASSERT_EQ(results.size(), batch.size());
-    for (const auto& r : results) {
-      ASSERT_FALSE(r.ok());
-      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-    }
+  BatchReport report;
+  const auto results = engine->RecommendBatch(batch, nullptr, &report);
+  ASSERT_EQ(results.size(), batch.size());
+  for (const auto& r : results) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   }
 }
 

@@ -6,7 +6,7 @@
 //    ranking serves only the majority taste;
 //  * reported scores are marginal gains, non-increasing by submodularity;
 //  * the solver runs end-to-end through QueryBuilder, Engine::Recommend and
-//    RecommendBatch (planned bit-identical to unplanned).
+//    RecommendBatch (bit-identical to sequential Recommend on the same pin).
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -130,12 +130,9 @@ TEST(SubmodularSolverTest, RunsEndToEndThroughEngineAndBatch) {
 
   RecommenderOptions options;
   options.max_candidate_items = 220;
-  EngineOptions planned;
-  planned.num_threads = 2;
-  EngineOptions unplanned = planned;
-  unplanned.plan_batches = false;
-  const Engine engine(universe.dataset, study, options, planned);
-  const Engine reference(universe.dataset, study, options, unplanned);
+  EngineOptions engine_options;
+  engine_options.num_threads = 2;
+  const Engine engine(universe.dataset, study, options, engine_options);
 
   const Result<Query> query = QueryBuilder(engine)
                                   .Members({0, 4, 9})
@@ -149,17 +146,21 @@ TEST(SubmodularSolverTest, RunsEndToEndThroughEngineAndBatch) {
   EXPECT_EQ(single.value().items.size(), 5u);
 
   // A batch with duplicates and a solver mix: the planner shares problems
-  // only within a solver id, and the planned path stays bit-identical.
+  // only within a solver id, and the batch stays bit-identical to
+  // sequential Recommend calls on the same snapshot.
   std::vector<Query> batch;
   batch.push_back(query.value());
   batch.push_back(query.value());  // duplicate — one solve, fanned out
   Query naive_query = query.value();
   naive_query.spec.solver_id = std::string(kNaiveSolverId);
   batch.push_back(naive_query);
+  const auto pin = engine.snapshot();
   BatchReport report;
-  const auto planned_results = engine.RecommendBatch(batch, &report);
-  const auto reference_results = reference.RecommendBatch(batch);
-  EXPECT_TRUE(report.planned);
+  const auto planned_results = engine.RecommendBatch(batch, pin, &report);
+  std::vector<Result<Recommendation>> reference_results;
+  for (const Query& q : batch) {
+    reference_results.push_back(engine.Recommend(q, pin));
+  }
   EXPECT_EQ(report.num_buckets, 2u);
   EXPECT_EQ(report.duplicates_shared, 1u);
   ASSERT_EQ(planned_results.size(), reference_results.size());
