@@ -37,9 +37,19 @@ const Group& SampleGroup() {
   return group;
 }
 
+// The top-k benches' consensus argument: 0 = AP, 1 = PD (which walks the
+// aggregated agreement list), 2 = VD (variance bounds).
+QuerySpec TopKSpec(std::int64_t consensus) {
+  QuerySpec spec = PerformanceHarness::DefaultSpec();
+  spec.consensus = consensus == 0   ? ConsensusSpec::AveragePreference()
+                   : consensus == 1 ? ConsensusSpec::PairwiseDisagreement()
+                                    : ConsensusSpec::VarianceDisagreement();
+  return spec;
+}
+
 void BM_GrecaTopK(benchmark::State& state) {
   const auto& ctx = BenchContext::Get();
-  QuerySpec spec = PerformanceHarness::DefaultSpec();
+  QuerySpec spec = TopKSpec(state.range(1));
   spec.k = static_cast<std::size_t>(state.range(0));
   const GroupProblem problem =
       ctx.recommender->BuildProblem(SampleGroup(), spec).value();
@@ -52,34 +62,37 @@ void BM_GrecaTopK(benchmark::State& state) {
     benchmark::DoNotOptimize(result.items.data());
   }
   state.counters["sa_percent"] = sa_percent;
+  state.SetLabel(spec.consensus.Name());
 }
-BENCHMARK(BM_GrecaTopK)->Arg(5)->Arg(10)->Arg(20);
+BENCHMARK(BM_GrecaTopK)
+    ->ArgsProduct({{5, 10, 20}, {0, 1, 2}})
+    ->ArgNames({"k", "consensus"});
 
 void BM_NaiveTopK(benchmark::State& state) {
   const auto& ctx = BenchContext::Get();
+  const QuerySpec spec = TopKSpec(state.range(0));
   const GroupProblem problem =
-      ctx.recommender
-          ->BuildProblem(SampleGroup(), PerformanceHarness::DefaultSpec())
-          .value();
+      ctx.recommender->BuildProblem(SampleGroup(), spec).value();
   for (auto _ : state) {
     const TopKResult result = NaiveTopK(problem, 10);
     benchmark::DoNotOptimize(result.items.data());
   }
+  state.SetLabel(spec.consensus.Name());
 }
-BENCHMARK(BM_NaiveTopK);
+BENCHMARK(BM_NaiveTopK)->DenseRange(0, 2)->ArgName("consensus");
 
 void BM_TaTopK(benchmark::State& state) {
   const auto& ctx = BenchContext::Get();
+  const QuerySpec spec = TopKSpec(state.range(0));
   const GroupProblem problem =
-      ctx.recommender
-          ->BuildProblem(SampleGroup(), PerformanceHarness::DefaultSpec())
-          .value();
+      ctx.recommender->BuildProblem(SampleGroup(), spec).value();
   for (auto _ : state) {
     const TopKResult result = TaTopK(problem, 10);
     benchmark::DoNotOptimize(result.items.data());
   }
+  state.SetLabel(spec.consensus.Name());
 }
-BENCHMARK(BM_TaTopK);
+BENCHMARK(BM_TaTopK)->DenseRange(0, 2)->ArgName("consensus");
 
 void ExhaustPreferenceLists(const GroupProblem& problem,
                             AccessCounter& counter) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 #include "common/string_util.h"
 
@@ -16,150 +17,50 @@ std::string ConsensusSpec::Name() const {
   return base + "(w1=" + FormatDouble(w1, 1) + ")";
 }
 
-double GroupPreferenceScore(GroupAggregator aggregator,
-                            std::span<const double> prefs) {
-  assert(!prefs.empty());
-  if (aggregator == GroupAggregator::kLeastMisery) {
-    return *std::min_element(prefs.begin(), prefs.end());
-  }
-  double sum = 0.0;
-  for (const double p : prefs) sum += p;
-  return sum / static_cast<double>(prefs.size());
-}
+// Every function below has one signature; empty weights select the uniform
+// branch, which is the historical unweighted code unchanged (bit-identical),
+// and least misery ignores weights outright (the minimum is the minimum
+// under any positive weighting).
 
-double DisagreementScore(DisagreementKind kind,
-                         std::span<const double> prefs) {
-  const std::size_t g = prefs.size();
-  if (kind == DisagreementKind::kNone || g < 2) return 0.0;
-  if (kind == DisagreementKind::kPairwise) {
-    double sum = 0.0;
-    for (std::size_t a = 0; a < g; ++a) {
-      for (std::size_t b = a + 1; b < g; ++b) {
-        sum += std::abs(prefs[a] - prefs[b]);
-      }
+namespace {
+
+/// Population variance of g values `value(u)`: around the plain mean on
+/// uniform weights, around the weighted mean otherwise.
+template <typename Value>
+double Variance(std::size_t g, const ConsensusWeights& weights, Value value) {
+  if (weights.uniform()) {
+    double mean = 0.0;
+    for (std::size_t u = 0; u < g; ++u) mean += value(u);
+    mean /= static_cast<double>(g);
+    double var = 0.0;
+    for (std::size_t u = 0; u < g; ++u) {
+      var += (value(u) - mean) * (value(u) - mean);
     }
-    return 2.0 * sum / (static_cast<double>(g) * static_cast<double>(g - 1));
+    return var / static_cast<double>(g);
   }
-  // Variance.
+  assert(weights.member.size() == g);
   double mean = 0.0;
-  for (const double p : prefs) mean += p;
-  mean /= static_cast<double>(g);
+  for (std::size_t u = 0; u < g; ++u) mean += weights.member[u] * value(u);
   double var = 0.0;
-  for (const double p : prefs) var += (p - mean) * (p - mean);
-  return var / static_cast<double>(g);
+  for (std::size_t u = 0; u < g; ++u) {
+    var += weights.member[u] * (value(u) - mean) * (value(u) - mean);
+  }
+  return var;
 }
 
-double ConsensusScore(const ConsensusSpec& spec,
-                      std::span<const double> prefs) {
-  const double gpref = GroupPreferenceScore(spec.aggregator, prefs);
-  if (spec.disagreement == DisagreementKind::kNone) {
-    return spec.w1 * gpref + spec.w2;  // dis = 0
-  }
-  const double dis = DisagreementScore(spec.disagreement, prefs);
-  return spec.w1 * gpref + spec.w2 * (1.0 - dis);
-}
-
-Interval GroupPreferenceInterval(GroupAggregator aggregator,
-                                 std::span<const Interval> prefs) {
-  assert(!prefs.empty());
-  if (aggregator == GroupAggregator::kLeastMisery) {
-    Interval result{1.0, 1.0};
-    for (const Interval& p : prefs) result = Min(result, p);
-    return result;
-  }
-  Interval sum{0.0, 0.0};
-  for (const Interval& p : prefs) sum = sum + p;
-  const double inv = 1.0 / static_cast<double>(prefs.size());
-  return inv * sum;
-}
-
-Interval DisagreementInterval(DisagreementKind kind,
-                              std::span<const Interval> prefs) {
-  const std::size_t g = prefs.size();
-  if (kind == DisagreementKind::kNone || g < 2) return Interval::Exact(0.0);
-  if (kind == DisagreementKind::kPairwise) {
-    Interval sum{0.0, 0.0};
-    for (std::size_t a = 0; a < g; ++a) {
-      for (std::size_t b = a + 1; b < g; ++b) {
-        sum = sum + AbsDifference(prefs[a], prefs[b]);
-      }
-    }
-    const double norm =
-        2.0 / (static_cast<double>(g) * static_cast<double>(g - 1));
-    return norm * sum;
-  }
-  // Variance bounds. Lower bound: 0 is always sound (and tight whenever all
-  // member intervals share a point). Upper bound: all values lie within the
-  // global envelope [min lb, max ub]; a set of points inside a range R has
-  // variance at most (R/2)^2.
-  double lo = 1.0, hi = 0.0;
-  for (const Interval& p : prefs) {
-    lo = std::min(lo, p.lb);
-    hi = std::max(hi, p.ub);
-  }
-  const double half_range = std::max(0.0, (hi - lo) / 2.0);
-  return {0.0, half_range * half_range};
-}
-
-double PairAgreement(double apref_a, double apref_b, double scale) {
-  return 1.0 - scale * std::abs(apref_a - apref_b);
-}
-
-double ConsensusScoreWithAgreements(const ConsensusSpec& spec,
-                                    std::span<const double> prefs,
-                                    std::span<const double> agreements) {
-  if (spec.disagreement != DisagreementKind::kPairwise) {
-    return ConsensusScore(spec, prefs);
-  }
-  const double gpref = GroupPreferenceScore(spec.aggregator, prefs);
-  double agreement = 1.0;  // singleton groups have no disagreement
-  if (!agreements.empty()) {
-    agreement = 0.0;
-    for (const double a : agreements) agreement += a;
-    agreement /= static_cast<double>(agreements.size());
-  }
-  return spec.w1 * gpref + spec.w2 * agreement;
-}
-
-Interval ConsensusIntervalWithAgreements(
-    const ConsensusSpec& spec, std::span<const Interval> prefs,
-    std::span<const Interval> agreements) {
-  if (spec.disagreement != DisagreementKind::kPairwise) {
-    return ConsensusInterval(spec, prefs);
-  }
-  const Interval gpref = GroupPreferenceInterval(spec.aggregator, prefs);
-  Interval agreement{1.0, 1.0};
-  if (!agreements.empty()) {
-    agreement = {0.0, 0.0};
-    for (const Interval& a : agreements) agreement = agreement + a;
-    const double inv = 1.0 / static_cast<double>(agreements.size());
-    agreement = inv * agreement;
-  }
-  return {spec.w1 * gpref.lb + spec.w2 * agreement.lb,
-          spec.w1 * gpref.ub + spec.w2 * agreement.ub};
-}
-
-Interval ConsensusInterval(const ConsensusSpec& spec,
-                           std::span<const Interval> prefs) {
-  const Interval gpref = GroupPreferenceInterval(spec.aggregator, prefs);
-  if (spec.disagreement == DisagreementKind::kNone) {
-    return {spec.w1 * gpref.lb + spec.w2, spec.w1 * gpref.ub + spec.w2};
-  }
-  const Interval dis = DisagreementInterval(spec.disagreement, prefs);
-  return {spec.w1 * gpref.lb + spec.w2 * (1.0 - dis.ub),
-          spec.w1 * gpref.ub + spec.w2 * (1.0 - dis.lb)};
-}
-
-// --- Weighted variants. Every function delegates to its unweighted twin on
-// uniform weights, so the default path stays bit-identical to the historical
-// code; least misery additionally ignores weights outright (the minimum is
-// the minimum under any positive weighting).
+}  // namespace
 
 double GroupPreferenceScore(GroupAggregator aggregator,
                             std::span<const double> prefs,
                             const ConsensusWeights& weights) {
-  if (weights.uniform() || aggregator == GroupAggregator::kLeastMisery) {
-    return GroupPreferenceScore(aggregator, prefs);
+  assert(!prefs.empty());
+  if (aggregator == GroupAggregator::kLeastMisery) {
+    return *std::min_element(prefs.begin(), prefs.end());
+  }
+  if (weights.uniform()) {
+    double sum = 0.0;
+    for (const double p : prefs) sum += p;
+    return sum / static_cast<double>(prefs.size());
   }
   assert(weights.member.size() == prefs.size());
   double sum = 0.0;
@@ -171,34 +72,33 @@ double GroupPreferenceScore(GroupAggregator aggregator,
 
 double DisagreementScore(DisagreementKind kind, std::span<const double> prefs,
                          const ConsensusWeights& weights) {
-  if (weights.uniform()) return DisagreementScore(kind, prefs);
   const std::size_t g = prefs.size();
   if (kind == DisagreementKind::kNone || g < 2) return 0.0;
-  if (kind == DisagreementKind::kPairwise) {
-    assert(weights.pair.size() == g * (g - 1) / 2);
+  if (kind == DisagreementKind::kVariance) {
+    return Variance(g, weights, [&](std::size_t u) { return prefs[u]; });
+  }
+  if (weights.uniform()) {
     double sum = 0.0;
-    std::size_t q = 0;
     for (std::size_t a = 0; a < g; ++a) {
-      for (std::size_t b = a + 1; b < g; ++b, ++q) {
-        sum += weights.pair[q] * std::abs(prefs[a] - prefs[b]);
+      for (std::size_t b = a + 1; b < g; ++b) {
+        sum += std::abs(prefs[a] - prefs[b]);
       }
     }
-    return sum;  // pair weights sum to 1
+    return 2.0 * sum / (static_cast<double>(g) * static_cast<double>(g - 1));
   }
-  // Weighted population variance around the weighted mean.
-  assert(weights.member.size() == g);
-  double mean = 0.0;
-  for (std::size_t u = 0; u < g; ++u) mean += weights.member[u] * prefs[u];
-  double var = 0.0;
-  for (std::size_t u = 0; u < g; ++u) {
-    var += weights.member[u] * (prefs[u] - mean) * (prefs[u] - mean);
+  assert(weights.pair.size() == g * (g - 1) / 2);
+  double sum = 0.0;
+  std::size_t q = 0;
+  for (std::size_t a = 0; a < g; ++a) {
+    for (std::size_t b = a + 1; b < g; ++b, ++q) {
+      sum += weights.pair[q] * std::abs(prefs[a] - prefs[b]);
+    }
   }
-  return var;
+  return sum;  // pair weights sum to 1
 }
 
 double ConsensusScore(const ConsensusSpec& spec, std::span<const double> prefs,
                       const ConsensusWeights& weights) {
-  if (weights.uniform()) return ConsensusScore(spec, prefs);
   const double gpref = GroupPreferenceScore(spec.aggregator, prefs, weights);
   if (spec.disagreement == DisagreementKind::kNone) {
     return spec.w1 * gpref + spec.w2;  // dis = 0
@@ -210,11 +110,19 @@ double ConsensusScore(const ConsensusSpec& spec, std::span<const double> prefs,
 Interval GroupPreferenceInterval(GroupAggregator aggregator,
                                  std::span<const Interval> prefs,
                                  const ConsensusWeights& weights) {
-  if (weights.uniform() || aggregator == GroupAggregator::kLeastMisery) {
-    return GroupPreferenceInterval(aggregator, prefs);
+  assert(!prefs.empty());
+  if (aggregator == GroupAggregator::kLeastMisery) {
+    Interval result{1.0, 1.0};
+    for (const Interval& p : prefs) result = Min(result, p);
+    return result;
+  }
+  Interval sum{0.0, 0.0};
+  if (weights.uniform()) {
+    for (const Interval& p : prefs) sum = sum + p;
+    const double inv = 1.0 / static_cast<double>(prefs.size());
+    return inv * sum;
   }
   assert(weights.member.size() == prefs.size());
-  Interval sum{0.0, 0.0};
   for (std::size_t u = 0; u < prefs.size(); ++u) {
     sum = sum + weights.member[u] * prefs[u];
   }
@@ -224,12 +132,21 @@ Interval GroupPreferenceInterval(GroupAggregator aggregator,
 Interval DisagreementInterval(DisagreementKind kind,
                               std::span<const Interval> prefs,
                               const ConsensusWeights& weights) {
-  if (weights.uniform()) return DisagreementInterval(kind, prefs);
   const std::size_t g = prefs.size();
   if (kind == DisagreementKind::kNone || g < 2) return Interval::Exact(0.0);
   if (kind == DisagreementKind::kPairwise) {
-    assert(weights.pair.size() == g * (g - 1) / 2);
     Interval sum{0.0, 0.0};
+    if (weights.uniform()) {
+      for (std::size_t a = 0; a < g; ++a) {
+        for (std::size_t b = a + 1; b < g; ++b) {
+          sum = sum + AbsDifference(prefs[a], prefs[b]);
+        }
+      }
+      const double norm =
+          2.0 / (static_cast<double>(g) * static_cast<double>(g - 1));
+      return norm * sum;
+    }
+    assert(weights.pair.size() == g * (g - 1) / 2);
     std::size_t q = 0;
     for (std::size_t a = 0; a < g; ++a) {
       for (std::size_t b = a + 1; b < g; ++b, ++q) {
@@ -238,15 +155,28 @@ Interval DisagreementInterval(DisagreementKind kind,
     }
     return sum;
   }
-  // The unweighted envelope bound is sound for any convex weighting
-  // (Bhatia–Davis), so weighted variance reuses it unchanged.
-  return DisagreementInterval(kind, prefs);
+  // Variance. Exact member values give the exact variance, so a fully seen
+  // item's bounds close on its score. Otherwise the lower bound is 0 (always
+  // sound, and tight whenever all member intervals share a point) and the
+  // upper bound comes from the global envelope [min lb, max ub]: points
+  // inside a range R have (weighted) variance at most (R/2)².
+  if (std::all_of(prefs.begin(), prefs.end(),
+                  [](const Interval& p) { return p.IsExact(); })) {
+    return Interval::Exact(
+        Variance(g, weights, [&](std::size_t u) { return prefs[u].lb; }));
+  }
+  double lo = 1.0, hi = 0.0;
+  for (const Interval& p : prefs) {
+    lo = std::min(lo, p.lb);
+    hi = std::max(hi, p.ub);
+  }
+  const double half_range = std::max(0.0, (hi - lo) / 2.0);
+  return {0.0, half_range * half_range};
 }
 
 Interval ConsensusInterval(const ConsensusSpec& spec,
                            std::span<const Interval> prefs,
                            const ConsensusWeights& weights) {
-  if (weights.uniform()) return ConsensusInterval(spec, prefs);
   const Interval gpref =
       GroupPreferenceInterval(spec.aggregator, prefs, weights);
   if (spec.disagreement == DisagreementKind::kNone) {
@@ -257,57 +187,25 @@ Interval ConsensusInterval(const ConsensusSpec& spec,
           spec.w1 * gpref.ub + spec.w2 * (1.0 - dis.lb)};
 }
 
-double ConsensusScoreWithAgreements(const ConsensusSpec& spec,
-                                    std::span<const double> prefs,
-                                    std::span<const double> agreements,
-                                    const ConsensusWeights& weights) {
-  if (weights.uniform()) {
-    return ConsensusScoreWithAgreements(spec, prefs, agreements);
-  }
-  if (spec.disagreement != DisagreementKind::kPairwise) {
-    return ConsensusScore(spec, prefs, weights);
-  }
+double PairAgreement(double apref_a, double apref_b, double scale) {
+  return 1.0 - scale * std::abs(apref_a - apref_b);
+}
+
+double ConsensusScoreWithAgreement(const ConsensusSpec& spec,
+                                   std::span<const double> prefs,
+                                   double agreement,
+                                   const ConsensusWeights& weights) {
   const double gpref = GroupPreferenceScore(spec.aggregator, prefs, weights);
-  double agreement = 1.0;  // singleton groups have no disagreement
-  if (agreements.size() == weights.pair.size() && !agreements.empty()) {
-    // Per-pair layout: apply the pair weights directly.
-    agreement = 0.0;
-    for (std::size_t q = 0; q < agreements.size(); ++q) {
-      agreement += weights.pair[q] * agreements[q];
-    }
-  } else if (!agreements.empty()) {
-    // Pre-aggregated group list(s): entries already carry the weighted mean.
-    agreement = 0.0;
-    for (const double a : agreements) agreement += a;
-    agreement /= static_cast<double>(agreements.size());
-  }
   return spec.w1 * gpref + spec.w2 * agreement;
 }
 
-Interval ConsensusIntervalWithAgreements(const ConsensusSpec& spec,
-                                         std::span<const Interval> prefs,
-                                         std::span<const Interval> agreements,
-                                         const ConsensusWeights& weights) {
-  if (weights.uniform()) {
-    return ConsensusIntervalWithAgreements(spec, prefs, agreements);
-  }
-  if (spec.disagreement != DisagreementKind::kPairwise) {
-    return ConsensusInterval(spec, prefs, weights);
-  }
+Interval ConsensusIntervalWithAgreement(const ConsensusSpec& spec,
+                                        std::span<const Interval> prefs,
+                                        Interval agreement,
+                                        const ConsensusWeights& weights) {
+  assert(spec.disagreement == DisagreementKind::kPairwise);
   const Interval gpref =
       GroupPreferenceInterval(spec.aggregator, prefs, weights);
-  Interval agreement{1.0, 1.0};
-  if (agreements.size() == weights.pair.size() && !agreements.empty()) {
-    agreement = {0.0, 0.0};
-    for (std::size_t q = 0; q < agreements.size(); ++q) {
-      agreement = agreement + weights.pair[q] * agreements[q];
-    }
-  } else if (!agreements.empty()) {
-    agreement = {0.0, 0.0};
-    for (const Interval& a : agreements) agreement = agreement + a;
-    const double inv = 1.0 / static_cast<double>(agreements.size());
-    agreement = inv * agreement;
-  }
   return {spec.w1 * gpref.lb + spec.w2 * agreement.lb,
           spec.w1 * gpref.ub + spec.w2 * agreement.ub};
 }

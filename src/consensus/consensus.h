@@ -72,9 +72,9 @@ struct ConsensusSpec {
 /// Per-member consensus weights (influence-aware aggregation). `member`
 /// holds one weight per group member, normalized to sum 1; `pair` holds one
 /// weight per local pair (LocalPairIndex order), normalized to sum 1, used
-/// for pairwise disagreement. Both spans EMPTY means uniform weighting —
-/// every weighted function below delegates to its unweighted twin in that
-/// case, so the uniform path stays bit-identical to the historical code.
+/// for pairwise disagreement. Both spans EMPTY (the default) means uniform
+/// weighting: every function below then takes its uniform branch, which is
+/// bit-identical to the historical unweighted code.
 struct ConsensusWeights {
   std::span<const double> member;
   std::span<const double> pair;
@@ -82,79 +82,70 @@ struct ConsensusWeights {
   bool uniform() const { return member.empty(); }
 };
 
-/// gpref over exact member preferences. `prefs` must be non-empty.
-double GroupPreferenceScore(GroupAggregator aggregator,
-                            std::span<const double> prefs);
-/// Weighted gpref: Σ w_u·pref_u for kAverage (weights sum to 1); least
-/// misery ignores weights (the minimum is the minimum for any positive
-/// weighting).
+/// gpref over exact member preferences. `prefs` must be non-empty. Weighted:
+/// Σ w_u·pref_u for kAverage (weights sum to 1); least misery ignores
+/// weights (the minimum is the minimum for any positive weighting).
 double GroupPreferenceScore(GroupAggregator aggregator,
                             std::span<const double> prefs,
-                            const ConsensusWeights& weights);
+                            const ConsensusWeights& weights = {});
 
 /// dis over exact member preferences; 0 for kNone or singleton groups.
-double DisagreementScore(DisagreementKind kind, std::span<const double> prefs);
-/// Weighted dis: pairwise uses the per-pair weights (Σ pw_q·|Δpref_q|);
-/// variance uses the weighted mean and weighted second moment.
+/// Weighted: pairwise uses the per-pair weights (Σ pw_q·|Δpref_q|); variance
+/// uses the weighted mean and weighted second moment.
 double DisagreementScore(DisagreementKind kind, std::span<const double> prefs,
-                         const ConsensusWeights& weights);
+                         const ConsensusWeights& weights = {});
 
 /// F(G, i, p) = w1·gpref + w2·(1 − dis).
-double ConsensusScore(const ConsensusSpec& spec, std::span<const double> prefs);
 double ConsensusScore(const ConsensusSpec& spec, std::span<const double> prefs,
-                      const ConsensusWeights& weights);
+                      const ConsensusWeights& weights = {});
 
-/// Interval versions (sound bound propagation).
-Interval GroupPreferenceInterval(GroupAggregator aggregator,
-                                 std::span<const Interval> prefs);
+/// Interval versions (sound bound propagation). Weighted intervals stay
+/// sound: the weighted average of intervals is a convex combination
+/// (weights >= 0, sum 1).
 Interval GroupPreferenceInterval(GroupAggregator aggregator,
                                  std::span<const Interval> prefs,
-                                 const ConsensusWeights& weights);
-Interval DisagreementInterval(DisagreementKind kind,
-                              std::span<const Interval> prefs);
-/// Weighted intervals stay sound: the weighted average of intervals is a
-/// convex combination (weights >= 0, sum 1), and the weighted variance of
-/// points inside an envelope of range R is still bounded by (R/2)²
-/// (Bhatia–Davis: σ²_w <= (M−μ_w)(μ_w−m) <= (R/2)² for any convex weights).
+                                 const ConsensusWeights& weights = {});
+/// Variance: exact when every member interval is exact; otherwise
+/// [0, (R/2)²] over the envelope of range R, which bounds the weighted
+/// variance too (Bhatia–Davis: σ²_w <= (M−μ_w)(μ_w−m) <= (R/2)² for any
+/// convex weights).
 Interval DisagreementInterval(DisagreementKind kind,
                               std::span<const Interval> prefs,
-                              const ConsensusWeights& weights);
-Interval ConsensusInterval(const ConsensusSpec& spec,
-                           std::span<const Interval> prefs);
+                              const ConsensusWeights& weights = {});
 Interval ConsensusInterval(const ConsensusSpec& spec,
                            std::span<const Interval> prefs,
-                           const ConsensusWeights& weights);
+                           const ConsensusWeights& weights = {});
 
-/// List-decomposable pairwise disagreement (Lemma 1's "pair-wise
-/// disagreement lists"): the paper's index transforms group disagreement
-/// into per-pair components that live in their own sorted lists. An
-/// *agreement* value ag_q(i) = 1 − |apref_u(i) − apref_v(i)| ∈ [0, 1] is
-/// stored per pair q so that all list entries are descending-is-better:
+/// List-decomposable pairwise disagreement (Lemma 1). The paper's index
+/// splits group disagreement into one "pair-wise disagreement list" per
+/// member pair, each storing the *agreement* ag_q(i) = 1 − |apref_u(i) −
+/// apref_v(i)| so that every list is descending-is-better. Since the lists
+/// are built per ad-hoc group anyway, a problem stores them aggregated: ONE
+/// group-agreement list whose entry is the (pair-weighted) mean over pairs,
+/// ag(i) = 1 − dis(G, i). The scores are identical and the bounds tighter.
 ///
-///   F(G, i, p) = w1·gpref(prefs) + w2·mean_q ag_q(i)
+///   F(G, i, p) = w1·gpref(prefs) + w2·ag(i)
 ///
-/// (equivalently w2·(1 − dis) with dis = mean pairwise |apref difference|).
-/// Only used when spec.disagreement == kPairwise; other kinds ignore
-/// `agreements`.
-double ConsensusScoreWithAgreements(const ConsensusSpec& spec,
-                                    std::span<const double> prefs,
-                                    std::span<const double> agreements);
-Interval ConsensusIntervalWithAgreements(
-    const ConsensusSpec& spec, std::span<const Interval> prefs,
-    std::span<const Interval> agreements);
-/// Weighted agreement aggregation: when `agreements` is in the per-pair
-/// layout (one entry per local pair) the pair weights apply directly; a
-/// single pre-aggregated group list must already carry the weighted mean
-/// (BuildGroupAgreementListInto's pair_weights parameter) and is consumed
-/// as-is.
-double ConsensusScoreWithAgreements(const ConsensusSpec& spec,
-                                    std::span<const double> prefs,
-                                    std::span<const double> agreements,
-                                    const ConsensusWeights& weights);
-Interval ConsensusIntervalWithAgreements(const ConsensusSpec& spec,
-                                         std::span<const Interval> prefs,
-                                         std::span<const Interval> agreements,
-                                         const ConsensusWeights& weights);
+/// `agreement` is the group-list value (already weighted on influence
+/// queries, see GroupProblem::agreement_list()); `weights` apply to gpref
+/// only. The score takes spec.disagreement == kPairwise; with agreement = 1
+/// it is, for every kind, F's upper bound under dis >= 0 (TA's threshold).
+/// The interval requires kPairwise.
+///
+/// Monotonicity: AP, MO and the list-decomposed PD are monotone in their
+/// list scores, which is what the threshold and GRECA's Theorem 1 shortcut
+/// ("an item was pruned, so the threshold is met") rely on. Variance
+/// disagreement is not monotone in member preferences: TA and GRECA bound an
+/// unseen item's VD score with dis >= 0, and GRECA's buffer condition checks
+/// the threshold explicitly under VD.
+double ConsensusScoreWithAgreement(const ConsensusSpec& spec,
+                                   std::span<const double> prefs,
+                                   double agreement,
+                                   const ConsensusWeights& weights = {});
+Interval ConsensusIntervalWithAgreement(const ConsensusSpec& spec,
+                                        std::span<const Interval> prefs,
+                                        Interval agreement,
+                                        const ConsensusWeights& weights = {});
 
 /// ag = 1 − scale·|a − b| for apref values a, b on the [0, 1] scale
 /// (see ConsensusSpec::disagreement_scale). In [1 − scale, 1].

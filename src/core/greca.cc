@@ -28,11 +28,8 @@ class GrecaRun {
         apref_seen_(ws.apref_seen),
         item_state_(ws.item_state),
         active_items_(ws.active_items),
-        ag_pos_(ws.ag_pos),
-        ag_bound_(ws.ag_bound),
         ag_val_(ws.ag_val),
         ag_seen_(ws.ag_seen),
-        ag_iv_(ws.ag_iv),
         pair_iv_(ws.pair_iv),
         aff_p_iv_(ws.aff_p_iv),
         apref_iv_(ws.apref_iv),
@@ -44,9 +41,10 @@ class GrecaRun {
         num_pairs_(problem.num_pairs()),
         num_periods_(problem.num_periods()),
         m_(problem.num_items()),
-        num_ag_(problem.num_agreement_lists()),
         ag_floor_(1.0 - problem.consensus().disagreement_scale),
-        uses_agreements_(problem.uses_agreement_lists()) {
+        uses_agreement_(problem.uses_agreement_list()),
+        monotone_(problem.consensus().disagreement !=
+                  DisagreementKind::kVariance) {
     pref_pos_.assign(g_, 0);
     pref_bound_.assign(g_, 1.0);
     static_pos_ = 0;
@@ -64,12 +62,9 @@ class GrecaRun {
     item_state_.assign(m_, kUnseen);
     active_items_.clear();
 
-    if (uses_agreements_) {
-      ag_pos_.assign(num_ag_, 0);
-      ag_bound_.assign(num_ag_, 1.0);
-      ag_val_.assign(m_ * num_ag_, 0.0);
-      ag_seen_.assign(m_ * num_ag_, 0);
-      ag_iv_.resize(num_ag_);
+    if (uses_agreement_) {
+      ag_val_.assign(m_, 0.0);
+      ag_seen_.assign(m_, 0);
     }
 
     // Scratch buffers reused across bound computations.
@@ -106,7 +101,7 @@ class GrecaRun {
   // List cursors are opaque to us (flat views store a raw position, banded
   // views a consumed-live count — see list_view.h); SkipToLive positions
   // them past dead entries (uncounted), so exhaustion and reads see only
-  // live entries — identical accounting to the owning-list path.
+  // live entries — identical accounting to a dense list over the live keys.
   bool AllExhausted() {
     for (std::size_t u = 0; u < g_; ++u) {
       if (problem_.preference_lists()[u].SkipToLive(pref_pos_[u])) {
@@ -119,10 +114,7 @@ class GrecaRun {
         return false;
       }
     }
-    for (std::size_t q = 0; q < num_ag_; ++q) {
-      if (problem_.agreement_lists()[q].SkipToLive(ag_pos_[q])) return false;
-    }
-    return true;
+    return !uses_agreement_ || !problem_.agreement_list().SkipToLive(ag_pos_);
   }
 
   /// One round-robin sweep: one sequential access on every non-exhausted
@@ -157,16 +149,17 @@ class GrecaRun {
       period_val_[t * num_pairs_ + e.id] = e.score;
       period_seen_[t * num_pairs_ + e.id] = 1;
     }
-    for (std::size_t q = 0; q < num_ag_; ++q) {
-      const ListView& list = problem_.agreement_lists()[q];
-      if (!list.SkipToLive(ag_pos_[q])) continue;
-      const ListEntry& e = list.ReadSequential(ag_pos_[q], counter);
-      ag_bound_[q] = e.score;
-      ag_val_[e.id * num_ag_ + q] = e.score;
-      ag_seen_[e.id * num_ag_ + q] = 1;
-      if (item_state_[e.id] == kUnseen) {
-        item_state_[e.id] = kActive;
-        active_items_.push_back(e.id);
+    if (uses_agreement_) {
+      const ListView& list = problem_.agreement_list();
+      if (list.SkipToLive(ag_pos_)) {
+        const ListEntry& e = list.ReadSequential(ag_pos_, counter);
+        ag_bound_ = e.score;
+        ag_val_[e.id] = e.score;
+        ag_seen_[e.id] = 1;
+        if (item_state_[e.id] == kUnseen) {
+          item_state_[e.id] = kActive;
+          active_items_.push_back(e.id);
+        }
       }
     }
   }
@@ -197,38 +190,32 @@ class GrecaRun {
                          : Interval{0.0, pref_bound_[u]};
     }
     problem_.MemberPreferenceIntervals(apref_iv_, pair_iv_, pref_iv_);
-    if (!uses_agreements_) {
+    if (!uses_agreement_) {
       return ConsensusInterval(problem_.consensus(), pref_iv_,
                                problem_.consensus_weights());
     }
-    for (std::size_t q = 0; q < num_ag_; ++q) {
-      const std::size_t idx = key * num_ag_ + q;
-      ag_iv_[q] = ag_seen_[idx] ? Interval::Exact(ag_val_[idx])
-                                : Interval{ag_floor_, ag_bound_[q]};
-    }
-    return ConsensusIntervalWithAgreements(problem_.consensus(), pref_iv_,
-                                           ag_iv_,
-                                           problem_.consensus_weights());
+    const Interval ag = ag_seen_[key] ? Interval::Exact(ag_val_[key])
+                                      : Interval{ag_floor_, ag_bound_};
+    return ConsensusIntervalWithAgreement(problem_.consensus(), pref_iv_, ag,
+                                          problem_.consensus_weights());
   }
 
   /// ComputeTh: the best consensus score any *unseen* item could reach given
-  /// the current cursor positions.
+  /// the current cursor positions. Unseen members' preferences are inexact,
+  /// so a variance disagreement is bounded below by 0 here.
   double Threshold() {
     for (std::size_t u = 0; u < g_; ++u) {
       apref_iv_[u] = Interval{0.0, pref_bound_[u]};
     }
     problem_.MemberPreferenceIntervals(apref_iv_, pair_iv_, pref_iv_);
-    if (!uses_agreements_) {
+    if (!uses_agreement_) {
       return ConsensusInterval(problem_.consensus(), pref_iv_,
                                problem_.consensus_weights())
           .ub;
     }
-    for (std::size_t q = 0; q < num_ag_; ++q) {
-      ag_iv_[q] = Interval{ag_floor_, ag_bound_[q]};
-    }
-    return ConsensusIntervalWithAgreements(problem_.consensus(), pref_iv_,
-                                           ag_iv_,
-                                           problem_.consensus_weights())
+    return ConsensusIntervalWithAgreement(problem_.consensus(), pref_iv_,
+                                          Interval{ag_floor_, ag_bound_},
+                                          problem_.consensus_weights())
         .ub;
   }
 
@@ -288,10 +275,14 @@ class GrecaRun {
       }
       active_items_.resize(write);
 
-      // Buffer condition: exactly k candidates survive. By Theorem 1 the
-      // threshold condition is implied whenever anything was pruned; the
-      // explicit threshold comparison covers the never-pruned case.
-      if (active_items_.size() == k && (pruned_any_ || th <= kth_lb)) {
+      // Buffer condition: exactly k candidates survive. For a monotone F,
+      // Theorem 1 implies the threshold condition whenever anything was
+      // pruned; the explicit threshold comparison covers the never-pruned
+      // case and variance disagreement, which is not monotone in member
+      // preferences (a pruned, fully seen item's exact score can fall below
+      // what an unseen item reaches).
+      if (active_items_.size() == k &&
+          ((pruned_any_ && monotone_) || th <= kth_lb)) {
         if (stats_ != nullptr) {
           stats_->stopped_by_buffer_condition = pruned_any_;
         }
@@ -347,12 +338,9 @@ class GrecaRun {
   std::vector<std::uint8_t>& item_state_;
   std::vector<ListKey>& active_items_;
 
-  // Agreement-list state (pairwise-disagreement consensus only).
-  std::vector<std::size_t>& ag_pos_;
-  std::vector<double>& ag_bound_;
-  std::vector<double>& ag_val_;         // m × num_pairs
-  std::vector<std::uint8_t>& ag_seen_;  // m × num_pairs
-  std::vector<Interval>& ag_iv_;
+  // Seen group-agreement values per item (pairwise disagreement only).
+  std::vector<double>& ag_val_;
+  std::vector<std::uint8_t>& ag_seen_;
 
   // Scratch.
   std::vector<Interval>& pair_iv_;
@@ -367,13 +355,15 @@ class GrecaRun {
   const std::size_t num_pairs_;
   const std::size_t num_periods_;
   const std::size_t m_;
-  const std::size_t num_ag_;
   const double ag_floor_;
-  const bool uses_agreements_;
+  const bool uses_agreement_;
+  const bool monotone_;  // F is monotone in every list score (not VD)
 
   // Run-local cursor/flag scalars.
   std::size_t static_pos_ = 0;
   double static_bound_ = 1.0;
+  std::size_t ag_pos_ = 0;
+  double ag_bound_ = 1.0;
   bool pruned_any_ = false;
 };
 

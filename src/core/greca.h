@@ -84,12 +84,10 @@ struct GrecaWorkspace {
   std::vector<std::uint8_t> item_state;
   std::vector<ListKey> active_items;
 
-  // Agreement-list state (pairwise-disagreement consensus only).
-  std::vector<std::size_t> ag_pos;
-  std::vector<double> ag_bound;
+  // Seen group-agreement values per item (pairwise-disagreement consensus
+  // only).
   std::vector<double> ag_val;
   std::vector<std::uint8_t> ag_seen;
-  std::vector<Interval> ag_iv;
 
   // Interval and bound scratch.
   std::vector<Interval> pair_iv;

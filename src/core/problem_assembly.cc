@@ -229,50 +229,19 @@ GroupProblem AssembleGroupProblem(const AssemblyContext& ctx,
     }
   }
 
-  // Pair-wise disagreement consensus reads its own agreement list (Lemma 1's
-  // "pair-wise disagreement lists"); since the lists are built per ad-hoc
-  // group anyway, the per-pair components are pre-aggregated into one
-  // group-agreement list — identical scores, tighter bounds, fewer lists.
-  // The O(C log C) build is DEFERRED: a builder closure goes into the
-  // problem and runs only if the algorithm actually walks the list
-  // (agreement_lists()); assemble-only consumers and bound-math that sizes
-  // buffers via num_agreement_lists() never pay it.
-  arena.agreement_views.clear();
-  const bool wants_agreements =
-      spec.consensus.disagreement == DisagreementKind::kPairwise &&
-      group.size() >= 2;
-
   AffinityCombiner combiner(spec.model, std::move(averages));
   if (candidates_out != nullptr) {
     const std::span<const ItemId> items = key_index.pool();
     candidates_out->assign(items.begin(), items.begin() + pool);
   }
+  // Pair-wise disagreement problems build their aggregated agreement list
+  // into this arena only if a solver walks it (GroupProblem::agreement_list).
   GroupProblem problem(pool, live, arena.preference_views,
                        ListView(arena.static_list), arena.period_views,
-                       std::move(combiner), spec.consensus,
-                       arena.agreement_views, std::move(owned_arena));
+                       std::move(combiner), spec.consensus, arena,
+                       std::move(owned_arena));
   if (weighted) {
     problem.SetConsensusWeights(arena.member_weights, arena.pair_weights);
-  }
-  if (wants_agreements) {
-    // The closure captures the arena by address: an external arena outlives
-    // the problem by contract, and an owned arena was just moved into the
-    // problem (unique_ptr — the arena object itself never moves again). Its
-    // preference views stay exactly the ones assembled above until the
-    // arena's next assembly, which invalidates the problem anyway.
-    ProblemArena* backing = &arena;
-    const double scale = spec.consensus.disagreement_scale;
-    problem.DeferAgreementLists(
-        [backing, pool, scale]() -> std::span<const ListView> {
-          BuildGroupAgreementListInto(backing->preference_views, pool, scale,
-                                      backing->entry_scratch,
-                                      backing->agreement_list,
-                                      backing->pair_weights);
-          backing->agreement_views.clear();
-          backing->agreement_views.emplace_back(backing->agreement_list);
-          return backing->agreement_views;
-        },
-        /*live_entries=*/live);
   }
   return problem;
 }

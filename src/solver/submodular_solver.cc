@@ -32,7 +32,7 @@ SolverResult SubmodularGreedySolver::Solve(GroupProblem& problem,
   for (const ListView& list : problem.preference_lists()) scan(list);
   scan(problem.static_affinity());
   for (const ListView& list : problem.period_affinity()) scan(list);
-  for (const ListView& list : problem.agreement_lists()) scan(list);
+  if (problem.uses_agreement_list()) scan(problem.agreement_list());
 
   const std::size_t g = problem.group_size();
   const std::size_t m = problem.num_items();
@@ -46,8 +46,8 @@ SolverResult SubmodularGreedySolver::Solve(GroupProblem& problem,
   const std::vector<double> pair_aff = problem.ExactPairAffinities();
   std::vector<double> pair_weights(g * g);
   problem.ExpandPairWeights(pair_aff, pair_weights);
-  const std::span<const ListView> agreement_lists = problem.agreement_lists();
-  const bool uses_agreements = problem.uses_agreement_lists();
+  const ListView* agreement =
+      problem.uses_agreement_list() ? &problem.agreement_list() : nullptr;
 
   std::vector<ListKey> candidates;
   candidates.reserve(problem.num_candidates());
@@ -58,23 +58,17 @@ SolverResult SubmodularGreedySolver::Solve(GroupProblem& problem,
 
   std::vector<double> apref(g);
   std::vector<double> prefs(g);
-  std::vector<double> agreements(agreement_lists.size());
   for (ListKey key = 0; key < m; ++key) {
     if (!problem.IsCandidate(key)) continue;
     for (std::size_t u = 0; u < g; ++u) {
       apref[u] = preference_lists[u].ScoreOfKey(key);
     }
     problem.MemberPreferencesDense(apref, pair_weights, prefs);
-    double rel;
-    if (uses_agreements) {
-      for (std::size_t q = 0; q < agreements.size(); ++q) {
-        agreements[q] = agreement_lists[q].ScoreOfKey(key);
-      }
-      rel = ConsensusScoreWithAgreements(problem.consensus(), prefs,
-                                         agreements, weights);
-    } else {
-      rel = ConsensusScore(problem.consensus(), prefs, weights);
-    }
+    const double rel =
+        agreement != nullptr
+            ? ConsensusScoreWithAgreement(problem.consensus(), prefs,
+                                          agreement->ScoreOfKey(key), weights)
+            : ConsensusScore(problem.consensus(), prefs, weights);
     candidates.push_back(key);
     apref_matrix.insert(apref_matrix.end(), apref.begin(), apref.end());
     relevance.push_back(rel);

@@ -21,7 +21,7 @@ TopKResult NaiveTopK(const GroupProblem& problem, std::size_t k) {
   for (const ListView& list : problem.preference_lists()) scan(list);
   scan(problem.static_affinity());
   for (const ListView& list : problem.period_affinity()) scan(list);
-  for (const ListView& list : problem.agreement_lists()) scan(list);
+  if (problem.uses_agreement_list()) scan(problem.agreement_list());
 
   // Score every candidate item exactly. The pair affinities are problem
   // constants, so expand them into a dense weight matrix once and score each
@@ -31,11 +31,10 @@ TopKResult NaiveTopK(const GroupProblem& problem, std::size_t k) {
   problem.ExpandPairWeights(pair_aff, pair_weights);
   const std::span<const ListView> preference_lists =
       problem.preference_lists();
-  const std::span<const ListView> agreement_lists = problem.agreement_lists();
-  const bool uses_agreements = problem.uses_agreement_lists();
+  const ListView* agreement =
+      problem.uses_agreement_list() ? &problem.agreement_list() : nullptr;
   std::vector<double> apref(g);
   std::vector<double> prefs(g);
-  std::vector<double> agreements(agreement_lists.size());
   std::vector<ListEntry> scored;
   scored.reserve(problem.num_candidates());
   for (ListKey key = 0; key < problem.num_items(); ++key) {
@@ -44,18 +43,13 @@ TopKResult NaiveTopK(const GroupProblem& problem, std::size_t k) {
       apref[u] = preference_lists[u].ScoreOfKey(key);
     }
     problem.MemberPreferencesDense(apref, pair_weights, prefs);
-    double score;
-    if (uses_agreements) {
-      for (std::size_t q = 0; q < agreements.size(); ++q) {
-        agreements[q] = agreement_lists[q].ScoreOfKey(key);
-      }
-      score = ConsensusScoreWithAgreements(problem.consensus(), prefs,
-                                           agreements,
-                                           problem.consensus_weights());
-    } else {
-      score = ConsensusScore(problem.consensus(), prefs,
+    const double score =
+        agreement != nullptr
+            ? ConsensusScoreWithAgreement(problem.consensus(), prefs,
+                                          agreement->ScoreOfKey(key),
+                                          problem.consensus_weights())
+            : ConsensusScore(problem.consensus(), prefs,
                              problem.consensus_weights());
-    }
     scored.push_back({key, score});
   }
   std::sort(scored.begin(), scored.end(),

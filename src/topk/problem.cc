@@ -8,89 +8,64 @@
 
 namespace greca {
 
-GroupProblem::GroupProblem(std::size_t num_items,
-                           std::vector<SortedList> preference_lists,
-                           SortedList static_affinity,
-                           std::vector<SortedList> period_affinity,
-                           AffinityCombiner combiner, ConsensusSpec consensus,
-                           std::vector<SortedList> agreement_lists)
-    : num_items_(num_items),
-      num_candidates_(num_items),
-      combiner_(std::move(combiner)),
-      consensus_(std::move(consensus)),
-      owned_preference_(std::move(preference_lists)),
-      owned_static_(std::move(static_affinity)),
-      owned_period_(std::move(period_affinity)),
-      owned_agreement_(std::move(agreement_lists)) {
-  // Adapt the owned lists to the view layer the algorithms consume. The
-  // views point into each SortedList's heap buffers and view_storage_'s heap
-  // buffer, both of which travel with the problem on move.
-  view_storage_.reserve(owned_preference_.size() + owned_period_.size() +
-                        owned_agreement_.size());
-  for (const SortedList& list : owned_preference_) {
-    view_storage_.emplace_back(list);
-  }
-  for (const SortedList& list : owned_period_) {
-    view_storage_.emplace_back(list);
-  }
-  for (const SortedList& list : owned_agreement_) {
-    view_storage_.emplace_back(list);
-  }
-  const ListView* base = view_storage_.data();
-  preference_views_ = {base, owned_preference_.size()};
-  period_views_ = {base + owned_preference_.size(), owned_period_.size()};
-  agreement_views_ = {base + owned_preference_.size() + owned_period_.size(),
-                      owned_agreement_.size()};
-  static_view_ = ListView(owned_static_);
-
-  assert(!preference_views_.empty());
-  assert(period_views_.size() == combiner_.num_periods());
-  assert((consensus_.disagreement == DisagreementKind::kPairwise &&
-          group_size() >= 2)
-             ? (agreement_views_.size() == num_pairs() ||
-                agreement_views_.size() == 1)
-             : agreement_views_.empty());
-}
-
 GroupProblem::GroupProblem(std::size_t num_items, std::size_t num_candidates,
                            std::span<const ListView> preference_views,
                            ListView static_view,
                            std::span<const ListView> period_views,
                            AffinityCombiner combiner, ConsensusSpec consensus,
-                           std::span<const ListView> agreement_views,
+                           ProblemArena& arena,
                            std::unique_ptr<ProblemArena> backing)
     : num_items_(num_items),
       num_candidates_(num_candidates),
       combiner_(std::move(combiner)),
       consensus_(std::move(consensus)),
+      uses_agreement_(consensus_.disagreement == DisagreementKind::kPairwise &&
+                      preference_views.size() >= 2),
       owned_arena_(std::move(backing)),
+      arena_(&arena),
       preference_views_(preference_views),
       static_view_(static_view),
-      period_views_(period_views),
-      agreement_views_(agreement_views) {
+      period_views_(period_views) {
   assert(!preference_views_.empty());
   assert(num_candidates_ <= num_items_);
   assert(period_views_.size() == combiner_.num_periods());
-  // Pairwise problems may also start with NO views when the caller installs
-  // a deferred builder right after construction (DeferAgreementLists).
-  assert((consensus_.disagreement == DisagreementKind::kPairwise &&
-          group_size() >= 2)
-             ? (agreement_views_.size() == num_pairs() ||
-                agreement_views_.size() <= 1)
-             : agreement_views_.empty());
+  assert(owned_arena_ == nullptr || owned_arena_.get() == arena_);
+}
+
+void GroupProblem::BuildAgreementList() const {
+  const std::size_t g = group_size();
+  const double num_pairs = static_cast<double>(NumUserPairs(g));
+  const bool weighted = !weights_.pair.empty();
+  std::vector<ListEntry>& scratch = arena_->entry_scratch;
+  scratch.clear();
+  scratch.reserve(num_items_);
+  for (ListKey key = 0; key < num_items_; ++key) {
+    if (!IsCandidate(key)) continue;
+    double sum = 0.0;
+    std::size_t q = 0;
+    for (std::size_t a = 0; a < g; ++a) {
+      for (std::size_t b = a + 1; b < g; ++b, ++q) {
+        const double ag = PairAgreement(preference_views_[a].ScoreOfKey(key),
+                                        preference_views_[b].ScoreOfKey(key),
+                                        consensus_.disagreement_scale);
+        sum += weighted ? weights_.pair[q] * ag : ag;
+      }
+    }
+    // Weighted pair weights already sum to 1; the uniform path divides.
+    scratch.push_back({key, weighted ? sum : sum / num_pairs});
+  }
+  arena_->agreement_list.AssignUnsorted(scratch,
+                                        static_cast<ListKey>(num_items_));
+  agreement_view_ = ListView(arena_->agreement_list);
+  agreement_built_ = true;
 }
 
 std::size_t GroupProblem::TotalEntries() const {
   std::size_t total = static_view_.size();
   for (const ListView& list : preference_views_) total += list.size();
   for (const ListView& list : period_views_) total += list.size();
-  if (agreement_builder_) {
-    // Deferred aggregated list: its live size is known exactly without
-    // building it (one entry per live candidate key).
-    total += deferred_agreement_entries_;
-  } else {
-    for (const ListView& list : agreement_views_) total += list.size();
-  }
+  // The agreement list holds one entry per live candidate, built or not.
+  if (uses_agreement_) total += num_candidates_;
   return total;
 }
 
@@ -157,106 +132,11 @@ double GroupProblem::ExactScore(ListKey key) const {
   const std::vector<double> pair_aff = ExactPairAffinities();
   std::vector<double> prefs(g);
   MemberPreferences(apref, pair_aff, prefs);
-  if (uses_agreement_lists()) {
-    const std::span<const ListView> lists = agreement_lists();
-    std::vector<double> agreements(lists.size());
-    for (std::size_t q = 0; q < agreements.size(); ++q) {
-      agreements[q] = lists[q].ScoreOfKey(key);
-    }
-    return ConsensusScoreWithAgreements(consensus_, prefs, agreements,
-                                        weights_);
+  if (uses_agreement_) {
+    return ConsensusScoreWithAgreement(
+        consensus_, prefs, agreement_list().ScoreOfKey(key), weights_);
   }
   return ConsensusScore(consensus_, prefs, weights_);
-}
-
-std::vector<SortedList> BuildAgreementLists(
-    std::span<const ListView> preference_lists, std::size_t num_items,
-    double disagreement_scale) {
-  const std::size_t g = preference_lists.size();
-  std::vector<SortedList> lists;
-  lists.reserve(NumUserPairs(g));
-  for (std::size_t a = 0; a < g; ++a) {
-    for (std::size_t b = a + 1; b < g; ++b) {
-      std::vector<ListEntry> entries;
-      entries.reserve(num_items);
-      for (ListKey key = 0; key < num_items; ++key) {
-        if (preference_lists[a].IsTombstoned(key)) continue;
-        entries.push_back(
-            {key, PairAgreement(preference_lists[a].ScoreOfKey(key),
-                                preference_lists[b].ScoreOfKey(key),
-                                disagreement_scale)});
-      }
-      lists.push_back(SortedList::FromUnsorted(
-          std::move(entries), static_cast<ListKey>(num_items)));
-    }
-  }
-  return lists;
-}
-
-void BuildGroupAgreementListInto(std::span<const ListView> preference_lists,
-                                 std::size_t num_items,
-                                 double disagreement_scale,
-                                 std::vector<ListEntry>& scratch,
-                                 SortedList& out,
-                                 std::span<const double> pair_weights) {
-  const std::size_t g = preference_lists.size();
-  const double num_pairs = static_cast<double>(NumUserPairs(g));
-  const bool weighted = !pair_weights.empty();
-  assert(!weighted || pair_weights.size() == NumUserPairs(g));
-  scratch.clear();
-  scratch.reserve(num_items);
-  for (ListKey key = 0; key < num_items; ++key) {
-    if (preference_lists[0].IsTombstoned(key)) continue;
-    double sum = 0.0;
-    std::size_t q = 0;
-    for (std::size_t a = 0; a < g; ++a) {
-      for (std::size_t b = a + 1; b < g; ++b, ++q) {
-        const double ag = PairAgreement(preference_lists[a].ScoreOfKey(key),
-                                        preference_lists[b].ScoreOfKey(key),
-                                        disagreement_scale);
-        sum += weighted ? pair_weights[q] * ag : ag;
-      }
-    }
-    // Weighted pair weights already sum to 1; the uniform path divides.
-    scratch.push_back(
-        {key, weighted ? sum : (num_pairs > 0 ? sum / num_pairs : 1.0)});
-  }
-  out.AssignUnsorted(scratch, static_cast<ListKey>(num_items));
-}
-
-SortedList BuildGroupAgreementList(std::span<const ListView> preference_lists,
-                                   std::size_t num_items,
-                                   double disagreement_scale) {
-  SortedList out;
-  std::vector<ListEntry> scratch;
-  BuildGroupAgreementListInto(preference_lists, num_items, disagreement_scale,
-                              scratch, out);
-  return out;
-}
-
-namespace {
-
-std::vector<ListView> ViewsOf(const std::vector<SortedList>& lists) {
-  std::vector<ListView> views;
-  views.reserve(lists.size());
-  for (const SortedList& list : lists) views.emplace_back(list);
-  return views;
-}
-
-}  // namespace
-
-std::vector<SortedList> BuildAgreementLists(
-    const std::vector<SortedList>& preference_lists, std::size_t num_items,
-    double disagreement_scale) {
-  return BuildAgreementLists(ViewsOf(preference_lists), num_items,
-                             disagreement_scale);
-}
-
-SortedList BuildGroupAgreementList(
-    const std::vector<SortedList>& preference_lists, std::size_t num_items,
-    double disagreement_scale) {
-  return BuildGroupAgreementList(ViewsOf(preference_lists), num_items,
-                                 disagreement_scale);
 }
 
 }  // namespace greca

@@ -15,20 +15,21 @@
 // un-normalized sums in its walk-through "by ignoring normalization", §3.2,
 // but normalizes in the deployed system, §4.1.2).
 //
-// Storage model: algorithms consume every list through non-owning ListViews.
-// Two assembly paths feed them:
-//  * the owning path (tests/benches): vectors of SortedLists are moved into
-//    the problem and adapted to views — the original seed composition style;
-//  * the zero-copy path (GroupRecommender::BuildProblem): preference views
-//    slice the shared PreferenceIndex directly and the small per-query
-//    affinity/agreement lists live in a reusable ProblemArena, so steady-state
-//    assembly performs no allocation and no preference-list sort.
+// Storage model: algorithms consume every list through non-owning ListViews,
+// and a problem has exactly one constructor, over views. Serving
+// (core/problem_assembly.h) slices the preference views from the shared
+// PreferenceIndex and keeps the small per-query affinity lists in a reusable
+// ProblemArena, so steady-state assembly performs no allocation and no
+// preference-list sort. Callers that hold their own SortedLists (tests, the
+// paper-figure benches) adapt them with ListView(list) and keep them alive
+// with PinLifetime. Pairwise-disagreement problems additionally carry one
+// aggregated group-agreement list, which the problem builds from its own
+// preference views into the arena the first time a solver walks it.
 #ifndef GRECA_TOPK_PROBLEM_H_
 #define GRECA_TOPK_PROBLEM_H_
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -66,10 +67,11 @@ struct MemberSlice {
 };
 
 /// Reusable backing store for one in-flight query's problem: the group's
-/// tombstone bitmap, the assembled preference views, and the materialized
-/// affinity/agreement lists. One arena per worker amortizes every per-query
-/// buffer across a batch; an arena must back at most one live GroupProblem
-/// at a time (rebuilding it invalidates the previous problem's views).
+/// tombstone bitmap, the assembled preference views, the materialized
+/// affinity lists and the storage the problem builds its agreement list in.
+/// One arena per worker amortizes every per-query buffer across a batch; an
+/// arena must back at most one live GroupProblem at a time (rebuilding it
+/// invalidates the previous problem's views).
 struct ProblemArena {
   /// Keep-alive for the cached tombstone bitmap (1 bit per candidate-pool
   /// key; set = excluded, group-rated item) the preference views alias
@@ -83,8 +85,9 @@ struct ProblemArena {
   /// list, so a problem survives the bounded cache evicting its lists.
   std::vector<ListView> period_views;
   std::vector<std::shared_ptr<const SortedList>> period_pins;
+  /// The aggregated group-agreement list, built on first walk by the
+  /// problem this arena backs (GroupProblem::agreement_list()).
   SortedList agreement_list;
-  std::vector<ListView> agreement_views;
   /// Unsorted-entry scratch shared by the list materializers.
   std::vector<ListEntry> entry_scratch;
   /// Per-member slice descriptors (scatter/gather assembly scratch).
@@ -99,40 +102,26 @@ struct ProblemArena {
 
 class GroupProblem {
  public:
-  /// Owning path. `preference_lists` has one list per member keyed by
-  /// candidate item (key space [0, num_items)); `static_affinity` and each
-  /// `period_affinity` list are keyed by local pair index (see
-  /// LocalPairIndex). The number of period lists must equal
-  /// combiner.num_periods().
+  /// `preference_views` has one view per member keyed by candidate item (key
+  /// space [0, num_items), `num_candidates` of them live, i.e. not
+  /// tombstoned); `static_view` and each of `period_views` are keyed by
+  /// local pair index (see LocalPairIndex), with one period view per
+  /// combiner period. All views (and the spans' backing vectors) point into
+  /// external storage that must outlive the problem (or be pinned on it, see
+  /// PinLifetime).
   ///
-  /// `agreement_lists` carry the agreement components consumed by the
-  /// pairwise-disagreement consensus (Lemma 1's "pair-wise disagreement
-  /// lists"): item-keyed lists whose mean equals 1 − dis(G, i). Two layouts
-  /// are supported — one list per pair (ag_q(i) = 1 − |Δapref|, local pair
-  /// order) or a single pre-aggregated group list (mean over pairs); both
-  /// encode the same score and the aggregated form yields tighter bounds.
-  /// Must be non-empty exactly when consensus.disagreement == kPairwise and
-  /// the group has >= 2 members.
-  GroupProblem(std::size_t num_items,
-               std::vector<SortedList> preference_lists,
-               SortedList static_affinity,
-               std::vector<SortedList> period_affinity,
-               AffinityCombiner combiner, ConsensusSpec consensus,
-               std::vector<SortedList> agreement_lists = {});
-
-  /// Zero-copy path. All views (and the spans' backing vectors) point into
-  /// external storage — the shared PreferenceIndex plus a ProblemArena. When
-  /// `backing` is non-null the problem owns that arena (the facade's
-  /// workspace-less path); otherwise the arena must outlive the problem.
-  /// `num_candidates` is the number of live (non-tombstoned) keys.
+  /// `arena` is where the problem builds its aggregated group-agreement list
+  /// (pairwise consensus over >= 2 members); it must outlive the problem and
+  /// back no other live problem. When `backing` is non-null the problem owns
+  /// it, and `arena` must be *backing (the facade's workspace-less path).
   GroupProblem(std::size_t num_items, std::size_t num_candidates,
                std::span<const ListView> preference_views,
                ListView static_view, std::span<const ListView> period_views,
                AffinityCombiner combiner, ConsensusSpec consensus,
-               std::span<const ListView> agreement_views = {},
+               ProblemArena& arena,
                std::unique_ptr<ProblemArena> backing = nullptr);
 
-  // Views alias internal storage: movable, not copyable.
+  // Views alias external storage: movable, not copyable.
   GroupProblem(GroupProblem&&) = default;
   GroupProblem& operator=(GroupProblem&&) = default;
   GroupProblem(const GroupProblem&) = delete;
@@ -148,11 +137,10 @@ class GroupProblem {
   }
 
   std::size_t group_size() const { return preference_views_.size(); }
-  /// Key-space bound: candidate keys run in [0, num_items()). On the
-  /// zero-copy path this is the candidate-pool prefix size and some keys may
+  /// Key-space bound: candidate keys run in [0, num_items()). Some keys may
   /// be tombstoned; see num_candidates().
   std::size_t num_items() const { return num_items_; }
-  /// Number of live candidate keys (== num_items() on the owning path).
+  /// Number of live candidate keys.
   std::size_t num_candidates() const { return num_candidates_; }
   std::size_t num_pairs() const { return NumUserPairs(group_size()); }
   std::size_t num_periods() const { return period_views_.size(); }
@@ -167,70 +155,50 @@ class GroupProblem {
   }
   const ListView& static_affinity() const { return static_view_; }
   std::span<const ListView> period_affinity() const { return period_views_; }
-  /// The agreement views the pairwise-disagreement consensus walks. On the
-  /// deferred path (DeferAgreementLists) the FIRST call pays the O(C log C)
-  /// aggregated-list build; algorithms that never walk the lists (threshold
-  /// math sizes its buffers via num_agreement_lists()) never pay it.
-  /// Materialization mutates cached state, so it follows the problem's
-  /// existing single-consumer contract (one algorithm at a time).
-  std::span<const ListView> agreement_lists() const {
-    if (agreement_builder_) {
-      agreement_views_ = agreement_builder_();
-      agreement_builder_ = nullptr;
-    }
-    return agreement_views_;
-  }
-  /// How many agreement lists agreement_lists() would yield — WITHOUT
-  /// forcing a deferred materialization (the deferred path always builds
-  /// the single aggregated group list).
-  std::size_t num_agreement_lists() const {
-    return agreement_builder_ ? 1 : agreement_views_.size();
-  }
-  bool uses_agreement_lists() const {
-    return agreement_builder_ != nullptr || !agreement_views_.empty();
-  }
 
-  /// Installs a lazy agreement-list builder instead of eagerly built views:
-  /// `build` materializes the single aggregated group-agreement list (into
-  /// storage that outlives this problem) on the first agreement_lists()
-  /// call. `live_entries` must equal the built list's live size (the
-  /// problem's candidate count) so TotalEntries() stays exact without
-  /// materializing. Only valid on pairwise-consensus problems constructed
-  /// with no agreement views.
-  void DeferAgreementLists(std::function<std::span<const ListView>()> build,
-                           std::size_t live_entries) {
-    assert(consensus_.disagreement == DisagreementKind::kPairwise &&
-           group_size() >= 2);
-    assert(agreement_views_.empty());
-    agreement_builder_ = std::move(build);
-    deferred_agreement_entries_ = live_entries;
-    agreement_deferred_ = true;
+  /// True when F reads the aggregated group-agreement list: pairwise
+  /// disagreement over >= 2 members (Lemma 1, consensus/consensus.h).
+  bool uses_agreement_list() const { return uses_agreement_; }
+  /// The aggregated group-agreement list: one entry per live candidate,
+  /// scored the mean over member pairs of PairAgreement(apref_a, apref_b,
+  /// disagreement_scale) = 1 − dis(G, i), or the pair-weighted mean when
+  /// the problem carries consensus weights. The FIRST call pays the
+  /// O(C log C) build into the arena (capacities reused); solvers that
+  /// never walk the list never pay it. Building mutates cached state, so it
+  /// follows the problem's single-consumer contract (one algorithm at a
+  /// time). Requires uses_agreement_list().
+  const ListView& agreement_list() const {
+    assert(uses_agreement_);
+    if (!agreement_built_) BuildAgreementList();
+    return agreement_view_;
   }
-  /// True when this problem was assembled with a deferred agreement list.
-  bool agreement_deferred() const { return agreement_deferred_; }
-  /// True once agreement views exist (eagerly built, or deferred-and-walked).
-  bool agreement_materialized() const { return !agreement_views_.empty(); }
+  /// Every agreement list is built lazily, so this equals
+  /// uses_agreement_list(); serving reports it with agreement_materialized()
+  /// in BatchReport's agreement counters.
+  bool agreement_deferred() const { return uses_agreement_; }
+  /// True once agreement_list() has been built.
+  bool agreement_materialized() const { return agreement_built_; }
 
   const AffinityCombiner& combiner() const { return combiner_; }
   const ConsensusSpec& consensus() const { return consensus_; }
 
   /// Per-member consensus weights of this problem (empty spans = uniform —
-  /// the default). Solvers pass this straight into the weighted consensus
-  /// overloads, which delegate to the exact historical code when uniform, so
-  /// weighting flows through every solver without per-solver code.
+  /// the default). Solvers pass this straight into the consensus functions,
+  /// whose uniform branch is the exact historical code, so weighting flows
+  /// through every solver without per-solver code.
   const ConsensusWeights& consensus_weights() const { return weights_; }
   bool weighted() const { return !weights_.uniform(); }
 
   /// Installs normalized consensus weights: `member` one weight per member
   /// summing to 1, `pair` one weight per local pair summing to 1 (empty only
   /// for singleton groups). Backing storage must outlive the problem (the
-  /// assembly arena, or a caller-owned vector on the owning path). Must be
-  /// set before any solver reads the problem and before a deferred
-  /// agreement list materializes.
+  /// assembly arena). Must be set before any solver reads the problem: the
+  /// agreement list bakes the pair weights in when it is built.
   void SetConsensusWeights(std::span<const double> member,
                            std::span<const double> pair) {
     assert(member.size() == group_size());
     assert(pair.size() == num_pairs());
+    assert(!agreement_built_);
     weights_.member = member;
     weights_.pair = pair;
   }
@@ -278,67 +246,28 @@ class GroupProblem {
   std::size_t PairIndex(std::size_t a, std::size_t b) const;
 
  private:
+  void BuildAgreementList() const;
+
   std::size_t num_items_;
   std::size_t num_candidates_;
   AffinityCombiner combiner_;
   ConsensusSpec consensus_;
   ConsensusWeights weights_;  // empty spans = uniform
+  bool uses_agreement_;
 
-  // Owning backing for the adapter path (empty on the zero-copy path); views
-  // point into these lists' heap buffers, which move with the problem.
-  std::vector<SortedList> owned_preference_;
-  SortedList owned_static_;
-  std::vector<SortedList> owned_period_;
-  std::vector<SortedList> owned_agreement_;
-  std::vector<ListView> view_storage_;
-  std::unique_ptr<ProblemArena> owned_arena_;
+  std::unique_ptr<ProblemArena> owned_arena_;  // null unless `backing`
+  ProblemArena* arena_;
   std::shared_ptr<const void> pinned_;  // snapshot keep-alive (may be null)
 
-  // What the algorithms consume. Spans point into view_storage_ or into the
-  // (owned or external) arena.
+  // What the algorithms consume; spans point into external storage.
   std::span<const ListView> preference_views_;
   ListView static_view_;
   std::span<const ListView> period_views_;
-  // mutable: the deferred agreement build is a cached const-path
-  // materialization (single-consumer contract, see agreement_lists()).
-  mutable std::span<const ListView> agreement_views_;
-  mutable std::function<std::span<const ListView>()> agreement_builder_;
-  std::size_t deferred_agreement_entries_ = 0;
-  bool agreement_deferred_ = false;
+  // mutable: the agreement build is a cached const-path materialization
+  // (single-consumer contract, see agreement_list()).
+  mutable ListView agreement_view_;
+  mutable bool agreement_built_ = false;
 };
-
-/// Builds the per-pair agreement lists from the members' preference lists:
-/// for pair (a, b), entry score = 1 − |apref_a(i) − apref_b(i)|, over every
-/// non-tombstoned item key.
-std::vector<SortedList> BuildAgreementLists(
-    std::span<const ListView> preference_lists, std::size_t num_items,
-    double disagreement_scale);
-
-/// Builds the single aggregated group-agreement list: entry score =
-/// mean over pairs of (1 − |Δapref|) = 1 − dis(G, i).
-SortedList BuildGroupAgreementList(std::span<const ListView> preference_lists,
-                                   std::size_t num_items,
-                                   double disagreement_scale);
-
-/// Hot-path variant: rebuilds `out` in place (capacities reused) using
-/// `scratch` for the unsorted entries. `pair_weights`, when non-empty, holds
-/// one normalized weight per local pair and the aggregated entry becomes the
-/// WEIGHTED mean Σ pw_q·ag_q(i); empty = uniform mean (the historical
-/// bit-identical path).
-void BuildGroupAgreementListInto(std::span<const ListView> preference_lists,
-                                 std::size_t num_items,
-                                 double disagreement_scale,
-                                 std::vector<ListEntry>& scratch,
-                                 SortedList& out,
-                                 std::span<const double> pair_weights = {});
-
-/// Owning-list conveniences for tests/benches that hold SortedLists.
-std::vector<SortedList> BuildAgreementLists(
-    const std::vector<SortedList>& preference_lists, std::size_t num_items,
-    double disagreement_scale);
-SortedList BuildGroupAgreementList(
-    const std::vector<SortedList>& preference_lists, std::size_t num_items,
-    double disagreement_scale);
 
 }  // namespace greca
 

@@ -44,8 +44,6 @@ TopKResult TaTopK(const GroupProblem& problem, std::size_t k) {
     return problem.combiner().Combine(aff_s, aff_p);
   };
 
-  std::vector<double> agreements(problem.num_agreement_lists());
-
   const auto score_item = [&](ListKey key, std::size_t seen_in_list) {
     // Random-access the other members' absolute preferences...
     for (std::size_t u = 0; u < g; ++u) {
@@ -66,37 +64,30 @@ TopKResult TaTopK(const GroupProblem& problem, std::size_t k) {
       }
     }
     problem.MemberPreferences(apref, pair_aff, prefs);
-    if (problem.uses_agreement_lists()) {
-      for (std::size_t q = 0; q < agreements.size(); ++q) {
-        agreements[q] =
-            problem.agreement_lists()[q].RandomAccess(key, result.accesses);
-      }
-      return ConsensusScoreWithAgreements(problem.consensus(), prefs,
-                                          agreements,
-                                          problem.consensus_weights());
+    if (problem.uses_agreement_list()) {
+      return ConsensusScoreWithAgreement(
+          problem.consensus(), prefs,
+          problem.agreement_list().RandomAccess(key, result.accesses),
+          problem.consensus_weights());
     }
     return ConsensusScore(problem.consensus(), prefs,
                           problem.consensus_weights());
   };
 
-  // Both threshold inputs are problem constants, hoisted out of the
-  // per-round lambda: the exact pair affinities and the all-ones agreement
-  // bound used to allocate fresh vectors on every round.
+  // The exact pair affinities are a problem constant, hoisted out of the
+  // per-round threshold.
   const std::vector<double> exact_aff = problem.ExactPairAffinities();
-  const std::vector<double> full_agreement(problem.num_agreement_lists(),
-                                           1.0);
+  const ConsensusSpec& spec = problem.consensus();
   const auto threshold = [&] {
     // Best score an unseen item could have: every member's absolute
     // preference at its cursor, affinities exact (uncounted here — they were
-    // already charged while scoring items), agreement bounded by 1.
+    // already charged while scoring items) and 1 − dis bounded by 1. That
+    // bound is the agreement list's maximum under PD, and the only sound one
+    // under VD: an unseen item with lower but closer member preferences can
+    // have less variance than the cursor scores (VD is not monotone).
     problem.MemberPreferences(cursor_score, exact_aff, prefs);
-    if (problem.uses_agreement_lists()) {
-      return ConsensusScoreWithAgreements(problem.consensus(), prefs,
-                                          full_agreement,
-                                          problem.consensus_weights());
-    }
-    return ConsensusScore(problem.consensus(), prefs,
-                          problem.consensus_weights());
+    return ConsensusScoreWithAgreement(spec, prefs, /*agreement=*/1.0,
+                                       problem.consensus_weights());
   };
 
   // Round-robin over the lists' live entries via the per-list cursors the

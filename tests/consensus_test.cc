@@ -50,6 +50,16 @@ TEST(DisagreementTest, NoneAndSingletonAreZero) {
                    0.0);
 }
 
+TEST(DisagreementTest, PairAgreementIsOneMinusScaledGap) {
+  // ag = 1 − scale·|a − b|, symmetric in its members.
+  EXPECT_DOUBLE_EQ(PairAgreement(0.2, 0.8, 0.0), 1.0);
+  EXPECT_NEAR(PairAgreement(0.2, 0.8, 1.0), 0.4, 1e-12);
+  EXPECT_NEAR(PairAgreement(0.8, 0.2, 1.0), 0.4, 1e-12);
+  EXPECT_NEAR(PairAgreement(0.3, 0.4, 5.0), 0.5, 1e-12);
+  EXPECT_NEAR(PairAgreement(0.0, 1.0, 5.0), -4.0, 1e-12);
+  EXPECT_DOUBLE_EQ(PairAgreement(0.6, 0.6, 5.0), 1.0);
+}
+
 TEST(ConsensusScoreTest, WeightsCombineGprefAndAgreement) {
   const std::vector<double> prefs{0.2, 0.8, 0.5};
   const ConsensusSpec pd = ConsensusSpec::PairwiseDisagreement(0.8);
@@ -126,6 +136,28 @@ struct IntervalCase {
 
 class ConsensusIntervalTest : public ::testing::TestWithParam<IntervalCase> {};
 
+/// Random normalized member weights for `g` members and their normalized
+/// pair products (the influence layout AssembleGroupProblem builds).
+struct RandomWeights {
+  std::vector<double> member;
+  std::vector<double> pair;
+
+  RandomWeights(Rng& rng, std::size_t g) : member(g) {
+    double sum = 0.0;
+    for (double& w : member) sum += (w = rng.NextDouble(0.05, 1.0));
+    for (double& w : member) w /= sum;
+    double pair_sum = 0.0;
+    for (std::size_t a = 0; a < g; ++a) {
+      for (std::size_t b = a + 1; b < g; ++b) {
+        pair.push_back(member[a] * member[b]);
+        pair_sum += pair.back();
+      }
+    }
+    for (double& w : pair) w /= pair_sum;
+  }
+  ConsensusWeights view() const { return {member, pair}; }
+};
+
 TEST_P(ConsensusIntervalTest, IntervalEnclosesEveryRealization) {
   Rng rng(73);
   const ConsensusSpec& spec = GetParam().spec;
@@ -138,25 +170,31 @@ TEST_P(ConsensusIntervalTest, IntervalEnclosesEveryRealization) {
       ivs[u].ub = ivs[u].lb + rng.NextDouble(0.0, 0.4);
       exact[u] = rng.NextDouble(ivs[u].lb, ivs[u].ub);
     }
-    const Interval out = ConsensusInterval(spec, ivs);
-    const double score = ConsensusScore(spec, exact);
-    EXPECT_LE(out.lb, score + 1e-12) << GetParam().name;
-    EXPECT_GE(out.ub, score - 1e-12) << GetParam().name;
+    const RandomWeights weights(rng, g);
+    for (const ConsensusWeights& w : {ConsensusWeights{}, weights.view()}) {
+      const Interval out = ConsensusInterval(spec, ivs, w);
+      const double score = ConsensusScore(spec, exact, w);
+      EXPECT_LE(out.lb, score + 1e-12) << GetParam().name;
+      EXPECT_GE(out.ub, score - 1e-12) << GetParam().name;
+    }
   }
 }
 
-TEST_P(ConsensusIntervalTest, ExactInputsGiveTightIntervalForNonVariance) {
+TEST_P(ConsensusIntervalTest, ExactInputsGiveTightInterval) {
+  // Variance included: a fully seen item's bounds must close on its score,
+  // or GRECA ranks its final buffer by loose bounds.
   const ConsensusSpec& spec = GetParam().spec;
-  if (spec.disagreement == DisagreementKind::kVariance) {
-    GTEST_SKIP() << "variance upper bound is intentionally loose";
-  }
   const std::vector<double> exact{0.3, 0.9, 0.6};
   std::vector<Interval> ivs;
   for (const double v : exact) ivs.push_back(Interval::Exact(v));
-  const Interval out = ConsensusInterval(spec, ivs);
-  const double score = ConsensusScore(spec, exact);
-  EXPECT_NEAR(out.lb, score, 1e-12);
-  EXPECT_NEAR(out.ub, score, 1e-12);
+  Rng rng(79);
+  const RandomWeights weights(rng, exact.size());
+  for (const ConsensusWeights& w : {ConsensusWeights{}, weights.view()}) {
+    const Interval out = ConsensusInterval(spec, ivs, w);
+    const double score = ConsensusScore(spec, exact, w);
+    EXPECT_NEAR(out.lb, score, 1e-12) << GetParam().name;
+    EXPECT_NEAR(out.ub, score, 1e-12) << GetParam().name;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -49,15 +49,10 @@ GroupProblem BuildProblem(std::vector<std::vector<double>> pref_scores,
     period_lists.clear();
     averages.clear();
   }
-  std::vector<SortedList> agreement;
-  if (consensus.disagreement == DisagreementKind::kPairwise) {
-    agreement = BuildAgreementLists(pref_lists, m,
-                                    consensus.disagreement_scale);
-  }
-  return GroupProblem(m, std::move(pref_lists), std::move(static_list),
-                      std::move(period_lists),
-                      AffinityCombiner(model, std::move(averages)), consensus,
-                      std::move(agreement));
+  return testing::MakeProblem(m, std::move(pref_lists),
+                              std::move(static_list), std::move(period_lists),
+                              AffinityCombiner(model, std::move(averages)),
+                              consensus);
 }
 
 void ExpectMatchesNaive(const GroupProblem& problem, std::size_t k,
@@ -110,7 +105,8 @@ TEST(GrecaAdversarialTest, PerfectlyAntiCorrelatedMembers) {
   }
   for (const auto consensus :
        {ConsensusSpec::AveragePreference(), ConsensusSpec::LeastMisery(),
-        ConsensusSpec::PairwiseDisagreement(0.2)}) {
+        ConsensusSpec::PairwiseDisagreement(0.2),
+        ConsensusSpec::VarianceDisagreement(0.2)}) {
     const GroupProblem problem =
         BuildProblem({up, down}, {0.7}, {{0.5}}, consensus);
     ExpectMatchesNaive(problem, 5, consensus.Name().c_str());

@@ -75,6 +75,11 @@ INSTANTIATE_TEST_SUITE_P(
                   AffinityModelSpec::Default(), 4, 50, 3, 4},
         SweepCase{"vd_discrete_g3", ConsensusSpec::VarianceDisagreement(0.8),
                   AffinityModelSpec::Default(), 3, 40, 2, 3},
+        // Pure variance on a small pair group: VD is not monotone, so this
+        // fails if GRECA stops on Theorem 1's "pruned => threshold met".
+        SweepCase{"vd00_affinity_agnostic_g2",
+                  ConsensusSpec::VarianceDisagreement(0.0),
+                  AffinityModelSpec::AffinityAgnostic(), 2, 5, 0, 1},
         SweepCase{"ap_affinity_agnostic", ConsensusSpec::AveragePreference(),
                   AffinityModelSpec::AffinityAgnostic(), 3, 60, 0, 5},
         SweepCase{"ap_time_agnostic", ConsensusSpec::AveragePreference(),
@@ -161,9 +166,10 @@ TEST(GrecaTest, SavesAccessesOnSkewedInputs) {
   std::vector<SortedList> period_lists{
       SortedList::FromUnsorted({{0, 0.9}, {1, 0.4}, {2, 0.1}}, 3)};
   AffinityCombiner combiner(AffinityModelSpec::Default(), {0.2});
-  const GroupProblem problem(m, std::move(pref_lists), std::move(static_list),
-                             std::move(period_lists), std::move(combiner),
-                             ConsensusSpec::AveragePreference());
+  const GroupProblem problem = testing::MakeProblem(
+      m, std::move(pref_lists), std::move(static_list),
+      std::move(period_lists), std::move(combiner),
+      ConsensusSpec::AveragePreference());
   GrecaConfig config;
   config.k = 3;
   GrecaStats stats;

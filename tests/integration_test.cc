@@ -2,8 +2,13 @@
 // the GroupRecommender facade, cross-checking all three algorithms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "core/group_recommender.h"
 #include "eval/experiments.h"
 #include "solver/solver_registry.h"
@@ -190,6 +195,95 @@ TEST_F(IntegrationTest, GrecaMatchesNaiveForEveryConsensusThroughFacade) {
   }
 }
 
+// The §3.1 contract on served problems: each exact solver (GRECA under both
+// termination policies, TA) returns a top-k whose exact-score multiset is
+// the naive scan's. The itemset is exact; the order within it may be
+// partial. The queries form a deterministic grid over group size, k, pool
+// prefix, affinity model, consensus (random w1, disagreement scale in
+// {0, 1, 5, 20}) and member weighting.
+TEST_F(IntegrationTest, ExactSolversReturnTheNaiveExactScoreMultiset) {
+  const AffinityModelSpec models[] = {
+      AffinityModelSpec::Default(), AffinityModelSpec::Continuous(),
+      AffinityModelSpec::TimeAgnostic(), AffinityModelSpec::AffinityAgnostic()};
+  const double scales[] = {0.0, 1.0, 5.0, 20.0};
+  const std::uint64_t participants = study_->num_participants();
+
+  // Exact scores, best first, of what `solver_id` serves for the query.
+  const auto served_exact_scores = [](const Group& group, QuerySpec spec,
+                                      std::string_view solver_id) {
+    spec.solver_id = std::string(solver_id);
+    QueryWorkspace ws;
+    GroupProblem problem =
+        recommender_->BuildProblem(group, spec, nullptr, &ws).value();
+    const SolverResult solved =
+        SolverRegistry::Global().Find(solver_id)->Solve(problem, spec, ws);
+    std::vector<double> scores;
+    for (const ListEntry& e : solved.raw.items) {
+      scores.push_back(problem.ExactScore(e.id));
+    }
+    std::sort(scores.begin(), scores.end(), std::greater<>());
+    return scores;
+  };
+
+  Rng rng(20'150'324);
+  std::size_t misses = 0;
+  std::string first_misses;
+  for (std::size_t i = 0; i < 504; ++i) {
+    Group group;
+    while (group.size() < 2 + i % 7) {
+      const auto u = static_cast<UserId>(rng.NextBounded(participants));
+      if (std::find(group.begin(), group.end(), u) == group.end()) {
+        group.push_back(u);
+      }
+    }
+    QuerySpec spec;
+    spec.k = 1 + rng.NextBounded(15);
+    spec.num_candidate_items = 1 + rng.NextBounded(420);
+    spec.model = models[i % 4];
+    const double w1 = rng.NextDouble();
+    switch (i / 4 % 4) {
+      case 0: spec.consensus = ConsensusSpec::AveragePreference(); break;
+      case 1: spec.consensus = ConsensusSpec::LeastMisery(); break;
+      case 2: spec.consensus = ConsensusSpec::PairwiseDisagreement(w1); break;
+      default: spec.consensus = ConsensusSpec::VarianceDisagreement(w1);
+    }
+    spec.consensus.disagreement_scale = scales[i / 16 % 4];
+    spec.weighting = i / 64 % 2 == 0 ? MemberWeighting::kUniform
+                                     : MemberWeighting::kInfluence;
+
+    const std::vector<double> naive =
+        served_exact_scores(group, spec, kNaiveSolverId);
+    const auto check = [&](const std::string& label,
+                           const std::vector<double>& scores) {
+      bool same = scores.size() == naive.size();
+      for (std::size_t r = 0; same && r < scores.size(); ++r) {
+        same = std::abs(scores[r] - naive[r]) <= 1e-9;
+      }
+      if (same) return;
+      if (++misses <= 5) {
+        first_misses += "\n  query " + std::to_string(i) + " " + label +
+                        " g=" + std::to_string(group.size()) +
+                        " k=" + std::to_string(spec.k) + " pool=" +
+                        std::to_string(spec.num_candidate_items) + " " +
+                        spec.consensus.Name() + "/" + spec.model.Name() +
+                        (spec.weighting == MemberWeighting::kInfluence
+                             ? " influence"
+                             : " uniform");
+      }
+    };
+    for (const TerminationPolicy policy :
+         {TerminationPolicy::kBufferCondition,
+          TerminationPolicy::kThresholdOnly}) {
+      spec.termination = policy;
+      check(policy == TerminationPolicy::kBufferCondition ? "greca"
+                                                          : "greca-threshold",
+            served_exact_scores(group, spec, kGrecaSolverId));
+    }
+    check("ta", served_exact_scores(group, spec, kTaSolverId));
+  }
+  EXPECT_EQ(misses, 0u) << "first misses:" << first_misses;
+}
+
 TEST_F(IntegrationTest, PairwiseConsensusCarriesAgreementList) {
   const Group group{2, 8, 21};
   QuerySpec spec = BaseSpec();
@@ -197,8 +291,8 @@ TEST_F(IntegrationTest, PairwiseConsensusCarriesAgreementList) {
   const GroupProblem problem = recommender_->BuildProblem(group, spec).value();
   // The facade pre-aggregates the pair components into one list covering
   // exactly the live (non-tombstoned) candidates.
-  ASSERT_EQ(problem.agreement_lists().size(), 1u);
-  EXPECT_EQ(problem.agreement_lists()[0].size(), problem.num_candidates());
+  ASSERT_TRUE(problem.uses_agreement_list());
+  EXPECT_EQ(problem.agreement_list().size(), problem.num_candidates());
   // Total entries include it (the %SA denominator is honest), counting live
   // entries only.
   EXPECT_EQ(problem.TotalEntries(),

@@ -1,12 +1,14 @@
 // Equivalence suite for the zero-copy access layer: GRECA, TA and the naive
 // scan over tombstone-masked, prefix-sliced ListViews must return exactly the
-// top-k sets and access counts the seed's owning-SortedList path returns on
-// the same logical problem. Also pins the facade-level guarantees: BuildProblem
-// performs no per-query preference-list sort (no SortedList::FromUnsorted),
-// and a prefix slice of a large pool behaves like a dedicated small pool.
+// top-k sets and access counts a dense reference returns on the same logical
+// problem: lists re-keyed over exactly the live keys, nothing tombstoned.
+// Also pins the facade-level guarantees: BuildProblem performs no per-query
+// preference-list sort (no SortedList::FromUnsorted), and a prefix slice of a
+// large pool behaves like a dedicated small pool.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -17,13 +19,14 @@
 #include "topk/naive.h"
 #include "topk/problem.h"
 #include "topk/ta.h"
+#include "test_util.h"
 
 namespace greca {
 namespace {
 
 // One randomized logical problem realized twice: through restricted views
-// over full-pool lists (pool keys, dead entries skipped) and through owning
-// lists materialized over exactly the live keys (dense keys, seed-style).
+// over full-pool lists (pool keys, dead entries skipped) and through lists
+// materialized over exactly the live keys (dense keys).
 struct EquivalenceCase {
   // View-path storage (must outlive view_problem).
   std::vector<SortedList> full_pref;
@@ -32,14 +35,12 @@ struct EquivalenceCase {
   SortedList view_static;
   std::vector<SortedList> view_periods;
   std::vector<ListView> period_views;
-  SortedList view_agreement;
-  std::vector<ListView> agreement_views;
 
-  /// Dense owning key -> pool view key (ascending).
+  /// Dense key -> pool view key (ascending).
   std::vector<ListKey> live_keys;
 
   std::optional<GroupProblem> view_problem;
-  std::optional<GroupProblem> owning_problem;
+  std::optional<GroupProblem> dense_problem;
 };
 
 EquivalenceCase MakeCase(Rng& rng, std::size_t g, std::size_t pool,
@@ -92,10 +93,10 @@ EquivalenceCase MakeCase(Rng& rng, std::size_t g, std::size_t pool,
     pair_entries.push_back({q, rng.NextDouble()});
   }
   c.view_static = SortedList::FromUnsorted(pair_entries, pairs);
-  SortedList own_static = c.view_static;
+  SortedList dense_static = c.view_static;
 
   std::vector<double> averages;
-  std::vector<SortedList> own_periods;
+  std::vector<SortedList> dense_periods;
   const bool temporal = model.affinity_aware && model.time_aware;
   for (std::size_t t = 0; temporal && t < num_periods; ++t) {
     std::vector<ListEntry> entries;
@@ -103,64 +104,54 @@ EquivalenceCase MakeCase(Rng& rng, std::size_t g, std::size_t pool,
       entries.push_back({q, rng.NextDouble()});
     }
     c.view_periods.push_back(SortedList::FromUnsorted(entries, pairs));
-    own_periods.push_back(c.view_periods.back());
+    dense_periods.push_back(c.view_periods.back());
     averages.push_back(rng.NextDouble(0.0, 0.5));
   }
   for (const SortedList& list : c.view_periods) {
     c.period_views.emplace_back(list);
   }
 
-  // Owning preference lists: dense re-key of the live keys, seed-style.
-  std::vector<SortedList> own_pref;
+  // Dense preference lists: the live keys re-keyed 0..live-1.
+  std::vector<SortedList> dense_pref;
   for (std::size_t u = 0; u < g; ++u) {
     std::vector<ListEntry> entries;
     entries.reserve(live);
     for (ListKey dense = 0; dense < live; ++dense) {
       entries.push_back({dense, scores[u][c.live_keys[dense]]});
     }
-    own_pref.push_back(SortedList::FromUnsorted(std::move(entries),
-                                                static_cast<ListKey>(live)));
+    dense_pref.push_back(SortedList::FromUnsorted(
+        std::move(entries), static_cast<ListKey>(live)));
   }
 
-  // Aggregated group-agreement list (the facade layout) on both paths.
-  std::vector<SortedList> own_agreement;
-  const bool pairwise =
-      consensus.disagreement == DisagreementKind::kPairwise && g >= 2;
-  if (pairwise) {
-    std::vector<ListEntry> scratch;
-    BuildGroupAgreementListInto(c.pref_views, prefix,
-                                consensus.disagreement_scale, scratch,
-                                c.view_agreement);
-    c.agreement_views.emplace_back(c.view_agreement);
-    own_agreement.push_back(BuildGroupAgreementList(
-        own_pref, live, consensus.disagreement_scale));
-  }
-
-  c.view_problem.emplace(prefix, live, c.pref_views,
-                         ListView(c.view_static), c.period_views,
-                         AffinityCombiner(model, averages), consensus,
-                         c.agreement_views);
-  c.owning_problem.emplace(live, std::move(own_pref), std::move(own_static),
-                           std::move(own_periods),
-                           AffinityCombiner(model, std::move(averages)),
-                           consensus, std::move(own_agreement));
+  // Each problem builds its own aggregated agreement list on first walk:
+  // the view problem over the tombstoned prefix into the arena it owns, the
+  // dense one over the live keys.
+  auto arena = std::make_unique<ProblemArena>();
+  ProblemArena& view_arena = *arena;
+  c.view_problem.emplace(prefix, live, c.pref_views, ListView(c.view_static),
+                         c.period_views, AffinityCombiner(model, averages),
+                         consensus, view_arena, std::move(arena));
+  c.dense_problem.emplace(testing::MakeProblem(
+      live, std::move(dense_pref), std::move(dense_static),
+      std::move(dense_periods), AffinityCombiner(model, std::move(averages)),
+      consensus));
   return c;
 }
 
-void ExpectEquivalent(const TopKResult& view, const TopKResult& owning,
+void ExpectEquivalent(const TopKResult& view, const TopKResult& dense,
                       const std::vector<ListKey>& live_keys,
                       const std::string& label) {
-  EXPECT_EQ(view.accesses.sequential, owning.accesses.sequential) << label;
-  EXPECT_EQ(view.accesses.random, owning.accesses.random) << label;
-  EXPECT_EQ(view.total_entries, owning.total_entries) << label;
-  EXPECT_EQ(view.rounds, owning.rounds) << label;
-  EXPECT_EQ(view.early_terminated, owning.early_terminated) << label;
-  ASSERT_EQ(view.items.size(), owning.items.size()) << label;
+  EXPECT_EQ(view.accesses.sequential, dense.accesses.sequential) << label;
+  EXPECT_EQ(view.accesses.random, dense.accesses.random) << label;
+  EXPECT_EQ(view.total_entries, dense.total_entries) << label;
+  EXPECT_EQ(view.rounds, dense.rounds) << label;
+  EXPECT_EQ(view.early_terminated, dense.early_terminated) << label;
+  ASSERT_EQ(view.items.size(), dense.items.size()) << label;
   for (std::size_t i = 0; i < view.items.size(); ++i) {
-    ASSERT_LT(owning.items[i].id, live_keys.size()) << label;
-    EXPECT_EQ(view.items[i].id, live_keys[owning.items[i].id])
+    ASSERT_LT(dense.items[i].id, live_keys.size()) << label;
+    EXPECT_EQ(view.items[i].id, live_keys[dense.items[i].id])
         << label << " item " << i;
-    EXPECT_DOUBLE_EQ(view.items[i].score, owning.items[i].score)
+    EXPECT_DOUBLE_EQ(view.items[i].score, dense.items[i].score)
         << label << " item " << i;
   }
 }
@@ -188,7 +179,7 @@ TEST(ListViewEquivalenceTest, AllAlgorithmsMatchOwningPathOnRandomProblems) {
     EquivalenceCase c = MakeCase(rng, g, pool, prefix, tombstone_prob,
                                  periods, consensus, model);
     const GroupProblem& vp = *c.view_problem;
-    const GroupProblem& op = *c.owning_problem;
+    const GroupProblem& dp = *c.dense_problem;
     const std::size_t k = 1 + rng.NextBounded(5);
     const std::string label = "trial " + std::to_string(trial) + " g=" +
                               std::to_string(g) + " prefix=" +
@@ -197,19 +188,19 @@ TEST(ListViewEquivalenceTest, AllAlgorithmsMatchOwningPathOnRandomProblems) {
                               std::to_string(k) + " " + consensus.Name() +
                               "/" + model.Name();
 
-    EXPECT_EQ(vp.TotalEntries(), op.TotalEntries()) << label;
-    EXPECT_EQ(vp.num_candidates(), op.num_candidates()) << label;
+    EXPECT_EQ(vp.TotalEntries(), dp.TotalEntries()) << label;
+    EXPECT_EQ(vp.num_candidates(), dp.num_candidates()) << label;
 
-    ExpectEquivalent(NaiveTopK(vp, k), NaiveTopK(op, k), c.live_keys,
+    ExpectEquivalent(NaiveTopK(vp, k), NaiveTopK(dp, k), c.live_keys,
                      "naive " + label);
-    ExpectEquivalent(TaTopK(vp, k), TaTopK(op, k), c.live_keys, "ta " + label);
+    ExpectEquivalent(TaTopK(vp, k), TaTopK(dp, k), c.live_keys, "ta " + label);
     for (const TerminationPolicy policy :
          {TerminationPolicy::kBufferCondition,
           TerminationPolicy::kThresholdOnly}) {
       GrecaConfig config;
       config.k = k;
       config.termination = policy;
-      ExpectEquivalent(Greca(vp, config), Greca(op, config), c.live_keys,
+      ExpectEquivalent(Greca(vp, config), Greca(dp, config), c.live_keys,
                        "greca " + label);
     }
   }
@@ -222,7 +213,7 @@ TEST(ListViewEquivalenceTest, ExactScoresMatchAcrossPaths) {
                AffinityModelSpec::Default());
   for (std::size_t dense = 0; dense < c.live_keys.size(); ++dense) {
     EXPECT_DOUBLE_EQ(c.view_problem->ExactScore(c.live_keys[dense]),
-                     c.owning_problem->ExactScore(static_cast<ListKey>(dense)))
+                     c.dense_problem->ExactScore(static_cast<ListKey>(dense)))
         << "dense key " << dense;
   }
 }

@@ -589,25 +589,22 @@ TEST_F(PlannerEquivalenceTest, LazyAgreementDeferAndMaterialize) {
   ASSERT_TRUE(problem.ok()) << problem.status().ToString();
   EXPECT_TRUE(problem.value().agreement_deferred());
   EXPECT_FALSE(problem.value().agreement_materialized());
-  EXPECT_TRUE(problem.value().uses_agreement_lists());
-  EXPECT_EQ(problem.value().num_agreement_lists(), 1u);
+  EXPECT_TRUE(problem.value().uses_agreement_list());
   const std::size_t entries_deferred = problem.value().TotalEntries();
 
   // First walk materializes; the observable surface must not move.
-  const auto lists = problem.value().agreement_lists();
-  ASSERT_EQ(lists.size(), 1u);
+  const ListView& list = problem.value().agreement_list();
   EXPECT_TRUE(problem.value().agreement_materialized());
-  EXPECT_EQ(problem.value().num_agreement_lists(), 1u);
   EXPECT_EQ(problem.value().TotalEntries(), entries_deferred)
       << "deferred-entry accounting must equal the built list's size";
-  EXPECT_GT(lists[0].size(), 0u);
+  EXPECT_GT(list.size(), 0u);
+  EXPECT_EQ(list.size(), problem.value().num_candidates());
 
   // Non-pairwise consensus never defers (nothing to build).
   auto plain = rec.BuildProblem(group, SmallSpec());
   ASSERT_TRUE(plain.ok());
   EXPECT_FALSE(plain.value().agreement_deferred());
-  EXPECT_FALSE(plain.value().uses_agreement_lists());
-  EXPECT_EQ(plain.value().num_agreement_lists(), 0u);
+  EXPECT_FALSE(plain.value().uses_agreement_list());
 }
 
 }  // namespace

@@ -68,9 +68,9 @@ GroupProblem OrthogonalTastesProblem() {
   SortedList static_list =
       SortedList::FromUnsorted({{0, 0.5}}, 1);  // one pair, ignored below
   AffinityCombiner combiner(AffinityModelSpec::AffinityAgnostic(), {});
-  return GroupProblem(4, std::move(pref_lists), std::move(static_list), {},
-                      std::move(combiner), ConsensusSpec::AveragePreference(),
-                      {});
+  return greca::testing::MakeProblem(
+      4, std::move(pref_lists), std::move(static_list), {},
+      std::move(combiner), ConsensusSpec::AveragePreference());
 }
 
 TEST(SubmodularSolverTest, CoverageServesEveryMember) {

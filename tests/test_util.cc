@@ -1,6 +1,8 @@
 #include "test_util.h"
 
 #include <algorithm>
+#include <memory>
+#include <utility>
 
 #include "affinity/static_affinity.h"
 
@@ -18,7 +20,40 @@ SortedList RandomList(Rng& rng, std::size_t keys) {
                                   static_cast<ListKey>(keys));
 }
 
+/// Keeps MakeProblem's lists alive for the problem's lifetime.
+struct OwnedLists {
+  std::vector<SortedList> preference;
+  SortedList static_list;
+  std::vector<SortedList> period;
+  std::vector<ListView> preference_views;
+  std::vector<ListView> period_views;
+  ProblemArena arena;
+};
+
 }  // namespace
+
+GroupProblem MakeProblem(std::size_t num_items,
+                         std::vector<SortedList> preference_lists,
+                         SortedList static_affinity,
+                         std::vector<SortedList> period_affinity,
+                         AffinityCombiner combiner, ConsensusSpec consensus) {
+  auto owned = std::make_shared<OwnedLists>();
+  owned->preference = std::move(preference_lists);
+  owned->static_list = std::move(static_affinity);
+  owned->period = std::move(period_affinity);
+  for (const SortedList& list : owned->preference) {
+    owned->preference_views.emplace_back(list);
+  }
+  for (const SortedList& list : owned->period) {
+    owned->period_views.emplace_back(list);
+  }
+  GroupProblem problem(num_items, num_items, owned->preference_views,
+                       ListView(owned->static_list), owned->period_views,
+                       std::move(combiner), std::move(consensus),
+                       owned->arena);
+  problem.PinLifetime(std::move(owned));
+  return problem;
+}
 
 GroupProblem MakeRandomProblem(Rng& rng, std::size_t g, std::size_t m,
                                std::size_t num_periods,
@@ -36,15 +71,9 @@ GroupProblem MakeRandomProblem(Rng& rng, std::size_t g, std::size_t m,
     period_lists.push_back(RandomList(rng, pairs));
     averages.push_back(rng.NextDouble(0.0, 0.5));
   }
-  std::vector<SortedList> agreement_lists;
-  if (consensus.disagreement == DisagreementKind::kPairwise && g >= 2) {
-    agreement_lists =
-        BuildAgreementLists(pref_lists, m, consensus.disagreement_scale);
-  }
-  AffinityCombiner combiner(model, std::move(averages));
-  return GroupProblem(m, std::move(pref_lists), std::move(static_list),
-                      std::move(period_lists), std::move(combiner), consensus,
-                      std::move(agreement_lists));
+  return MakeProblem(m, std::move(pref_lists), std::move(static_list),
+                     std::move(period_lists),
+                     AffinityCombiner(model, std::move(averages)), consensus);
 }
 
 GroupProblem MakeRunningExampleProblem(const ConsensusSpec& consensus,
@@ -75,15 +104,9 @@ GroupProblem MakeRunningExampleProblem(const ConsensusSpec& consensus,
     period_lists.push_back(pair_list(0.7, 0.1, 0.1));  // Table 4 (p2)
     averages = {0.2, 0.15};  // population averages (not given in the paper)
   }
-  std::vector<SortedList> agreement_lists;
-  if (consensus.disagreement == DisagreementKind::kPairwise) {
-    agreement_lists =
-        BuildAgreementLists(pref_lists, 3, consensus.disagreement_scale);
-  }
-  AffinityCombiner combiner(model, std::move(averages));
-  return GroupProblem(3, std::move(pref_lists), std::move(static_list),
-                      std::move(period_lists), std::move(combiner), consensus,
-                      std::move(agreement_lists));
+  return MakeProblem(3, std::move(pref_lists), std::move(static_list),
+                     std::move(period_lists),
+                     AffinityCombiner(model, std::move(averages)), consensus);
 }
 
 std::vector<double> ExactScoresSorted(const GroupProblem& problem,

@@ -2,6 +2,7 @@
 #ifndef GRECA_TESTS_TEST_UTIL_H_
 #define GRECA_TESTS_TEST_UTIL_H_
 
+#include <memory>
 #include <vector>
 
 #include "affinity/temporal_model.h"
@@ -10,6 +11,17 @@
 #include "topk/problem.h"
 
 namespace greca::testing {
+
+/// Builds a GroupProblem over lists the caller hands over: the lists, their
+/// views and the arena the agreement list is built in move into one heap
+/// block pinned on the problem (GroupProblem::PinLifetime). Every key in
+/// [0, num_items) is a live candidate; the number of period lists must
+/// equal combiner.num_periods().
+GroupProblem MakeProblem(std::size_t num_items,
+                         std::vector<SortedList> preference_lists,
+                         SortedList static_affinity,
+                         std::vector<SortedList> period_affinity,
+                         AffinityCombiner combiner, ConsensusSpec consensus);
 
 /// Builds a randomized but fully valid GroupProblem: `g` members over `m`
 /// candidate items and `num_periods` periods, every list covering its whole

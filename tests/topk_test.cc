@@ -125,61 +125,66 @@ TEST(GroupProblemTest, ExactScoreIsConsensusOfMemberPreferences) {
   const GroupProblem problem = testing::MakeRandomProblem(
       rng, 4, 10, 3, ConsensusSpec::PairwiseDisagreement(0.8),
       AffinityModelSpec::Default());
-  ASSERT_TRUE(problem.uses_agreement_lists());
+  ASSERT_TRUE(problem.uses_agreement_list());
   // Recompute by hand through public pieces.
   const std::vector<double> pair_aff = problem.ExactPairAffinities();
   std::vector<double> apref(4), prefs(4);
-  std::vector<double> agreements(problem.agreement_lists().size());
   for (ListKey item = 0; item < 10; ++item) {
     for (std::size_t u = 0; u < 4; ++u) {
       apref[u] = problem.preference_lists()[u].ScoreOfKey(item);
     }
     problem.MemberPreferences(apref, pair_aff, prefs);
-    for (std::size_t q = 0; q < agreements.size(); ++q) {
-      agreements[q] = problem.agreement_lists()[q].ScoreOfKey(item);
-    }
     EXPECT_NEAR(problem.ExactScore(item),
-                ConsensusScoreWithAgreements(problem.consensus(), prefs,
-                                             agreements),
+                ConsensusScoreWithAgreement(
+                    problem.consensus(), prefs,
+                    problem.agreement_list().ScoreOfKey(item)),
                 1e-12);
   }
 }
 
-TEST(GroupProblemTest, AgreementListsMatchPreferenceDifferences) {
-  Rng rng(89);
-  const GroupProblem problem = testing::MakeRandomProblem(
-      rng, 3, 12, 1, ConsensusSpec::PairwiseDisagreement(0.2),
-      AffinityModelSpec::Default());
-  ASSERT_EQ(problem.agreement_lists().size(), 3u);
-  for (ListKey item = 0; item < 12; ++item) {
-    std::size_t q = 0;
-    for (std::size_t a = 0; a < 3; ++a) {
-      for (std::size_t b = a + 1; b < 3; ++b, ++q) {
-        const double expected =
-            1.0 - problem.consensus().disagreement_scale *
-                      std::abs(problem.preference_lists()[a].ScoreOfKey(item) -
-                               problem.preference_lists()[b].ScoreOfKey(item));
-        EXPECT_NEAR(problem.agreement_lists()[q].ScoreOfKey(item), expected,
-                    1e-12);
-      }
+TEST(GroupProblemTest, AggregatedAgreementListEqualsPairMean) {
+  // The problem's one agreement list carries, per item, the mean over member
+  // pairs of 1 − scale·|apref_a − apref_b| on the members' scores — pair-weighted when the
+  // problem carries consensus weights.
+  const std::vector<double> member_weights{0.1, 0.2, 0.3, 0.4};
+  std::vector<double> pair_weights;
+  for (std::size_t a = 0; a < 4; ++a) {
+    for (std::size_t b = a + 1; b < 4; ++b) {
+      pair_weights.push_back(member_weights[a] * member_weights[b]);
     }
   }
-}
+  double pair_sum = 0.0;
+  for (const double w : pair_weights) pair_sum += w;
+  for (double& w : pair_weights) w /= pair_sum;
 
-TEST(GroupProblemTest, AggregatedAgreementListEqualsPairMean) {
-  Rng rng(90);
-  const GroupProblem problem = testing::MakeRandomProblem(
-      rng, 4, 10, 1, ConsensusSpec::PairwiseDisagreement(0.5),
-      AffinityModelSpec::Default());
-  const SortedList aggregated = BuildGroupAgreementList(
-      problem.preference_lists(), 10, problem.consensus().disagreement_scale);
-  for (ListKey item = 0; item < 10; ++item) {
-    double mean = 0.0;
-    for (const auto& list : problem.agreement_lists()) {
-      mean += list.ScoreOfKey(item);
+  for (const bool weighted : {false, true}) {
+    Rng rng(90);
+    GroupProblem problem = testing::MakeRandomProblem(
+        rng, 4, 10, 1, ConsensusSpec::PairwiseDisagreement(0.5),
+        AffinityModelSpec::Default());
+    if (weighted) problem.SetConsensusWeights(member_weights, pair_weights);
+    ASSERT_FALSE(problem.agreement_materialized());
+    const ListView& list = problem.agreement_list();
+    EXPECT_TRUE(problem.agreement_materialized());
+    EXPECT_EQ(list.size(), problem.num_candidates());
+    const double scale = problem.consensus().disagreement_scale;
+    for (ListKey item = 0; item < 10; ++item) {
+      double mean = 0.0;
+      std::size_t q = 0;
+      for (std::size_t a = 0; a < 4; ++a) {
+        for (std::size_t b = a + 1; b < 4; ++b, ++q) {
+          // Written out rather than through PairAgreement, which the list
+          // builder itself calls.
+          const double ag =
+              1.0 - scale * std::abs(
+                                problem.preference_lists()[a].ScoreOfKey(item) -
+                                problem.preference_lists()[b].ScoreOfKey(item));
+          mean += (weighted ? pair_weights[q] : 1.0 / 6.0) * ag;
+        }
+      }
+      EXPECT_NEAR(list.ScoreOfKey(item), mean, 1e-12)
+          << (weighted ? "weighted" : "uniform") << " item " << item;
     }
-    mean /= static_cast<double>(problem.agreement_lists().size());
-    EXPECT_NEAR(aggregated.ScoreOfKey(item), mean, 1e-12);
   }
 }
 
@@ -252,6 +257,36 @@ TEST(TaTopKTest, RunningExampleChargesPaperRaCount) {
   // First round scores up to 3 distinct items -> RA count is a multiple of 20.
   EXPECT_EQ(ta.accesses.random % 20, 0u);
   EXPECT_GE(ta.accesses.random, 20u);
+}
+
+TEST(TaTopKTest, VarianceThresholdDoesNotStopBeforeTheBestItem) {
+  // VD is not monotone in member preferences: item D's lower but equal
+  // preferences have zero variance and beat B, whose cursor-level scores
+  // are the highest TA has seen when it first checks the threshold. The
+  // threshold must bound dis below by 0, not evaluate it at the cursors.
+  // Affinity-agnostic prefs are apref / 2, so with w1 = 0:
+  //   F(A) = 1 − var(0.5, 0) = 0.9375, F(B) = 1 − var(0.25, 0.225) =
+  //   0.999844, F(D) = 1 − var(0.15, 0.15) = 1.
+  const auto list = [](double a, double b, double d) {
+    return SortedList::FromUnsorted({{0, a}, {1, b}, {2, d}}, 3);
+  };
+  std::vector<SortedList> pref_lists;
+  pref_lists.push_back(list(1.0, 0.5, 0.3));
+  pref_lists.push_back(list(0.0, 0.45, 0.3));
+  const GroupProblem problem = testing::MakeProblem(
+      3, std::move(pref_lists), SortedList::FromUnsorted({{0, 0.5}}, 1), {},
+      AffinityCombiner(AffinityModelSpec::AffinityAgnostic(), {}),
+      ConsensusSpec::VarianceDisagreement(0.0));
+  EXPECT_NEAR(problem.ExactScore(0), 0.9375, 1e-12);
+  EXPECT_NEAR(problem.ExactScore(1), 1.0 - 0.0125 * 0.0125, 1e-12);
+  EXPECT_NEAR(problem.ExactScore(2), 1.0, 1e-12);
+
+  const TopKResult ta = TaTopK(problem, 1);
+  ASSERT_EQ(ta.items.size(), 1u);
+  EXPECT_EQ(ta.items[0].id, 2u);
+  const TopKResult naive = NaiveTopK(problem, 1);
+  ASSERT_EQ(naive.items.size(), 1u);
+  EXPECT_EQ(naive.items[0].id, 2u);
 }
 
 }  // namespace
