@@ -5,14 +5,9 @@
 // equivalence and reporting queries/second and speedup. Also splits the
 // sequential per-query cost into problem assembly (BuildProblem over the
 // shared PreferenceIndex, zero-copy) and solve time, so the perf trajectory
-// tracks the assembly cost the zero-copy refactor removed.
-//
-// The layout sweep at the end runs the exhaustive-scan workload (naive
-// algorithm) per candidate-pool size under both index layouts — banded rows
-// (popularity bands, prefix views walk only their bands) vs the flat
-// globally-sorted fallback — verifying bit-identical results and reporting
-// qps plus the per-list scan footprint. Machine-readable results go to the
-// path in GRECA_BATCH_JSON (scripts/bench.sh wires this up).
+// tracks the assembly cost the zero-copy refactor removed. Machine-readable
+// results go to the path in GRECA_BATCH_JSON (scripts/bench.sh wires this
+// up).
 //
 // The planner sweep replays equal-size Zipf-repeated duplicate-heavy batches
 // at duplicate factors 1/4/16, verifying each batch bit-identical to
@@ -20,14 +15,11 @@
 // per factor relative to duplicate factor 1.
 //
 // Set GRECA_BENCH_SMALL=1 for a smoke-scale run, GRECA_BATCH_QUERIES to
-// change the batch size, GRECA_BATCH_LAYOUT=banded|flat|both to restrict the
-// layout sweep, GRECA_BATCH_ASSERT_BANDED=1 (CI) to fail the run when the
-// banded layout regresses the smallest-pool workload against flat, and
-// GRECA_BATCH_ASSERT_PLANNER=1 (CI) to fail it when qps at duplicate factor
-// 16 undershoots 1.5x the qps at factor 1, or the planner ever merges
-// buckets across solver ids / weighting modes. GRECA_BATCH_ALGO
-// restricts the registered-solver quality-vs-speed sweep (comma-separated
-// solver ids; default "all").
+// change the batch size, and GRECA_BATCH_ASSERT_PLANNER=1 (CI) to fail the
+// run when qps at duplicate factor 16 undershoots 1.5x the qps at factor 1,
+// or the planner ever merges buckets across solver ids / weighting modes.
+// GRECA_BATCH_ALGO restricts the registered-solver quality-vs-speed sweep
+// (comma-separated solver ids; default "all").
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -175,158 +167,6 @@ int main() {
   std::cout << "All batch results identical to sequential execution.\n"
             << "Expected: speedup ~ min(threads, cores); >= 2x on >= 4 "
                "cores.\n";
-
-  // ---- Banded-vs-flat layout sweep per candidate-pool size ---------------
-  // The exhaustive-scan workload (naive algorithm) is the one the access-cost
-  // model governs: under the flat layout every member list walks the full
-  // index row regardless of the pool prefix; banded rows walk only the bands
-  // the prefix covers. Results must stay bit-identical across layouts.
-  const char* layout_env = std::getenv("GRECA_BATCH_LAYOUT");
-  std::string layout_sel = layout_env != nullptr ? layout_env : "both";
-  if (layout_sel != "both" && layout_sel != "banded" && layout_sel != "flat") {
-    std::cerr << "ignoring GRECA_BATCH_LAYOUT='" << layout_sel
-              << "' (expected banded|flat|both); running both\n";
-    layout_sel = "both";
-  }
-  const bool run_banded = layout_sel == "both" || layout_sel == "banded";
-  const bool run_flat = layout_sel == "both" || layout_sel == "flat";
-
-  // Pool grid from the small-prefix serving case (candidate pools a fraction
-  // of the index row — the workload candidate-pool restriction creates) up
-  // to the full row, where the banded index falls back to its flat-order
-  // twin and must match the flat baseline.
-  const std::size_t full_pool = recommender.snapshot()->index().pool_size();
-  const std::vector<std::size_t> pools = {full_pool / 16, full_pool / 4,
-                                          full_pool / 2, full_pool};
-  struct SweepRow {
-    std::size_t pool = 0;
-    std::string layout;
-    double qps = 0.0;
-    std::size_t footprint = 0;  // raw entries per member-list exhaustive scan
-  };
-  std::vector<SweepRow> sweep;
-  std::vector<std::vector<Recommendation>> reference(pools.size());
-
-  const auto run_layout = [&](const GroupRecommender& rec,
-                              const std::string& layout) -> bool {
-    QueryWorkspace ws;
-    for (std::size_t pi = 0; pi < pools.size(); ++pi) {
-      QuerySpec sweep_spec = spec;
-      sweep_spec.solver_id = std::string(kNaiveSolverId);
-      sweep_spec.num_candidate_items = pools[pi];
-
-      SweepRow row;
-      row.pool = pools[pi];
-      row.layout = layout;
-      row.footprint = rec.BuildProblem(batch[0].group, sweep_spec, nullptr, &ws)
-                          .value()
-                          .preference_lists()[0]
-                          .scan_footprint();
-      // One warm-up query, then best-of-3 timed sequential passes (the
-      // layouts run back to back, so taking the fastest pass damps
-      // frequency/cache noise in the cross-layout ratio).
-      rec.Recommend(batch[0].group, sweep_spec, &ws);
-      std::vector<Recommendation> recs;
-      double best_seconds = 0.0;
-      for (int rep = 0; rep < 3; ++rep) {
-        recs.clear();
-        recs.reserve(batch.size());
-        Stopwatch watch;
-        for (const Query& q : batch) {
-          recs.push_back(rec.Recommend(q.group, sweep_spec, &ws).value());
-        }
-        const double seconds = watch.ElapsedSeconds();
-        if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
-      }
-      row.qps = static_cast<double>(batch.size()) / best_seconds;
-      sweep.push_back(row);
-
-      if (reference[pi].empty()) {
-        reference[pi] = std::move(recs);
-      } else {
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          if (recs[i].items != reference[pi][i].items ||
-              recs[i].scores != reference[pi][i].scores) {
-            std::cerr << "ERROR: layout " << layout << " pool " << pools[pi]
-                      << " query " << i << " differs across layouts\n";
-            return false;
-          }
-        }
-      }
-    }
-    return true;
-  };
-
-  if (run_banded || run_flat) {
-    TablePrinter sweep_table(
-        "Index-layout sweep, naive exhaustive scans (qps per pool size)");
-    sweep_table.SetColumns(
-        {"layout", "pool", "queries/s", "entries walked/scan"});
-    if (run_banded && !run_layout(recommender, "banded")) return 1;
-    if (run_flat) {
-      // Same datasets, flat rows: the pre-banding baseline.
-      RecommenderOptions flat_options;
-      flat_options.max_candidate_items = full_pool;
-      flat_options.min_band_size = 0;
-      const GroupRecommender flat_rec(ctx.universe, ctx.study, flat_options);
-      if (!run_layout(flat_rec, "flat")) return 1;
-    }
-    for (const SweepRow& row : sweep) {
-      sweep_table.AddRow({row.layout, std::to_string(row.pool),
-                          TablePrinter::Cell(row.qps, 1),
-                          std::to_string(row.footprint)});
-    }
-    sweep_table.Print(std::cout);
-    if (run_banded && run_flat) {
-      std::cout << "All layout-sweep results identical across layouts.\n";
-    }
-  }
-
-  const auto sweep_qps = [&](const std::string& layout,
-                             std::size_t pool) -> double {
-    for (const SweepRow& row : sweep) {
-      if (row.layout == layout && row.pool == pool) return row.qps;
-    }
-    return 0.0;
-  };
-  if (run_banded && run_flat) {
-    const double small_ratio =
-        sweep_qps("banded", pools.front()) / sweep_qps("flat", pools.front());
-    const double quarter_ratio =
-        sweep_qps("banded", pools[1]) / sweep_qps("flat", pools[1]);
-    const double full_ratio =
-        sweep_qps("banded", pools.back()) / sweep_qps("flat", pools.back());
-    std::cout << "banded/flat qps ratio: " << small_ratio << " at pool "
-              << pools.front() << ", " << quarter_ratio << " at pool "
-              << pools[1] << ", " << full_ratio << " at pool " << pools.back()
-              << " (target: >= 1.3 small-pool, >= 1.0 row/4, >= 0.95 "
-                 "full-pool)\n";
-    const char* assert_env = std::getenv("GRECA_BATCH_ASSERT_BANDED");
-    if (assert_env != nullptr && assert_env[0] == '1') {
-      if (small_ratio < 0.95) {
-        std::cerr << "ERROR: banded layout regresses the smallest-pool "
-                     "workload vs flat (ratio "
-                  << small_ratio << " < 0.95)\n";
-        return 1;
-      }
-      // The region the SoA/loser-tree rewrite is supposed to win outright:
-      // at row/4 the banded walk covers ~1/4 of the entries the flat row
-      // scans, so banded qps must at least match flat.
-      if (quarter_ratio < 1.0) {
-        std::cerr << "ERROR: banded layout slower than flat at the row/4 "
-                     "pool (ratio "
-                  << quarter_ratio << " < 1.0)\n";
-        return 1;
-      }
-    }
-  }
-
-  // Resident-size split of the serving index (satellite of the SoA rewrite):
-  // banded SoA rows vs the global-order twin vs the pool/key maps.
-  const auto mem = recommender.snapshot()->index().MemoryBreakdownBytes();
-  std::cout << "index_memory: banded " << mem.banded_bytes << " B, flat twin "
-            << mem.flat_twin_bytes << " B, maps " << mem.map_bytes
-            << " B, total " << mem.total() << " B\n";
 
   // ---- Batch-planner sweep: duplicate-heavy traffic ----------------------
   // Production batch traffic repeats popular groups; the planner buckets
@@ -581,17 +421,9 @@ int main() {
   }
 
   if (const char* json_path = std::getenv("GRECA_BATCH_JSON");
-      json_path != nullptr && json_path[0] != '\0' && !sweep.empty()) {
+      json_path != nullptr && json_path[0] != '\0') {
     std::ofstream json(json_path);
-    json << "{\n  \"layout_sweep\": [\n";
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-      json << "    {\"layout\": \"" << sweep[i].layout
-           << "\", \"pool\": " << sweep[i].pool
-           << ", \"qps\": " << sweep[i].qps
-           << ", \"entries_walked_per_scan\": " << sweep[i].footprint << "}"
-           << (i + 1 < sweep.size() ? "," : "") << "\n";
-    }
-    json << "  ],\n  \"planner_sweep\": [\n";
+    json << "{\n  \"planner_sweep\": [\n";
     for (std::size_t i = 0; i < planner_sweep.size(); ++i) {
       const PlannerRow& row = planner_sweep[i];
       json << "    {\"dup\": " << row.dup << ", \"buckets\": " << row.buckets
@@ -612,12 +444,8 @@ int main() {
            << ", \"satisfaction_pct\": " << algo_sweep[i].satisfaction << "}"
            << (i + 1 < algo_sweep.size() ? "," : "") << "\n";
     }
-    json << "  ],\n  \"index_memory\": {\"banded_bytes\": " << mem.banded_bytes
-         << ", \"flat_twin_bytes\": " << mem.flat_twin_bytes
-         << ", \"map_bytes\": " << mem.map_bytes
-         << ", \"total_bytes\": " << mem.total()
-         << "},\n  \"seq_qps\": " << seq_qps << "\n}\n";
-    std::cout << "Wrote layout sweep to " << json_path << "\n";
+    json << "  ],\n  \"seq_qps\": " << seq_qps << "\n}\n";
+    std::cout << "Wrote batch results to " << json_path << "\n";
   }
   return 0;
 }

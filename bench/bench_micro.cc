@@ -1,11 +1,11 @@
 // google-benchmark microbenchmarks for the core building blocks: end-to-end
 // top-k latency per algorithm, CF prediction, affinity table construction and
 // incremental maintenance, the periodic-affinity closed form, the index
-// row-layout primitives (SoA-vs-AoS tombstone-skip scan, loser-tree-vs-argmin
-// band merge), and the paged index's publish clone and row lookup.
+// row-layout primitive (SoA-vs-AoS tombstone-skip scan), and the paged
+// index's publish clone and row lookup.
 #include <benchmark/benchmark.h>
 
-#include <array>
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -94,55 +94,6 @@ void BM_TaTopK(benchmark::State& state) {
 }
 BENCHMARK(BM_TaTopK)->DenseRange(0, 2)->ArgName("consensus");
 
-void ExhaustPreferenceLists(const GroupProblem& problem,
-                            AccessCounter& counter) {
-  for (const ListView& list : problem.preference_lists()) {
-    std::size_t cursor = 0;
-    while (list.SkipToLive(cursor)) list.ReadSequential(cursor, counter);
-  }
-}
-
-const GroupRecommender& FlatRecommender() {
-  // Same datasets as the shared context, flat (globally sorted) index rows:
-  // the pre-banding baseline for the prefix-scan comparison.
-  static const GroupRecommender* rec = [] {
-    const auto& ctx = BenchContext::Get();
-    RecommenderOptions options;
-    options.max_candidate_items =
-        ctx.recommender->snapshot()->index().pool_size();
-    options.min_band_size = 0;
-    return new GroupRecommender(ctx.universe, ctx.study, options);
-  }();
-  return *rec;
-}
-
-void PrefixScan(benchmark::State& state, const GroupRecommender& rec) {
-  // Exhaustive sequential scan of the group's preference views at the given
-  // candidate-pool prefix — the access pattern the banded layout exists for.
-  QuerySpec spec = PerformanceHarness::DefaultSpec();
-  spec.num_candidate_items = static_cast<std::size_t>(state.range(0));
-  const GroupProblem problem = rec.BuildProblem(SampleGroup(), spec).value();
-  for (auto _ : state) {
-    AccessCounter counter;
-    ExhaustPreferenceLists(problem, counter);
-    benchmark::DoNotOptimize(counter.sequential);
-  }
-  state.counters["entries_walked_per_scan"] = static_cast<double>(
-      problem.preference_lists()[0].scan_footprint());
-}
-
-// Pool args span row/16 .. full row at paper scale; GRECA_BENCH_SMALL runs
-// clamp to the shrunken pool (larger args then all hit the flat fast path).
-void BM_PrefixScanBanded(benchmark::State& state) {
-  PrefixScan(state, *BenchContext::Get().recommender);
-}
-BENCHMARK(BM_PrefixScanBanded)->Arg(244)->Arg(975)->Arg(1950)->Arg(3900);
-
-void BM_PrefixScanFlat(benchmark::State& state) {
-  PrefixScan(state, FlatRecommender());
-}
-BENCHMARK(BM_PrefixScanFlat)->Arg(244)->Arg(975)->Arg(1950)->Arg(3900);
-
 void BM_BuildProblem(benchmark::State& state) {
   // Workspace-less assembly: zero-copy preference views plus one
   // problem-owned arena allocation per call.
@@ -220,9 +171,9 @@ void BM_ClosedFormPopulationAverage(benchmark::State& state) {
 }
 BENCHMARK(BM_ClosedFormPopulationAverage);
 
-// ---- Row-layout primitives: SoA-vs-AoS scan, loser-tree-vs-argmin merge ---
-// Synthetic rows isolate the two data-structure changes of the SoA rewrite
-// from the rest of the serving stack. The row length is deliberately not a
+// ---- Row-layout primitive: SoA-vs-AoS scan --------------------------------
+// Synthetic rows isolate the SoA storage from the rest of the serving
+// stack. The row length is deliberately not a
 // multiple of the 8-lane vector width (the SIMD scan's scalar tail stays on
 // the measured path) and large enough that the scan is bandwidth-bound like
 // a real index row — in-L1 rows would hide the 4-vs-16 bytes/entry gap the
@@ -235,32 +186,20 @@ struct SyntheticRow {
   std::vector<Score> scores;
   std::vector<std::uint32_t> positions;
   std::vector<ListEntry> entries;  // AoS mirror, identical order
-  std::vector<std::uint32_t> band_begin;
   std::vector<std::uint64_t> tombstones;
   std::size_t live = 0;
 };
 
-SyntheticRow MakeSyntheticRow(std::size_t n, std::size_t num_bands,
-                              unsigned tombstone_percent) {
+SyntheticRow MakeSyntheticRow(std::size_t n, unsigned tombstone_percent) {
   SyntheticRow row;
-  std::mt19937 rng(static_cast<unsigned>(2015 + n + num_bands * 131 +
-                                         tombstone_percent * 65537));
+  std::mt19937 rng(
+      static_cast<unsigned>(2015 + n + 131 + tombstone_percent * 65537));
   std::uniform_real_distribution<double> score(0.0, 1.0);
   std::vector<ListEntry> entries(n);
   for (std::size_t i = 0; i < n; ++i) {
     entries[i] = {static_cast<ListKey>(i), score(rng)};
   }
-  // Bands = contiguous key ranges (the popularity-band contract), each
-  // independently score-sorted; num_bands == 1 yields a flat sorted row.
-  row.band_begin.push_back(0);
-  for (std::size_t b = 0; b < num_bands; ++b) {
-    const std::size_t begin = b * n / num_bands;
-    const std::size_t end = (b + 1) * n / num_bands;
-    std::sort(entries.begin() + static_cast<std::ptrdiff_t>(begin),
-              entries.begin() + static_cast<std::ptrdiff_t>(end),
-              ListEntryOrder{});
-    row.band_begin.push_back(static_cast<std::uint32_t>(end));
-  }
+  std::sort(entries.begin(), entries.end(), ListEntryOrder{});
   row.entries = entries;
   row.keys.resize(n);
   row.scores.resize(n);
@@ -329,7 +268,7 @@ class AosRefView {
 // entries; the AoS reference below walks the interleaved 16-byte entries.
 void BM_TombstoneSkipScanSoA(benchmark::State& state) {
   const SyntheticRow row = MakeSyntheticRow(
-      kLayoutRowLength, 1, static_cast<unsigned>(state.range(0)));
+      kLayoutRowLength, static_cast<unsigned>(state.range(0)));
   const ListView view(row.keys, row.scores, row.positions, row.keys.size(),
                       row.live, row.tombstones);
   for (auto _ : state) {
@@ -343,7 +282,7 @@ void BM_TombstoneSkipScanAoS(benchmark::State& state) {
   // The pre-SoA layout: liveness testing loads each full ListEntry, so one
   // cache line covers 4 entries instead of 16 and nothing vectorizes.
   const SyntheticRow row = MakeSyntheticRow(
-      kLayoutRowLength, 1, static_cast<unsigned>(state.range(0)));
+      kLayoutRowLength, static_cast<unsigned>(state.range(0)));
   const AosRefView view(row.entries, row.entries.size(), row.tombstones);
   for (auto _ : state) {
     AccessCounter counter;
@@ -358,71 +297,14 @@ void BM_TombstoneSkipScanAoS(benchmark::State& state) {
 }
 BENCHMARK(BM_TombstoneSkipScanAoS)->Arg(0)->Arg(25)->Arg(75);
 
-// Arg = band count. Each iteration rewinds the cursor, so the loser-tree
-// timing includes the per-query merge reset — the cost a real query pays.
-void BM_BandMergeLoserTree(benchmark::State& state) {
-  const SyntheticRow row = MakeSyntheticRow(
-      kLayoutRowLength, static_cast<std::size_t>(state.range(0)), 25);
-  const ListView view(row.keys, row.scores, row.positions, row.keys.size(),
-                      row.live, row.tombstones, row.band_begin);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ExhaustView(view));
-  }
-}
-BENCHMARK(BM_BandMergeLoserTree)->Arg(4)->Arg(8)->Arg(16);
-
-void BM_BandMergeArgmin(benchmark::State& state) {
-  // The pre-loser-tree merge: one linear argmin over every band head per
-  // consumed entry, same (score desc, key asc) order and tombstone skipping.
-  const std::size_t nb = static_cast<std::size_t>(state.range(0));
-  const SyntheticRow row = MakeSyntheticRow(kLayoutRowLength, nb, 25);
-  const auto live_at = [&](std::uint32_t pos) {
-    const ListKey key = row.keys[pos];
-    return ((row.tombstones[key >> 6] >> (key & 63u)) & 1u) == 0;
-  };
-  for (auto _ : state) {
-    std::array<std::uint32_t, ListView::kMaxBands> head{};
-    for (std::size_t b = 0; b < nb; ++b) {
-      std::uint32_t h = row.band_begin[b];
-      while (h < row.band_begin[b + 1] && !live_at(h)) ++h;
-      head[b] = h;
-    }
-    double sum = 0.0;
-    for (;;) {
-      std::size_t best = nb;
-      for (std::size_t b = 0; b < nb; ++b) {
-        if (head[b] == row.band_begin[b + 1]) continue;
-        if (best == nb) {
-          best = b;
-          continue;
-        }
-        const double sb = row.scores[head[b]];
-        const double sw = row.scores[head[best]];
-        if (sb > sw ||
-            (sb == sw && row.keys[head[b]] < row.keys[head[best]])) {
-          best = b;
-        }
-      }
-      if (best == nb) break;
-      sum += row.scores[head[best]];
-      std::uint32_t h = head[best] + 1;
-      while (h < row.band_begin[best + 1] && !live_at(h)) ++h;
-      head[best] = h;
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_BandMergeArgmin)->Arg(4)->Arg(8)->Arg(16);
-
 // ---- Copy-on-write index pages: publish clone and paged row lookup -------
-// The scale harness's shard shape: pool 256 over geometric bands plus the
-// flat twin (8 KiB per row, 8 rows per 64 KiB page), with synthetic scores
-// so the timings cover the index alone. Indexes are built once per (row
+// The scale harness's shard shape: pool 256 (4 KiB per row, 16 rows per
+// 64 KiB page), with synthetic scores so the timings cover the index alone. Indexes are built once per (row
 // count, pool) and shared by the benches below.
 
 constexpr std::size_t kPagedPool = 256;
-// The paper's geometry: 72 study participants over the 3 900-item pool,
-// default bands plus the twin (~122 KiB per row, one row per page).
+// The paper's geometry: 72 study participants over the 3 900-item pool
+// (~61 KiB per row, one row per page).
 constexpr std::size_t kPaperRows = 72;
 constexpr std::size_t kPaperPool = 3'900;
 
@@ -453,8 +335,7 @@ const PreferenceIndex& PagedIndex(std::size_t rows,
                 out[k] = SyntheticScore(row, k);
               }
             },
-            /*scale_max=*/5.0, std::move(pool), pool_size,
-            PreferenceIndex::GeometricBandBreakpoints(pool_size)));
+            /*scale_max=*/5.0, std::move(pool), pool_size));
   }
   return *slot;
 }
@@ -501,7 +382,7 @@ BENCHMARK(BM_CloneWithUpdatedPoolRows)
 
 // Arg = touched rows at the paper's geometry. Every touched page is fully
 // rewritten (one row per page), so the clone skips the page copy and the
-// time is the row rebuild: scaling, the radix sort and the band scatter.
+// time is the row rebuild: scaling, the radix sort and the row write.
 void BM_CloneWithUpdatedPoolRowsPaper(benchmark::State& state) {
   RunClone(state, PagedIndex(kPaperRows, kPaperPool),
            static_cast<std::size_t>(state.range(0)));

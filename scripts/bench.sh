@@ -3,20 +3,18 @@
 # runs, with the same sweep settings (bench_shard only with --shards) — and
 # records their results in the repo root:
 #   BENCH_micro.json     — google-benchmark microbenchmarks, only when
-#                          google-benchmark is installed (BM_PrefixScanBanded/
-#                          Flat track the banded-row prefix-scan win,
-#                          BM_BuildProblem / BM_ProblemAssembly the zero-copy
-#                          assembly cost).
+#                          google-benchmark is installed (BM_BuildProblem /
+#                          BM_ProblemAssembly track the zero-copy assembly
+#                          cost).
 #   BENCH_fig5.txt       — GRECA %SA scalability sweep (paper Figure 5).
 #   BENCH_batch.txt      — Engine::RecommendBatch vs sequential throughput
 #                          plus the problem_assembly_seconds / solve_seconds
 #                          split, the period-cache cold/warm assembly
-#                          comparison, the index-layout sweep table, the
-#                          batch-planner sweep and the per-solver
-#                          quality-vs-speed sweep (GRECA_BATCH_ALGO=all, as
-#                          in CI).
-#   BENCH_batch.json     — the same, machine-readable (layout sweep qps per
-#                          candidate-pool size, planner sweep, algo_sweep).
+#                          comparison, the batch-planner sweep and the
+#                          per-solver quality-vs-speed sweep
+#                          (GRECA_BATCH_ALGO=all, as in CI).
+#   BENCH_batch.json     — the same, machine-readable (planner sweep,
+#                          algo_sweep, sequential qps).
 #   BENCH_online.txt     — query p50/p99 with and without a concurrent writer
 #                          applying live rating updates (RCU snapshot swap),
 #                          plus the publish-latency-vs-accumulated-live-
@@ -35,26 +33,16 @@
 #                          locality over the million-user scale dataset
 #                          (bench_shard; src/shard/).
 #
-# Usage: scripts/bench.sh [--layout banded|flat|both] [--shards] [build-dir]
-#   --layout restricts bench_batch's index-layout sweep (default: both).
+# Usage: scripts/bench.sh [--shards] [build-dir]
 #   --shards additionally runs the sharded-engine scaling bench.
 # Env:   GRECA_BENCH_SMALL=1 for a smoke-scale run (its artifacts are not
 #        paper-scale figures; do not commit them).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-LAYOUT="both"
 RUN_SHARDS=0
 while [[ $# -gt 0 ]]; do
   case "$1" in
-    --layout)
-      LAYOUT="${2:?--layout needs banded|flat|both}"
-      shift 2
-      ;;
-    --layout=*)
-      LAYOUT="${1#--layout=}"
-      shift
-      ;;
     --shards)
       RUN_SHARDS=1
       shift
@@ -84,7 +72,7 @@ else
 fi
 
 "$BUILD_DIR"/bench/bench_fig5_scalability | tee BENCH_fig5.txt
-GRECA_BATCH_LAYOUT="$LAYOUT" GRECA_BATCH_ALGO=all \
+GRECA_BATCH_ALGO=all \
   GRECA_BATCH_JSON=BENCH_batch.json \
   "$BUILD_DIR"/bench/bench_batch | tee BENCH_batch.txt
 GRECA_BENCH_ONLINE_JSON=BENCH_online.json \

@@ -40,8 +40,7 @@ Snapshot::Snapshot(std::uint64_t generation,
       ratings_(std::move(ratings)),
       predictions_(std::move(predictions)),
       index_(std::move(index)),
-      tombstone_cache_(
-          std::make_shared<TombstoneCache>(tombstone_cache_max_entries)) {
+      tombstone_cache_(tombstone_cache_max_entries) {
   assert(ratings_ != nullptr);
   assert(std::ranges::none_of(predictions_, [](const PredictionRow& row) {
     return row == nullptr;

@@ -226,15 +226,6 @@ class PeriodListCache {
                                               PeriodId p,
                                               const AffinitySource& source);
 
-  /// Reference-returning convenience for tests and single-threaded callers:
-  /// the reference stays valid only while the entry is resident (or while a
-  /// GetShared copy pins it), so code that can churn past max_entries()
-  /// between materialization and last use must hold GetShared instead.
-  const SortedList& Get(std::span<const UserId> group, PeriodId p,
-                        const AffinitySource& source) {
-    return *GetShared(group, p, source);
-  }
-
   std::uint64_t hits() const { return cache_.hits(); }
   std::uint64_t misses() const { return cache_.misses(); }
   /// Entries dropped by the LRU cap (0 while the working set fits).
@@ -348,37 +339,18 @@ class Snapshot {
   const std::shared_ptr<const PreferenceIndex>& index_ptr() const {
     return index_;
   }
-  /// The generation-scoped (group, pool) → tombstone-bitmap memo (never
-  /// null; see TombstoneCache for the scoping rationale).
-  const std::shared_ptr<TombstoneCache>& tombstone_cache_ptr() const {
-    return tombstone_cache_;
-  }
-
-  /// Tombstone-cache observability (counters are generation-scoped — every
-  /// publish starts a fresh cache). hits + misses == cached assemblies with
-  /// the group-rated exclusion on.
-  std::uint64_t tombstone_cache_hits() const {
-    return tombstone_cache_->hits();
-  }
-  std::uint64_t tombstone_cache_misses() const {
-    return tombstone_cache_->misses();
-  }
-  std::uint64_t tombstone_cache_evictions() const {
-    return tombstone_cache_->evictions();
-  }
-  /// Number of distinct (group, pool) bitmaps currently materialized.
-  std::size_t tombstone_cache_size() const { return tombstone_cache_->size(); }
-  /// Resident bytes of the cached tombstone bitmaps.
-  std::size_t TombstoneCacheMemoryBytes() const {
-    return tombstone_cache_->MemoryBytes();
-  }
+  /// The generation-scoped (group, pool) → tombstone-bitmap memo (see
+  /// TombstoneCache for the scoping rationale; its counters start at zero
+  /// with every publish). Internally synchronized mutable state on an
+  /// otherwise-immutable snapshot, hence the const accessor.
+  TombstoneCache& tombstone_cache() const { return tombstone_cache_; }
 
  private:
   const std::uint64_t generation_;
   const std::shared_ptr<const RatingsOverlay> ratings_;
   const std::vector<PredictionRow> predictions_;
   const std::shared_ptr<const PreferenceIndex> index_;
-  const std::shared_ptr<TombstoneCache> tombstone_cache_;  // never null
+  mutable TombstoneCache tombstone_cache_;
 };
 
 }  // namespace greca

@@ -98,8 +98,7 @@ class GrecaRun {
   static constexpr std::uint8_t kActive = 1;
   static constexpr std::uint8_t kPruned = 2;
 
-  // List cursors are opaque to us (flat views store a raw position, banded
-  // views a consumed-live count — see list_view.h); SkipToLive positions
+  // List cursors are opaque to us (see list_view.h); SkipToLive positions
   // them past dead entries (uncounted), so exhaustion and reads see only
   // live entries — identical accounting to a dense list over the live keys.
   bool AllExhausted() {

@@ -45,17 +45,11 @@ GroupRecommender::GroupRecommender(const RatingsDataset& universe,
   affinity_ = std::make_shared<StudyAffinitySource>(
       static_, periodic_, &dynamic_, std::move(influence));
   // One shared, immutable sorted-preference index over the popular-item
-  // pool; every query (and every batch worker) slices it by prefix. Banded
-  // rows keep small-prefix scans proportional to the prefix; a zero
-  // min_band_size stores one globally sorted row per user.
-  std::vector<ItemId> pool =
-      universe.TopPopularItems(options.max_candidate_items);
-  const std::vector<std::uint32_t> breakpoints =
-      PreferenceIndex::GeometricBandBreakpoints(pool.size(),
-                                                options.min_band_size);
+  // pool; every query (and every batch worker) slices it by prefix.
   auto index = std::make_shared<const PreferenceIndex>(PreferenceIndex::Build(
-      predictions, /*scale_max=*/5.0, std::move(pool), universe.num_items(),
-      breakpoints));
+      predictions, /*scale_max=*/5.0,
+      universe.TopPopularItems(options.max_candidate_items),
+      universe.num_items()));
   std::vector<PredictionRow> prediction_rows;
   prediction_rows.reserve(n);
   for (std::vector<Score>& row : predictions) {
@@ -190,7 +184,7 @@ Result<GroupProblem> GroupRecommender::BuildProblem(
   ctx.key_index = &snap->index();
   ctx.affinity = affinity_.get();
   ctx.period_cache = &period_cache_;
-  ctx.tombstone_cache = snap->tombstone_cache_ptr().get();
+  ctx.tombstone_cache = &snap->tombstone_cache();
   GroupProblem problem = AssembleGroupProblem(ctx, group, slices, spec,
                                               eval_period, candidates_out,
                                               workspace);

@@ -88,14 +88,6 @@ struct RecommenderOptions {
   /// scalability experiments sweep 900..3900 items).
   std::size_t max_candidate_items = 3'900;
 
-  /// Smallest popularity band of the index rows (the first breakpoint; bands
-  /// double from here up to the pool size — index/preference_index.h). Pool
-  /// prefixes of at least half this size keep exhaustive scans within 2× the
-  /// prefix. 0 = one globally sorted band per row (the flat layout, the
-  /// banded≡flat equivalence and bench baseline). Recommendations and access
-  /// counts are identical for every value.
-  std::size_t min_band_size = 64;
-
   /// Delta-log compaction policy (live updates). Live ratings accumulate in
   /// a per-user delta log (keeping publishes O(delta)); compaction folds the
   /// log back into a fresh immutable base — an O(dataset) step paid rarely

@@ -93,17 +93,6 @@ void GatherPoolScores(std::span<const Score> predictions,
 
 }  // namespace
 
-std::vector<std::uint32_t> PreferenceIndex::GeometricBandBreakpoints(
-    std::size_t pool_size, std::size_t first_band) {
-  std::vector<std::uint32_t> breakpoints;
-  if (first_band == 0) return breakpoints;
-  for (std::size_t b = first_band;
-       b < pool_size && breakpoints.size() + 1 < ListView::kMaxBands; b *= 2) {
-    breakpoints.push_back(static_cast<std::uint32_t>(b));
-  }
-  return breakpoints;
-}
-
 std::size_t PreferenceIndex::PageRows(std::size_t page) const {
   return std::min(rows_per_page(), num_users_ - (page << page_shift_));
 }
@@ -134,78 +123,39 @@ void PreferenceIndex::FillRow(std::byte* row,
     scratch.scores[key] = std::isnan(s) ? 0.0 : std::clamp(s, 0.0, 1.0);
     scratch.radix_keys[key] = DescendingKey(scratch.scores[key]);
   }
-  const std::span<const Score> normalized = scratch.scores;
-  // One global sort serves every order. Band b holds exactly the keys
-  // [band_begin_[b], band_begin_[b+1]), and scattering the globally sorted
-  // keys into their bands, in order, yields exactly each band's sorted
-  // order; with one band (the flat layout) the scatter is the identity.
   const std::span<const std::uint32_t> sorted =
       SortKeysByRadixKey(scratch.radix_keys, scratch.order, scratch.spare);
   auto* const scores = reinterpret_cast<Score*>(row);
   auto* const keys = reinterpret_cast<std::uint32_t*>(row + words_offset_);
   std::uint32_t* const pos = keys + pool_size;
-  std::array<std::uint32_t, ListView::kMaxBands> next{};  // band cursors
-  std::copy(band_begin_.begin(), band_begin_.end() - 1, next.begin());
-  const std::uint8_t* const band_of = key_space_->band_of_key.data();
-  for (const std::uint32_t key : sorted) {
-    const std::uint32_t q = next[band_of[key]]++;
-    keys[q] = key;
-    scores[q] = normalized[key];
-    pos[key] = q;
-  }
-  if (!flat_twin_) return;
-  Score* const flat_scores = scores + pool_size;
-  std::uint32_t* const flat_keys = keys + 2 * pool_size;
-  std::uint32_t* const flat_pos = keys + 3 * pool_size;
   for (std::uint32_t p = 0; p < pool_size; ++p) {
-    flat_keys[p] = sorted[p];
-    flat_scores[p] = normalized[sorted[p]];
-    flat_pos[sorted[p]] = p;
+    const std::uint32_t key = sorted[p];
+    keys[p] = key;
+    scores[p] = scratch.scores[key];
+    pos[key] = p;
   }
 }
 
-void PreferenceIndex::InitLayout(
-    std::size_t num_rows, double scale_max, std::vector<ItemId> pool,
-    std::size_t num_universe_items,
-    std::span<const std::uint32_t> band_breakpoints) {
+void PreferenceIndex::InitLayout(std::size_t num_rows, double scale_max,
+                                 std::vector<ItemId> pool,
+                                 std::size_t num_universe_items) {
   num_users_ = num_rows;
   scale_max_ = scale_max;
   pool_size_ = pool.size();
   const std::size_t pool_size = pool_size_;
 
-  // Normalize the breakpoints defensively (not assert-only): out-of-range
-  // and non-ascending values are dropped and the band count is clamped to
-  // ListView's inline merge arrays — a bad grid degrades to coarser bands,
-  // never to out-of-bounds writes in release builds.
-  band_begin_.assign(1, 0);
-  for (const std::uint32_t breakpoint : band_breakpoints) {
-    if (breakpoint == 0 || breakpoint >= pool_size) continue;
-    if (breakpoint <= band_begin_.back()) continue;
-    if (band_begin_.size() >= ListView::kMaxBands) break;
-    band_begin_.push_back(breakpoint);
-  }
-  band_begin_.push_back(static_cast<std::uint32_t>(pool_size));
-  assert(num_bands() <= ListView::kMaxBands);
-  flat_twin_ = num_bands() > 1;
-
   auto key_space = std::make_shared<KeySpace>();
   key_space->position_of_item.assign(num_universe_items, kNotPooled);
   for (std::size_t key = 0; key < pool_size; ++key) {
     assert(pool[key] < num_universe_items);
+    assert(key_space->position_of_item[pool[key]] == kNotPooled);
     key_space->position_of_item[pool[key]] = static_cast<std::uint32_t>(key);
-  }
-  key_space->band_of_key.resize(pool_size);
-  for (std::size_t b = 0; b + 1 < band_begin_.size(); ++b) {
-    std::fill(key_space->band_of_key.begin() + band_begin_[b],
-              key_space->band_of_key.begin() + band_begin_[b + 1],
-              static_cast<std::uint8_t>(b));
   }
   key_space->pool = std::move(pool);
   key_space_ = std::move(key_space);
 
-  const std::size_t orders = flat_twin_ ? 2 : 1;
-  words_offset_ = orders * pool_size * sizeof(Score);
-  row_bytes_ = words_offset_ + orders * 2 * pool_size * sizeof(std::uint32_t);
+  words_offset_ = pool_size * sizeof(Score);
+  row_bytes_ = words_offset_ + 2 * pool_size * sizeof(std::uint32_t);
   const std::size_t record_bytes = std::max<std::size_t>(row_bytes_, 1);
   page_shift_ = 0;
   while ((std::size_t{2} << page_shift_) * record_bytes <= kPageBytes) {
@@ -215,23 +165,21 @@ void PreferenceIndex::InitLayout(
 
 PreferenceIndex PreferenceIndex::Build(
     std::span<const std::vector<Score>> predictions, double scale_max,
-    std::vector<ItemId> pool, std::size_t num_universe_items,
-    std::span<const std::uint32_t> band_breakpoints) {
+    std::vector<ItemId> pool, std::size_t num_universe_items) {
   return BuildStreaming(
       predictions.size(),
       [&](UserId u, std::span<const ItemId> p, std::span<Score> out) {
         GatherPoolScores(predictions[u], p, out);
       },
-      scale_max, std::move(pool), num_universe_items, band_breakpoints);
+      scale_max, std::move(pool), num_universe_items);
 }
 
 PreferenceIndex PreferenceIndex::BuildStreaming(
     std::size_t num_rows, const PoolScoreFiller& fill, double scale_max,
     std::vector<ItemId> pool, std::size_t num_universe_items,
-    std::span<const std::uint32_t> band_breakpoints, ThreadPool* threads) {
+    ThreadPool* threads) {
   PreferenceIndex index;
-  index.InitLayout(num_rows, scale_max, std::move(pool), num_universe_items,
-                   band_breakpoints);
+  index.InitLayout(num_rows, scale_max, std::move(pool), num_universe_items);
   const std::size_t pool_size = index.pool_size_;
   // Every page is allocated up front, on this thread; the fills below write
   // disjoint records of them.
@@ -286,8 +234,8 @@ PreferenceIndex PreferenceIndex::CloneWithUpdatedPoolRows(
     std::span<const UserId> users,
     std::span<const std::span<const Score>> pool_scores) const {
   assert(users.size() == pool_scores.size());
-  // The copy shares every page and the key space (the band-span memo starts
-  // cold); only the pages holding touched rows are replaced below.
+  // The copy shares every page and the key space; only the pages holding
+  // touched rows are replaced below.
   PreferenceIndex clone = *this;
   // Visit the touched rows in row order, which groups them by page. The
   // sort is stable, so of a row listed twice the last entry comes last;

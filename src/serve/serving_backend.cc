@@ -29,8 +29,9 @@ Result<Recommendation> SnapshotServingBackend::SolveOne(
 
 ServingCacheCounters SnapshotServingBackend::Counters() const {
   const PeriodListCache& periods = recommender_.period_cache();
-  return {periods.hits(), periods.misses(), snap_->tombstone_cache_hits(),
-          snap_->tombstone_cache_misses(), snap_->tombstone_cache_evictions()};
+  const TombstoneCache& tombs = snap_->tombstone_cache();
+  return {periods.hits(), periods.misses(), tombs.hits(), tombs.misses(),
+          tombs.evictions()};
 }
 
 std::size_t SnapshotServingBackend::num_periods() const {

@@ -11,7 +11,6 @@ Shard::Shard(std::size_t shard_id, std::vector<UserId> users,
              std::shared_ptr<const RatingsDataset> base,
              PoolPredictor predictor, double scale_max,
              std::vector<ItemId> pool, std::size_t num_universe_items,
-             std::span<const std::uint32_t> band_breakpoints,
              const RecommenderOptions& options, ThreadPool* build_threads)
     : shard_id_(shard_id),
       users_(std::move(users)),
@@ -37,8 +36,7 @@ Shard::Shard(std::size_t shard_id, std::vector<UserId> users,
             const UserId global = users_[row];
             predictor_(global, ratings.RatingsOfUser(global), p, out);
           },
-          scale_max, std::move(pool), num_universe_items, band_breakpoints,
-          build_threads));
+          scale_max, std::move(pool), num_universe_items, build_threads));
   snapshot_ = std::make_shared<const ShardSnapshot>(
       ShardSnapshot{/*generation=*/1, std::move(overlay), std::move(index)});
 }

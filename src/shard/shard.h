@@ -82,9 +82,7 @@ class Shard {
   Shard(std::size_t shard_id, std::vector<UserId> users,
         std::shared_ptr<const RatingsDataset> base, PoolPredictor predictor,
         double scale_max, std::vector<ItemId> pool,
-        std::size_t num_universe_items,
-        std::span<const std::uint32_t> band_breakpoints,
-        const RecommenderOptions& options,
+        std::size_t num_universe_items, const RecommenderOptions& options,
         ThreadPool* build_threads = nullptr);
 
   Shard(const Shard&) = delete;

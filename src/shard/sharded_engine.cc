@@ -11,6 +11,25 @@
 
 namespace greca {
 
+namespace {
+
+/// `pool` without items >= num_universe_items and without repeats (first
+/// occurrence kept, order otherwise unchanged): the index maps every item to
+/// one key, so an out-of-range item would index past that map and a repeat
+/// would give one item two keys.
+std::vector<ItemId> DistinctPoolItems(std::vector<ItemId> pool,
+                                      std::size_t num_universe_items) {
+  std::vector<bool> seen(num_universe_items, false);
+  std::erase_if(pool, [&](ItemId item) {
+    if (item >= num_universe_items || seen[item]) return true;
+    seen[item] = true;
+    return false;
+  });
+  return pool;
+}
+
+}  // namespace
+
 ShardedEngine::ShardedEngine(const RatingsDataset& universe,
                              const FacebookStudy& study,
                              ShardedEngineOptions options)
@@ -65,7 +84,8 @@ ShardedEngine::ShardedEngine(ShardedEngineInputs inputs,
       predictor_(std::move(inputs.predictor)) {
   assert(affinity_ != nullptr && predictor_ != nullptr);
   BuildShards(std::move(inputs.ratings), inputs.prediction_scale_max,
-              std::move(inputs.pool), num_universe_items_);
+              DistinctPoolItems(std::move(inputs.pool), num_universe_items_),
+              num_universe_items_);
 }
 
 void ShardedEngine::BuildShards(std::shared_ptr<const RatingsDataset> base,
@@ -73,9 +93,6 @@ void ShardedEngine::BuildShards(std::shared_ptr<const RatingsDataset> base,
                                 std::size_t num_universe_items) {
   const RecommenderOptions& ropts = options_.recommender;
   pool_ = std::move(pool);
-  const std::vector<std::uint32_t> breakpoints =
-      PreferenceIndex::GeometricBandBreakpoints(pool_.size(),
-                                                ropts.min_band_size);
   std::unique_ptr<ThreadPool> build_pool;
   if (options_.build_threads > 0) {
     build_pool = std::make_unique<ThreadPool>(options_.build_threads);
@@ -85,7 +102,7 @@ void ShardedEngine::BuildShards(std::shared_ptr<const RatingsDataset> base,
   for (std::size_t s = 0; s < owned.size(); ++s) {
     shards_.push_back(std::make_unique<Shard>(
         s, std::move(owned[s]), base, predictor_, scale_max,
-        pool_ /*copied per shard*/, num_universe_items, breakpoints, ropts,
+        pool_ /*copied per shard*/, num_universe_items, ropts,
         build_pool.get()));
   }
   // batch_threads == 1 keeps batches inline on the calling thread (the

@@ -88,7 +88,9 @@ struct ShardedEngineInputs {
   /// Raw predictor scores are divided by this before clamping to [0, 1]
   /// (the star-scale max).
   double prediction_scale_max = 5.0;
-  /// The shared popularity pool (universe items, popularity order).
+  /// The shared popularity pool (universe items, popularity order). Items
+  /// >= num_universe_items and repeats are dropped (the first occurrence
+  /// of an item keeps its place); pool() reports what remains.
   std::vector<ItemId> pool;
   std::size_t num_universe_items = 0;
   std::size_t num_periods = 1;

@@ -14,40 +14,19 @@
 // iteration under AVX2, scalar under -DGRECA_SIMD=OFF, bit-identical
 // positions either way).
 //
-// Two storage layouts back a view:
-//  * flat — one globally score-sorted span; sequential access is a linear
-//    walk. Exhausting a prefix-restricted flat view skips every out-of-prefix
-//    entry one by one, so a small prefix over a large index row walks the
-//    whole row (the skip-tail pathology);
-//  * banded — the span is partitioned into popularity bands (contiguous key
-//    ranges, each independently score-sorted, boundaries in `band_begin`).
-//    Sequential access merges the band heads through a loser tree (below),
-//    and a prefix-restricted view receives only the bands its prefix
-//    intersects — an exhaustive scan walks at most the covered bands, not the
-//    full row. Merged order equals the flat order (both sort by descending
-//    score, ties ascending key), so results and access counts are
-//    bit-identical.
+// Sequential access is a linear walk over the globally score-sorted span.
+// Exhausting a prefix-restricted view passes every out-of-prefix entry of
+// the row, uncounted, and the skip scan reads only their keys.
 //
-// The band merge is a loser tree over the band heads: tree_[0] names the
-// winning band, internal nodes store the loser of their match, and consuming
-// the winner replays only its leaf-to-root path — O(log B) comparisons
-// against the per-step argmin over all B heads it replaces. Band scores are
-// mirrored in SoA head arrays (head_score_ / head_key_), so a replay touches
-// no entry storage at all. A consumed winner whose next head score strictly
-// beats the best loser on its own path (runner_score_, refreshed by every
-// replay) stays the winner with zero comparisons — the common case on
-// popularity-skewed rows, where one band leads for long stretches.
-//
-// Tombstoned entries are transparent in both layouts: sequential access skips
-// them without counting, random access reads them as absent (0.0), and size()
-// reports only live entries — so access accounting is identical to an owning
+// Tombstoned entries are transparent: sequential access skips them without
+// counting, random access reads them as absent (0.0), and size() reports
+// only live entries — so access accounting is identical to an owning
 // SortedList that materialized exactly the live entries.
 //
-// The sequential cursor is opaque: callers initialize it to 0 and hand it
-// back to SkipToLive / ReadSequential / PeekScore unmodified. Banded views
-// keep the merge state as internal mutable state synchronized with the
-// cursor (rewinding a cursor resets the merge); consequently a single
-// ListView object must not be walked by two threads concurrently — views are
+// The sequential cursor is a raw position: callers initialize it to 0 and
+// hand it back to SkipToLive / ReadSequential / PeekScore unmodified. The
+// lazily cached MaxScore is the only mutable state, so a single ListView
+// object must not be used by two threads concurrently — views are
 // per-query/per-worker (ProblemArena) by construction, never shared.
 //
 // A ListView never owns storage. The wrapped SortedList / PreferenceIndex /
@@ -56,11 +35,8 @@
 #ifndef GRECA_TOPK_LIST_VIEW_H_
 #define GRECA_TOPK_LIST_VIEW_H_
 
-#include <algorithm>
-#include <array>
 #include <cassert>
 #include <cstdint>
-#include <limits>
 #include <span>
 
 #include "topk/access_counter.h"
@@ -69,12 +45,11 @@
 
 namespace greca {
 
-class ListView {
+/// Cache-line aligned: solvers read the spans of every member's view on
+/// each step, from views stored side by side. Unaligned, a view straddles
+/// two lines, and serving query latency measured ~5% higher.
+class alignas(64) ListView {
  public:
-  /// Upper bound on popularity bands per view (geometric bands over a
-  /// 2^20-item pool fit comfortably; the loser tree is inline).
-  static constexpr std::size_t kMaxBands = 16;
-
   ListView() = default;
 
   /// Adapter over an owning SortedList: full key space, nothing tombstoned.
@@ -85,11 +60,11 @@ class ListView {
         key_space_(list.key_space()),
         live_entries_(list.size()) {}
 
-  /// Flat form. `keys`/`scores` are parallel arrays sorted by descending
-  /// score (ties ascending key) and may contain keys >= `key_space` (a
-  /// prefix restriction of a larger index row); those and the keys whose bit
-  /// is set in `tombstones` are dead. `live_entries` must equal the number
-  /// of live entries and `tombstones` (when non-empty) must cover keys
+  /// `keys`/`scores` are parallel arrays sorted by descending score (ties
+  /// ascending key) and may contain keys >= `key_space` (a prefix
+  /// restriction of a larger index row); those and the keys whose bit is
+  /// set in `tombstones` are dead. `live_entries` must equal the number of
+  /// live entries and `tombstones` (when non-empty) must cover keys
   /// [0, key_space).
   ListView(std::span<const ListKey> keys, std::span<const Score> scores,
            std::span<const std::uint32_t> position_of_key,
@@ -106,46 +81,11 @@ class ListView {
     assert(tombstones_.empty() || tombstones_.size() >= (key_space_ + 63) / 64);
   }
 
-  /// Banded form. `band_begin` holds the band boundaries as offsets into the
-  /// key/score arrays (band b = [band_begin[b], band_begin[b+1]), front() ==
-  /// 0, back() == keys.size()); band b must contain exactly the keys in
-  /// [band_begin[b], band_begin[b+1]) sorted by descending score (ties
-  /// ascending key). `position_of_key` maps keys to positions within the
-  /// same (banded) entry order. The boundary span must outlive the view.
-  ListView(std::span<const ListKey> keys, std::span<const Score> scores,
-           std::span<const std::uint32_t> position_of_key,
-           std::size_t key_space, std::size_t live_entries,
-           std::span<const std::uint64_t> tombstones,
-           std::span<const std::uint32_t> band_begin)
-      : ListView(keys, scores, position_of_key, key_space, live_entries,
-                 tombstones) {
-    assert(band_begin.size() >= 2);
-    assert(band_begin.front() == 0);
-    assert(band_begin.back() == keys.size());
-    assert(band_begin.size() - 1 <= kMaxBands);
-    // A single band is already globally sorted — stay on the flat path.
-    if (band_begin.size() > 2) {
-      bands_ = band_begin;
-      ResetMerge();
-    }
-  }
-
   /// Number of live (non-tombstoned, in-prefix) entries.
   std::size_t size() const { return live_entries_; }
   bool empty() const { return live_entries_ == 0; }
   /// Keys run in [0, key_space()).
   std::size_t key_space() const { return key_space_; }
-
-  /// Raw entries an exhaustive sequential scan touches (live reads plus
-  /// uncounted skips): the whole backing span. Banded prefix views receive
-  /// only the covered bands, so this is the access-cost-model probe the
-  /// banded-vs-flat benches and tests compare.
-  std::size_t scan_footprint() const { return keys_.size(); }
-
-  /// Number of popularity bands merged by sequential access (1 = flat walk).
-  std::size_t num_bands() const {
-    return bands_.empty() ? 1 : bands_.size() - 1;
-  }
 
   /// True when `key` lies outside the prefix or is tombstoned.
   bool IsTombstoned(ListKey key) const {
@@ -153,18 +93,11 @@ class ListView {
                            tombstones_.empty() ? nullptr : tombstones_.data());
   }
 
-  /// Positions `cursor` on the next live entry; returns false when the list
+  /// Advances `cursor` to the next live entry; returns false when the list
   /// is exhausted. Skipping dead entries is uncounted — they do not exist as
-  /// far as access accounting is concerned. Flat views advance the cursor
-  /// past dead entries (it is a raw position); banded views advance their
-  /// internal band heads instead (the cursor counts consumed live entries).
-  /// Either way the cursor stays opaque to the caller.
+  /// far as access accounting is concerned.
   bool SkipToLive(std::size_t& cursor) const {
-    if (!bands_.empty()) {
-      SyncMerge(cursor);
-      return !WinnerExhausted();
-    }
-    cursor = FindFirstLive(cursor, keys_.size());
+    cursor = FindFirstLive(cursor);
     return cursor < keys_.size();
   }
 
@@ -172,15 +105,6 @@ class ListView {
   /// it. The caller must have established liveness via SkipToLive.
   ListEntry ReadSequential(std::size_t& cursor, AccessCounter& counter) const {
     ++counter.sequential;
-    if (!bands_.empty()) {
-      SyncMerge(cursor);
-      assert(!WinnerExhausted() && "ReadSequential past the last live entry");
-      const std::uint32_t h = head_[tree_[0]];
-      const ListEntry e{keys_[h], scores_[h]};
-      AdvanceWinner();
-      ++cursor;
-      return e;
-    }
     assert(cursor < keys_.size() && !IsTombstoned(keys_[cursor]));
     const std::size_t pos = cursor++;
     return {keys_[pos], scores_[pos]};
@@ -191,11 +115,6 @@ class ListView {
   /// via SkipToLive (TA seeds its threshold bounds through this without
   /// paying a second walk over the dead prefix).
   double PeekScore(std::size_t cursor) const {
-    if (!bands_.empty()) {
-      SyncMerge(cursor);
-      assert(!WinnerExhausted() && "PeekScore past the last live entry");
-      return head_score_[tree_[0]];
-    }
     assert(cursor < keys_.size() && !IsTombstoned(keys_[cursor]));
     return scores_[cursor];
   }
@@ -215,178 +134,35 @@ class ListView {
   }
 
   /// Highest live score (0.0 when no live entries). Lazily computed once and
-  /// cached — repeated calls no longer re-walk the dead prefix.
+  /// cached — repeated calls do not re-walk the dead prefix.
   double MaxScore() const {
-    if (max_score_valid_) return max_score_;
-    double best = 0.0;
-    if (bands_.empty()) {
-      const std::size_t pos = FindFirstLive(0, keys_.size());
-      if (pos < keys_.size()) best = scores_[pos];
-    } else {
-      // Max over band heads, each advanced (locally, without touching the
-      // merge state) past its dead prefix.
-      for (std::size_t b = 0; b + 1 < bands_.size(); ++b) {
-        const std::size_t h = FindFirstLive(bands_[b], bands_[b + 1]);
-        if (h < bands_[b + 1] && scores_[h] > best) best = scores_[h];
-      }
+    if (!max_score_valid_) {
+      const std::size_t pos = FindFirstLive(0);
+      max_score_ = pos < keys_.size() ? scores_[pos] : 0.0;
+      max_score_valid_ = true;
     }
-    max_score_ = best;
-    max_score_valid_ = true;
-    return best;
+    return max_score_;
   }
 
  private:
-  /// The one scan primitive: first live position in [begin, end) of the key
-  /// array (vectorized under GRECA_SIMD; pure, so MaxScore may call it
-  /// without perturbing the merge).
-  std::size_t FindFirstLive(std::size_t begin, std::size_t end) const {
+  /// The one scan primitive: first live position at or after `begin` in the
+  /// key array (vectorized under GRECA_SIMD).
+  std::size_t FindFirstLive(std::size_t begin) const {
     return simd::FindFirstLive(
-        keys_.data(), begin, end, key_space_,
+        keys_.data(), begin, keys_.size(), key_space_,
         tombstones_.empty() ? nullptr : tombstones_.data());
-  }
-
-  /// Re-establishes the head invariant for band `b`: head_[b] sits on a live
-  /// entry (score/key mirrored in the SoA head arrays) or at the band end
-  /// (-inf / max-key sentinels, which lose every match). Dead entries are
-  /// passed over uncounted, each at most once per walk.
-  void SkipBandHead(std::size_t b) const {
-    const std::uint32_t end = bands_[b + 1];
-    const std::size_t h = FindFirstLive(head_[b], end);
-    head_[b] = static_cast<std::uint32_t>(h);
-    if (h < end) {
-      head_score_[b] = scores_[h];
-      head_key_[b] = keys_[h];
-    } else {
-      head_score_[b] = -std::numeric_limits<double>::infinity();
-      head_key_[b] = 0xFFFFFFFFu;
-    }
-  }
-
-  /// Match order of the tree: band a beats band b when a's head precedes b's
-  /// in merged order — descending score, ties by ascending key (exactly
-  /// ListEntryOrder over the heads; live heads never share a key, bands
-  /// partition the key space). Exhausted heads carry -inf/max-key and lose
-  /// to every live head; the final band-id tiebreak only ever decides
-  /// exhausted-vs-exhausted matches, where the winner is irrelevant.
-  bool Beats(std::uint32_t a, std::uint32_t b) const {
-    if (head_score_[a] != head_score_[b]) {
-      return head_score_[a] > head_score_[b];
-    }
-    if (head_key_[a] != head_key_[b]) return head_key_[a] < head_key_[b];
-    return a < b;
-  }
-
-  bool WinnerExhausted() const {
-    const std::uint32_t w = tree_[0];
-    return head_[w] == bands_[w + 1];
-  }
-
-  /// Full tournament rebuild: leaves (bands) at implicit nodes [nb, 2nb),
-  /// internal nodes [1, nb) each store the LOSER of their match, tree_[0]
-  /// the overall winner. O(nb) — only on reset/rewind.
-  void InitLoserTree() const {
-    // min() restates the ctor's nb <= kMaxBands invariant where the
-    // optimizer can see it (asserts compile out of Release).
-    const std::size_t nb = std::min(bands_.size() - 1, kMaxBands);
-    std::array<std::uint8_t, 2 * kMaxBands> win;
-    for (std::size_t b = 0; b < nb; ++b) {
-      win[nb + b] = static_cast<std::uint8_t>(b);
-    }
-    for (std::size_t node = nb - 1; node >= 1; --node) {
-      const std::uint8_t l = win[2 * node];
-      const std::uint8_t r = win[2 * node + 1];
-      const bool left_wins = Beats(l, r);
-      win[node] = left_wins ? l : r;
-      tree_[node] = left_wins ? r : l;
-    }
-    tree_[0] = win[1];
-    RefreshRunner();
-  }
-
-  /// runner_score_ = best loser score on the current winner's leaf-to-root
-  /// path — the only heads that can dethrone it. Kept fresh by Replay; the
-  /// O(1) consecutive-win fast path in AdvanceWinner compares against it.
-  void RefreshRunner() const {
-    const std::size_t nb = bands_.size() - 1;
-    double runner = -std::numeric_limits<double>::infinity();
-    for (std::size_t t = (nb + tree_[0]) >> 1; t >= 1; t >>= 1) {
-      runner = std::max(runner, head_score_[tree_[t]]);
-    }
-    runner_score_ = runner;
-  }
-
-  /// Replays band `b`'s leaf-to-root path after its head changed: at each
-  /// node the winner moves up and the loser stays, re-establishing the tree
-  /// invariant in O(log nb) — every other path is untouched, so its stored
-  /// losers remain correct. The runner must then be refreshed from the NEW
-  /// winner's own path: when `b` loses mid-path the winner entered from a
-  /// side branch whose lower path segment this replay never visited.
-  void Replay(std::size_t b) const {
-    const std::size_t nb = bands_.size() - 1;
-    std::uint8_t cur = static_cast<std::uint8_t>(b);
-    for (std::size_t t = (nb + b) >> 1; t >= 1; t >>= 1) {
-      if (Beats(tree_[t], cur)) std::swap(cur, tree_[t]);
-    }
-    tree_[0] = cur;
-    RefreshRunner();
-  }
-
-  void ResetMerge() const {
-    const std::size_t nb = bands_.size() - 1;
-    for (std::size_t b = 0; b < nb; ++b) {
-      head_[b] = bands_[b];
-      SkipBandHead(b);
-    }
-    InitLoserTree();
-    merge_consumed_ = 0;
-  }
-
-  /// Consumes the winning band's head entry. If the band's next head
-  /// strictly out-scores every loser on its own path it stays the winner
-  /// outright — tree and runner unchanged, zero comparisons (score ties
-  /// must replay for the key tiebreak).
-  void AdvanceWinner() const {
-    const std::size_t b = tree_[0];
-    ++head_[b];
-    SkipBandHead(b);
-    ++merge_consumed_;
-    if (head_score_[b] > runner_score_) return;
-    Replay(b);
-  }
-
-  /// Brings the merge heads in line with `cursor` (= live entries consumed).
-  /// A rewound cursor — a fresh algorithm run over the same view — resets the
-  /// merge and replays; the steady state (cursor == consumed) is free.
-  void SyncMerge(std::size_t cursor) const {
-    if (cursor == merge_consumed_) return;
-    if (cursor < merge_consumed_) ResetMerge();
-    while (merge_consumed_ < cursor) {
-      assert(!WinnerExhausted() && "cursor points past the last live entry");
-      AdvanceWinner();
-    }
   }
 
   std::span<const ListKey> keys_;    // sorted order, parallel to scores_
   std::span<const Score> scores_;
   std::span<const std::uint32_t> position_of_key_;
   std::span<const std::uint64_t> tombstones_;  // empty = nothing tombstoned
-  std::span<const std::uint32_t> bands_;       // empty = flat layout
   std::size_t key_space_ = 0;
   std::size_t live_entries_ = 0;
 
-  // Sequential-access state of the banded merge, synchronized with the
-  // caller's cursor, plus the lazily cached MaxScore. Invariant between
-  // operations: every head_[b] sits on a live entry (score/key mirrored in
-  // head_score_/head_key_) or at its band end (sentinels), and tree_ is a
-  // valid loser tree over the heads. Mutable because views are handed to
-  // algorithms by const reference; a view instance belongs to one problem on
-  // one thread (see the header comment).
-  mutable std::array<std::uint32_t, kMaxBands> head_{};
-  mutable std::array<double, kMaxBands> head_score_{};
-  mutable std::array<std::uint32_t, kMaxBands> head_key_{};
-  mutable std::array<std::uint8_t, kMaxBands> tree_{};  // [0]=winner, rest=losers
-  mutable double runner_score_ = 0.0;  // best loser on the winner's path
-  mutable std::size_t merge_consumed_ = 0;
+  // Mutable because views are handed to algorithms by const reference; a
+  // view instance belongs to one problem on one thread (see the header
+  // comment).
   mutable double max_score_ = 0.0;
   mutable bool max_score_valid_ = false;
 };

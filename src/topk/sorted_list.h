@@ -38,10 +38,10 @@ using ListEntry = ScoredEntry<ListKey>;
 inline constexpr std::uint32_t kMissingPosition = 0xFFFFFFFFu;
 
 /// THE list order: descending score, ties by ascending key. Every sorted
-/// structure shares it — owning SortedLists, PreferenceIndex rows and
-/// ListView's k-way band merge. The banded-vs-flat bit-identical guarantee
-/// rests on all of them agreeing on exactly this order, so never re-spell
-/// the comparison inline. The one deliberate second spelling is the radix
+/// structure shares it — owning SortedLists and PreferenceIndex rows, which
+/// ListViews walk as stored. The owning-vs-view bit-identical guarantee
+/// rests on both agreeing on exactly this order, so never re-spell the
+/// comparison inline. The one deliberate second spelling is the radix
 /// sort that produces PreferenceIndex rows (index/preference_index.cc): its
 /// DescendingKey (-0.0 folded onto +0.0, score bits inverted) plus a stable
 /// sort over ascending keys yield this order, and the test

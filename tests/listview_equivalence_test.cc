@@ -2,14 +2,19 @@
 // scan over tombstone-masked, prefix-sliced ListViews must return exactly the
 // top-k sets and access counts a dense reference returns on the same logical
 // problem: lists re-keyed over exactly the live keys, nothing tombstoned.
-// Also pins the facade-level guarantees: BuildProblem performs no per-query
-// preference-list sort (no SortedList::FromUnsorted), and a prefix slice of a
-// large pool behaves like a dedicated small pool.
+// A SoA-vs-AoS oracle holds the view's key-only skip scan (AVX2 or the
+// -DGRECA_SIMD=OFF scalar body) to plain scalar liveness on every SIMD tail
+// residue. Also pins the facade-level guarantees: BuildProblem performs no
+// per-query preference-list sort (no SortedList::FromUnsorted), and a prefix
+// slice of a large pool behaves like a dedicated small pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -18,6 +23,7 @@
 #include "topk/list_view.h"
 #include "topk/naive.h"
 #include "topk/problem.h"
+#include "topk/simd.h"
 #include "topk/ta.h"
 #include "test_util.h"
 
@@ -215,6 +221,95 @@ TEST(ListViewEquivalenceTest, ExactScoresMatchAcrossPaths) {
     EXPECT_DOUBLE_EQ(c.view_problem->ExactScore(c.live_keys[dense]),
                      c.dense_problem->ExactScore(static_cast<ListKey>(dense)))
         << "dense key " << dense;
+  }
+}
+
+// ---- SoA-vs-AoS oracle ---------------------------------------------------
+
+TEST(ListViewEquivalenceTest, SoAWalkMatchesAoSOracle) {
+  // Independent AoS model: the row mirrored as interleaved entries, liveness
+  // decided by plain scalar code (no ListView, no simd.h), walk order = one
+  // ListEntryOrder sort of the live entries. Pool lengths cover every tail
+  // residue of the vector width (plus 37, coprime to any lane count), so the
+  // SIMD kernel's scalar tail and partial final blocks are on the tested
+  // path; density 1.0 is the fully-tombstoned prefix (live = 0).
+  Rng rng(20'270'101);
+  std::vector<std::size_t> pools;
+  for (std::size_t p = 1; p <= 2 * simd::kLanes + 1; ++p) pools.push_back(p);
+  pools.push_back(37);
+  pools.push_back(4 * simd::kLanes + 5);
+  const double densities[] = {0.0, 0.35, 1.0};
+
+  for (const std::size_t pool : pools) {
+    for (const double density : densities) {
+      std::vector<ListEntry> row;
+      for (ListKey key = 0; key < pool; ++key) {
+        // Coarse scores force ties, so the ascending-key tiebreak decides.
+        row.push_back({key, static_cast<double>(rng.NextBounded(6)) / 6.0});
+      }
+      std::sort(row.begin(), row.end(), ListEntryOrder{});
+      std::vector<ListKey> keys;
+      std::vector<Score> scores;
+      std::vector<std::uint32_t> positions(pool);
+      for (std::size_t p = 0; p < pool; ++p) {
+        keys.push_back(row[p].id);
+        scores.push_back(row[p].score);
+        positions[row[p].id] = static_cast<std::uint32_t>(p);
+      }
+      const auto prefix = static_cast<std::size_t>(
+          rng.NextInt(1, static_cast<std::int64_t>(pool)));
+      std::vector<std::uint64_t> tombstones((prefix + 63) / 64, 0);
+      for (ListKey key = 0; key < prefix; ++key) {
+        if (density == 1.0 || rng.NextBool(density)) {
+          tombstones[key >> 6] |= 1ull << (key & 63u);
+        }
+      }
+
+      std::vector<ListEntry> expected;
+      for (const ListEntry& e : row) {
+        const bool dead =
+            e.id >= prefix || ((tombstones[e.id >> 6] >> (e.id & 63u)) & 1u);
+        if (!dead) expected.push_back(e);
+      }
+
+      const ListView view(std::span<const ListKey>(keys),
+                          std::span<const Score>(scores), positions, prefix,
+                          expected.size(), tombstones);
+      const std::string label = "pool=" + std::to_string(pool) +
+                                " density=" + std::to_string(density) +
+                                " prefix=" + std::to_string(prefix);
+      EXPECT_EQ(view.size(), expected.size()) << label;
+      EXPECT_EQ(view.empty(), expected.empty()) << label;
+      EXPECT_DOUBLE_EQ(view.MaxScore(),
+                       expected.empty() ? 0.0 : expected[0].score)
+          << label;
+      // The second pass rewinds the cursor and must replay identically.
+      for (int pass = 0; pass < 2; ++pass) {
+        AccessCounter counter;
+        std::size_t cursor = 0;
+        std::size_t read = 0;
+        while (view.SkipToLive(cursor)) {
+          ASSERT_LT(read, expected.size()) << label << " pass " << pass;
+          EXPECT_DOUBLE_EQ(view.PeekScore(cursor), expected[read].score)
+              << label << " pass " << pass << " read " << read;
+          const ListEntry e = view.ReadSequential(cursor, counter);
+          ASSERT_EQ(e.id, expected[read].id)
+              << label << " pass " << pass << " read " << read;
+          EXPECT_DOUBLE_EQ(e.score, expected[read].score) << label;
+          ++read;
+        }
+        EXPECT_EQ(read, expected.size()) << label << " pass " << pass;
+        EXPECT_EQ(counter.sequential, expected.size())
+            << label << " pass " << pass;
+      }
+      // Random access: live keys read their score, dead keys read as absent.
+      std::vector<double> score_of_key(pool, 0.0);
+      for (const ListEntry& e : expected) score_of_key[e.id] = e.score;
+      for (ListKey key = 0; key < pool; ++key) {
+        EXPECT_DOUBLE_EQ(view.ScoreOfKey(key), score_of_key[key])
+            << label << " key " << key;
+      }
+    }
   }
 }
 

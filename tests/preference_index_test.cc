@@ -1,7 +1,7 @@
 // Tests for the shared PreferenceIndex: row ordering, the item↔key maps,
 // prefix/tombstone slicing through UserView, the copy-on-write pages
 // behind CloneWithUpdated*Rows, the radix row sort against a comparator
-// reference, and NaN scores from a caller's predictor.
+// reference, and a ShardedEngine caller's NaN scores and ill-formed pools.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,14 +27,13 @@
 
 namespace greca {
 
-/// Reads PreferenceIndex's private per-order row accessor: every stored
-/// order with its key→position map, for bit-level row checks.
+/// Reads PreferenceIndex's private row accessor: the stored row with its
+/// key→position map, for bit-level row checks.
 class PreferenceIndexTestPeer {
  public:
   using RowOrder = PreferenceIndex::RowOrder;
-  static RowOrder UserOrder(const PreferenceIndex& index, UserId u,
-                            bool flat = false) {
-    return index.UserOrder(u, flat);
+  static RowOrder UserOrder(const PreferenceIndex& index, UserId u) {
+    return index.UserOrder(u);
   }
 };
 
@@ -130,94 +129,6 @@ TEST(PreferenceIndexTest, UserViewSlicesPrefixAndSkipsTombstones) {
   EXPECT_DOUBLE_EQ(view.MaxScore(), 0.6);
 }
 
-TEST(PreferenceIndexTest, BandedRowsSortEachBandIndependently) {
-  const std::vector<std::vector<Score>> predictions = {
-      {1.0, 2.0, 3.0, 4.0, 0.0, 5.0},  // user 0
-  };
-  // Pool 5, 2, 0, 3 with one interior breakpoint at 2: band 0 = keys {0, 1},
-  // band 1 = keys {2, 3}.
-  const std::vector<std::uint32_t> breakpoints{2};
-  const PreferenceIndex index = PreferenceIndex::Build(
-      predictions, /*scale_max=*/5.0, {5, 2, 0, 3}, /*num_universe_items=*/6,
-      breakpoints);
-  EXPECT_EQ(index.num_bands(), 2u);
-  ASSERT_EQ(index.band_boundaries().size(), 3u);
-  EXPECT_EQ(index.band_boundaries()[1], 2u);
-
-  // Key scores: key0=1.0, key1=0.6, key2=0.2, key3=0.8. Band-local order:
-  // band 0 → 0, 1; band 1 → 3, 2 (NOT the global order 0, 3, 1, 2).
-  const auto row = RowEntries(index, 0);
-  EXPECT_EQ(row[0].id, 0u);
-  EXPECT_EQ(row[1].id, 1u);
-  EXPECT_EQ(row[2].id, 3u);
-  EXPECT_EQ(row[3].id, 2u);
-
-  // A full-prefix view covers the whole row, where the merge cannot pay for
-  // itself: the flat-order twin serves it (global order, no merge), and
-  // random access resolves through the matching position map.
-  const ListView view = index.UserView(0, 4, {}, 4);
-  EXPECT_EQ(view.num_bands(), 1u);
-  EXPECT_EQ(view.scan_footprint(), 4u);
-  AccessCounter counter;
-  std::size_t cursor = 0;
-  const std::uint32_t expected[] = {0, 3, 1, 2};
-  for (const std::uint32_t id : expected) {
-    ASSERT_TRUE(view.SkipToLive(cursor));
-    EXPECT_EQ(view.ReadSequential(cursor, counter).id, id);
-  }
-  EXPECT_FALSE(view.SkipToLive(cursor));
-  EXPECT_DOUBLE_EQ(view.ScoreOfKey(3), 0.8);
-  EXPECT_DOUBLE_EQ(view.MaxScore(), 1.0);
-
-  // A prefix inside the first band never receives band 1: flat single-band
-  // view whose scan footprint is the band, not the row.
-  const ListView prefix_view = index.UserView(0, 2, {}, 2);
-  EXPECT_EQ(prefix_view.num_bands(), 1u);
-  EXPECT_EQ(prefix_view.scan_footprint(), 2u);
-}
-
-TEST(PreferenceIndexTest, SmallPrefixViewMergesCoveredBands) {
-  // Pool of 8 with bands {0..1}, {2..3}, {4..7}: a prefix of 3 covers two
-  // bands (footprint 4 <= half the row), so the view is a real band merge
-  // that must still read in global score order.
-  const std::vector<std::vector<Score>> predictions = {
-      {4.0, 1.0, 3.5, 2.0, 5.0, 0.5, 4.5, 1.5},
-  };
-  const std::vector<std::uint32_t> breakpoints{2, 4};
-  const PreferenceIndex index = PreferenceIndex::Build(
-      predictions, /*scale_max=*/5.0, {0, 1, 2, 3, 4, 5, 6, 7},
-      /*num_universe_items=*/8, breakpoints);
-  ASSERT_EQ(index.num_bands(), 3u);
-
-  const ListView view = index.UserView(0, /*prefix=*/3, {}, 3);
-  EXPECT_EQ(view.num_bands(), 2u);
-  EXPECT_EQ(view.scan_footprint(), 4u);  // next boundary past the prefix
-  // Key scores: 0→0.8, 1→0.2, 2→0.7 (key 3 is out of prefix).
-  AccessCounter counter;
-  std::size_t cursor = 0;
-  const std::uint32_t expected[] = {0, 2, 1};
-  for (const std::uint32_t id : expected) {
-    ASSERT_TRUE(view.SkipToLive(cursor));
-    EXPECT_EQ(view.ReadSequential(cursor, counter).id, id);
-  }
-  EXPECT_FALSE(view.SkipToLive(cursor));
-  EXPECT_EQ(counter.sequential, 3u);
-  EXPECT_DOUBLE_EQ(view.MaxScore(), 0.8);
-}
-
-TEST(PreferenceIndexTest, GeometricBandBreakpointsDoubleAndCap) {
-  const auto bp = PreferenceIndex::GeometricBandBreakpoints(3'900, 64);
-  const std::vector<std::uint32_t> expected{64, 128, 256, 512, 1024, 2048};
-  EXPECT_EQ(bp, expected);
-  // A prefix P >= 32 walks at most the first boundary >= P, which is < 2P.
-  EXPECT_TRUE(PreferenceIndex::GeometricBandBreakpoints(64, 64).empty());
-  EXPECT_TRUE(PreferenceIndex::GeometricBandBreakpoints(100, 0).empty());
-  // Never more than ListView::kMaxBands bands even for huge pools.
-  const auto huge =
-      PreferenceIndex::GeometricBandBreakpoints(1u << 30, 1);
-  EXPECT_LE(huge.size() + 1, ListView::kMaxBands);
-}
-
 TEST(PreferenceIndexTest, FullPrefixViewMatchesRow) {
   const PreferenceIndex index = MakeIndex();
   const ListView view = index.UserView(1, index.pool_size(), {},
@@ -258,14 +169,36 @@ std::vector<ItemId> IdentityPool(std::size_t pool) {
 }
 
 /// An index over pool == universe items 0..P-1 (so pool-order scores are
-/// also the per-item predictions): geometric bands with the flat twin, or
-/// the flat layout on request.
+/// also the per-item predictions).
 PreferenceIndex BuildPoolIndex(const std::vector<std::vector<Score>>& scores,
-                               std::size_t pool, bool banded = true) {
-  return PreferenceIndex::Build(
-      scores, /*scale_max=*/5.0, IdentityPool(pool), pool,
-      banded ? PreferenceIndex::GeometricBandBreakpoints(pool)
-             : std::vector<std::uint32_t>{});
+                               std::size_t pool) {
+  return PreferenceIndex::Build(scores, /*scale_max=*/5.0, IdentityPool(pool),
+                                pool);
+}
+
+/// Generic ShardedEngine inputs over a scale dataset: constant affinity and
+/// a predictor that scores each pool item by the ground truth, shifted by
+/// the user's rating count so a publish changes the row.
+ShardedEngineInputs TruthInputs(const SyntheticRatings& scale,
+                                std::vector<ItemId> pool) {
+  ShardedEngineInputs inputs;
+  inputs.ratings = std::shared_ptr<const RatingsDataset>(
+      std::shared_ptr<const void>(), &scale.dataset);
+  inputs.affinity = std::make_shared<const ConstantAffinitySource>(
+      scale.dataset.num_users(), /*num_periods=*/1, /*static_value=*/1.0,
+      /*periodic_value=*/1.0);
+  inputs.predictor = [&scale](UserId u,
+                              std::span<const UserRatingEntry> merged,
+                              std::span<const ItemId> pool_items,
+                              std::span<Score> out) {
+    for (std::size_t k = 0; k < pool_items.size(); ++k) {
+      out[k] = scale.truth.TruePreference(u, pool_items[k]) +
+               0.01 * static_cast<double>(merged.size());
+    }
+  };
+  inputs.pool = std::move(pool);
+  inputs.num_universe_items = scale.dataset.num_items();
+  return inputs;
 }
 
 /// Reads a view to exhaustion as (key, score) entries, plus every key's
@@ -281,8 +214,8 @@ std::vector<ListEntry> Drain(const ListView& view, std::size_t key_space) {
   return out;
 }
 
-/// Both indexes read bit-identically: band-order rows, the flat twin (a
-/// full-prefix view) and a small-prefix band merge, for every row.
+/// Both indexes read bit-identically: the stored rows and full- and
+/// small-prefix views over them, for every row.
 void ExpectSameRows(const PreferenceIndex& a, const PreferenceIndex& b) {
   ASSERT_EQ(a.num_users(), b.num_users());
   ASSERT_EQ(a.pool_size(), b.pool_size());
@@ -313,24 +246,46 @@ std::vector<std::span<const Score>> Views(
 }
 
 TEST(PreferenceIndexPagesTest, PageGeometryFollowsTheByteBudget) {
-  // 256 keys x (key + score + position) = 4 KiB per order: 8 banded+twin
-  // records or 16 flat (single-order) records per 64 KiB page.
-  const auto scores = RandomPoolScores(3, 256, 1);
-  EXPECT_EQ(BuildPoolIndex(scores, 256).rows_per_page(), 8u);
-  EXPECT_EQ(BuildPoolIndex(scores, 256, /*banded=*/false).rows_per_page(),
-            16u);
-  // Pool 3 900 with the twin needs ~122 KiB per record: one row per page.
+  // One order per row: 16 bytes per pool item (key + score + position).
+  // Pool 512 is 8 KiB per record, 8 records per 64 KiB page.
+  const auto scores = RandomPoolScores(3, 512, 1);
+  EXPECT_EQ(BuildPoolIndex(scores, 512).rows_per_page(), 8u);
+  // Pool 3 900 needs ~61 KiB per record: one row per page.
   const auto wide = RandomPoolScores(2, 3'900, 2);
   const PreferenceIndex index = BuildPoolIndex(wide, 3'900);
-  EXPECT_EQ(index.num_bands(), 7u);
   EXPECT_EQ(index.rows_per_page(), 1u);
-  // MemoryBreakdownBytes reports the logical row bytes, page slack aside.
-  EXPECT_EQ(index.MemoryBreakdownBytes().banded_bytes, 2u * 3'900u * 16u);
-  EXPECT_EQ(index.MemoryBreakdownBytes().flat_twin_bytes, 2u * 3'900u * 16u);
+  // MemoryBytes reports the logical row and map bytes, page slack aside.
+  EXPECT_EQ(index.MemoryBytes(), 2u * 3'900u * 16u + 3'900u * 4u * 2u);
+}
+
+TEST(PreferenceIndexPagesTest, EngineStoresEachRowOnce) {
+  // The scale shape: a ShardedEngine over pool 256. Every shard's index
+  // stores each row once — 4 KiB per record, 16 records per page — and its
+  // size is rows × pool × 16 B plus the pool and item→key maps.
+  ScaleRatingsConfig sc;
+  sc.num_users = 300;
+  sc.num_items = 400;
+  sc.seed = 3;
+  const SyntheticRatings scale = GenerateScaleRatings(sc);
+  constexpr std::size_t kPool = 256;
+  ShardedEngineOptions options;
+  options.num_shards = 2;
+  options.batch_threads = 1;
+  const ShardedEngine engine(
+      TruthInputs(scale, scale.dataset.TopPopularItems(kPool)), options);
+  for (std::size_t s = 0; s < engine.num_shards(); ++s) {
+    const PreferenceIndex& index = *engine.shard(s).snapshot()->index;
+    EXPECT_EQ(index.rows_per_page(), 16u) << "shard " << s;
+    EXPECT_EQ(index.MemoryBytes(),
+              engine.shard(s).num_local_users() * kPool * 16u +
+                  kPool * sizeof(ItemId) +
+                  scale.dataset.num_items() * sizeof(std::uint32_t))
+        << "shard " << s;
+  }
 }
 
 TEST(PreferenceIndexPagesTest, CloneSharesUntouchedPagesAndKeepsParent) {
-  constexpr std::size_t kPool = 256;
+  constexpr std::size_t kPool = 512;
   // Five full pages of 8 rows plus a partial last page of 3.
   auto scores = RandomPoolScores(43, kPool, 4);
   const PreferenceIndex parent = BuildPoolIndex(scores, kPool);
@@ -391,7 +346,7 @@ TEST(PreferenceIndexPagesTest, OneRowPerPageAtWidePools) {
 }
 
 TEST(PreferenceIndexPagesTest, RowListedTwiceKeepsItsLastScores) {
-  constexpr std::size_t kPool = 256;
+  constexpr std::size_t kPool = 512;
   auto scores = RandomPoolScores(10, kPool, 8);
   const PreferenceIndex parent = BuildPoolIndex(scores, kPool);
   const auto fresh = RandomPoolScores(2, kPool, 9);
@@ -436,17 +391,15 @@ TEST(PreferenceIndexPagesTest, PerItemCloneMatchesPoolClone) {
   std::vector<ItemId> pool = IdentityPool(kItems);
   std::shuffle(pool.begin(), pool.end(), std::mt19937(13));
   pool.resize(200);
-  const auto breakpoints = PreferenceIndex::GeometricBandBreakpoints(200);
-  const PreferenceIndex parent = PreferenceIndex::Build(
-      predictions, 5.0, pool, kItems, breakpoints);
+  const PreferenceIndex parent =
+      PreferenceIndex::Build(predictions, 5.0, pool, kItems);
   const std::vector<UserId> touched{0, 15, 19};
   for (const UserId u : touched) {
     predictions[u] = RandomPoolScores(1, kItems, 14 + u)[0];
   }
   const PreferenceIndex clone =
       parent.CloneWithUpdatedRows(touched, Views(predictions, touched));
-  ExpectSameRows(clone, PreferenceIndex::Build(predictions, 5.0, pool, kItems,
-                                               breakpoints));
+  ExpectSameRows(clone, PreferenceIndex::Build(predictions, 5.0, pool, kItems));
 }
 
 // --- Radix row sort vs a comparator reference -------------------------------
@@ -530,50 +483,26 @@ void ExpectOrder(const RowOrder& got,
 }
 
 /// Every row of `index` equals the reference built from `raw` (pool-order
-/// raw scores per row): each band in band order, and the whole row in the
-/// twin on banded layouts.
+/// raw scores per row).
 void ExpectMatchesReference(const PreferenceIndex& index,
                             const std::vector<std::vector<Score>>& raw,
                             double scale_max, const std::string& what) {
   ASSERT_EQ(index.num_users(), raw.size());
-  const auto bounds = index.band_boundaries();
   for (UserId u = 0; u < raw.size(); ++u) {
-    std::vector<ListEntry> banded;
-    for (std::size_t b = 0; b + 1 < bounds.size(); ++b) {
-      const auto band = ReferenceOrder(raw[u], bounds[b], bounds[b + 1],
-                                       scale_max);
-      banded.insert(banded.end(), band.begin(), band.end());
-    }
-    ExpectOrder(Peer::UserOrder(index, u), banded,
-                what + " row " + std::to_string(u) + " band order");
-    if (index.num_bands() > 1) {
-      ExpectOrder(Peer::UserOrder(index, u, /*flat=*/true),
-                  ReferenceOrder(raw[u], 0, raw[u].size(), scale_max),
-                  what + " row " + std::to_string(u) + " twin");
-    }
+    ExpectOrder(Peer::UserOrder(index, u),
+                ReferenceOrder(raw[u], 0, raw[u].size(), scale_max),
+                what + " row " + std::to_string(u));
   }
 }
 
-/// The two row layouts: banded (always with the twin) and flat.
-struct Layout {
-  const char* name;
-  bool banded;
-};
-constexpr Layout kLayouts[] = {
-    {"banded+twin", true},
-    {"flat", false},
-};
-
 PreferenceIndex BuildRaw(const std::vector<std::vector<Score>>& raw,
-                         std::size_t pool, const Layout& layout) {
+                         std::size_t pool) {
   return PreferenceIndex::BuildStreaming(
       raw.size(),
       [&](UserId u, std::span<const ItemId>, std::span<Score> out) {
         std::copy(raw[u].begin(), raw[u].end(), out.begin());
       },
-      /*scale_max=*/5.0, IdentityPool(pool), pool,
-      layout.banded ? PreferenceIndex::GeometricBandBreakpoints(pool, 16)
-                    : std::vector<std::uint32_t>{});
+      /*scale_max=*/5.0, IdentityPool(pool), pool);
 }
 
 TEST(PreferenceIndexRadixTest, RowsMatchStableSortReference) {
@@ -585,13 +514,8 @@ TEST(PreferenceIndexRadixTest, RowsMatchStableSortReference) {
     for (std::size_t r = 0; r < kRows; ++r) {
       raw.push_back(AdversarialRow(pool, r % 7, rng));
     }
-    for (const Layout& layout : kLayouts) {
-      const PreferenceIndex index = BuildRaw(raw, pool, layout);
-      EXPECT_EQ(index.num_bands() > 1, layout.banded && pool > 16);
-      ExpectMatchesReference(
-          index, raw, 5.0,
-          std::string(layout.name) + " pool " + std::to_string(pool));
-    }
+    ExpectMatchesReference(BuildRaw(raw, pool), raw, 5.0,
+                           "pool " + std::to_string(pool));
   }
 }
 
@@ -602,30 +526,25 @@ void ExpectRowBitIdentical(const PreferenceIndex& a,
     return x.size() == y.size() &&
            std::memcmp(x.data(), y.data(), x.size_bytes()) == 0;
   };
-  for (const bool flat : {false, true}) {
-    if (flat && a.num_bands() == 1) continue;
-    const RowOrder x = Peer::UserOrder(a, u, flat);
-    const RowOrder y = Peer::UserOrder(b, u, flat);
-    EXPECT_TRUE(same(x.keys, y.keys)) << "row " << u << " flat " << flat;
-    EXPECT_TRUE(same(x.scores, y.scores)) << "row " << u << " flat " << flat;
-    EXPECT_TRUE(same(x.positions, y.positions))
-        << "row " << u << " flat " << flat;
-  }
+  const RowOrder x = Peer::UserOrder(a, u);
+  const RowOrder y = Peer::UserOrder(b, u);
+  EXPECT_TRUE(same(x.keys, y.keys)) << "row " << u;
+  EXPECT_TRUE(same(x.scores, y.scores)) << "row " << u;
+  EXPECT_TRUE(same(x.positions, y.positions)) << "row " << u;
 }
 
-// Pool 256 with the twin: 8 rows per page, so 21 rows are pages {0..7},
-// {8..15} and a partial last page {16..20}.
+// Pool 512: 8 rows per page, so 21 rows are pages {0..7}, {8..15} and a
+// partial last page {16..20}.
 class PreferenceIndexCloneTest : public ::testing::Test {
  protected:
-  static constexpr std::size_t kPool = 256;
+  static constexpr std::size_t kPool = 512;
   static constexpr std::size_t kRows = 21;
 
   PreferenceIndexCloneTest() : rng_(21) {
     for (std::size_t r = 0; r < kRows; ++r) {
       raw_.push_back(AdversarialRow(kPool, r % 7, rng_));
     }
-    parent_ = std::make_unique<PreferenceIndex>(
-        BuildRaw(raw_, kPool, kLayouts[0]));
+    parent_ = std::make_unique<PreferenceIndex>(BuildRaw(raw_, kPool));
   }
 
   /// Clones the parent with fresh adversarial scores for `users` (in that
@@ -685,32 +604,19 @@ TEST_F(PreferenceIndexCloneTest, PartlyRewrittenPageKeepsOtherRowsIntact) {
 
 // --- NaN scores --------------------------------------------------------------
 
-/// Every band of every row (and the twin) is in descending score order with
-/// ties by ascending key, and holds no NaN.
-void ExpectBandsSorted(const PreferenceIndex& index) {
-  const auto bounds = index.band_boundaries();
-  const auto sorted = [](std::span<const ListKey> keys,
-                         std::span<const Score> scores) {
-    for (std::size_t p = 0; p < keys.size(); ++p) {
-      if (std::isnan(scores[p])) return false;
-      if (p > 0 && !ListEntryOrder{}({keys[p - 1], scores[p - 1]},
-                                     {keys[p], scores[p]})) {
-        return false;
-      }
-    }
-    return true;
-  };
+/// Every row is in descending score order with ties by ascending key, and
+/// holds no NaN.
+void ExpectRowsSorted(const PreferenceIndex& index) {
   for (UserId u = 0; u < index.num_users(); ++u) {
-    const RowOrder row = Peer::UserOrder(index, u);
-    for (std::size_t b = 0; b + 1 < bounds.size(); ++b) {
-      const std::size_t len = bounds[b + 1] - bounds[b];
-      EXPECT_TRUE(sorted(row.keys.subspan(bounds[b], len),
-                         row.scores.subspan(bounds[b], len)))
-          << "row " << u << " band " << b;
-    }
-    if (index.num_bands() > 1) {
-      const RowOrder flat = Peer::UserOrder(index, u, true);
-      EXPECT_TRUE(sorted(flat.keys, flat.scores)) << "row " << u << " twin";
+    const auto keys = index.UserKeys(u);
+    const auto scores = index.UserScores(u);
+    for (std::size_t p = 0; p < keys.size(); ++p) {
+      ASSERT_FALSE(std::isnan(scores[p])) << "row " << u << " position " << p;
+      if (p > 0) {
+        ASSERT_TRUE(ListEntryOrder{}({keys[p - 1], scores[p - 1]},
+                                     {keys[p], scores[p]}))
+            << "row " << u << " position " << p;
+      }
     }
   }
 }
@@ -726,14 +632,12 @@ TEST(PreferenceIndexNanTest, StreamingBuildStoresNanAsZero) {
                                : stars(rng);
     }
   }
-  for (const Layout& layout : kLayouts) {
-    const PreferenceIndex index = BuildRaw(raw, kPool, layout);
-    ExpectBandsSorted(index);
-    ExpectMatchesReference(index, raw, 5.0, layout.name);
-    const RowOrder row = Peer::UserOrder(index, 0);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(row.scores[row.positions[97]]),
-              std::bit_cast<std::uint64_t>(0.0));
-  }
+  const PreferenceIndex index = BuildRaw(raw, kPool);
+  ExpectRowsSorted(index);
+  ExpectMatchesReference(index, raw, 5.0, "streaming");
+  const RowOrder row = Peer::UserOrder(index, 0);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(row.scores[row.positions[97]]),
+            std::bit_cast<std::uint64_t>(0.0));
 }
 
 TEST(PreferenceIndexNanTest, ShardedEngineWithNanPredictorServes) {
@@ -743,12 +647,8 @@ TEST(PreferenceIndexNanTest, ShardedEngineWithNanPredictorServes) {
   sc.seed = 5;
   const SyntheticRatings scale = GenerateScaleRatings(sc);
   constexpr std::size_t kPool = 200;
-  ShardedEngineInputs inputs;
-  inputs.ratings = std::shared_ptr<const RatingsDataset>(
-      std::shared_ptr<const void>(), &scale.dataset);
-  inputs.affinity = std::make_shared<const ConstantAffinitySource>(
-      scale.dataset.num_users(), /*num_periods=*/1, /*static_value=*/1.0,
-      /*periodic_value=*/1.0);
+  ShardedEngineInputs inputs =
+      TruthInputs(scale, scale.dataset.TopPopularItems(kPool));
   // Every 7th (user, key) cell is NaN; the rest is the ground truth, shifted
   // by the user's rating count so a publish changes the row.
   inputs.predictor = [&scale](UserId u,
@@ -761,8 +661,6 @@ TEST(PreferenceIndexNanTest, ShardedEngineWithNanPredictorServes) {
                                       0.01 * static_cast<double>(merged.size());
     }
   };
-  inputs.pool = scale.dataset.TopPopularItems(kPool);
-  inputs.num_universe_items = scale.dataset.num_items();
   ShardedEngineOptions options;
   options.num_shards = 2;
   options.batch_threads = 1;
@@ -775,7 +673,7 @@ TEST(PreferenceIndexNanTest, ShardedEngineWithNanPredictorServes) {
   spec.eval_period = 0;
   const auto check = [&] {
     for (std::size_t s = 0; s < engine.num_shards(); ++s) {
-      ExpectBandsSorted(*engine.shard(s).snapshot()->index);
+      ExpectRowsSorted(*engine.shard(s).snapshot()->index);
     }
     for (UserId first = 0; first + 4 < 400; first += 37) {
       const std::vector<UserId> group{first, first + 1, first + 2, first + 3};
@@ -793,6 +691,60 @@ TEST(PreferenceIndexNanTest, ShardedEngineWithNanPredictorServes) {
   }
   ASSERT_TRUE(engine.ApplyUpdates(events).ok());
   check();
+}
+
+// --- Caller-supplied pools -----------------------------------------------
+
+TEST(PreferenceIndexPoolTest, ShardedEngineDropsOutOfRangeAndRepeatedPools) {
+  ScaleRatingsConfig sc;
+  sc.num_users = 400;
+  sc.num_items = 300;
+  sc.seed = 7;
+  const SyntheticRatings scale = GenerateScaleRatings(sc);
+  const std::vector<ItemId> clean = scale.dataset.TopPopularItems(120);
+  // The clean pool with items past the universe and repeats of earlier
+  // items mixed in.
+  std::vector<ItemId> dirty;
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    dirty.push_back(clean[i]);
+    if (i % 10 == 3) dirty.push_back(static_cast<ItemId>(sc.num_items + i));
+    if (i % 10 == 7) dirty.push_back(clean[i / 2]);
+  }
+  dirty.push_back(std::numeric_limits<ItemId>::max());
+  dirty.push_back(clean.front());
+  ShardedEngineOptions options;
+  options.num_shards = 3;
+  options.batch_threads = 1;
+  ShardedEngine engine(TruthInputs(scale, dirty), options);
+  ShardedEngine reference(TruthInputs(scale, clean), options);
+  EXPECT_TRUE(std::ranges::equal(engine.pool(), clean));
+
+  QuerySpec spec;
+  spec.k = 8;
+  spec.model = AffinityModelSpec::TimeAgnostic();
+  spec.num_candidate_items = clean.size();
+  spec.eval_period = 0;
+  const auto expect_same = [&](const std::string& phase) {
+    for (UserId first = 0; first + 3 < 400; first += 41) {
+      const std::vector<UserId> group{first, first + 1, first + 2};
+      const Result<Recommendation> got = engine.Recommend(group, spec);
+      const Result<Recommendation> want = reference.Recommend(group, spec);
+      ASSERT_TRUE(got.ok()) << phase << ": " << got.status().ToString();
+      ASSERT_TRUE(want.ok()) << phase;
+      EXPECT_EQ(got.value().items, want.value().items) << phase << " " << first;
+      EXPECT_EQ(got.value().scores, want.value().scores) << phase;
+    }
+  };
+  expect_same("build");
+  // A publish rebuilds the touched rows through the clone path.
+  std::vector<RatingEvent> events;
+  for (UserId u = 0; u < 400; u += 11) {
+    events.push_back({u, clean[u % clean.size()], 4.0,
+                      std::numeric_limits<Timestamp>::max() / 2});
+  }
+  ASSERT_TRUE(engine.ApplyUpdates(events).ok());
+  ASSERT_TRUE(reference.ApplyUpdates(events).ok());
+  expect_same("publish");
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ TEST(PreferenceModelTest, OutputStaysInUnitInterval) {
 TEST(PreferenceModelTest, DenseWeightsBitIdenticalToPacked) {
   // The exhaustive scorer expands the packed pair affinities once and scores
   // every candidate through the dense mat-vec; the two forms must agree
-  // bit-for-bit (EXPECT_EQ, not NEAR) or banded/flat equivalence breaks.
+  // bit-for-bit (EXPECT_EQ, not NEAR) or the equivalence suites break.
   Rng rng(117);
   for (int trial = 0; trial < 300; ++trial) {
     const std::size_t g = 1 + rng.NextBounded(8);

@@ -385,7 +385,9 @@ TEST_F(SnapshotTest, CachedPeriodListsMatchDirectMaterialization) {
   const auto last_period =
       static_cast<PeriodId>(recommender.num_periods() - 1);
   for (PeriodId p = 0; p <= last_period; ++p) {
-    const SortedList& cached = cache.Get(group, p, source);
+    const std::shared_ptr<const SortedList> pinned =
+        cache.GetShared(group, p, source);
+    const SortedList& cached = *pinned;
     const SortedList direct = source.MaterializePeriodList(group, p);
     ASSERT_EQ(cached.size(), direct.size()) << "period " << p;
     for (std::size_t i = 0; i < direct.size(); ++i) {
@@ -393,8 +395,8 @@ TEST_F(SnapshotTest, CachedPeriodListsMatchDirectMaterialization) {
       EXPECT_EQ(cached.entry(i).score, direct.entry(i).score)
           << "period " << p;
     }
-    // Second lookup returns the same stable address.
-    EXPECT_EQ(&cache.Get(group, p, source), &cached);
+    // Second lookup returns the same resident list.
+    EXPECT_EQ(cache.GetShared(group, p, source), pinned);
   }
 }
 
@@ -476,21 +478,21 @@ TEST_F(SnapshotTest, TombstoneCacheHitsRepeatsAndResetsPerGeneration) {
   query.spec.k = 5;
   query.spec.num_candidate_items = 400;
 
-  EXPECT_EQ(snap->tombstone_cache_hits(), 0u);
-  EXPECT_EQ(snap->tombstone_cache_misses(), 0u);
+  EXPECT_EQ(snap->tombstone_cache().hits(), 0u);
+  EXPECT_EQ(snap->tombstone_cache().misses(), 0u);
 
   const auto first = engine->Recommend(query, snap);
   ASSERT_TRUE(first.ok());
-  EXPECT_EQ(snap->tombstone_cache_misses(), 1u);
-  EXPECT_EQ(snap->tombstone_cache_hits(), 0u);
-  EXPECT_EQ(snap->tombstone_cache_size(), 1u);
+  EXPECT_EQ(snap->tombstone_cache().misses(), 1u);
+  EXPECT_EQ(snap->tombstone_cache().hits(), 0u);
+  EXPECT_EQ(snap->tombstone_cache().size(), 1u);
 
   // Identical repeat: the bitmap is served from the memo and nothing about
   // the answer changes — items, scores AND access counts.
   const auto repeat = engine->Recommend(query, snap);
   ASSERT_TRUE(repeat.ok());
-  EXPECT_EQ(snap->tombstone_cache_misses(), 1u);
-  EXPECT_EQ(snap->tombstone_cache_hits(), 1u);
+  EXPECT_EQ(snap->tombstone_cache().misses(), 1u);
+  EXPECT_EQ(snap->tombstone_cache().hits(), 1u);
   EXPECT_EQ(repeat.value().items, first.value().items);
   EXPECT_EQ(repeat.value().scores, first.value().scores);
   EXPECT_EQ(repeat.value().raw.accesses.sequential,
@@ -502,9 +504,9 @@ TEST_F(SnapshotTest, TombstoneCacheHitsRepeatsAndResetsPerGeneration) {
   Query narrower = query;
   narrower.spec.num_candidate_items = 100;
   ASSERT_TRUE(engine->Recommend(narrower, snap).ok());
-  EXPECT_EQ(snap->tombstone_cache_misses(), 2u);
-  EXPECT_EQ(snap->tombstone_cache_size(), 2u);
-  EXPECT_GT(snap->TombstoneCacheMemoryBytes(), 0u);
+  EXPECT_EQ(snap->tombstone_cache().misses(), 2u);
+  EXPECT_EQ(snap->tombstone_cache().size(), 2u);
+  EXPECT_GT(snap->tombstone_cache().MemoryBytes(), 0u);
 
   // Rate the group's current top pick: the next generation's FRESH cache
   // must tombstone it (a carried-over bitmap would keep recommending it).
@@ -517,11 +519,11 @@ TEST_F(SnapshotTest, TombstoneCacheHitsRepeatsAndResetsPerGeneration) {
   e.timestamp = 2'000'000'000;
   ASSERT_TRUE(engine->ApplyUpdates({&e, 1}).ok());
   const auto next = engine->snapshot();
-  EXPECT_EQ(next->tombstone_cache_size(), 0u) << "fresh per generation";
-  EXPECT_EQ(next->tombstone_cache_misses(), 0u);
+  EXPECT_EQ(next->tombstone_cache().size(), 0u) << "fresh per generation";
+  EXPECT_EQ(next->tombstone_cache().misses(), 0u);
   const auto after = engine->Recommend(query, next);
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ(next->tombstone_cache_misses(), 1u);
+  EXPECT_EQ(next->tombstone_cache().misses(), 1u);
   for (const ItemId item : after.value().items) {
     EXPECT_NE(item, top) << "newly rated item must be excluded";
   }
@@ -549,13 +551,13 @@ TEST_F(SnapshotTest, TombstoneCacheEvictsLeastRecentlyUsedPastCap) {
   const auto a1 = engine->Recommend(a, snap);
   ASSERT_TRUE(a1.ok());
   ASSERT_TRUE(engine->Recommend(b, snap).ok());  // evicts A's bitmap
-  EXPECT_EQ(snap->tombstone_cache_size(), 1u);
-  EXPECT_EQ(snap->tombstone_cache_evictions(), 1u);
+  EXPECT_EQ(snap->tombstone_cache().size(), 1u);
+  EXPECT_EQ(snap->tombstone_cache().evictions(), 1u);
 
   const auto a2 = engine->Recommend(a, snap);
   ASSERT_TRUE(a2.ok());
-  EXPECT_EQ(snap->tombstone_cache_misses(), 3u);
-  EXPECT_EQ(snap->tombstone_cache_evictions(), 2u);
+  EXPECT_EQ(snap->tombstone_cache().misses(), 3u);
+  EXPECT_EQ(snap->tombstone_cache().evictions(), 2u);
   EXPECT_EQ(a2.value().items, a1.value().items);
   EXPECT_EQ(a2.value().scores, a1.value().scores);
 }
