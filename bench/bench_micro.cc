@@ -55,13 +55,19 @@ void BM_GrecaTopK(benchmark::State& state) {
       ctx.recommender->BuildProblem(SampleGroup(), spec).value();
   GrecaConfig config;
   config.k = spec.k;
-  double sa_percent = 0.0;
+  TopKResult result;
+  GrecaStats stats;
   for (auto _ : state) {
-    const TopKResult result = Greca(problem, config);
-    sa_percent = result.SequentialAccessPercent();
+    stats = GrecaStats{};
+    result = Greca(problem, config, &stats);
     benchmark::DoNotOptimize(result.items.data());
   }
-  state.counters["sa_percent"] = sa_percent;
+  // The run's shape: equal before and after any change that only speeds up
+  // the bound evaluation.
+  state.counters["sa_percent"] = result.SequentialAccessPercent();
+  state.counters["rounds"] = static_cast<double>(result.rounds);
+  state.counters["stop_checks"] = static_cast<double>(stats.stop_checks);
+  state.counters["peak_buffer"] = static_cast<double>(stats.peak_buffer_size);
   state.SetLabel(spec.consensus.Name());
 }
 BENCHMARK(BM_GrecaTopK)

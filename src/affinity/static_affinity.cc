@@ -58,10 +58,4 @@ std::vector<double> NormalizeWithinGroup(const PairTable& table,
   return values;
 }
 
-std::size_t LocalPairIndex(std::size_t a, std::size_t b,
-                           std::size_t group_size) {
-  assert(a < b && b < group_size);
-  return a * group_size - a * (a + 1) / 2 + (b - a - 1);
-}
-
 }  // namespace greca

@@ -7,6 +7,7 @@
 #ifndef GRECA_AFFINITY_STATIC_AFFINITY_H_
 #define GRECA_AFFINITY_STATIC_AFFINITY_H_
 
+#include <cassert>
 #include <span>
 #include <vector>
 
@@ -55,9 +56,13 @@ std::vector<double> NormalizeWithinGroup(const PairTable& table,
 
 /// Local pair enumeration order used by NormalizeWithinGroup and the top-k
 /// problem encoding: for members g0..g_{s-1}, pair index of (a, b), a < b, is
-/// a*(2s-a-1)/2 + (b-a-1).
-std::size_t LocalPairIndex(std::size_t a, std::size_t b,
-                           std::size_t group_size);
+/// a*(2s-a-1)/2 + (b-a-1). Inline: the member-preference scorers call it
+/// once per pair term.
+constexpr std::size_t LocalPairIndex(std::size_t a, std::size_t b,
+                                     std::size_t group_size) {
+  assert(a < b && b < group_size);
+  return a * group_size - a * (a + 1) / 2 + (b - a - 1);
+}
 
 }  // namespace greca
 

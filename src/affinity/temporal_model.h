@@ -78,6 +78,7 @@ class AffinityCombiner {
   double Combine(double aff_s, std::span<const double> aff_p) const;
 
   /// Sound interval propagation (endpoint evaluation; valid by monotonicity).
+  /// Allocation-free: GRECA calls it for every pair on each affinity read.
   Interval CombineInterval(Interval aff_s,
                            std::span<const Interval> aff_p) const;
 
@@ -88,6 +89,13 @@ class AffinityCombiner {
   double MaxAffinity() const { return spec_.affinity_aware ? 1.0 : 0.0; }
 
  private:
+  /// Combine() given the sum of the periodic values (summed in index
+  /// order).
+  double CombineSum(double aff_s, double period_sum) const;
+  /// Clamped, gained mean drift of periodic values summing to `period_sum`;
+  /// requires num_periods() > 0.
+  double DriftOfSum(double period_sum) const;
+
   AffinityModelSpec spec_;
   std::vector<double> period_averages_;
   double average_sum_ = 0.0;

@@ -1,8 +1,11 @@
 #include "core/greca.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <vector>
+
+#include "preference/preference_model.h"
 
 namespace greca {
 
@@ -30,9 +33,16 @@ class GrecaRun {
         active_items_(ws.active_items),
         ag_val_(ws.ag_val),
         ag_seen_(ws.ag_seen),
-        pair_iv_(ws.pair_iv),
+        lb_epoch_of_(ws.lb_epoch),
+        pair_lb_(ws.pair_lb),
+        pair_ub_(ws.pair_ub),
+        pair_lb_dense_(ws.pair_lb_dense),
+        pair_ub_dense_(ws.pair_ub_dense),
         aff_p_iv_(ws.aff_p_iv),
-        apref_iv_(ws.apref_iv),
+        apref_lb_(ws.apref_lb),
+        apref_ub_(ws.apref_ub),
+        pref_lb_(ws.pref_lb),
+        pref_ub_(ws.pref_ub),
         pref_iv_(ws.pref_iv),
         item_lb_(ws.item_lb),
         item_ub_(ws.item_ub),
@@ -41,6 +51,7 @@ class GrecaRun {
         num_pairs_(problem.num_pairs()),
         num_periods_(problem.num_periods()),
         m_(problem.num_items()),
+        pair_norm_(g_ > 1 ? 1.0 / static_cast<double>(g_ - 1) : 0.0),
         ag_floor_(1.0 - problem.consensus().disagreement_scale),
         uses_agreement_(problem.uses_agreement_list()),
         monotone_(problem.consensus().disagreement !=
@@ -67,10 +78,20 @@ class GrecaRun {
       ag_seen_.assign(m_, 0);
     }
 
+    // Epoch 0 marks a stale lower bound; the first pair refresh opens
+    // epoch 1.
+    lb_epoch_of_.assign(m_, 0u);
+
     // Scratch buffers reused across bound computations.
-    pair_iv_.resize(num_pairs_);
+    pair_lb_.resize(num_pairs_);
+    pair_ub_.resize(num_pairs_);
+    pair_lb_dense_.resize(g_ * g_);
+    pair_ub_dense_.resize(g_ * g_);
     aff_p_iv_.resize(num_periods_);
-    apref_iv_.resize(g_);
+    apref_lb_.resize(g_);
+    apref_ub_.resize(g_);
+    pref_lb_.resize(g_);
+    pref_ub_.resize(g_);
     pref_iv_.resize(g_);
   }
 
@@ -83,10 +104,7 @@ class GrecaRun {
     while (!stopped && !AllExhausted()) {
       DoRound(result.accesses);
       ++result.rounds;
-      const bool due = result.rounds % config_.check_interval == 0;
-      if (due || AllExhausted()) {
-        stopped = CheckStop();
-      }
+      stopped = CheckStop();
     }
     result.early_terminated = stopped && !AllExhausted();
     result.items = ExtractTopK();
@@ -116,6 +134,16 @@ class GrecaRun {
     return !uses_agreement_ || !problem_.agreement_list().SkipToLive(ag_pos_);
   }
 
+  /// Records that item `key` got a new seen value, so its cached lower bound
+  /// is stale; a first sighting also enters it into the buffer.
+  void Touch(ListKey key) {
+    lb_epoch_of_[key] = 0;
+    if (item_state_[key] == kUnseen) {
+      item_state_[key] = kActive;
+      active_items_.push_back(key);
+    }
+  }
+
   /// One round-robin sweep: one sequential access on every non-exhausted
   /// list (Algorithm 1's getNext()).
   void DoRound(AccessCounter& counter) {
@@ -126,10 +154,7 @@ class GrecaRun {
       pref_bound_[u] = e.score;
       apref_val_[e.id * g_ + u] = e.score;
       apref_seen_[e.id] |= (1u << u);
-      if (item_state_[e.id] == kUnseen) {
-        item_state_[e.id] = kActive;
-        active_items_.push_back(e.id);
-      }
+      Touch(e.id);
     }
     {
       const ListView& list = problem_.static_affinity();
@@ -138,6 +163,7 @@ class GrecaRun {
         static_bound_ = e.score;
         static_val_[e.id] = e.score;
         static_seen_[e.id] = 1;
+        pairs_moved_ = true;
       }
     }
     for (std::size_t t = 0; t < num_periods_; ++t) {
@@ -147,6 +173,7 @@ class GrecaRun {
       period_bound_[t] = e.score;
       period_val_[t * num_pairs_ + e.id] = e.score;
       period_seen_[t * num_pairs_ + e.id] = 1;
+      pairs_moved_ = true;
     }
     if (uses_agreement_) {
       const ListView& list = problem_.agreement_list();
@@ -155,17 +182,21 @@ class GrecaRun {
         ag_bound_ = e.score;
         ag_val_[e.id] = e.score;
         ag_seen_[e.id] = 1;
-        if (item_state_[e.id] == kUnseen) {
-          item_state_[e.id] = kActive;
-          active_items_.push_back(e.id);
-        }
+        Touch(e.id);
       }
     }
   }
 
   /// Refreshes the temporal affinity interval of every group pair from the
-  /// seen values and current cursor bounds.
+  /// seen values and current cursor bounds, and expands the endpoints into
+  /// the dense member×member matrices the bound loops read. The intervals
+  /// depend only on the affinity cursors, so a round that moved none of
+  /// them keeps the previous ones. A changed pair lower bound opens a new
+  /// lower-bound epoch, which invalidates every cached item lower bound.
   void RefreshPairIntervals() {
+    if (!pairs_moved_) return;
+    pairs_moved_ = false;
+    bool lb_changed = lb_epoch_ == 0;
     for (std::size_t q = 0; q < num_pairs_; ++q) {
       const Interval aff_s = static_seen_[q]
                                  ? Interval::Exact(static_val_[q])
@@ -176,46 +207,85 @@ class GrecaRun {
                            ? Interval::Exact(period_val_[idx])
                            : Interval{0.0, period_bound_[t]};
       }
-      pair_iv_[q] = problem_.combiner().CombineInterval(aff_s, aff_p_iv_);
+      const Interval iv = problem_.combiner().CombineInterval(aff_s, aff_p_iv_);
+      lb_changed |= std::bit_cast<std::uint64_t>(iv.lb) !=
+                    std::bit_cast<std::uint64_t>(pair_lb_[q]);
+      pair_lb_[q] = iv.lb;
+      pair_ub_[q] = iv.ub;
     }
+    ExpandPairWeights(pair_lb_, g_, pair_lb_dense_);
+    ExpandPairWeights(pair_ub_, g_, pair_ub_dense_);
+    if (lb_changed) ++lb_epoch_;
+  }
+
+  /// Consensus interval over pref_iv_, with the agreement interval of the
+  /// pairwise consensus.
+  Interval Consensus(Interval ag) const {
+    if (!uses_agreement_) {
+      return ConsensusInterval(problem_.consensus(), pref_iv_,
+                               problem_.consensus_weights());
+    }
+    return ConsensusIntervalWithAgreement(problem_.consensus(), pref_iv_, ag,
+                                          problem_.consensus_weights());
+  }
+
+  /// Item `key`'s agreement interval (pairwise consensus only).
+  Interval AgreementInterval(ListKey key) const {
+    if (!uses_agreement_) return {};
+    return ag_seen_[key] ? Interval::Exact(ag_val_[key])
+                         : Interval{ag_floor_, ag_bound_};
   }
 
   /// Consensus-score interval of item `key` (ComputeLB/ComputeUB).
   Interval ItemInterval(ListKey key) {
     const std::uint32_t mask = apref_seen_[key];
+    const double* seen = &apref_val_[key * g_];
     for (std::size_t u = 0; u < g_; ++u) {
-      apref_iv_[u] = (mask >> u) & 1u
-                         ? Interval::Exact(apref_val_[key * g_ + u])
-                         : Interval{0.0, pref_bound_[u]};
+      const bool known = (mask >> u) & 1u;
+      apref_lb_[u] = known ? seen[u] : 0.0;
+      apref_ub_[u] = known ? seen[u] : pref_bound_[u];
     }
-    problem_.MemberPreferenceIntervals(apref_iv_, pair_iv_, pref_iv_);
-    if (!uses_agreement_) {
-      return ConsensusInterval(problem_.consensus(), pref_iv_,
-                               problem_.consensus_weights());
+    MemberPreferenceEndpoints(apref_lb_, pair_lb_dense_, pair_norm_,
+                              pref_lb_);
+    MemberPreferenceEndpoints(apref_ub_, pair_ub_dense_, pair_norm_,
+                              pref_ub_);
+    for (std::size_t u = 0; u < g_; ++u) {
+      pref_iv_[u] = Interval{pref_lb_[u], pref_ub_[u]};
     }
-    const Interval ag = ag_seen_[key] ? Interval::Exact(ag_val_[key])
-                                      : Interval{ag_floor_, ag_bound_};
-    return ConsensusIntervalWithAgreement(problem_.consensus(), pref_iv_, ag,
-                                          problem_.consensus_weights());
+    return Consensus(AgreementInterval(key));
+  }
+
+  /// ComputeUB alone. For a monotone F every upper endpoint of the consensus
+  /// interval reads only upper endpoints of its inputs, so evaluating the
+  /// interval over degenerate [ub, ub] member preferences yields exactly
+  /// the upper bound ItemInterval computes.
+  double ItemUpperBound(ListKey key) {
+    const std::uint32_t mask = apref_seen_[key];
+    const double* seen = &apref_val_[key * g_];
+    for (std::size_t u = 0; u < g_; ++u) {
+      apref_ub_[u] = (mask >> u) & 1u ? seen[u] : pref_bound_[u];
+    }
+    MemberPreferenceEndpoints(apref_ub_, pair_ub_dense_, pair_norm_,
+                              pref_ub_);
+    for (std::size_t u = 0; u < g_; ++u) {
+      pref_iv_[u] = Interval::Exact(pref_ub_[u]);
+    }
+    const Interval ag = AgreementInterval(key);
+    return Consensus(Interval::Exact(ag.ub)).ub;
   }
 
   /// ComputeTh: the best consensus score any *unseen* item could reach given
   /// the current cursor positions. Unseen members' preferences are inexact,
-  /// so a variance disagreement is bounded below by 0 here.
+  /// so a variance disagreement is bounded below by 0 here. Every unseen
+  /// absolute preference has lower endpoint 0, so every member preference
+  /// does too.
   double Threshold() {
+    MemberPreferenceEndpoints(pref_bound_, pair_ub_dense_, pair_norm_,
+                              pref_ub_);
     for (std::size_t u = 0; u < g_; ++u) {
-      apref_iv_[u] = Interval{0.0, pref_bound_[u]};
+      pref_iv_[u] = Interval{0.0, pref_ub_[u]};
     }
-    problem_.MemberPreferenceIntervals(apref_iv_, pair_iv_, pref_iv_);
-    if (!uses_agreement_) {
-      return ConsensusInterval(problem_.consensus(), pref_iv_,
-                               problem_.consensus_weights())
-          .ub;
-    }
-    return ConsensusIntervalWithAgreement(problem_.consensus(), pref_iv_,
-                                          Interval{ag_floor_, ag_bound_},
-                                          problem_.consensus_weights())
-        .ub;
+    return Consensus(Interval{ag_floor_, ag_bound_}).ub;
   }
 
   /// Evaluates the stopping conditions; returns true when the run may stop.
@@ -228,13 +298,25 @@ class GrecaRun {
     const std::size_t k = config_.k;
     if (active_items_.size() < k) return AllExhausted();
 
+    // Bounds. A monotone F's lower bound reads only lower endpoints: the
+    // items' seen values (unseen ones read 0, or the agreement floor) and
+    // the pair lower bounds. So an item's cached lower bound stays exact
+    // until it gets a new seen value or the pair lower bounds change (a new
+    // epoch); only the upper bounds, which read the moving cursor bounds,
+    // are recomputed on every check. Variance disagreement mixes endpoints
+    // and recomputes both.
     RefreshPairIntervals();
     item_lb_.resize(m_);
     item_ub_.resize(m_);
     for (const ListKey key : active_items_) {
-      const Interval iv = ItemInterval(key);
-      item_lb_[key] = iv.lb;
-      item_ub_[key] = iv.ub;
+      if (!monotone_ || lb_epoch_of_[key] != lb_epoch_) {
+        const Interval iv = ItemInterval(key);
+        item_lb_[key] = iv.lb;
+        item_ub_[key] = iv.ub;
+        lb_epoch_of_[key] = lb_epoch_;
+      } else {
+        item_ub_[key] = ItemUpperBound(key);
+      }
     }
 
     // k-th largest lower bound among active items.
@@ -341,10 +423,23 @@ class GrecaRun {
   std::vector<double>& ag_val_;
   std::vector<std::uint8_t>& ag_seen_;
 
+  // Lower-bound epoch each item's cached item_lb_ was computed in (0 =
+  // stale).
+  std::vector<std::uint32_t>& lb_epoch_of_;
+
+  // Pair interval endpoints (local pair order) and their dense
+  // member×member expansions.
+  std::vector<double>& pair_lb_;
+  std::vector<double>& pair_ub_;
+  std::vector<double>& pair_lb_dense_;
+  std::vector<double>& pair_ub_dense_;
+
   // Scratch.
-  std::vector<Interval>& pair_iv_;
   std::vector<Interval>& aff_p_iv_;
-  std::vector<Interval>& apref_iv_;
+  std::vector<double>& apref_lb_;
+  std::vector<double>& apref_ub_;
+  std::vector<double>& pref_lb_;
+  std::vector<double>& pref_ub_;
   std::vector<Interval>& pref_iv_;
   std::vector<double>& item_lb_;
   std::vector<double>& item_ub_;
@@ -354,6 +449,7 @@ class GrecaRun {
   const std::size_t num_pairs_;
   const std::size_t num_periods_;
   const std::size_t m_;
+  const double pair_norm_;  // 1/(g−1): rpref's normalization
   const double ag_floor_;
   const bool uses_agreement_;
   const bool monotone_;  // F is monotone in every list score (not VD)
@@ -364,6 +460,8 @@ class GrecaRun {
   std::size_t ag_pos_ = 0;
   double ag_bound_ = 1.0;
   bool pruned_any_ = false;
+  bool pairs_moved_ = true;      // an affinity cursor moved since the refresh
+  std::uint32_t lb_epoch_ = 0;   // current lower-bound epoch (0 = none yet)
 };
 
 }  // namespace
@@ -371,7 +469,6 @@ class GrecaRun {
 TopKResult Greca(const GroupProblem& problem, const GrecaConfig& config,
                  GrecaStats* stats, GrecaWorkspace* workspace) {
   assert(config.k >= 1);
-  assert(config.check_interval >= 1);
   GrecaWorkspace local;
   GrecaRun run(problem, config, stats, workspace != nullptr ? *workspace : local);
   return run.Run();

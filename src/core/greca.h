@@ -13,6 +13,22 @@
 // The returned itemset is guaranteed to be a correct top-k set (Lemma 2); the
 // order within it is the partial order induced by lower bounds at
 // termination.
+//
+// Stop checks run after every round, as in Algorithm 1, but recompute only
+// what that round can have changed:
+//  * Pair intervals (static + periodic affinity per member pair) are rebuilt
+//    only in rounds that moved the static or a periodic cursor.
+//  * For a monotone F (AP, MO, and PD through its agreement list) an item's
+//    lower bound reads only lower endpoints: its seen values, 0 for unseen
+//    preferences, the agreement floor and the pair lower bounds. A cached
+//    lower bound is therefore recomputed only when its item gets a new seen
+//    value or a pair lower bound changes; each check recomputes just the
+//    upper bounds, which read the moving cursor bounds.
+//  * Variance disagreement mixes endpoints and recomputes both bounds.
+// Every recomputed endpoint uses the same arithmetic in the same order as a
+// full interval evaluation, so bounds, rounds, accesses and the returned
+// items are bit-identical to recomputing everything on every check
+// (tests/greca_golden_test.cc pins this).
 #ifndef GRECA_CORE_GRECA_H_
 #define GRECA_CORE_GRECA_H_
 
@@ -42,10 +58,6 @@ enum class TerminationPolicy {
 struct GrecaConfig {
   std::size_t k = 10;
   TerminationPolicy termination = TerminationPolicy::kBufferCondition;
-  /// Stopping conditions are evaluated every `check_interval` round-robin
-  /// rounds (1 = after every round, the paper's formulation; larger values
-  /// trade a few extra SAs for fewer bound recomputations).
-  std::size_t check_interval = 1;
 };
 
 /// Execution statistics beyond the common TopKResult fields.
@@ -60,11 +72,11 @@ struct GrecaStats {
 };
 
 /// Reusable buffers of one GRECA run: cursors, seen values, candidate-bound
-/// buffers and interval scratch. Passing the same workspace to consecutive
-/// Greca() calls amortizes the hot-path allocations across a batch of
-/// queries (each run re-initializes the contents, never the capacity). A
-/// workspace may be reused across problems of any shape but must not be
-/// shared by concurrent runs.
+/// buffers, cached lower bounds and interval scratch. Passing the same
+/// workspace to consecutive Greca() calls amortizes the hot-path
+/// allocations across a batch of queries (each run re-initializes the
+/// contents, never the capacity). A workspace may be reused across problems
+/// of any shape but must not be shared by concurrent runs.
 struct GrecaWorkspace {
   // Cursors and last-read bounds per list.
   std::vector<std::size_t> pref_pos;
@@ -89,10 +101,22 @@ struct GrecaWorkspace {
   std::vector<double> ag_val;
   std::vector<std::uint8_t> ag_seen;
 
+  // Lower-bound epoch each item's cached bound was computed in (0 = stale).
+  std::vector<std::uint32_t> lb_epoch;
+
+  // Pair interval endpoints (local pair order) and their dense
+  // member×member expansions.
+  std::vector<double> pair_lb;
+  std::vector<double> pair_ub;
+  std::vector<double> pair_lb_dense;
+  std::vector<double> pair_ub_dense;
+
   // Interval and bound scratch.
-  std::vector<Interval> pair_iv;
   std::vector<Interval> aff_p_iv;
-  std::vector<Interval> apref_iv;
+  std::vector<double> apref_lb;
+  std::vector<double> apref_ub;
+  std::vector<double> pref_lb;
+  std::vector<double> pref_ub;
   std::vector<Interval> pref_iv;
   std::vector<double> item_lb;
   std::vector<double> item_ub;

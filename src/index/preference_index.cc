@@ -141,16 +141,24 @@ void PreferenceIndex::InitLayout(std::size_t num_rows, double scale_max,
                                  std::size_t num_universe_items) {
   num_users_ = num_rows;
   scale_max_ = scale_max;
-  pool_size_ = pool.size();
-  const std::size_t pool_size = pool_size_;
 
+  // The item→key map gives every pooled item one key, so items outside the
+  // universe (which would index past the map) and repeats (which would get
+  // a second key) are dropped; the first occurrence keeps its place.
   auto key_space = std::make_shared<KeySpace>();
   key_space->position_of_item.assign(num_universe_items, kNotPooled);
-  for (std::size_t key = 0; key < pool_size; ++key) {
-    assert(pool[key] < num_universe_items);
-    assert(key_space->position_of_item[pool[key]] == kNotPooled);
-    key_space->position_of_item[pool[key]] = static_cast<std::uint32_t>(key);
+  std::size_t kept = 0;
+  for (const ItemId item : pool) {
+    if (item >= num_universe_items ||
+        key_space->position_of_item[item] != kNotPooled) {
+      continue;
+    }
+    key_space->position_of_item[item] = static_cast<std::uint32_t>(kept);
+    pool[kept++] = item;
   }
+  pool.resize(kept);
+  pool_size_ = kept;
+  const std::size_t pool_size = pool_size_;
   key_space->pool = std::move(pool);
   key_space_ = std::move(key_space);
 

@@ -85,8 +85,9 @@ class PreferenceIndex {
   /// per-ItemId prediction array covering every universe item) over `pool`
   /// (universe items in popularity order). Scores are predictions / scale_max
   /// clamped to [0, 1] (NaN reads as 0); `num_universe_items` sizes the
-  /// reverse item→pool map. `pool` must hold distinct items below
-  /// `num_universe_items`.
+  /// reverse item→pool map. Pool items >= `num_universe_items` and repeats
+  /// are dropped (the first occurrence of an item keeps its place); pool()
+  /// reports what remains.
   static PreferenceIndex Build(
       std::span<const std::vector<Score>> predictions, double scale_max,
       std::vector<ItemId> pool, std::size_t num_universe_items);

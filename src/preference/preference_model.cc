@@ -77,26 +77,4 @@ void AllMemberPreferencesDense(std::span<const double> apref,
   }
 }
 
-void AllMemberPreferenceIntervals(std::span<const Interval> apref,
-                                  std::span<const Interval> pair_aff,
-                                  std::span<Interval> out) {
-  const std::size_t g = apref.size();
-  assert(out.size() == g);
-  assert(pair_aff.size() == NumUserPairs(g));
-  const double pair_norm = g > 1 ? 1.0 / static_cast<double>(g - 1) : 0.0;
-  for (std::size_t u = 0; u < g; ++u) {
-    Interval rpref{0.0, 0.0};
-    for (std::size_t v = 0; v < g; ++v) {
-      if (v == u) continue;
-      const std::size_t q =
-          LocalPairIndex(std::min(u, v), std::max(u, v), g);
-      // Non-negative components: endpoint products are the extremes.
-      rpref.lb += pair_aff[q].lb * apref[v].lb;
-      rpref.ub += pair_aff[q].ub * apref[v].ub;
-    }
-    out[u] = Interval{(apref[u].lb + rpref.lb * pair_norm) / 2.0,
-                      (apref[u].ub + rpref.ub * pair_norm) / 2.0};
-  }
-}
-
 }  // namespace greca

@@ -11,9 +11,9 @@
 #ifndef GRECA_PREFERENCE_PREFERENCE_MODEL_H_
 #define GRECA_PREFERENCE_PREFERENCE_MODEL_H_
 
+#include <cassert>
+#include <cstddef>
 #include <span>
-
-#include "topk/interval.h"
 
 namespace greca {
 
@@ -48,11 +48,29 @@ void AllMemberPreferencesDense(std::span<const double> apref,
                                std::span<const double> w,
                                std::span<double> out);
 
-/// Sound interval propagation of the same formula: all components are
-/// non-negative, so interval endpoints multiply/add directly.
-void AllMemberPreferenceIntervals(std::span<const Interval> apref,
-                                  std::span<const Interval> pair_aff,
-                                  std::span<Interval> out);
+/// One endpoint of every member's preference interval — GRECA's bounds.
+/// All components are non-negative, so the lower (upper) endpoint of pref
+/// is the formula at the lower (upper) endpoints of the absolute
+/// preferences `apref` and of the pair affinities, given as a dense g×g
+/// matrix `w` (ExpandPairWeights layout; the diagonal is not read). rpref
+/// is scaled by the reciprocal `pair_norm` = 1/(g−1) (0 for g = 1), so an
+/// endpoint is not bit-identical to AllMemberPreferencesDense's division.
+/// Inline: GRECA evaluates it for every buffered item on every stop check.
+inline void MemberPreferenceEndpoints(std::span<const double> apref,
+                                      std::span<const double> w,
+                                      double pair_norm,
+                                      std::span<double> out) {
+  const std::size_t g = apref.size();
+  assert(out.size() == g);
+  assert(w.size() == g * g);
+  for (std::size_t u = 0; u < g; ++u) {
+    const double* row = w.data() + u * g;
+    double sum = 0.0;
+    for (std::size_t v = 0; v < u; ++v) sum += row[v] * apref[v];
+    for (std::size_t v = u + 1; v < g; ++v) sum += row[v] * apref[v];
+    out[u] = (apref[u] + sum * pair_norm) / 2.0;
+  }
+}
 
 }  // namespace greca
 

@@ -11,25 +11,6 @@
 
 namespace greca {
 
-namespace {
-
-/// `pool` without items >= num_universe_items and without repeats (first
-/// occurrence kept, order otherwise unchanged): the index maps every item to
-/// one key, so an out-of-range item would index past that map and a repeat
-/// would give one item two keys.
-std::vector<ItemId> DistinctPoolItems(std::vector<ItemId> pool,
-                                      std::size_t num_universe_items) {
-  std::vector<bool> seen(num_universe_items, false);
-  std::erase_if(pool, [&](ItemId item) {
-    if (item >= num_universe_items || seen[item]) return true;
-    seen[item] = true;
-    return false;
-  });
-  return pool;
-}
-
-}  // namespace
-
 ShardedEngine::ShardedEngine(const RatingsDataset& universe,
                              const FacebookStudy& study,
                              ShardedEngineOptions options)
@@ -84,15 +65,13 @@ ShardedEngine::ShardedEngine(ShardedEngineInputs inputs,
       predictor_(std::move(inputs.predictor)) {
   assert(affinity_ != nullptr && predictor_ != nullptr);
   BuildShards(std::move(inputs.ratings), inputs.prediction_scale_max,
-              DistinctPoolItems(std::move(inputs.pool), num_universe_items_),
-              num_universe_items_);
+              std::move(inputs.pool), num_universe_items_);
 }
 
 void ShardedEngine::BuildShards(std::shared_ptr<const RatingsDataset> base,
                                 double scale_max, std::vector<ItemId> pool,
                                 std::size_t num_universe_items) {
   const RecommenderOptions& ropts = options_.recommender;
-  pool_ = std::move(pool);
   std::unique_ptr<ThreadPool> build_pool;
   if (options_.build_threads > 0) {
     build_pool = std::make_unique<ThreadPool>(options_.build_threads);
@@ -102,9 +81,14 @@ void ShardedEngine::BuildShards(std::shared_ptr<const RatingsDataset> base,
   for (std::size_t s = 0; s < owned.size(); ++s) {
     shards_.push_back(std::make_unique<Shard>(
         s, std::move(owned[s]), base, predictor_, scale_max,
-        pool_ /*copied per shard*/, num_universe_items, ropts,
+        pool /*copied per shard*/, num_universe_items, ropts,
         build_pool.get()));
   }
+  // The pool as every shard's index keeps it, after the index drops
+  // out-of-range and repeated items.
+  const std::span<const ItemId> kept =
+      shards_.front()->snapshot()->index->pool();
+  pool_.assign(kept.begin(), kept.end());
   // batch_threads == 1 keeps batches inline on the calling thread (the
   // serial reference path); anything else gets a dedicated pool.
   if (options_.batch_threads != 1) {

@@ -115,14 +115,6 @@ void GroupProblem::MemberPreferencesDense(std::span<const double> apref,
   AllMemberPreferencesDense(apref, w, out);
 }
 
-void GroupProblem::MemberPreferenceIntervals(std::span<const Interval> apref,
-                                             std::span<const Interval> pair_aff,
-                                             std::span<Interval> out) const {
-  assert(apref.size() == group_size());
-  assert(pair_aff.size() == num_pairs());
-  AllMemberPreferenceIntervals(apref, pair_aff, out);
-}
-
 double GroupProblem::ExactScore(ListKey key) const {
   const std::size_t g = group_size();
   std::vector<double> apref(g);

@@ -36,7 +36,6 @@
 
 #include "affinity/temporal_model.h"
 #include "consensus/consensus.h"
-#include "topk/interval.h"
 #include "topk/list_view.h"
 #include "topk/sorted_list.h"
 
@@ -233,11 +232,6 @@ class GroupProblem {
   void MemberPreferencesDense(std::span<const double> apref,
                               std::span<const double> w,
                               std::span<double> out) const;
-
-  /// Interval version used for GRECA's bounds.
-  void MemberPreferenceIntervals(std::span<const Interval> apref,
-                                 std::span<const Interval> pair_aff,
-                                 std::span<Interval> out) const;
 
   /// Exact consensus score of candidate item `key` (uncounted accesses).
   double ExactScore(ListKey key) const;

@@ -209,21 +209,6 @@ TEST(GrecaTest, ThresholdOnlyPolicyIsCorrectButSlower) {
             threshold_only.accesses.sequential);
 }
 
-TEST(GrecaTest, CheckIntervalDoesNotChangeResult) {
-  Rng rng(3'003);
-  const GroupProblem problem = testing::MakeRandomProblem(
-      rng, 4, 80, 2, ConsensusSpec::AveragePreference(),
-      AffinityModelSpec::Default());
-  GrecaConfig c1;
-  c1.k = 6;
-  c1.check_interval = 1;
-  GrecaConfig c8 = c1;
-  c8.check_interval = 8;
-  const auto s1 = testing::ExactScoresSorted(problem, Greca(problem, c1).items);
-  const auto s8 = testing::ExactScoresSorted(problem, Greca(problem, c8).items);
-  for (std::size_t i = 0; i < s1.size(); ++i) EXPECT_NEAR(s1[i], s8[i], 1e-9);
-}
-
 TEST(GrecaTest, KLargerThanDistinctItemsReturnsAll) {
   Rng rng(3'005);
   const GroupProblem problem = testing::MakeRandomProblem(

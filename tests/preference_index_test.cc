@@ -695,6 +695,58 @@ TEST(PreferenceIndexNanTest, ShardedEngineWithNanPredictorServes) {
 
 // --- Caller-supplied pools -----------------------------------------------
 
+TEST(PreferenceIndexPoolTest, BuildDropsOutOfRangeAndRepeatedPoolItems) {
+  // Called directly, with no engine filtering its inputs: items past the
+  // universe and repeats must neither reach the item→key map nor get a
+  // key. Checked by value, so a Release build (no asserts) proves it too.
+  constexpr std::size_t kUniverse = 8;
+  const std::vector<std::vector<Score>> predictions = {
+      {1.0, 2.0, 3.0, 4.0, 0.0, 5.0, 2.5, 1.5},
+      {4.0, 0.5, 4.0, 1.0, 2.5, 2.0, 3.0, 0.0},
+      {0.0, 5.0, 1.0, 1.0, 4.5, 3.5, 2.0, 4.0},
+  };
+  const std::vector<ItemId> clean = {5, 2, 0, 3, 7};
+  const std::vector<ItemId> dirty = {
+      5, 9, 2, 5, 0, 100, 3, 2, 7, std::numeric_limits<ItemId>::max(), 0, 8};
+  const auto streaming = [&](const std::vector<ItemId>& pool) {
+    return PreferenceIndex::BuildStreaming(
+        predictions.size(),
+        [&](UserId u, std::span<const ItemId> p, std::span<Score> out) {
+          for (std::size_t key = 0; key < p.size(); ++key) {
+            out[key] = predictions[u][p[key]];
+          }
+        },
+        /*scale_max=*/5.0, pool, kUniverse);
+  };
+  const PreferenceIndex want =
+      PreferenceIndex::Build(predictions, 5.0, clean, kUniverse);
+  const auto same_rows = [](const PreferenceIndex& a, const PreferenceIndex& b,
+                            UserId u) {
+    return std::ranges::equal(a.UserKeys(u), b.UserKeys(u)) &&
+           std::ranges::equal(a.UserScores(u), b.UserScores(u)) &&
+           std::ranges::equal(Peer::UserOrder(a, u).positions,
+                              Peer::UserOrder(b, u).positions);
+  };
+  const auto check = [&](const PreferenceIndex& got) {
+    ASSERT_EQ(got.pool_size(), clean.size());
+    EXPECT_TRUE(std::ranges::equal(got.pool(), clean));
+    for (ItemId item = 0; item < kUniverse + 4; ++item) {
+      EXPECT_EQ(got.PoolPositionOf(item), want.PoolPositionOf(item)) << item;
+    }
+    for (UserId u = 0; u < predictions.size(); ++u) {
+      EXPECT_TRUE(same_rows(got, want, u)) << u;
+    }
+    // The clone path inherits the filtered pool.
+    const std::vector<Score> fresh = {5.0, 0.0, 4.0, 1.0, 2.0, 3.0, 0.5, 2.5};
+    const UserId touched[] = {1};
+    const std::span<const Score> rows[] = {fresh};
+    EXPECT_TRUE(same_rows(got.CloneWithUpdatedRows(touched, rows),
+                          want.CloneWithUpdatedRows(touched, rows), 1));
+  };
+  check(PreferenceIndex::Build(predictions, 5.0, dirty, kUniverse));
+  check(streaming(dirty));
+}
+
 TEST(PreferenceIndexPoolTest, ShardedEngineDropsOutOfRangeAndRepeatedPools) {
   ScaleRatingsConfig sc;
   sc.num_users = 400;

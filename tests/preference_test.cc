@@ -98,25 +98,38 @@ TEST(PreferenceModelTest, DenseWeightsBitIdenticalToPacked) {
 TEST(PreferenceModelTest, IntervalEnclosesExactRealizations) {
   Rng rng(113);
   for (int trial = 0; trial < 300; ++trial) {
-    const std::size_t g = 2 + rng.NextBounded(5);
-    std::vector<Interval> apref_iv(g), out_iv(g);
-    std::vector<Interval> aff_iv(NumUserPairs(g));
-    std::vector<double> apref(g), aff(aff_iv.size()), prefs(g);
+    const std::size_t g = 1 + rng.NextBounded(6);
+    const std::size_t pairs = NumUserPairs(g);
+    std::vector<double> apref_lb(g), apref_ub(g), apref(g);
+    std::vector<double> aff_lb(pairs), aff_ub(pairs), aff(pairs);
     for (std::size_t u = 0; u < g; ++u) {
-      apref_iv[u].lb = rng.NextDouble(0.0, 0.6);
-      apref_iv[u].ub = apref_iv[u].lb + rng.NextDouble(0.0, 0.4);
-      apref[u] = rng.NextDouble(apref_iv[u].lb, apref_iv[u].ub);
+      apref_lb[u] = rng.NextDouble(0.0, 0.6);
+      apref_ub[u] = apref_lb[u] + rng.NextDouble(0.0, 0.4);
+      apref[u] = rng.NextDouble(apref_lb[u], apref_ub[u]);
     }
-    for (std::size_t q = 0; q < aff_iv.size(); ++q) {
-      aff_iv[q].lb = rng.NextDouble(0.0, 0.6);
-      aff_iv[q].ub = aff_iv[q].lb + rng.NextDouble(0.0, 0.4);
-      aff[q] = rng.NextDouble(aff_iv[q].lb, aff_iv[q].ub);
+    for (std::size_t q = 0; q < pairs; ++q) {
+      aff_lb[q] = rng.NextDouble(0.0, 0.6);
+      aff_ub[q] = aff_lb[q] + rng.NextDouble(0.0, 0.4);
+      aff[q] = rng.NextDouble(aff_lb[q], aff_ub[q]);
     }
+    std::vector<double> w_lb(g * g), w_ub(g * g);
+    ExpandPairWeights(aff_lb, g, w_lb);
+    ExpandPairWeights(aff_ub, g, w_ub);
+    const double pair_norm = g > 1 ? 1.0 / static_cast<double>(g - 1) : 0.0;
+    std::vector<double> prefs(g), lb(g), ub(g);
     AllMemberPreferences(apref, aff, prefs);
-    AllMemberPreferenceIntervals(apref_iv, aff_iv, out_iv);
+    MemberPreferenceEndpoints(apref_lb, w_lb, pair_norm, lb);
+    MemberPreferenceEndpoints(apref_ub, w_ub, pair_norm, ub);
     for (std::size_t u = 0; u < g; ++u) {
-      EXPECT_LE(out_iv[u].lb, prefs[u] + 1e-12);
-      EXPECT_GE(out_iv[u].ub, prefs[u] - 1e-12);
+      EXPECT_LE(lb[u], prefs[u] + 1e-12);
+      EXPECT_GE(ub[u], prefs[u] - 1e-12);
+    }
+    // Exact inputs give the exact preference, up to rounding.
+    std::vector<double> w(g * g), exact(g);
+    ExpandPairWeights(aff, g, w);
+    MemberPreferenceEndpoints(apref, w, pair_norm, exact);
+    for (std::size_t u = 0; u < g; ++u) {
+      EXPECT_NEAR(exact[u], prefs[u], 1e-12);
     }
   }
 }
