@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
+
+#include "dataset/facebook_study.h"
+#include "dataset/social_graph.h"
 
 namespace greca {
 
@@ -89,24 +93,28 @@ void AffinitySource::MaterializeMemberWeightsInto(std::span<const UserId> group,
   std::fill(out.begin(), out.end(), 1.0);
 }
 
-void StudyAffinitySource::MaterializeMemberWeightsInto(
-    std::span<const UserId> group, std::span<double> out) const {
-  if (influence_ == nullptr) {
-    AffinitySource::MaterializeMemberWeightsInto(group, out);
-    return;
-  }
-  assert(out.size() == group.size());
-  for (std::size_t m = 0; m < group.size(); ++m) {
-    out[m] = group[m] < influence_->size() ? (*influence_)[group[m]] : 1.0;
-  }
+std::shared_ptr<const StudyAffinitySource> StudyAffinitySource::FromStudy(
+    const FacebookStudy& study) {
+  return std::make_shared<const StudyAffinitySource>(
+      ComputeCommonFriendCounts(study.graph),
+      PeriodicAffinity::Compute(study.likes, study.periods),
+      PropagationCentrality(study.graph));
 }
 
-double StudyAffinitySource::CumulativeDrift(UserId u, UserId v,
-                                            PeriodId p) const {
-  if (dynamic_ != nullptr && p < dynamic_->num_periods()) {
-    return dynamic_->CumulativeDrift(u, v, p);
+StudyAffinitySource::StudyAffinitySource(PairTable static_counts,
+                                         PeriodicAffinity periodic,
+                                         std::vector<double> influence)
+    : static_(std::move(static_counts)),
+      periodic_(std::move(periodic)),
+      dynamic_(DynamicAffinityIndex::Build(periodic_)),
+      influence_(std::move(influence)) {}
+
+void StudyAffinitySource::MaterializeMemberWeightsInto(
+    std::span<const UserId> group, std::span<double> out) const {
+  assert(out.size() == group.size());
+  for (std::size_t m = 0; m < group.size(); ++m) {
+    out[m] = group[m] < influence_.size() ? influence_[group[m]] : 1.0;
   }
-  return AffinitySource::CumulativeDrift(u, v, p);
 }
 
 }  // namespace greca

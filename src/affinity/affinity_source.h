@@ -3,9 +3,10 @@
 //
 // The paper's deployment computes static affinity from common Facebook
 // friends and periodic affinity from common page-like categories (§2.1,
-// §4.1.2); StudyAffinitySource wraps exactly those precomputed tables plus
-// the incremental drift index of Equation 1; ConstantAffinitySource serves
-// populations with no social signal (the sharded scale harness).
+// §4.1.2); StudyAffinitySource owns exactly those tables plus the
+// incremental drift index of Equation 1, built once from the study by
+// StudyAffinitySource::FromStudy; ConstantAffinitySource serves populations
+// with no social signal (the sharded scale harness).
 //
 // Contract invariants every implementation must keep:
 //  * Periodic() and PeriodAverage() are on the normalized [0, 1] scale;
@@ -35,6 +36,8 @@
 #include "topk/sorted_list.h"
 
 namespace greca {
+
+struct FacebookStudy;
 
 class AffinitySource {
  public:
@@ -99,45 +102,53 @@ class AffinitySource {
                                             std::span<double> out) const;
 };
 
-/// The study-backed source: common-friend counts (static), common page-like
-/// category counts (periodic) and, when given, the incremental drift index
-/// (dynamic, O(1) CumulativeDrift). All referenced tables must outlive the
-/// source; the source itself is cheap to copy.
+/// The study-backed source. It owns its tables: common-friend counts
+/// (static), common page-like category counts (periodic), the incremental
+/// drift index over them (dynamic, O(1) CumulativeDrift) and one raw
+/// influence weight per participant.
 class StudyAffinitySource final : public AffinitySource {
  public:
-  /// `influence`, when non-null, holds one raw influence weight per study
-  /// participant (e.g. PropagationCentrality over the friendship graph) and
-  /// backs MaterializeMemberWeightsInto; null keeps the uniform default.
-  StudyAffinitySource(
-      const PairTable& static_counts, const PeriodicAffinity& periodic,
-      const DynamicAffinityIndex* dynamic = nullptr,
-      std::shared_ptr<const std::vector<double>> influence = nullptr)
-      : static_(&static_counts),
-        periodic_(&periodic),
-        dynamic_(dynamic),
-        influence_(std::move(influence)) {}
+  /// The paper's setup (§2.1): common-friend counts over the study's
+  /// friendship graph, page-like periodic affinity over its timeline, the
+  /// drift index over those, and PropagationCentrality over the graph as
+  /// the influence weights. Both engines build their source here.
+  static std::shared_ptr<const StudyAffinitySource> FromStudy(
+      const FacebookStudy& study);
 
-  std::size_t num_users() const override { return periodic_->num_users(); }
-  std::size_t num_periods() const override { return periodic_->num_periods(); }
+  /// Takes the tables as given and builds the drift index over `periodic`.
+  /// `influence` holds one raw weight per user for
+  /// MaterializeMemberWeightsInto; users past its end (all users, when it
+  /// is empty) weigh 1.0.
+  StudyAffinitySource(PairTable static_counts, PeriodicAffinity periodic,
+                      std::vector<double> influence = {});
+
+  std::size_t num_users() const override { return periodic_.num_users(); }
+  std::size_t num_periods() const override { return periodic_.num_periods(); }
   double Static(UserId u, UserId v) const override {
-    return static_->Get(u, v);
+    return static_.Get(u, v);
   }
-  double MaxStatic() const override { return static_->Max(); }
+  double MaxStatic() const override { return static_.Max(); }
   double Periodic(UserId u, UserId v, PeriodId p) const override {
-    return periodic_->Normalized(u, v, p);
+    return periodic_.Normalized(u, v, p);
   }
   double PeriodAverage(PeriodId p) const override {
-    return periodic_->PopulationAverageNormalized(p);
+    return periodic_.PopulationAverageNormalized(p);
   }
-  double CumulativeDrift(UserId u, UserId v, PeriodId p) const override;
+  /// O(1) through the drift index; `p` must be < num_periods().
+  double CumulativeDrift(UserId u, UserId v, PeriodId p) const override {
+    return dynamic_.CumulativeDrift(u, v, p);
+  }
   void MaterializeMemberWeightsInto(std::span<const UserId> group,
                                     std::span<double> out) const override;
 
+  const PairTable& static_counts() const { return static_; }
+  const PeriodicAffinity& periodic() const { return periodic_; }
+
  private:
-  const PairTable* static_;
-  const PeriodicAffinity* periodic_;
-  const DynamicAffinityIndex* dynamic_;  // optional O(1) drift backend
-  std::shared_ptr<const std::vector<double>> influence_;  // per-user, raw
+  PairTable static_;  // raw common-friend counts
+  PeriodicAffinity periodic_;
+  DynamicAffinityIndex dynamic_;  // built over periodic_
+  std::vector<double> influence_;  // per-user, raw
 };
 
 /// Degenerate source for populations with no social signal — the

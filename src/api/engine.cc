@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "serve/batch_executor.h"
-#include "serve/serving_backend.h"
 
 namespace greca {
 
@@ -37,15 +36,8 @@ std::vector<Result<Recommendation>> Engine::RecommendBatch(
 std::vector<Result<Recommendation>> Engine::RecommendBatch(
     std::span<const Query> queries, std::shared_ptr<const Snapshot> snap,
     BatchReport* report) const {
-  if (snap == nullptr) {
-    return std::vector<Result<Recommendation>>(
-        queries.size(),
-        Result<Recommendation>(
-            Status::InvalidArgument("snapshot must not be null")));
-  }
-  const SnapshotServingBackend backend(recommender_, std::move(snap));
-  return BatchExecutor::Execute(backend, queries, pool_.get(), workspace_pool_,
-                                report);
+  return BatchExecutor::Execute(recommender_, snap, queries, pool_.get(),
+                                workspace_pool_, report);
 }
 
 }  // namespace greca

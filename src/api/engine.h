@@ -10,14 +10,15 @@
 //    immutable Snapshot (pre-sorted PreferenceIndex + CF predictions +
 //    study ratings + generation id, see snapshot.h) for their whole
 //    lifetime; the affinity source and the period-list cache they also read
-//    are fixed at construction. A batch executes in parallel over an
-//    internal thread pool through the unified serving runtime
-//    (serve/batch_executor.h), all workers sharing the one pinned snapshot;
-//    each worker leases a reusable QueryWorkspace holding only mutable
-//    scratch from a shared pool, so steady-state queries sort nothing and
-//    allocate nothing on the hot path. Concurrent batches share the pool:
-//    their multi-bucket solve phases take turns on it (see
-//    serve/batch_executor.h).
+//    are fixed at construction. Every query is the recommender's
+//    BuildProblem on the pinned snapshot, then SolveGroupProblem. A batch
+//    runs those same two steps in parallel over an internal thread pool
+//    through the batch executor (serve/batch_executor.h), all workers
+//    sharing the one pinned snapshot; each worker leases a reusable
+//    QueryWorkspace holding only mutable scratch from a shared pool, so
+//    steady-state queries sort nothing and allocate nothing on the hot
+//    path. Concurrent batches share the pool: their multi-bucket solve
+//    phases take turns on it (see serve/batch_executor.h).
 //  * Writes — ApplyUpdates — rebuild the affected index rows and CF state
 //    OFF the serving path and publish the result as a new snapshot
 //    generation with an atomic pointer swap. Readers never block on

@@ -34,13 +34,11 @@ std::size_t PeriodListCache::MemoryBytes() const {
 Snapshot::Snapshot(std::uint64_t generation,
                    std::shared_ptr<const RatingsOverlay> ratings,
                    std::vector<PredictionRow> predictions,
-                   std::shared_ptr<const PreferenceIndex> index,
-                   std::size_t tombstone_cache_max_entries)
+                   std::shared_ptr<const PreferenceIndex> index)
     : generation_(generation),
       ratings_(std::move(ratings)),
       predictions_(std::move(predictions)),
-      index_(std::move(index)),
-      tombstone_cache_(tombstone_cache_max_entries) {
+      index_(std::move(index)) {
   assert(ratings_ != nullptr);
   assert(std::ranges::none_of(predictions_, [](const PredictionRow& row) {
     return row == nullptr;

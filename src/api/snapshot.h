@@ -301,14 +301,12 @@ class Snapshot {
   /// snapshot shares their ownership (the overlay's base may alias
   /// caller-owned storage on the initial generation — see GroupRecommender
   /// construction). The tombstone cache is ALWAYS fresh per snapshot
-  /// (bitmaps depend on the ratings overlay, which changes every publish);
-  /// `tombstone_cache_max_entries` bounds it.
+  /// (bitmaps depend on the ratings overlay, which changes every publish)
+  /// and bounded at TombstoneCache's default cap.
   Snapshot(std::uint64_t generation,
            std::shared_ptr<const RatingsOverlay> ratings,
            std::vector<PredictionRow> predictions,
-           std::shared_ptr<const PreferenceIndex> index,
-           std::size_t tombstone_cache_max_entries =
-               TombstoneCache::kDefaultMaxEntries);
+           std::shared_ptr<const PreferenceIndex> index);
 
   Snapshot(const Snapshot&) = delete;
   Snapshot& operator=(const Snapshot&) = delete;

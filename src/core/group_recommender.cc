@@ -7,7 +7,6 @@
 
 #include "cf/similarity.h"
 #include "core/problem_assembly.h"
-#include "dataset/social_graph.h"
 
 namespace greca {
 
@@ -16,12 +15,8 @@ GroupRecommender::GroupRecommender(const RatingsDataset& universe,
                                    RecommenderOptions options)
     : universe_(&universe),
       study_(&study),
-      options_(options),
       knn_(universe, options.knn),
-      static_(ComputeCommonFriendCounts(study.graph)),
-      periodic_(PeriodicAffinity::Compute(study.likes, study.periods)),
-      dynamic_(DynamicAffinityIndex::Build(periodic_)),
-      period_cache_(options.period_cache_max_entries),
+      affinity_(StudyAffinitySource::FromStudy(study)),
       publisher_(
           [this] {
             const std::shared_ptr<const Snapshot> cur = snapshot();
@@ -37,13 +32,6 @@ GroupRecommender::GroupRecommender(const RatingsDataset& universe,
     predictions.push_back(
         knn_.PredictAll(study.study_ratings.RatingsOfUser(su)));
   }
-  // Influence weights for kInfluence queries: propagation centrality over
-  // the immutable friendship graph — the same backing as ShardedEngine, so
-  // influence-weighted queries score identically on both engines.
-  auto influence = std::make_shared<const std::vector<double>>(
-      PropagationCentrality(study.graph));
-  affinity_ = std::make_shared<StudyAffinitySource>(
-      static_, periodic_, &dynamic_, std::move(influence));
   // One shared, immutable sorted-preference index over the popular-item
   // pool; every query (and every batch worker) slices it by prefix.
   auto index = std::make_shared<const PreferenceIndex>(PreferenceIndex::Build(
@@ -65,8 +53,7 @@ GroupRecommender::GroupRecommender(const RatingsDataset& universe,
   snapshot_ = std::make_shared<const Snapshot>(
       /*generation=*/1,
       std::make_shared<const RatingsOverlay>(std::move(base)),
-      std::move(prediction_rows), std::move(index),
-      options_.tombstone_cache_max_entries);
+      std::move(prediction_rows), std::move(index));
 }
 
 Status GroupRecommender::ApplyRatingUpdates(
@@ -99,8 +86,7 @@ void GroupRecommender::RebuildRatings(
   auto index = std::make_shared<const PreferenceIndex>(
       cur->index().CloneWithUpdatedRows(touched, touched_preds));
   auto next = std::make_shared<const Snapshot>(
-      generation, std::move(ratings), std::move(preds), std::move(index),
-      options_.tombstone_cache_max_entries);
+      generation, std::move(ratings), std::move(preds), std::move(index));
   // All building happened before this point; the swap itself is O(1).
   std::lock_guard<std::mutex> swap_lock(snapshot_mu_);
   snapshot_ = std::move(next);
@@ -113,15 +99,15 @@ Result<PeriodId> GroupRecommender::ResolvePeriod(
 
 Status GroupRecommender::ValidateQuery(std::span<const UserId> group,
                                        const QuerySpec& spec) const {
-  return ValidateQuery(*snapshot(), group, spec);
+  return ValidateGroupQuery(group, spec, study_->num_participants(),
+                            study_->periods.num_periods(),
+                            affinity_->num_periods());
 }
 
 Status GroupRecommender::ValidateQuery(const Snapshot& /*snap*/,
                                        std::span<const UserId> group,
                                        const QuerySpec& spec) const {
-  return ValidateGroupQuery(group, spec, study_->num_participants(),
-                            study_->periods.num_periods(),
-                            affinity_->num_periods());
+  return ValidateQuery(group, spec);
 }
 
 double GroupRecommender::RatingSimilarity(UserId a, UserId b) const {
@@ -164,7 +150,7 @@ Result<GroupProblem> GroupRecommender::BuildProblem(
   if (snap == nullptr) {
     return Status::InvalidArgument("snapshot must not be null");
   }
-  if (Status s = ValidateQuery(*snap, group, spec); !s.ok()) return s;
+  if (Status s = ValidateQuery(group, spec); !s.ok()) return s;
   const PeriodId eval_period = ResolvePeriod(spec.eval_period).value();
 
   // Single-index scatter: every member's rows live in the snapshot's one

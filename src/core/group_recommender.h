@@ -24,9 +24,14 @@
 // the current snapshot at entry, so the live-update path —
 // ApplyRatingUpdates — can rebuild the affected state off the serving path
 // and publish a new generation with an atomic pointer swap (RCU-style)
-// without ever blocking or corrupting in-flight queries. The AffinitySource
-// and the (group, period) list cache never change after construction and
-// are owned here, exactly as on ShardedEngine (affinity(), period_cache()).
+// without ever blocking or corrupting in-flight queries. The affinity
+// source (StudyAffinitySource::FromStudy, the same setup ShardedEngine
+// uses) and the (group, period) list cache never change after construction
+// and are owned here (affinity(), period_cache()).
+//
+// A query is BuildProblem then SolveGroupProblem (core/problem_assembly.h),
+// whether it arrives alone (Recommend) or in a batch (Engine::RecommendBatch
+// through serve/batch_executor.h).
 //
 // Update cost is O(delta), not O(dataset): a batch folds into the delta log
 // (touched users' rows only), and a compaction policy (RecommenderOptions)
@@ -51,7 +56,6 @@
 #include <vector>
 
 #include "affinity/affinity_source.h"
-#include "affinity/dynamic_affinity.h"
 #include "affinity/periodic_affinity.h"
 #include "affinity/static_affinity.h"
 #include "affinity/temporal_model.h"
@@ -98,15 +102,6 @@ struct RecommenderOptions {
   /// (recommendations, reports and the period-list cache behave identically
   /// — tests/delta_log_test.cc).
   double compact_delta_fraction = 0.25;
-
-  /// Residency cap of the engine-owned (group, period) list cache; least
-  /// recently used lists are evicted past it (0 = unbounded). See
-  /// PeriodListCache.
-  std::size_t period_cache_max_entries = PeriodListCache::kDefaultMaxEntries;
-
-  /// Residency cap of the generation-scoped (group, pool) tombstone-bitmap
-  /// cache (0 = unbounded). See TombstoneCache.
-  std::size_t tombstone_cache_max_entries = TombstoneCache::kDefaultMaxEntries;
 };
 
 struct QuerySpec {
@@ -169,9 +164,9 @@ class GroupRecommender {
  public:
   /// Both references must outlive this object (and every snapshot pinned
   /// from it). Construction precomputes CF predictions for every study
-  /// participant and all affinity tables, binds the affinity source and the
-  /// period-list cache for the recommender's lifetime, and publishes
-  /// generation 1.
+  /// participant, builds the affinity source from the study
+  /// (StudyAffinitySource::FromStudy) and the period-list cache for the
+  /// recommender's lifetime, and publishes generation 1.
   /// `universe` may be any collaborative rating dataset — the synthetic twin
   /// or a parsed real MovieLens file.
   GroupRecommender(const RatingsDataset& universe, const FacebookStudy& study,
@@ -274,10 +269,11 @@ class GroupRecommender {
   /// Validates a query without running it: non-empty group of known,
   /// distinct participants (≤ 32 for GRECA, its seen-bitmask limit), k ≥ 1,
   /// a non-empty candidate pool and an in-range evaluation period. Nothing
-  /// validated depends on the rating generation, so both overloads agree
-  /// for every snapshot; the explicit one is the serving backend's hook.
+  /// validated depends on the rating generation, so no snapshot is read.
   Status ValidateQuery(std::span<const UserId> group,
                        const QuerySpec& spec) const;
+  /// Same as above: `snap` is unused. The overload stays only because the
+  /// perfbench adapter (perfbench/src/serving.cc) still calls it.
   Status ValidateQuery(const Snapshot& snap, std::span<const UserId> group,
                        const QuerySpec& spec) const;
 
@@ -295,18 +291,20 @@ class GroupRecommender {
   double ModelAffinity(UserId a, UserId b, std::optional<PeriodId> period,
                        const AffinityModelSpec& spec) const;
 
-  /// The affinity backend, fixed at construction (StudyAffinitySource over
-  /// the tables below).
+  /// The affinity backend, fixed at construction.
   const AffinitySource& affinity() const { return *affinity_; }
   /// The (group, period) list cache shared by every rating generation
-  /// (internally synchronized; RecommenderOptions::period_cache_max_entries
-  /// bounds it). Mutable state behind a const engine, hence the const
-  /// accessor.
+  /// (internally synchronized; bounded at PeriodListCache's default cap).
+  /// Mutable state behind a const engine, hence the const accessor.
   PeriodListCache& period_cache() const { return period_cache_; }
 
-  const PeriodicAffinity& periodic_affinity() const { return periodic_; }
-  const PairTable& static_affinity() const { return static_; }
-  const DynamicAffinityIndex& dynamic_index() const { return dynamic_; }
+  /// The study tables behind affinity().
+  const PeriodicAffinity& periodic_affinity() const {
+    return affinity_->periodic();
+  }
+  const PairTable& static_affinity() const {
+    return affinity_->static_counts();
+  }
   const FacebookStudy& study() const { return *study_; }
   std::size_t num_periods() const { return study_->periods.num_periods(); }
 
@@ -323,12 +321,8 @@ class GroupRecommender {
 
   const RatingsDataset* universe_;
   const FacebookStudy* study_;
-  RecommenderOptions options_;
   UserKnn knn_;
-  PairTable static_;       // raw common-friend counts (immutable study table)
-  PeriodicAffinity periodic_;
-  DynamicAffinityIndex dynamic_;
-  std::shared_ptr<const AffinitySource> affinity_;
+  std::shared_ptr<const StudyAffinitySource> affinity_;
   mutable PeriodListCache period_cache_;
 
   // The RCU publication point: queries copy the pointer, the publisher

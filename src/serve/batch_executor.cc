@@ -4,6 +4,9 @@
 #include <optional>
 #include <thread>
 
+#include "core/problem_assembly.h"
+#include "shard/sharded_engine.h"
+
 namespace greca {
 
 std::size_t ResolveBatchThreads(std::size_t requested) {
@@ -35,15 +38,52 @@ void RunUnits(std::size_t n, ThreadPool* pool, WorkspacePool& workspaces,
       n, [&](std::size_t worker, std::size_t i) { fn(*leases[worker], i); });
 }
 
+// The two pin types' pool (key order) and null-pin error.
+std::span<const ItemId> PoolOf(const Snapshot& snap) {
+  return snap.index().pool();
+}
+std::span<const ItemId> PoolOf(const ShardedSnapshotSet& set) {
+  return set.shard(0).index->pool();
+}
+const char* NullPinError(const Snapshot*) {
+  return "snapshot must not be null";
+}
+const char* NullPinError(const ShardedSnapshotSet*) {
+  return "snapshot set must not be null";
+}
+
+/// The cache counters a batch reports deltas of.
+struct CacheCounters {
+  std::uint64_t period_hits, period_misses;
+  std::uint64_t tomb_hits, tomb_misses, tomb_evictions;
+
+  CacheCounters(const PeriodListCache& periods, const TombstoneCache& tombs)
+      : period_hits(periods.hits()),
+        period_misses(periods.misses()),
+        tomb_hits(tombs.hits()),
+        tomb_misses(tombs.misses()),
+        tomb_evictions(tombs.evictions()) {}
+};
+
 }  // namespace
 
+template <typename Engine, typename Pin>
 std::vector<Result<Recommendation>> BatchExecutor::Execute(
-    const ServingBackend& backend, std::span<const Query> queries,
-    ThreadPool* pool, WorkspacePool& workspaces, BatchReport* report) {
-  const ServingCacheCounters before = backend.Counters();
+    const Engine& engine, const std::shared_ptr<const Pin>& pin,
+    std::span<const Query> queries, ThreadPool* pool,
+    WorkspacePool& workspaces, BatchReport* report) {
+  if (pin == nullptr) {
+    return std::vector<Result<Recommendation>>(
+        queries.size(), Result<Recommendation>(Status::InvalidArgument(
+                            NullPinError(pin.get()))));
+  }
+  const PeriodListCache& periods = engine.period_cache();
+  const TombstoneCache& tombs = pin->tombstone_cache();
+  const CacheCounters before(periods, tombs);
   BatchPlan plan = BatchPlanner::Plan(
-      queries, [&](const Query& q) { return backend.Validate(q); },
-      backend.num_periods());
+      queries,
+      [&](const Query& q) { return engine.ValidateQuery(q.group, q.spec); },
+      engine.num_periods());
 
   // Solve one representative problem per bucket. Buckets are independent
   // (distinct execution signatures against one immutable pinned view), so
@@ -51,14 +91,28 @@ std::vector<Result<Recommendation>> BatchExecutor::Execute(
   // solving its query directly.
   struct BucketOutcome {
     std::optional<Result<Recommendation>> result;
-    SolveOutcome agreement;
+    bool agreement_deferred = false;
+    bool agreement_materialized = false;
   };
   std::vector<BucketOutcome> solved(plan.buckets.size());
+  const std::span<const ItemId> pool_items = PoolOf(*pin);
   RunUnits(plan.buckets.size(), pool, workspaces,
            [&](QueryWorkspace& ws, std::size_t b) {
              const Query& q = queries[plan.buckets[b].queries.front()];
-             solved[b].result.emplace(
-                 backend.SolveOne(q, ws, &solved[b].agreement));
+             BucketOutcome& out = solved[b];
+             Result<GroupProblem> problem =
+                 engine.BuildProblem(pin, q.group, q.spec, nullptr, &ws);
+             if (!problem.ok()) {
+               out.result.emplace(problem.status());
+               return;
+             }
+             out.result.emplace(
+                 SolveGroupProblem(problem.value(), q.spec, pool_items, ws));
+             // Read after the solve: the agreement list materializes on the
+             // solver's first walk.
+             out.agreement_deferred = problem.value().agreement_deferred();
+             out.agreement_materialized =
+                 problem.value().agreement_materialized();
            });
 
   // Fan the solved results back out to every duplicate, in input order.
@@ -81,10 +135,9 @@ std::vector<Result<Recommendation>> BatchExecutor::Execute(
     report->duplicates_shared = plan.num_valid - plan.buckets.size();
     report->dedup_ratio = plan.DedupRatio();
     for (const BucketOutcome& o : solved) {
-      if (!o.agreement.agreement_deferred) continue;
-      ++(o.agreement.agreement_materialized
-             ? report->agreement_lists_materialized
-             : report->agreement_lists_skipped);
+      if (!o.agreement_deferred) continue;
+      ++(o.agreement_materialized ? report->agreement_lists_materialized
+                                  : report->agreement_lists_skipped);
     }
     report->per_query.resize(queries.size());
     for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -94,9 +147,22 @@ std::vector<Result<Recommendation>> BatchExecutor::Execute(
                  plan.buckets[b].queries.front() ==
                      static_cast<std::uint32_t>(i)};
     }
-    backend.Counters().DeltaInto(before, *report);
+    const CacheCounters after(periods, tombs);
+    report->period_cache_hits = after.period_hits - before.period_hits;
+    report->period_cache_misses = after.period_misses - before.period_misses;
+    report->tombstone_cache_hits = after.tomb_hits - before.tomb_hits;
+    report->tombstone_cache_misses = after.tomb_misses - before.tomb_misses;
+    report->tombstone_cache_evictions =
+        after.tomb_evictions - before.tomb_evictions;
   }
   return results;
 }
+
+template std::vector<Result<Recommendation>> BatchExecutor::Execute(
+    const GroupRecommender&, const std::shared_ptr<const Snapshot>&,
+    std::span<const Query>, ThreadPool*, WorkspacePool&, BatchReport*);
+template std::vector<Result<Recommendation>> BatchExecutor::Execute(
+    const ShardedEngine&, const std::shared_ptr<const ShardedSnapshotSet>&,
+    std::span<const Query>, ThreadPool*, WorkspacePool&, BatchReport*);
 
 }  // namespace greca

@@ -1,20 +1,25 @@
 // The single batch execution path behind Engine::RecommendBatch and
 // ShardedEngine::RecommendBatch.
 //
-// Given a ServingBackend (the pinned view + per-query solve, see
-// serving_backend.h), the executor owns everything the two engines used to
-// duplicate:
+// A query is the same two steps on both engines: the engine's BuildProblem
+// on its pinned view (a Snapshot or a ShardedSnapshotSet), then
+// SolveGroupProblem (core/problem_assembly.h). The executor calls those
+// entries directly — there is no per-engine backend — and owns everything
+// else a batch needs:
 //
-//  * planning — the sole BatchPlanner::Plan call site in the library:
-//    bucket valid queries by execution signature, solve one representative
-//    per bucket, fan the result to every duplicate in input order;
+//  * the null-pin check: a null pin fails every query with kInvalidArgument
+//    and leaves the report untouched;
+//  * planning — the sole BatchPlanner::Plan call site in the library,
+//    validating through the engine's ValidateQuery: bucket valid queries by
+//    execution signature, solve one representative per bucket, fan the
+//    result to every duplicate in input order;
 //  * parallelism — buckets run over the caller's thread pool, each worker on
 //    its own workspace leased from a WorkspacePool; a null pool runs them
 //    inline on the calling thread, which doubles as the serial reference for
 //    the parallel path;
-//  * BatchReport assembly — dedup ratio, lazy-agreement counters, cache
-//    deltas (via the backend's counters), per-query attribution — one
-//    builder for both engines.
+//  * BatchReport assembly — dedup ratio, the lazy-agreement counters read
+//    off each built GroupProblem, the cache deltas read off the engine's
+//    period_cache() and the pin's tombstone_cache(), per-query attribution.
 //
 // Determinism: buckets are independent and the algorithms are deterministic
 // functions of (pinned view, query), so parallel and serial execution
@@ -25,15 +30,16 @@
 // cached VALUES never do.
 //
 // Concurrency: Execute is re-entrant. Workspaces come from the pool per
-// call and the pinned view is backend-owned and immutable, so concurrent
-// batches on one engine validate, plan, fan out and run single-bucket
-// solves side by side. Their multi-bucket solve phases queue, though:
-// ThreadPool::ParallelFor runs one dispatch at a time, so a second batch's
-// buckets wait until the first batch's buckets have all finished.
+// call and the pinned view is immutable, so concurrent batches on one
+// engine validate, plan, fan out and run single-bucket solves side by side.
+// Their multi-bucket solve phases queue, though: ThreadPool::ParallelFor
+// runs one dispatch at a time, so a second batch's buckets wait until the
+// first batch's buckets have all finished.
 #ifndef GRECA_SERVE_BATCH_EXECUTOR_H_
 #define GRECA_SERVE_BATCH_EXECUTOR_H_
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -41,7 +47,6 @@
 #include "common/thread_pool.h"
 #include "core/group_recommender.h"
 #include "plan/batch_planner.h"
-#include "serve/serving_backend.h"
 #include "serve/workspace_pool.h"
 
 namespace greca {
@@ -51,14 +56,18 @@ std::size_t ResolveBatchThreads(std::size_t requested);
 
 class BatchExecutor {
  public:
-  /// Runs `queries` against `backend`'s pinned view and returns one result
-  /// per query in input order, planned: duplicate queries share one solve.
-  /// `pool` is the parallelism source: null runs every bucket inline on the
-  /// calling thread (the serial reference). `report`, when non-null,
-  /// receives planner stats, cache deltas, and per-query attribution.
+  /// Runs `queries` against `engine` on the pinned view `pin` and returns
+  /// one result per query in input order, planned: duplicate queries share
+  /// one solve. The two instantiations are (GroupRecommender, Snapshot) and
+  /// (ShardedEngine, ShardedSnapshotSet). `pool` is the parallelism source:
+  /// null runs every bucket inline on the calling thread (the serial
+  /// reference). `report`, when non-null, receives planner stats, cache
+  /// deltas, and per-query attribution.
+  template <typename Engine, typename Pin>
   static std::vector<Result<Recommendation>> Execute(
-      const ServingBackend& backend, std::span<const Query> queries,
-      ThreadPool* pool, WorkspacePool& workspaces, BatchReport* report);
+      const Engine& engine, const std::shared_ptr<const Pin>& pin,
+      std::span<const Query> queries, ThreadPool* pool,
+      WorkspacePool& workspaces, BatchReport* report);
 };
 
 }  // namespace greca

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/problem_assembly.h"
-#include "dataset/social_graph.h"
 #include "serve/batch_executor.h"
 
 namespace greca {
@@ -19,19 +18,7 @@ ShardedEngine::ShardedEngine(const RatingsDataset& universe,
       num_universe_items_(universe.num_items()),
       num_periods_(study.periods.num_periods()),
       knn_(std::make_unique<UserKnn>(universe, options.recommender.knn)),
-      static_(ComputeCommonFriendCounts(study.graph)),
-      periodic_(std::make_unique<PeriodicAffinity>(
-          PeriodicAffinity::Compute(study.likes, study.periods))),
-      dynamic_(std::make_unique<DynamicAffinityIndex>(
-          DynamicAffinityIndex::Build(*periodic_))),
-      period_cache_(options.recommender.period_cache_max_entries) {
-  // Same influence backing as the monolithic recommender: propagation
-  // centrality over the immutable study graph, so influence-weighted queries
-  // score identically on both engines.
-  auto influence = std::make_shared<const std::vector<double>>(
-      PropagationCentrality(study.graph));
-  affinity_ = std::make_shared<StudyAffinitySource>(
-      static_, *periodic_, dynamic_.get(), std::move(influence));
+      affinity_(StudyAffinitySource::FromStudy(study)) {
   // The shard-side prediction backend: CF over the merged profile, gathered
   // down to pool positions. Feeding RebuildRowFromPool the same raw values
   // Build() would read via pool[key] keeps shard rows bit-identical to a
@@ -61,7 +48,6 @@ ShardedEngine::ShardedEngine(ShardedEngineInputs inputs,
       num_universe_items_(inputs.num_universe_items),
       num_periods_(inputs.num_periods),
       affinity_(std::move(inputs.affinity)),
-      period_cache_(options.recommender.period_cache_max_entries),
       predictor_(std::move(inputs.predictor)) {
   assert(affinity_ != nullptr && predictor_ != nullptr);
   BuildShards(std::move(inputs.ratings), inputs.prediction_scale_max,
@@ -125,8 +111,7 @@ std::shared_ptr<const ShardedSnapshotSet> ShardedEngine::Pin() const {
     }
     if (same) return last_pin_;
   }
-  last_pin_ = std::make_shared<const ShardedSnapshotSet>(
-      std::move(snaps), options_.recommender.tombstone_cache_max_entries);
+  last_pin_ = std::make_shared<const ShardedSnapshotSet>(std::move(snaps));
   return last_pin_;
 }
 
@@ -216,13 +201,16 @@ Result<Recommendation> ShardedEngine::Recommend(
     QueryWorkspace* workspace) const {
   QueryWorkspace local;
   QueryWorkspace& ws = workspace != nullptr ? *workspace : local;
-  return RecommendOnSet(set, group, spec, ws, nullptr);
+  Result<GroupProblem> problem = BuildProblem(set, group, spec, nullptr, &ws);
+  if (!problem.ok()) return problem.status();
+  return SolveGroupProblem(problem.value(), spec,
+                           set->shard(0).index->pool(), ws);
 }
 
-Result<Recommendation> ShardedEngine::RecommendOnSet(
+Result<GroupProblem> ShardedEngine::BuildProblem(
     const std::shared_ptr<const ShardedSnapshotSet>& set,
     std::span<const UserId> group, const QuerySpec& spec,
-    QueryWorkspace& ws, SolveOutcome* outcome) const {
+    std::vector<ItemId>* candidates_out, QueryWorkspace* workspace) const {
   if (set == nullptr) {
     return Status::InvalidArgument("snapshot set must not be null");
   }
@@ -234,7 +222,9 @@ Result<Recommendation> ShardedEngine::RecommendOnSet(
   // shard's pinned generation. Gather happens inside the shared assembly —
   // the same code path the monolithic recommender uses, fed per-shard rows
   // instead of one index's rows.
-  std::vector<MemberSlice>& slices = ws.arena.member_slices;
+  std::vector<MemberSlice> local_slices;
+  std::vector<MemberSlice>& slices =
+      workspace != nullptr ? workspace->arena.member_slices : local_slices;
   slices.clear();
   slices.reserve(group.size());
   for (const UserId u : group) {
@@ -256,18 +246,13 @@ Result<Recommendation> ShardedEngine::RecommendOnSet(
   // hit too.
   ctx.tombstone_cache = &set->tombstone_cache();
   GroupProblem problem = AssembleGroupProblem(ctx, group, slices, spec,
-                                              eval_period, nullptr, &ws);
+                                              eval_period, candidates_out,
+                                              workspace);
   // The problem's views alias rows of every touched shard's pinned
   // generation: share ownership of the whole set so they survive any
   // shard's concurrent publish.
   problem.PinLifetime(set);
-  Result<Recommendation> rec =
-      SolveGroupProblem(problem, spec, ctx.key_index->pool(), ws);
-  if (outcome != nullptr) {
-    outcome->agreement_deferred = problem.agreement_deferred();
-    outcome->agreement_materialized = problem.agreement_materialized();
-  }
-  return rec;
+  return problem;
 }
 
 std::vector<Result<Recommendation>> ShardedEngine::RecommendBatch(
@@ -278,14 +263,7 @@ std::vector<Result<Recommendation>> ShardedEngine::RecommendBatch(
 std::vector<Result<Recommendation>> ShardedEngine::RecommendBatch(
     const std::shared_ptr<const ShardedSnapshotSet>& set,
     std::span<const Query> queries, BatchReport* report) const {
-  if (set == nullptr) {
-    return std::vector<Result<Recommendation>>(
-        queries.size(),
-        Result<Recommendation>(
-            Status::InvalidArgument("snapshot set must not be null")));
-  }
-  const ShardedSetServingBackend backend(*this, set);
-  return BatchExecutor::Execute(backend, queries, batch_pool_.get(),
+  return BatchExecutor::Execute(*this, set, queries, batch_pool_.get(),
                                 workspace_pool_, report);
 }
 

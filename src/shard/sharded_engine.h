@@ -4,9 +4,10 @@
 // ShardedEngine partitions the user population across N Shards with a
 // ShardRouter (hash or range). Each shard owns its slice's PreferenceIndex
 // rows, RatingsOverlay delta log and RCU publish cadence; the engine owns
-// everything population-global — the popularity pool, the AffinitySource,
-// the (group, period) list cache, and the prediction backend behind the
-// shards' shared PoolPredictor.
+// everything population-global — the popularity pool, the AffinitySource
+// (StudyAffinitySource::FromStudy on the study path, the same setup the
+// monolithic GroupRecommender uses), the (group, period) list cache, and
+// the prediction backend behind the shards' shared PoolPredictor.
 //
 // Queries scatter/gather at problem-assembly time, zero-copy: for each
 // group member the engine asks the router for the owning shard and slices
@@ -17,7 +18,9 @@
 // recommendations and access counts are bit-identical at any shard count
 // (tests/sharded_equivalence_test.cc). A query pins one generation per
 // touched shard in a ShardedSnapshotSet; shards publishing mid-query cannot
-// perturb it.
+// perturb it. Like the monolithic engine, a query is BuildProblem on the
+// pinned set then SolveGroupProblem, alone (Recommend) or in a batch
+// (RecommendBatch through serve/batch_executor.h).
 //
 // Updates scatter by ownership: ApplyUpdates validates the whole batch
 // up front (all-or-nothing, like the monolithic path), splits it per shard
@@ -42,9 +45,6 @@
 #include <vector>
 
 #include "affinity/affinity_source.h"
-#include "affinity/dynamic_affinity.h"
-#include "affinity/periodic_affinity.h"
-#include "affinity/static_affinity.h"
 #include "api/snapshot.h"
 #include "api/update.h"
 #include "cf/user_knn.h"
@@ -53,7 +53,6 @@
 #include "core/group_recommender.h"
 #include "dataset/facebook_study.h"
 #include "plan/batch_planner.h"
-#include "serve/serving_backend.h"
 #include "serve/workspace_pool.h"
 #include "shard/shard.h"
 #include "shard/shard_router.h"
@@ -113,11 +112,8 @@ struct ShardedEngineInputs {
 class ShardedSnapshotSet {
  public:
   explicit ShardedSnapshotSet(
-      std::vector<std::shared_ptr<const ShardSnapshot>> shards,
-      std::size_t tombstone_cache_max_entries =
-          TombstoneCache::kDefaultMaxEntries)
-      : shards_(std::move(shards)),
-        tombstone_cache_(tombstone_cache_max_entries) {}
+      std::vector<std::shared_ptr<const ShardSnapshot>> shards)
+      : shards_(std::move(shards)) {}
 
   std::size_t num_shards() const { return shards_.size(); }
   const ShardSnapshot& shard(std::size_t s) const { return *shards_[s]; }
@@ -153,10 +149,11 @@ struct ShardedUpdateReport {
 class ShardedEngine {
  public:
   /// Study-backed construction: same inputs as GroupRecommender/Engine —
-  /// builds the UserKnn CF backend, the affinity tables and one shard per
-  /// router slot over the study participants. Both references must outlive
-  /// the engine; recommendations are bit-identical to a monolithic Engine
-  /// built from the same inputs, at any shard count.
+  /// builds the UserKnn CF backend, the affinity source
+  /// (StudyAffinitySource::FromStudy) and one shard per router slot over the
+  /// study participants. Both references must outlive the engine;
+  /// recommendations are bit-identical to a monolithic Engine built from the
+  /// same inputs, at any shard count.
   ShardedEngine(const RatingsDataset& universe, const FacebookStudy& study,
                 ShardedEngineOptions options);
 
@@ -207,17 +204,33 @@ class ShardedEngine {
       std::span<const UserId> group, const QuerySpec& spec,
       QueryWorkspace* workspace = nullptr) const;
 
+  /// Builds the query's problem against `set`, mirroring
+  /// GroupRecommender::BuildProblem(snap, …): a null set or an invalid
+  /// query yields a non-OK status. Scatter: one zero-copy MemberSlice per
+  /// member into its owning shard's pinned generation; the shared assembly
+  /// (core/problem_assembly.h) gathers them into exactly the problem the
+  /// monolithic engine builds. `candidates_out` and `workspace` behave as
+  /// on GroupRecommender::BuildProblem; the problem shares ownership of the
+  /// whole set, so its views survive any shard's concurrent publish.
+  Result<GroupProblem> BuildProblem(
+      const std::shared_ptr<const ShardedSnapshotSet>& set,
+      std::span<const UserId> group, const QuerySpec& spec,
+      std::vector<ItemId>* candidates_out = nullptr,
+      QueryWorkspace* workspace = nullptr) const;
+
   /// Batch execution against one pinned set (pinned internally; every query
   /// sees the same per-shard generation vector), planned: duplicate queries
   /// share one assembled + solved problem. Buckets run in parallel over the
-  /// batch pool (ShardedEngineOptions::batch_threads) through the unified
-  /// serving runtime (serve/batch_executor.h), bit-identical to serial
+  /// batch pool (ShardedEngineOptions::batch_threads) through the shared
+  /// batch executor (serve/batch_executor.h), bit-identical to serial
   /// execution and to sequential Recommend calls on the same set.
   /// `report`, when non-null, receives planner stats + attribution.
   std::vector<Result<Recommendation>> RecommendBatch(
       std::span<const Query> queries, BatchReport* report = nullptr) const;
 
-  /// Set-explicit variant, e.g. to replay a batch on an older pin.
+  /// Set-explicit variant, e.g. to replay a batch on an older pin. A null
+  /// `set` yields one kInvalidArgument per query (`report` is left
+  /// untouched).
   std::vector<Result<Recommendation>> RecommendBatch(
       const std::shared_ptr<const ShardedSnapshotSet>& set,
       std::span<const Query> queries, BatchReport* report = nullptr) const;
@@ -241,32 +254,18 @@ class ShardedEngine {
   std::span<const ItemId> pool() const;
 
  private:
-  // The sharded backend of the unified serving runtime forwards to
-  // RecommendOnSet.
-  friend class ShardedSetServingBackend;
-
   void BuildShards(std::shared_ptr<const RatingsDataset> base,
                    double scale_max, std::vector<ItemId> pool,
                    std::size_t num_universe_items);
-
-  /// The assemble + solve core shared by Recommend and the batch executor's
-  /// backend; `outcome`, when non-null, receives the lazy-agreement flags.
-  Result<Recommendation> RecommendOnSet(
-      const std::shared_ptr<const ShardedSnapshotSet>& set,
-      std::span<const UserId> group, const QuerySpec& spec,
-      QueryWorkspace& workspace, SolveOutcome* outcome) const;
 
   ShardedEngineOptions options_;
   ShardRouter router_;
   std::size_t num_universe_items_ = 0;
   std::size_t num_periods_ = 1;
 
-  // Study-backed state (null/empty on the generic path). knn_ backs the
+  // The study path's CF backend (null on the generic path). It backs the
   // shards' PoolPredictor, so it must outlive them (declaration order).
   std::unique_ptr<UserKnn> knn_;
-  PairTable static_;
-  std::unique_ptr<PeriodicAffinity> periodic_;
-  std::unique_ptr<DynamicAffinityIndex> dynamic_;
 
   std::shared_ptr<const AffinitySource> affinity_;
   mutable PeriodListCache period_cache_;

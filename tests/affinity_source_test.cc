@@ -1,12 +1,19 @@
 // Tests for the pluggable AffinitySource layer: the study-backed source must
-// reproduce the raw tables and the legacy group normalization exactly, and
-// the default CumulativeDrift must match the incremental index.
+// reproduce the raw tables and the legacy group normalization exactly, its
+// index-backed CumulativeDrift and the default recompute must both match
+// Equation 1 evaluated from scratch, and FromStudy must build the paper's
+// tables from a study.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "affinity/affinity_source.h"
 #include "affinity/dynamic_affinity.h"
 #include "affinity/periodic_affinity.h"
 #include "affinity/static_affinity.h"
+#include "dataset/facebook_study.h"
+#include "dataset/social_graph.h"
+#include "dataset/synthetic.h"
 
 namespace greca {
 namespace {
@@ -28,7 +35,6 @@ class AffinitySourceTest : public ::testing::Test {
                 {2, 4, 21}, {2, 5, 22}, {3, 4, 23}, {3, 5, 24},
             })),
         periodic_(PeriodicAffinity::Compute(likes_, timeline_)),
-        dynamic_(DynamicAffinityIndex::Build(periodic_)),
         static_(4) {
     static_.Set(0, 1, 6.0);
     static_.Set(0, 2, 3.0);
@@ -39,12 +45,11 @@ class AffinitySourceTest : public ::testing::Test {
   Timeline timeline_;
   PageLikeLog likes_;
   PeriodicAffinity periodic_;
-  DynamicAffinityIndex dynamic_;
   PairTable static_;
 };
 
 TEST_F(AffinitySourceTest, StudySourceReproducesRawTables) {
-  const StudyAffinitySource source(static_, periodic_, &dynamic_);
+  const StudyAffinitySource source(static_, periodic_);
   EXPECT_EQ(source.num_users(), 4u);
   EXPECT_EQ(source.num_periods(), 3u);
   EXPECT_DOUBLE_EQ(source.Static(0, 1), 6.0);
@@ -90,16 +95,59 @@ TEST_F(AffinitySourceTest, MaterializedPeriodListMatchesNormalizedTable) {
 }
 
 TEST_F(AffinitySourceTest, DefaultCumulativeDriftMatchesIncrementalIndex) {
-  const StudyAffinitySource with_index(static_, periodic_, &dynamic_);
-  const StudyAffinitySource without_index(static_, periodic_);
+  const StudyAffinitySource source(static_, periodic_);
+  const AffinitySource& base = source;
   for (PeriodId p = 0; p < 3; ++p) {
     for (UserId u = 0; u < 4; ++u) {
       for (UserId v = u + 1; v < 4; ++v) {
         const double reference = RecomputeCumulativeDrift(periodic_, u, v, p);
-        EXPECT_NEAR(with_index.CumulativeDrift(u, v, p), reference, 1e-12);
-        EXPECT_NEAR(without_index.CumulativeDrift(u, v, p), reference, 1e-12);
+        // The study source's override reads its drift index...
+        EXPECT_NEAR(source.CumulativeDrift(u, v, p), reference, 1e-12);
+        // ...and the O(p) default recomputes from Periodic/PeriodAverage.
+        EXPECT_NEAR(base.AffinitySource::CumulativeDrift(u, v, p), reference,
+                    1e-12);
       }
     }
+  }
+}
+
+// FromStudy is the one study setup both engines use: common friends,
+// page-like periods and propagation-centrality influence weights.
+TEST(AffinitySourceFromStudyTest, BuildsThePaperTables) {
+  SyntheticRatingsConfig uc;
+  uc.num_users = 200;
+  uc.num_items = 300;
+  uc.target_ratings = 12'000;
+  uc.seed = 5;
+  const SyntheticRatings universe = GenerateSyntheticRatings(uc);
+  FacebookStudyConfig sc;
+  sc.popular_set_size = 40;
+  sc.diversity_set_size = 20;
+  sc.diversity_pool = 120;
+  const FacebookStudy study = GenerateFacebookStudy(sc, universe);
+  const auto source = StudyAffinitySource::FromStudy(study);
+
+  const PairTable friends = ComputeCommonFriendCounts(study.graph);
+  const PeriodicAffinity periodic =
+      PeriodicAffinity::Compute(study.likes, study.periods);
+  const std::vector<double> influence = PropagationCentrality(study.graph);
+  const std::size_t n = study.num_participants();
+  ASSERT_EQ(source->num_users(), n);
+  ASSERT_EQ(source->num_periods(), study.periods.num_periods());
+  EXPECT_EQ(source->MaxStatic(), friends.Max());
+  for (UserId u = 0; u < n; ++u) {
+    for (UserId v = u + 1; v < n; ++v) {
+      EXPECT_EQ(source->Static(u, v), friends.Get(u, v));
+      for (PeriodId p = 0; p < periodic.num_periods(); ++p) {
+        EXPECT_EQ(source->Periodic(u, v, p), periodic.Normalized(u, v, p));
+      }
+    }
+  }
+  const std::vector<UserId> group = {0, 3, static_cast<UserId>(n - 1)};
+  std::vector<double> weights(group.size());
+  source->MaterializeMemberWeightsInto(group, weights);
+  for (std::size_t m = 0; m < group.size(); ++m) {
+    EXPECT_EQ(weights[m], influence[group[m]]);
   }
 }
 

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -17,6 +18,7 @@
 
 #include "api/engine.h"
 #include "common/rng.h"
+#include "core/problem_assembly.h"
 #include "shard/sharded_engine.h"
 #include "solver/solver_registry.h"
 
@@ -239,6 +241,51 @@ TEST_F(ShardedEquivalenceTest, FreshEnginesAreBitIdentical) {
   ExpectBitIdentical(baseline, RunSharded(*range, mix), "range-fresh");
 }
 
+// ShardedEngine::BuildProblem is the sharded twin of
+// GroupRecommender::BuildProblem: same candidates, same problem shape, and
+// solving either gives the same recommendation. Without a workspace each
+// problem owns its arena; a null set is rejected like a null snapshot.
+TEST_F(ShardedEquivalenceTest, BuildProblemMatchesMonolithic) {
+  const auto mono = MakeMono();
+  const auto sharded = MakeSharded(3, ShardStrategy::kHash);
+  const auto snap = mono->snapshot();
+  const auto set = sharded->Pin();
+  const std::vector<Query> mix = QueryMix();
+  for (const Query& q : mix) {
+    std::vector<ItemId> mono_items;
+    std::vector<ItemId> shard_items;
+    auto a = mono->recommender().BuildProblem(snap, q.group, q.spec,
+                                              &mono_items);
+    auto b = sharded->BuildProblem(set, q.group, q.spec, &shard_items);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    EXPECT_EQ(mono_items, shard_items);
+    EXPECT_EQ(a.value().num_items(), b.value().num_items());
+    EXPECT_EQ(a.value().num_candidates(), b.value().num_candidates());
+    EXPECT_EQ(a.value().num_periods(), b.value().num_periods());
+    QueryWorkspace ws;
+    const Recommendation from_mono =
+        SolveGroupProblem(a.value(), q.spec, snap->index().pool(), ws);
+    const Recommendation from_shards =
+        SolveGroupProblem(b.value(), q.spec, sharded->pool(), ws);
+    ExpectBitIdentical({from_mono}, {from_shards}, "build-problem");
+  }
+  const auto null_set = sharded->BuildProblem(nullptr, mix[0].group,
+                                              mix[0].spec);
+  EXPECT_EQ(null_set.status().code(), StatusCode::kInvalidArgument);
+
+  // A null set fails every query of a batch the same way, report untouched.
+  BatchReport report;
+  report.num_queries = 12'345;
+  const auto results = sharded->RecommendBatch(nullptr, mix, &report);
+  ASSERT_EQ(results.size(), mix.size());
+  for (const auto& r : results) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().ToString(), null_set.status().ToString());
+  }
+  EXPECT_EQ(report.num_queries, 12'345u);
+}
+
 // A randomized update stream applied to the monolithic engine and to
 // ShardedEngine(N in {1, 2, 4, 7}) must keep recommendations bit-identical
 // after EVERY batch, and the summed per-shard attribution must equal the
@@ -355,11 +402,14 @@ TEST_F(ShardedEquivalenceTest, CompactionIsUnobservableAcrossShardCounts) {
 }
 
 // Both engines own one period-list cache that every rating generation
-// shares, and the batch executor reads its counters the same way on each.
-// With one batch worker the counts are exact, so a monolithic Engine and 1-
-// and 3-shard ShardedEngines report identical per-batch hits and misses —
-// and after a rating publish the repeated batch adds zero misses on all
-// three.
+// shares, and the batch executor reads every report counter the same way on
+// each: period-cache deltas off the engine's cache, tombstone deltas off the
+// pin's memo, lazy-agreement flags off each built problem. With one batch
+// worker the counts are exact, so a monolithic Engine and 1- and 3-shard
+// ShardedEngines report identical per-batch buckets, cache hits, misses and
+// evictions and agreement-list counts — cold, warm, and after a rating
+// publish, where the repeated batch adds zero period-cache misses on all
+// three while the fresh pin starts a cold tombstone memo.
 TEST_F(ShardedEquivalenceTest, PeriodCacheCountersMatchAcrossEngines) {
   EngineOptions serial;
   serial.num_threads = 1;
@@ -371,7 +421,18 @@ TEST_F(ShardedEquivalenceTest, PeriodCacheCountersMatchAcrossEngines) {
     sharded.push_back(
         std::make_unique<ShardedEngine>(universe_->dataset, *study_, options));
   }
-  const std::vector<Query> mix = QueryMix();
+  // The shared mix uses AP only; PD and VD copies give the agreement
+  // counters something to count.
+  std::vector<Query> mix = QueryMix();
+  const std::size_t base = mix.size();
+  for (std::size_t i = 0; i < base; i += 2) {
+    Query pd = mix[i];
+    pd.spec.consensus = ConsensusSpec::PairwiseDisagreement();
+    mix.push_back(pd);
+    Query vd = mix[i];
+    vd.spec.consensus = ConsensusSpec::VarianceDisagreement();
+    mix.push_back(vd);
+  }
 
   // Runs the mix once on every engine and returns the monolithic report.
   const auto run_all = [&](const char* phase) {
@@ -380,20 +441,41 @@ TEST_F(ShardedEquivalenceTest, PeriodCacheCountersMatchAcrossEngines) {
     for (const auto& engine : sharded) {
       BatchReport report;
       engine->RecommendBatch(mix, &report);
+      const std::string where =
+          std::string(phase) + ", " + std::to_string(engine->num_shards()) +
+          " shards";
+      EXPECT_EQ(report.num_buckets, mono_report.num_buckets) << where;
       EXPECT_EQ(report.period_cache_hits, mono_report.period_cache_hits)
-          << phase << ", " << engine->num_shards() << " shards";
+          << where;
       EXPECT_EQ(report.period_cache_misses, mono_report.period_cache_misses)
-          << phase << ", " << engine->num_shards() << " shards";
+          << where;
+      EXPECT_EQ(report.tombstone_cache_hits, mono_report.tombstone_cache_hits)
+          << where;
+      EXPECT_EQ(report.tombstone_cache_misses,
+                mono_report.tombstone_cache_misses)
+          << where;
+      EXPECT_EQ(report.tombstone_cache_evictions,
+                mono_report.tombstone_cache_evictions)
+          << where;
+      EXPECT_EQ(report.agreement_lists_materialized,
+                mono_report.agreement_lists_materialized)
+          << where;
+      EXPECT_EQ(report.agreement_lists_skipped,
+                mono_report.agreement_lists_skipped)
+          << where;
     }
     return mono_report;
   };
 
   const BatchReport cold = run_all("cold");
   EXPECT_GT(cold.period_cache_misses, 0u);
+  EXPECT_GT(cold.tombstone_cache_misses, 0u);
+  EXPECT_GT(cold.agreement_lists_materialized, 0u) << "checks nothing";
   const BatchReport warm = run_all("warm");
   EXPECT_EQ(warm.period_cache_misses, 0u);
   EXPECT_EQ(warm.period_cache_hits,
             cold.period_cache_hits + cold.period_cache_misses);
+  EXPECT_EQ(warm.tombstone_cache_misses, 0u) << "same pin, warm memo";
 
   const std::vector<RatingEvent> events = RandomEvents(24, 6'100);
   UpdateReport update;
@@ -405,6 +487,8 @@ TEST_F(ShardedEquivalenceTest, PeriodCacheCountersMatchAcrossEngines) {
   const BatchReport published = run_all("after publish");
   EXPECT_EQ(published.period_cache_misses, 0u);
   EXPECT_EQ(published.period_cache_hits, warm.period_cache_hits);
+  EXPECT_EQ(published.tombstone_cache_misses, cold.tombstone_cache_misses)
+      << "a publish starts a fresh tombstone memo";
 }
 
 // A pinned ShardedSnapshotSet is a cross-shard fence: publishes landing

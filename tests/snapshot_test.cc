@@ -16,6 +16,7 @@
 #include "api/engine.h"
 #include "api/query_builder.h"
 #include "common/rng.h"
+#include "core/problem_assembly.h"
 #include "solver/solver_registry.h"
 
 namespace greca {
@@ -108,6 +109,40 @@ class SnapshotTest : public ::testing::Test {
 SyntheticRatings* SnapshotTest::universe_ = nullptr;
 FacebookStudy* SnapshotTest::study_ = nullptr;
 
+/// Assembles and solves `query` on `snap` exactly as
+/// GroupRecommender::Recommend does, but through the caller's period and
+/// tombstone caches — how the capped-cache tests below reach caches smaller
+/// than the engine's defaults.
+Recommendation SolveWithCaches(const GroupRecommender& recommender,
+                               const std::shared_ptr<const Snapshot>& snap,
+                               const Query& query, PeriodListCache& periods,
+                               TombstoneCache& tombs) {
+  std::vector<MemberSlice> slices;
+  for (const UserId u : query.group) {
+    slices.push_back({&snap->index(), u, &snap->ratings(), u});
+  }
+  StampMemberWeights(recommender.affinity(), query.group, query.spec, slices);
+  AssemblyContext ctx;
+  ctx.key_index = &snap->index();
+  ctx.affinity = &recommender.affinity();
+  ctx.period_cache = &periods;
+  ctx.tombstone_cache = &tombs;
+  const PeriodId period =
+      recommender.ResolvePeriod(query.spec.eval_period).value();
+  QueryWorkspace ws;
+  GroupProblem problem = AssembleGroupProblem(
+      ctx, query.group, slices, query.spec, period, nullptr, &ws);
+  return SolveGroupProblem(problem, query.spec, snap->index().pool(), ws);
+}
+
+void ExpectSameRecommendation(const Recommendation& a,
+                              const Recommendation& b) {
+  EXPECT_EQ(a.items, b.items);
+  EXPECT_EQ(a.scores, b.scores);
+  EXPECT_EQ(a.raw.accesses.sequential, b.raw.accesses.sequential);
+  EXPECT_EQ(a.raw.accesses.random, b.raw.accesses.random);
+}
+
 TEST_F(SnapshotTest, GenerationsIncrementAndReportsFill) {
   auto engine = MakeEngine();
   const auto g1 = engine->snapshot();
@@ -164,12 +199,14 @@ TEST_F(SnapshotTest, InvalidEventsRejectAtomically) {
 
   const std::vector<Query> batch = {query, query, query};
   BatchReport report;
+  report.num_queries = 12'345;
   const auto results = engine->RecommendBatch(batch, nullptr, &report);
   ASSERT_EQ(results.size(), batch.size());
   for (const auto& r : results) {
     ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(r.status().ToString(), null_snap.status().ToString());
   }
+  EXPECT_EQ(report.num_queries, 12'345u) << "report left untouched";
 }
 
 // The tentpole guarantee: a batch pinned to generation G returns
@@ -301,15 +338,11 @@ TEST_F(SnapshotTest, PeriodCacheEvictsLeastRecentlyUsedPastCap) {
       static_cast<PeriodId>(study_->periods.num_periods() - 1);
   const std::size_t periods = static_cast<std::size_t>(last_period) + 1;
 
-  RecommenderOptions options;
-  options.max_candidate_items = 400;
-  options.period_cache_max_entries = periods;  // exactly one group fits
-  EngineOptions eopts;
-  eopts.num_threads = 2;
-  auto engine = std::make_unique<Engine>(*universe_, *study_, options, eopts);
+  auto engine = MakeEngine(/*threads=*/2);
   const GroupRecommender& recommender = engine->recommender();
-  PeriodListCache& cache = recommender.period_cache();
   const auto snap = engine->snapshot();
+  PeriodListCache cache(periods);  // exactly one group fits
+  TombstoneCache tombs;
 
   Query query;
   query.group = {4, 17, 29};
@@ -318,12 +351,16 @@ TEST_F(SnapshotTest, PeriodCacheEvictsLeastRecentlyUsedPastCap) {
   query.spec.eval_period = last_period;  // touches every period list
 
   // Group A fills the cache to the cap without evicting.
-  ASSERT_TRUE(engine->Recommend(query, snap).ok());
-  const auto first = engine->Recommend(query, snap);
-  ASSERT_TRUE(first.ok());
+  SolveWithCaches(recommender, snap, query, cache, tombs);
+  const Recommendation first =
+      SolveWithCaches(recommender, snap, query, cache, tombs);
   EXPECT_EQ(cache.size(), periods);
   EXPECT_EQ(cache.evictions(), 0u);
   EXPECT_EQ(cache.hits(), periods) << "repeat was all hits";
+  // The caller's caches change no result: the engine's own path agrees.
+  const auto served = engine->Recommend(query, snap);
+  ASSERT_TRUE(served.ok());
+  ExpectSameRecommendation(first, served.value());
 
   // Hold one of A's lists across the churn below.
   const std::shared_ptr<const SortedList> pinned =
@@ -332,7 +369,7 @@ TEST_F(SnapshotTest, PeriodCacheEvictsLeastRecentlyUsedPastCap) {
   // Group B displaces A entry by entry; the size never passes the cap.
   Query other = query;
   other.group = {3, 11};
-  ASSERT_TRUE(engine->Recommend(other, snap).ok());
+  SolveWithCaches(recommender, snap, other, cache, tombs);
   EXPECT_EQ(cache.size(), periods);
   EXPECT_EQ(cache.evictions(), periods);
 
@@ -340,17 +377,16 @@ TEST_F(SnapshotTest, PeriodCacheEvictsLeastRecentlyUsedPastCap) {
   // random or insertion-order eviction.
   const auto hits_before = cache.hits();
   const auto misses_before = cache.misses();
-  ASSERT_TRUE(engine->Recommend(other, snap).ok());
+  SolveWithCaches(recommender, snap, other, cache, tombs);
   EXPECT_EQ(cache.hits(), hits_before + periods);
   EXPECT_EQ(cache.misses(), misses_before);
-  const auto replay = engine->Recommend(query, snap);
-  ASSERT_TRUE(replay.ok());
+  const Recommendation replay =
+      SolveWithCaches(recommender, snap, query, cache, tombs);
   EXPECT_EQ(cache.misses(), misses_before + periods)
       << "evicted lists rebuild from scratch";
 
   // Eviction is invisible to results: the rebuilt lists answer identically.
-  EXPECT_EQ(first.value().items, replay.value().items);
-  EXPECT_EQ(first.value().scores, replay.value().scores);
+  ExpectSameRecommendation(first, replay);
 
   // The held copy outlived its eviction and still matches a direct
   // materialization.
@@ -363,15 +399,11 @@ TEST_F(SnapshotTest, PeriodCacheEvictsLeastRecentlyUsedPastCap) {
   }
 
   // An unbounded cache (cap 0) never evicts under the same workload.
-  RecommenderOptions unbounded = options;
-  unbounded.period_cache_max_entries = 0;
-  auto engine2 =
-      std::make_unique<Engine>(*universe_, *study_, unbounded, eopts);
-  const PeriodListCache& cache2 = engine2->recommender().period_cache();
-  ASSERT_TRUE(engine2->Recommend(query).ok());
-  ASSERT_TRUE(engine2->Recommend(other).ok());
-  EXPECT_EQ(cache2.size(), 2 * periods);
-  EXPECT_EQ(cache2.evictions(), 0u);
+  PeriodListCache unbounded(0);
+  SolveWithCaches(recommender, snap, query, unbounded, tombs);
+  SolveWithCaches(recommender, snap, other, unbounded, tombs);
+  EXPECT_EQ(unbounded.size(), 2 * periods);
+  EXPECT_EQ(unbounded.evictions(), 0u);
 }
 
 // Cached lists must be identical to freshly materialized ones (the cache is
@@ -530,16 +562,15 @@ TEST_F(SnapshotTest, TombstoneCacheHitsRepeatsAndResetsPerGeneration) {
 }
 
 // The tombstone cache is bounded: a cap of 1 evicts the older group's
-// bitmap, the eviction counter records it, and the evicted group still
-// answers identically when it misses back in.
+// bitmap, the eviction counter records it, a held bitmap outlives its
+// eviction, and the evicted group still answers identically when it misses
+// back in.
 TEST_F(SnapshotTest, TombstoneCacheEvictsLeastRecentlyUsedPastCap) {
-  RecommenderOptions options;
-  options.max_candidate_items = 400;
-  options.tombstone_cache_max_entries = 1;
-  EngineOptions eopts;
-  eopts.num_threads = 2;
-  auto engine = std::make_unique<Engine>(*universe_, *study_, options, eopts);
+  auto engine = MakeEngine(/*threads=*/2);
+  const GroupRecommender& recommender = engine->recommender();
   const auto snap = engine->snapshot();
+  PeriodListCache& periods = recommender.period_cache();
+  TombstoneCache tombs(1);
 
   Query a;
   a.group = {4, 17, 29};
@@ -548,18 +579,29 @@ TEST_F(SnapshotTest, TombstoneCacheEvictsLeastRecentlyUsedPastCap) {
   Query b = a;
   b.group = {3, 11};
 
-  const auto a1 = engine->Recommend(a, snap);
-  ASSERT_TRUE(a1.ok());
-  ASSERT_TRUE(engine->Recommend(b, snap).ok());  // evicts A's bitmap
-  EXPECT_EQ(snap->tombstone_cache().size(), 1u);
-  EXPECT_EQ(snap->tombstone_cache().evictions(), 1u);
+  const Recommendation a1 = SolveWithCaches(recommender, snap, a, periods, tombs);
+  // A resident lookup hits and never builds.
+  const auto no_build = []() -> std::shared_ptr<const TombstoneSet> {
+    ADD_FAILURE() << "resident bitmap was rebuilt";
+    return std::make_shared<const TombstoneSet>();
+  };
+  const std::shared_ptr<const TombstoneSet> held =
+      tombs.GetShared(a.group, a.spec.num_candidate_items, no_build);
+  SolveWithCaches(recommender, snap, b, periods, tombs);  // evicts A's bitmap
+  EXPECT_EQ(tombs.size(), 1u);
+  EXPECT_EQ(tombs.evictions(), 1u);
 
-  const auto a2 = engine->Recommend(a, snap);
-  ASSERT_TRUE(a2.ok());
-  EXPECT_EQ(snap->tombstone_cache().misses(), 3u);
-  EXPECT_EQ(snap->tombstone_cache().evictions(), 2u);
-  EXPECT_EQ(a2.value().items, a1.value().items);
-  EXPECT_EQ(a2.value().scores, a1.value().scores);
+  const Recommendation a2 = SolveWithCaches(recommender, snap, a, periods, tombs);
+  EXPECT_EQ(tombs.misses(), 3u);
+  EXPECT_EQ(tombs.evictions(), 2u);
+  ExpectSameRecommendation(a2, a1);
+
+  // The held bitmap outlived its eviction and equals the rebuilt one.
+  const std::shared_ptr<const TombstoneSet> rebuilt =
+      tombs.GetShared(a.group, a.spec.num_candidate_items, no_build);
+  EXPECT_NE(held, rebuilt);
+  EXPECT_EQ(held->words, rebuilt->words);
+  EXPECT_EQ(held->live, rebuilt->live);
 }
 
 }  // namespace
