@@ -1,5 +1,6 @@
 // google-benchmark microbenchmarks for the core building blocks: end-to-end
-// top-k latency per algorithm, CF prediction, affinity table construction and
+// top-k latency per algorithm, GRECA on an engine's served problems, CF
+// prediction, affinity table construction and
 // incremental maintenance, the periodic-affinity closed form, the index
 // row-layout primitive (SoA-vs-AoS tombstone-skip scan), and the paged
 // index's publish clone and row lookup.
@@ -16,8 +17,10 @@
 #include <vector>
 
 #include "affinity/dynamic_affinity.h"
+#include "api/engine.h"
 #include "bench_common.h"
 #include "core/greca.h"
+#include "core/problem_assembly.h"
 #include "index/preference_index.h"
 #include "topk/list_view.h"
 #include "topk/naive.h"
@@ -73,6 +76,40 @@ void BM_GrecaTopK(benchmark::State& state) {
 BENCHMARK(BM_GrecaTopK)
     ->ArgsProduct({{5, 10, 20}, {0, 1, 2}})
     ->ArgNames({"k", "consensus"});
+
+// GRECA as a served query runs it: problems built by
+// Engine::recommender().BuildProblem on the engine's pinned snapshot (real
+// PreferenceIndex rows, ListViews tombstoned by each group's rated items),
+// solved through SolveGroupProblem with one reused workspace, as a batch
+// worker does. Eight 6-member groups per iteration, k = 10; `rounds` is
+// GRECA's round count summed over the eight.
+void BM_ServedGrecaTopK(benchmark::State& state) {
+  const auto& ctx = BenchContext::Get();
+  static const Engine engine(ctx.universe.dataset, ctx.study, ctx.options,
+                             EngineOptions{.num_threads = 1});
+  const QuerySpec spec = TopKSpec(state.range(0));
+  const auto snap = engine.snapshot();
+  std::vector<GroupProblem> problems;
+  for (const Group& group :
+       PerformanceHarness(engine.recommender(), 41).RandomGroups(8, 6)) {
+    problems.push_back(
+        engine.recommender().BuildProblem(snap, group, spec).value());
+  }
+  QueryWorkspace workspace;
+  std::size_t rounds = 0;
+  for (auto _ : state) {
+    rounds = 0;
+    for (GroupProblem& problem : problems) {
+      const Recommendation rec =
+          SolveGroupProblem(problem, spec, snap->index().pool(), workspace);
+      rounds += rec.raw.rounds;
+      benchmark::DoNotOptimize(rec.items.data());
+    }
+  }
+  state.counters["rounds"] = static_cast<double>(rounds);
+  state.SetLabel(spec.consensus.Name());
+}
+BENCHMARK(BM_ServedGrecaTopK)->DenseRange(0, 1)->ArgName("consensus");
 
 void BM_NaiveTopK(benchmark::State& state) {
   const auto& ctx = BenchContext::Get();

@@ -14,11 +14,12 @@
 // average scatter width. Publishes are copy-on-write at every shard count
 // (PreferenceIndex pages): a publish copies the page table and the pages
 // holding touched rows, so a shard's size barely moves what a publish
-// costs. What shards change is parallelism and scatter: each shard
-// publishes under its own build lock, and a query pins only the shards its
-// group touches. Locality 0 scatters every update batch across all shards,
-// so each of them publishes a slice of it. The bench sweeps shards x
-// locality to show both effects.
+// costs. What shards change is clone width and scatter: every publish goes
+// through the engine's one build lock and clones only the shards its batch
+// touches, and a query's members scatter over the shards that own them.
+// Locality 0 scatters every update batch across all shards, so one publish
+// clones every shard's index. The bench sweeps shards x locality to show
+// both effects.
 //
 // A second sweep exercises the unified serving runtime's planned batch
 // path (serve/batch_executor.h): duplicate-heavy read-only batches (dup

@@ -1,8 +1,8 @@
 // Reusable group-commit queue for coalescing concurrent writers.
 //
 // The commit stage of RatingPublisher (dataset/rating_publisher.h), the one
-// write path behind the single-index recommender and each Shard of the
-// sharded engine. It implements the leader/follower protocol:
+// write path behind the single-index recommender and the sharded engine.
+// It implements the leader/follower protocol:
 //
 //  * every caller enqueues its batch and the first caller to find no active
 //    leader becomes one;

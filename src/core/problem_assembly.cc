@@ -116,11 +116,10 @@ GroupProblem AssembleGroupProblem(const AssemblyContext& ctx,
   // Bitmaps depend only on (group, pool) within one snapshot generation, so
   // they are memoized: repeated groups skip the per-member rated-item walk
   // entirely. A member's rated items = the immutable base row plus the live
-  // delta row of the overlay that SERVES that member (the member's own shard
-  // on the sharded path — deltas are partitioned by user, so the union is
-  // identical to the single-overlay fold). The pin keeps an evicted bitmap
-  // alive for the problem's lifetime (the arena outlives the problem by
-  // contract).
+  // delta row of the overlay that SERVES that member (on the sharded path
+  // the member's shard entry, which holds the engine's one overlay). The
+  // pin keeps an evicted bitmap alive for the problem's lifetime (the arena
+  // outlives the problem by contract).
   std::shared_ptr<const TombstoneSet> tombstones =
       ctx.tombstone_cache->GetShared(
           group, pool, [&]() -> std::shared_ptr<const TombstoneSet> {

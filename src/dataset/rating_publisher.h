@@ -1,8 +1,8 @@
 // The one rating write path behind every publisher in the system: the
-// monolithic GroupRecommender and each Shard of the ShardedEngine. It owns
-// group commit (common/group_commit.h), the per-batch delta-log fold, the
-// all-stale "publish nothing" rule, the compaction trigger, the build lock
-// and the generation counter; the owner supplies only its rebuild step.
+// monolithic GroupRecommender and the ShardedEngine. It owns group commit
+// (common/group_commit.h), the per-batch delta-log fold, the all-stale
+// "publish nothing" rule, the compaction trigger, the build lock and the
+// generation counter; the owner supplies only its rebuild step.
 // Nothing here references a generation between publishes.
 #ifndef GRECA_DATASET_RATING_PUBLISHER_H_
 #define GRECA_DATASET_RATING_PUBLISHER_H_

@@ -34,13 +34,13 @@ const UserRatingEntry* FindItem(std::span<const UserRatingEntry> row,
 RatingsOverlay::RatingsOverlay(std::shared_ptr<const RatingsDataset> base)
     : base_(std::move(base)) {
   assert(base_ != nullptr);
-  delta_.resize(base_->num_users());
+  pages_.resize((base_->num_users() + kPageUsers - 1) / kPageUsers);
 }
 
 std::shared_ptr<const RatingsOverlay> RatingsOverlay::WithEvents(
     std::span<const RatingRecord> events, ApplyStats* stats) const {
   auto next = std::make_shared<RatingsOverlay>(base_);
-  next->delta_ = delta_;  // one shared_ptr per user, not one rating
+  next->pages_ = pages_;  // one shared_ptr per page, not one rating
   next->delta_entries_ = delta_entries_;
   next->delta_only_entries_ = delta_only_entries_;
   if (stats != nullptr) *stats = ApplyStats{};
@@ -56,15 +56,18 @@ std::shared_ptr<const RatingsOverlay> RatingsOverlay::WithEvents(
                    });
 
   std::vector<UserRatingEntry> row;  // working copy of one delta row
+  // The page being rewritten: users arrive ascending, so each touched page
+  // is copied once, on its first changed user.
+  std::shared_ptr<Page> page;
+  std::size_t page_index = pages_.size();
   for (std::size_t run = 0; run < order.size();) {
     const UserId user = events[order[run]].user;
     assert(user < num_users());
     const std::span<const UserRatingEntry> base_row =
         base_->RatingsOfUser(user);
 
-    row.clear();
-    const auto& old_row = next->delta_[user];
-    if (old_row != nullptr) row = *old_row;
+    const std::span<const UserRatingEntry> old_row = next->DeltaOfUser(user);
+    row.assign(old_row.begin(), old_row.end());
     bool changed = false;
     std::size_t added_entries = 0;  // events inserted as new delta entries
     std::size_t added_only = 0;     // ... whose item the base never rated
@@ -109,7 +112,14 @@ std::shared_ptr<const RatingsOverlay> RatingsOverlay::WithEvents(
     // shrink), so the batch's increments were tallied during insertion.
     next->delta_entries_ += added_entries;
     next->delta_only_entries_ += added_only;
-    next->delta_[user] =
+    if (user / kPageUsers != page_index) {
+      page_index = user / kPageUsers;
+      const auto& old_page = next->pages_[page_index];
+      page = old_page != nullptr ? std::make_shared<Page>(*old_page)
+                                 : std::make_shared<Page>();
+      next->pages_[page_index] = page;
+    }
+    (*page)[user % kPageUsers] =
         std::make_shared<const std::vector<UserRatingEntry>>(row);
     if (stats != nullptr) stats->touched_users.push_back(user);
   }

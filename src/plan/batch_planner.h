@@ -83,8 +83,7 @@ struct BatchReport {
 
   /// Cache counter deltas across the batch: the engine's period cache on
   /// both engines, plus the tombstone memo of the pinned view (monolithic:
-  /// the Snapshot's; sharded: the pinned set's generation-vector-scoped
-  /// one).
+  /// the Snapshot's; sharded: the pinned set's).
   std::uint64_t period_cache_hits = 0;
   std::uint64_t period_cache_misses = 0;
   std::uint64_t tombstone_cache_hits = 0;

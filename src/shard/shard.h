@@ -1,23 +1,19 @@
-// One shard of the shard-per-core engine: an independent publisher for a
-// slice of the user population.
+// One shard of the shard-per-core engine: a row partition of the user
+// population.
 //
-// A shard owns, for exactly the users the ShardRouter assigned to it:
-//  * a PreferenceIndex with ONE ROW PER OWNED USER (local row r = the r-th
-//    smallest owned user id), built over the engine's shared popularity
-//    pool — every shard speaks the same candidate key space;
-//  * a RatingsOverlay delta log over the shared immutable base dataset
-//    (only owned users ever have delta rows here);
-//  * its own RatingPublisher (the write path shared with the monolithic
-//    recommender) and RCU snapshot (generation-stamped overlay + index
-//    pair, swapped under a light mutex).
+// A shard owns the users the ShardRouter assigned to it and builds the
+// PreferenceIndex rows of exactly those users: ONE ROW PER OWNED USER
+// (local row r = the r-th smallest owned user id), over the engine's shared
+// popularity pool — every shard speaks the same candidate key space. It
+// builds generation 1's rows and, on a publish, rebuilds the rows it is
+// given. It publishes nothing itself: the ShardedEngine owns the one
+// RatingsOverlay, the one RatingPublisher and the one published
+// ShardedSnapshotSet, so a publish that touches several shards lands in all
+// of them at once.
 //
-// Publish independence is the point: a rating batch touching only this
-// shard's users publishes THIS shard alone, under its own build lock, so
-// shards fold, re-predict and publish in parallel and a reader pins only
-// the shards its group touches. The clone itself is copy-on-write at any
-// shard size (PreferenceIndex pages): it copies the page table and the
-// pages holding touched rows, not the shard's rows, so a shard count is a
-// parallelism choice, not a way to make publishes cheaper.
+// The rebuild is copy-on-write at any shard size (PreferenceIndex pages):
+// it copies the page table and the pages holding touched rows, not the
+// shard's rows, so a shard's size barely moves what a rebuild costs.
 //
 // Prediction recompute goes through a PoolPredictor instead of stored
 // universe-scale prediction arrays: the predictor maps a user's merged
@@ -36,21 +32,18 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
-#include "api/update.h"
-#include "common/status.h"
 #include "common/thread_pool.h"
 #include "common/types.h"
-#include "core/group_recommender.h"
-#include "dataset/rating_publisher.h"
 #include "dataset/ratings.h"
 #include "dataset/ratings_overlay.h"
 #include "index/preference_index.h"
 
 namespace greca {
+
+class ShardedEngine;
 
 /// Maps one user's merged ratings (base + live deltas, sorted by item) to
 /// raw (universe-scale, un-normalized) scores per pool position:
@@ -60,10 +53,10 @@ using PoolPredictor = std::function<void(
     UserId user, std::span<const UserRatingEntry> merged_ratings,
     std::span<const ItemId> pool, std::span<Score> out)>;
 
-/// One published generation of a shard: immutable once built, pinned by
-/// queries via shared_ptr (RCU). `ratings` is an overlay over the shared
-/// base with delta rows only for this shard's users; `index` holds one row
-/// per owned user in local-row order.
+/// One shard's entry of a published ShardedSnapshotSet: immutable once
+/// built. Every entry of a set carries the set's generation and the
+/// engine's one overlay; `index` holds one row per owned user in local-row
+/// order.
 struct ShardSnapshot {
   std::uint64_t generation = 0;
   std::shared_ptr<const RatingsOverlay> ratings;
@@ -72,18 +65,10 @@ struct ShardSnapshot {
 
 class Shard {
  public:
-  /// Builds generation 1. `users` are the owned global ids, ascending (the
-  /// ShardRouter::PartitionUsers order); `base` is the SHARED immutable
-  /// ratings dataset of the whole population; `pool` the shared popularity
-  /// pool (copied per shard — each index owns its pool vector, all equal).
-  /// `options` supplies the per-shard compaction policy.
-  /// `build_threads`, when non-null, fans the initial row fills out
-  /// (bit-identical to serial — rows are disjoint).
-  Shard(std::size_t shard_id, std::vector<UserId> users,
-        std::shared_ptr<const RatingsDataset> base, PoolPredictor predictor,
-        double scale_max, std::vector<ItemId> pool,
-        std::size_t num_universe_items, const RecommenderOptions& options,
-        ThreadPool* build_threads = nullptr);
+  /// `users` are the owned global ids, ascending (the
+  /// ShardRouter::PartitionUsers order). `engine` must outlive the shard.
+  Shard(const ShardedEngine& engine, std::size_t shard_id,
+        std::vector<UserId> users);
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
@@ -96,37 +81,34 @@ class Shard {
   /// debug builds, callers route through the ShardRouter first).
   std::uint32_t LocalRowOf(UserId u) const;
 
-  /// The currently published generation; constant-time pointer copy.
-  std::shared_ptr<const ShardSnapshot> snapshot() const {
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    return snapshot_;
-  }
+  /// Generation 1's index: one row per owned user, filled straight from
+  /// the base ratings (no universe-scale prediction matrix ever exists).
+  /// `build_threads`, when non-null, fans the row fills out (bit-identical
+  /// to serial — rows are disjoint).
+  PreferenceIndex BuildIndex(const RatingsDataset& ratings,
+                             const PoolPredictor& predictor, double scale_max,
+                             std::vector<ItemId> pool,
+                             std::size_t num_universe_items,
+                             ThreadPool* build_threads) const;
 
-  /// Applies one PRE-VALIDATED, PRE-PARTITIONED sub-batch (every event's
-  /// user owned by this shard, engine-arrival order preserved) and publishes
-  /// a new shard generation. Same contract as
-  /// GroupRecommender::ApplyRatingUpdates scoped to one shard: O(delta)
-  /// fold, touched-row-only rebuild, group commit for concurrent callers,
-  /// all-stale batches publish nothing. `report` receives the per-shard
-  /// attribution (applied / stale / users_rebuilt / generation).
-  Status Apply(std::span<const RatingEvent> events,
-               UpdateReport* report = nullptr) {
-    return publisher_.Apply(events, report);
-  }
+  /// `index` with the rows of `users` (owned, ascending, distinct)
+  /// re-predicted from their merged ratings in `ratings`; untouched pages
+  /// stay shared with `index`.
+  PreferenceIndex RebuildRows(const PreferenceIndex& index,
+                              const RatingsOverlay& ratings,
+                              std::span<const UserId> users,
+                              const PoolPredictor& predictor) const;
+
+  /// This shard's entry of the engine's currently published set
+  /// (ShardedEngine::Pin()->shard_ptr(shard_id())); the shard keeps no
+  /// pointer of its own. Kept for the perfbench adapter until it calls
+  /// engine-level names only (ROADMAP item 1).
+  std::shared_ptr<const ShardSnapshot> snapshot() const;
 
  private:
-  /// The publisher's rebuild step (see RatingPublisher::Rebuild).
-  void RebuildRatings(std::shared_ptr<const RatingsOverlay> ratings,
-                      std::span<const UserId> touched,
-                      std::uint64_t generation);
-
+  const ShardedEngine& engine_;
   const std::size_t shard_id_;
   const std::vector<UserId> users_;  // ascending; local row -> global id
-  const PoolPredictor predictor_;
-
-  mutable std::mutex snapshot_mu_;  // guards only the pointer swap
-  std::shared_ptr<const ShardSnapshot> snapshot_;
-  RatingPublisher publisher_;
 };
 
 }  // namespace greca

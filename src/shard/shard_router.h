@@ -20,7 +20,7 @@
 #ifndef GRECA_SHARD_SHARD_ROUTER_H_
 #define GRECA_SHARD_SHARD_ROUTER_H_
 
-#include <cassert>
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -36,16 +36,16 @@ enum class ShardStrategy {
 
 class ShardRouter {
  public:
-  /// `num_shards` >= 1; `num_users` sizes the kRange blocks (and bounds the
-  /// ids PartitionUsers enumerates).
+  /// `num_shards` 0 reads as 1 (one shard owning every user); `num_users`
+  /// sizes the kRange blocks (and bounds the ids PartitionUsers
+  /// enumerates).
   ShardRouter(std::size_t num_shards, std::size_t num_users,
               ShardStrategy strategy = ShardStrategy::kHash)
-      : num_shards_(num_shards),
+      : num_shards_(std::max<std::size_t>(num_shards, 1)),
         num_users_(num_users),
         strategy_(strategy),
-        block_((num_users + num_shards - 1) / num_shards) {
-    assert(num_shards >= 1);
-  }
+        block_(std::max<std::size_t>(
+            (num_users + num_shards_ - 1) / num_shards_, 1)) {}
 
   std::size_t num_shards() const { return num_shards_; }
   std::size_t num_users() const { return num_users_; }

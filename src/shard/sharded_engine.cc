@@ -57,62 +57,36 @@ ShardedEngine::ShardedEngine(ShardedEngineInputs inputs,
 void ShardedEngine::BuildShards(std::shared_ptr<const RatingsDataset> base,
                                 double scale_max, std::vector<ItemId> pool,
                                 std::size_t num_universe_items) {
-  const RecommenderOptions& ropts = options_.recommender;
   std::unique_ptr<ThreadPool> build_pool;
   if (options_.build_threads > 0) {
     build_pool = std::make_unique<ThreadPool>(options_.build_threads);
   }
+  // Generation 1: one empty delta log over the shared base, and per shard
+  // an index filled straight from the base ratings.
+  const auto overlay = std::make_shared<const RatingsOverlay>(base);
   std::vector<std::vector<UserId>> owned = router_.PartitionUsers();
+  std::vector<std::shared_ptr<const ShardSnapshot>> snaps;
   shards_.reserve(owned.size());
+  snaps.reserve(owned.size());
   for (std::size_t s = 0; s < owned.size(); ++s) {
-    shards_.push_back(std::make_unique<Shard>(
-        s, std::move(owned[s]), base, predictor_, scale_max,
-        pool /*copied per shard*/, num_universe_items, ropts,
-        build_pool.get()));
+    shards_.push_back(std::make_unique<Shard>(*this, s, std::move(owned[s])));
+    snaps.push_back(std::make_shared<const ShardSnapshot>(ShardSnapshot{
+        /*generation=*/1, overlay,
+        std::make_shared<const PreferenceIndex>(shards_[s]->BuildIndex(
+            *base, predictor_, scale_max, pool /*copied per shard*/,
+            num_universe_items, build_pool.get()))}));
   }
   // The pool as every shard's index keeps it, after the index drops
   // out-of-range and repeated items.
-  const std::span<const ItemId> kept =
-      shards_.front()->snapshot()->index->pool();
+  const std::span<const ItemId> kept = snaps.front()->index->pool();
   pool_.assign(kept.begin(), kept.end());
+  published_ = std::make_shared<const ShardedSnapshotSet>(std::move(snaps));
   // batch_threads == 1 keeps batches inline on the calling thread (the
   // serial reference path); anything else gets a dedicated pool.
   if (options_.batch_threads != 1) {
     batch_pool_ = std::make_unique<ThreadPool>(
         ResolveBatchThreads(options_.batch_threads));
   }
-}
-
-std::shared_ptr<const ShardedSnapshotSet> ShardedEngine::Pin() const {
-  // The per-shard gathers run OUTSIDE pin_mu_ on purpose: each takes its
-  // shard's own publication mutex, and holding pin_mu_ across all N of them
-  // would serialize pins against every concurrent publish. The race this
-  // opens is benign by direction: a shard publishing between its gather
-  // above and the comparison below makes `snaps` differ from whatever
-  // last_pin_ holds, so the comparison FAILS and a fresh set is built from
-  // the gathered (individually consistent) snapshots. Reuse only succeeds
-  // when every gathered pointer equals the cached one — i.e. last_pin_ is
-  // exactly the gathered state — so a stale set can never be handed out;
-  // the worst case is a missed reuse. tests/serving_runtime_test.cc pins
-  // this with a publish-storm stress.
-  std::vector<std::shared_ptr<const ShardSnapshot>> snaps;
-  snaps.reserve(shards_.size());
-  for (const auto& shard : shards_) snaps.push_back(shard->snapshot());
-  std::lock_guard<std::mutex> lock(pin_mu_);
-  if (last_pin_ != nullptr) {
-    // Same per-shard snapshot pointers ⟺ same generation vector: hand out
-    // the SAME set so repeat pins share its (group, pool) tombstone memo.
-    bool same = true;
-    for (std::size_t s = 0; s < snaps.size(); ++s) {
-      if (last_pin_->shard_ptr(s) != snaps[s]) {
-        same = false;
-        break;
-      }
-    }
-    if (same) return last_pin_;
-  }
-  last_pin_ = std::make_shared<const ShardedSnapshotSet>(std::move(snaps));
-  return last_pin_;
 }
 
 Status ShardedEngine::ApplyUpdates(std::span<const RatingEvent> events,
@@ -124,50 +98,46 @@ Status ShardedEngine::ApplyUpdates(std::span<const RatingEvent> events,
       !s.ok()) {
     return s;
   }
-
-  // Scatter by ownership, preserving arrival order within each shard (a
-  // user's events all route to one shard, so per-user fold order — the only
-  // order the overlay semantics depend on — is exactly the monolithic one).
-  std::vector<std::vector<RatingEvent>> per_shard_events(shards_.size());
-  for (const RatingEvent& e : events) {
-    per_shard_events[router_.ShardOf(e.user)].push_back(e);
-  }
-
   ShardedUpdateReport local;
   ShardedUpdateReport& out = report != nullptr ? *report : local;
   out = ShardedUpdateReport{};
-  out.per_shard.resize(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (per_shard_events[s].empty()) {
-      // Untouched: report current state with zero counters.
-      const std::shared_ptr<const ShardSnapshot> snap = shards_[s]->snapshot();
-      out.per_shard[s].published_generation = snap->generation;
-      out.per_shard[s].delta_log_ratings = snap->ratings->delta_ratings();
-      continue;
-    }
-    ++out.shards_touched;
-    if (Status status =
-            shards_[s]->Apply(per_shard_events[s], &out.per_shard[s]);
-        !status.ok()) {
-      return status;
-    }
-  }
+  if (Status s = publisher_.Apply(events, &out.total); !s.ok()) return s;
 
-  UpdateReport& total = out.total;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const UpdateReport& r = out.per_shard[s];
-    total.events_applied += r.events_applied;
-    total.events_ignored_stale += r.events_ignored_stale;
-    total.users_rebuilt += r.users_rebuilt;
-    total.delta_log_ratings += r.delta_log_ratings;
-    total.published_generation =
-        std::max(total.published_generation, r.published_generation);
-    total.batches_coalesced =
-        std::max(total.batches_coalesced, r.batches_coalesced);
-    total.compacted = total.compacted || r.compacted;
-  }
-  if (total.batches_coalesced == 0) total.batches_coalesced = 1;
+  UpdateReport per_shard;
+  per_shard.published_generation = out.total.published_generation;
+  per_shard.compacted = out.total.compacted;
+  per_shard.delta_log_ratings = out.total.delta_log_ratings;
+  per_shard.batches_coalesced = out.total.batches_coalesced;
+  out.per_shard.assign(shards_.size(), per_shard);
+  std::vector<bool> touched(shards_.size(), false);
+  for (const RatingEvent& e : events) touched[router_.ShardOf(e.user)] = true;
+  out.shards_touched = static_cast<std::size_t>(
+      std::count(touched.begin(), touched.end(), true));
   return Status::Ok();
+}
+
+void ShardedEngine::PublishSet(std::shared_ptr<const RatingsOverlay> ratings,
+                               std::span<const UserId> touched,
+                               std::uint64_t generation) {
+  const std::shared_ptr<const ShardedSnapshotSet> cur = Pin();
+  // `touched` is ascending, so each shard's slice of it is too.
+  std::vector<std::vector<UserId>> owned(shards_.size());
+  for (const UserId u : touched) owned[router_.ShardOf(u)].push_back(u);
+  std::vector<std::shared_ptr<const ShardSnapshot>> next;
+  next.reserve(shards_.size());
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    std::shared_ptr<const PreferenceIndex> index = cur->shard(s).index;
+    if (!owned[s].empty()) {
+      index = std::make_shared<const PreferenceIndex>(
+          shards_[s]->RebuildRows(*index, *ratings, owned[s], predictor_));
+    }
+    next.push_back(std::make_shared<const ShardSnapshot>(
+        ShardSnapshot{generation, ratings, std::move(index)}));
+  }
+  auto set = std::make_shared<const ShardedSnapshotSet>(std::move(next));
+  // All building happened before this point; the swap itself is O(1).
+  std::lock_guard<std::mutex> lock(published_mu_);
+  published_ = std::move(set);
 }
 
 Status ShardedEngine::ValidateQuery(std::span<const UserId> group,
@@ -219,9 +189,9 @@ Result<GroupProblem> ShardedEngine::BuildProblem(
       ResolveEvalPeriod(spec.eval_period, num_periods_).value();
 
   // Scatter: one zero-copy MemberSlice per member, pointing into the owning
-  // shard's pinned generation. Gather happens inside the shared assembly —
-  // the same code path the monolithic recommender uses, fed per-shard rows
-  // instead of one index's rows.
+  // shard's entry of the pinned set. Gather happens inside the shared
+  // assembly — the same code path the monolithic recommender uses, fed
+  // per-shard rows instead of one index's rows.
   std::vector<MemberSlice> local_slices;
   std::vector<MemberSlice>& slices =
       workspace != nullptr ? workspace->arena.member_slices : local_slices;
@@ -238,19 +208,15 @@ Result<GroupProblem> ShardedEngine::BuildProblem(
   ctx.key_index = set->shard(0).index.get();
   ctx.affinity = affinity_.get();
   ctx.period_cache = &period_cache_;
-  // Tombstone memo scoped to the SET: members pin a mix of per-shard
-  // generations, so no single generation can scope a cache — but the set
-  // pins that exact generation-vector mix for its whole lifetime, so its own
-  // memo is correct by construction (see ShardedSnapshotSet). Repeat pins
-  // reuse one set while nothing publishes, so repeated groups across queries
-  // hit too.
+  // Tombstone memo scoped to the set, which pins one overlay for its whole
+  // lifetime (see ShardedSnapshotSet). Pin() returns one set until the next
+  // publish, so repeated groups across queries hit too.
   ctx.tombstone_cache = &set->tombstone_cache();
   GroupProblem problem = AssembleGroupProblem(ctx, group, slices, spec,
                                               eval_period, candidates_out,
                                               workspace);
-  // The problem's views alias rows of every touched shard's pinned
-  // generation: share ownership of the whole set so they survive any
-  // shard's concurrent publish.
+  // The problem's views alias rows of the pinned set: share ownership of
+  // the whole set so they survive any concurrent publish.
   problem.PinLifetime(set);
   return problem;
 }

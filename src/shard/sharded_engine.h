@@ -1,44 +1,40 @@
-// Shard-per-core serving engine: N independent publishers, one scatter/
-// gather query path.
+// Shard-per-core serving engine: N row partitions, one publication point,
+// one scatter/gather query path.
 //
 // ShardedEngine partitions the user population across N Shards with a
-// ShardRouter (hash or range). Each shard owns its slice's PreferenceIndex
-// rows, RatingsOverlay delta log and RCU publish cadence; the engine owns
-// everything population-global — the popularity pool, the AffinitySource
-// (StudyAffinitySource::FromStudy on the study path, the same setup the
-// monolithic GroupRecommender uses), the (group, period) list cache, and
-// the prediction backend behind the shards' shared PoolPredictor.
+// ShardRouter (hash or range). Each shard builds its slice's
+// PreferenceIndex rows; the engine owns everything population-global — the
+// popularity pool, the AffinitySource (StudyAffinitySource::FromStudy on
+// the study path, the same setup the monolithic GroupRecommender uses), the
+// (group, period) list cache, the prediction backend behind the shards'
+// PoolPredictor — and the write path, which is the monolithic one: one
+// RatingsOverlay over the shared base, one RatingPublisher (group commit,
+// build lock, generation counter, compaction trigger) and one published
+// ShardedSnapshotSet.
 //
 // Queries scatter/gather at problem-assembly time, zero-copy: for each
 // group member the engine asks the router for the owning shard and slices
-// that shard's pinned index/overlay into a MemberSlice; the shared assembly
-// (core/problem_assembly.h) then builds EXACTLY the problem a monolithic
-// engine would build — every shard speaks the same pool-position key space
-// and every row is bit-identical to its monolithic counterpart, so
-// recommendations and access counts are bit-identical at any shard count
-// (tests/sharded_equivalence_test.cc). A query pins one generation per
-// touched shard in a ShardedSnapshotSet; shards publishing mid-query cannot
-// perturb it. Like the monolithic engine, a query is BuildProblem on the
-// pinned set then SolveGroupProblem, alone (Recommend) or in a batch
-// (RecommendBatch through serve/batch_executor.h).
+// that shard's entry of the pinned set into a MemberSlice; the shared
+// assembly (core/problem_assembly.h) then builds EXACTLY the problem a
+// monolithic engine would build — every shard speaks the same pool-position
+// key space and every row is bit-identical to its monolithic counterpart,
+// so recommendations and access counts are bit-identical at any shard count
+// (tests/sharded_equivalence_test.cc). Like the monolithic engine, a query
+// is BuildProblem on the pinned set then SolveGroupProblem, alone
+// (Recommend) or in a batch (RecommendBatch through serve/batch_executor.h).
 //
-// Updates scatter by ownership: ApplyUpdates validates the whole batch
-// up front (all-or-nothing, like the monolithic path), splits it per shard
-// preserving arrival order, and applies the sub-batches shard by shard —
-// each touched shard publishes independently, under its own build lock.
-// The index clone is copy-on-write (only the pages holding touched rows are
-// copied) at any shard count, so sharding buys publish parallelism and
-// narrower pins, not cheaper copies; bench/bench_shard.cc measures both.
-//
-// Sub-batches publish in shard order, so a concurrent reader can observe
-// shard A post-batch while shard B is still pre-batch; each shard's
-// snapshot is individually consistent, and per-user ordering is preserved
-// (a user's events all land on one shard). Callers needing a cross-shard
-// fence pin a set AFTER ApplyUpdates returns.
+// Updates publish atomically across shards: ApplyUpdates validates the
+// whole batch up front (all-or-nothing), folds it into the one overlay,
+// re-predicts each touched shard's users and clones that shard's index
+// (copy-on-write: only the pages holding touched rows are copied), then
+// swaps the next set in once. Every entry of the new set carries the new
+// generation and overlay; untouched shards share their index with the old
+// set. A reader therefore sees a publish in every shard or in none.
 #ifndef GRECA_SHARD_SHARDED_ENGINE_H_
 #define GRECA_SHARD_SHARDED_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -52,6 +48,7 @@
 #include "common/thread_pool.h"
 #include "core/group_recommender.h"
 #include "dataset/facebook_study.h"
+#include "dataset/rating_publisher.h"
 #include "plan/batch_planner.h"
 #include "serve/workspace_pool.h"
 #include "shard/shard.h"
@@ -60,10 +57,13 @@
 namespace greca {
 
 struct ShardedEngineOptions {
+  /// 0 reads as 1 (one shard holding every user).
   std::size_t num_shards = 4;
   ShardStrategy strategy = ShardStrategy::kHash;
-  /// As on the monolithic engine (compaction triggers per shard); `knn` and
-  /// `max_candidate_items` apply to study-backed construction only.
+  /// As on the monolithic engine (the compaction trigger reads the engine's
+  /// one overlay, so its cadence does not depend on the shard count);
+  /// `knn` and `max_candidate_items` apply to study-backed construction
+  /// only.
   RecommenderOptions recommender;
   /// Worker threads fanning out the initial per-row index fills at
   /// construction (0 = serial; results are bit-identical either way).
@@ -95,20 +95,16 @@ struct ShardedEngineInputs {
   std::size_t num_periods = 1;
 };
 
-/// One pinned generation per shard — what a query (or an explicit caller
-/// fence) holds to keep every touched shard's rows alive and stable.
-/// Individual ShardSnapshots are immutable; the set itself is a plain
-/// vector pinned via shared_ptr.
+/// One published generation of the engine: one entry per shard, all
+/// stamped with the same generation and overlay. What Pin() hands out and a
+/// query holds to keep every shard's rows alive and stable.
 ///
 /// Each set also carries its own (group, pool) tombstone-bitmap memo. A
-/// bitmap depends on every member's rated items, i.e. on the WHOLE per-shard
-/// generation vector — which is exactly what a set pins and never changes —
-/// so scoping the memo to the set makes it correct by construction: queries
-/// running on the same set (ShardedEngine::Pin reuses one set object while
-/// no shard publishes) share bitmaps, while sets pinned across a publish get
-/// a fresh memo. This closes the sharded path's bitmap-per-query gap — the
-/// monolithic engine has had a generation-scoped memo since the Snapshot
-/// grew one.
+/// bitmap depends on every member's rated items, i.e. on the set's overlay
+/// — which the set pins and never changes — so scoping the memo to the set
+/// makes it correct by construction: queries running on the same set
+/// (Pin() returns one set until the next publish) share bitmaps, while sets
+/// pinned across a publish get a fresh memo.
 class ShardedSnapshotSet {
  public:
   explicit ShardedSnapshotSet(
@@ -131,18 +127,19 @@ class ShardedSnapshotSet {
   mutable TombstoneCache tombstone_cache_;
 };
 
-/// Cross-shard aggregation of one ApplyUpdates call plus the per-shard
-/// attribution behind it.
+/// What one ApplyUpdates call did, engine-wide and per shard.
 struct ShardedUpdateReport {
-  /// Sums of the per-shard counters (events_applied, events_ignored_stale,
-  /// users_rebuilt, delta_log_ratings); published_generation is the max
-  /// over touched shards, compacted is true when ANY shard compacted,
-  /// batches_coalesced the max over touched shards.
+  /// The publish's report, field for field what the monolithic
+  /// ApplyRatingUpdates reports for the same events.
   UpdateReport total;
-  /// One report per shard, indexed by shard id (untouched shards carry
-  /// their current generation and zero counters).
+  /// One report per shard, indexed by shard id. Every shard's entry of a
+  /// set carries the set's generation, so each carries the publish's
+  /// published_generation, compacted, delta_log_ratings and
+  /// batches_coalesced; the fold is engine-wide, so events_applied,
+  /// events_ignored_stale and users_rebuilt stay zero (read them off
+  /// `total`).
   std::vector<UpdateReport> per_shard;
-  /// Shards that received at least one event of this batch.
+  /// Shards owning at least one event's user.
   std::size_t shards_touched = 0;
 };
 
@@ -171,25 +168,21 @@ class ShardedEngine {
   const ShardRouter& router() const { return router_; }
   const Shard& shard(std::size_t s) const { return *shards_[s]; }
 
-  /// Pins the current generation of EVERY shard (queries pin implicitly;
-  /// explicit pins give cross-call stability). Shards publishing while the
-  /// set is assembled yield a mix of generations — each individually
-  /// consistent, see the header comment.
-  ///
-  /// While no shard publishes, repeated pins return the SAME set object, so
-  /// successive queries share its tombstone memo; any publish makes the next
-  /// Pin build a fresh set (and fresh memo). Sets pinned before the publish
-  /// keep theirs — still correct for the generations they hold.
-  std::shared_ptr<const ShardedSnapshotSet> Pin() const;
+  /// The currently published set (queries pin implicitly; explicit pins
+  /// give cross-call stability). A constant-time pointer copy under a light
+  /// mutex, for the TSan reason GroupRecommender::snapshot() gives. Repeat
+  /// pins return the SAME set until the next publish, so successive queries
+  /// share its tombstone memo. Never null.
+  std::shared_ptr<const ShardedSnapshotSet> Pin() const {
+    std::lock_guard<std::mutex> lock(published_mu_);
+    return published_;
+  }
 
-  /// Validates the whole batch (all-or-nothing), splits it by owning shard
-  /// preserving arrival order, and applies each non-empty sub-batch to its
-  /// shard (group-committed per shard). Counter semantics match the
-  /// monolithic ApplyRatingUpdates: summed over shards, applied + stale ==
-  /// batch size and users_rebuilt counts distinct users with applied
-  /// events — the partition is by user, so totals are identical to the
-  /// single-engine report for the same events
-  /// (tests/sharded_equivalence_test.cc).
+  /// Validates the whole batch (all-or-nothing) and publishes it through
+  /// the engine's one RatingPublisher, group-committed with concurrent
+  /// callers: one fold, the touched shards' rows rebuilt, one set swap. The
+  /// report's `total` is identical to the monolithic ApplyRatingUpdates
+  /// report for the same events (tests/sharded_equivalence_test.cc).
   Status ApplyUpdates(std::span<const RatingEvent> events,
                       ShardedUpdateReport* report = nullptr);
 
@@ -211,7 +204,7 @@ class ShardedEngine {
   /// (core/problem_assembly.h) gathers them into exactly the problem the
   /// monolithic engine builds. `candidates_out` and `workspace` behave as
   /// on GroupRecommender::BuildProblem; the problem shares ownership of the
-  /// whole set, so its views survive any shard's concurrent publish.
+  /// whole set, so its views survive any concurrent publish.
   Result<GroupProblem> BuildProblem(
       const std::shared_ptr<const ShardedSnapshotSet>& set,
       std::span<const UserId> group, const QuerySpec& spec,
@@ -219,8 +212,8 @@ class ShardedEngine {
       QueryWorkspace* workspace = nullptr) const;
 
   /// Batch execution against one pinned set (pinned internally; every query
-  /// sees the same per-shard generation vector), planned: duplicate queries
-  /// share one assembled + solved problem. Buckets run in parallel over the
+  /// sees the same generation), planned: duplicate queries share one
+  /// assembled + solved problem. Buckets run in parallel over the
   /// batch pool (ShardedEngineOptions::batch_threads) through the shared
   /// batch executor (serve/batch_executor.h), bit-identical to serial
   /// execution and to sequential Recommend calls on the same set.
@@ -247,7 +240,7 @@ class ShardedEngine {
 
   /// The affinity backend, fixed at construction.
   const AffinitySource& affinity() const { return *affinity_; }
-  /// The (group, period) list cache shared by every shard generation
+  /// The (group, period) list cache shared by every generation
   /// (internally synchronized; bounded like GroupRecommender::period_cache).
   PeriodListCache& period_cache() const { return period_cache_; }
   /// The shared popularity pool (identical in every shard's index).
@@ -257,21 +250,26 @@ class ShardedEngine {
   void BuildShards(std::shared_ptr<const RatingsDataset> base,
                    double scale_max, std::vector<ItemId> pool,
                    std::size_t num_universe_items);
+  /// The publisher's rebuild step (see RatingPublisher::Rebuild): groups
+  /// `touched` by shard, rebuilds each touched shard's rows, swaps the next
+  /// set in once.
+  void PublishSet(std::shared_ptr<const RatingsOverlay> ratings,
+                  std::span<const UserId> touched, std::uint64_t generation);
 
   ShardedEngineOptions options_;
   ShardRouter router_;
   std::size_t num_universe_items_ = 0;
   std::size_t num_periods_ = 1;
 
-  // The study path's CF backend (null on the generic path). It backs the
-  // shards' PoolPredictor, so it must outlive them (declaration order).
+  // The study path's CF backend (null on the generic path). It backs
+  // predictor_, so it must outlive every publish (declaration order).
   std::unique_ptr<UserKnn> knn_;
 
   std::shared_ptr<const AffinitySource> affinity_;
   mutable PeriodListCache period_cache_;
   PoolPredictor predictor_;
   /// Engine-owned copy of the shared pool (pool() stays valid without
-  /// pinning any shard generation).
+  /// pinning a set).
   std::vector<ItemId> pool_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
@@ -280,12 +278,22 @@ class ShardedEngine {
   std::unique_ptr<ThreadPool> batch_pool_;
   mutable WorkspacePool workspace_pool_;
 
-  // Pin() reuse: the last set handed out, returned again while every shard's
-  // snapshot pointer is unchanged so repeat pins share its tombstone memo.
-  // Guarded by pin_mu_ (the per-shard snapshot reads take each shard's own
-  // publication mutex, exactly like an un-reused pin).
-  mutable std::mutex pin_mu_;
-  mutable std::shared_ptr<const ShardedSnapshotSet> last_pin_;
+  // The RCU publication point: Pin() copies the pointer, the publisher
+  // (serialized by its build lock) swaps in a freshly built set.
+  // published_mu_ guards only the pointer — never held while rebuilding.
+  // Never null after construction.
+  mutable std::mutex published_mu_;
+  std::shared_ptr<const ShardedSnapshotSet> published_;
+  // The write path: owns the build lock and the generation counter.
+  RatingPublisher publisher_{
+      [this] {
+        // Every entry of a set carries the set's generation and overlay.
+        const std::shared_ptr<const ShardedSnapshotSet> cur = Pin();
+        return RatingPublisher::Published{cur->shard(0).generation,
+                                          cur->shard(0).ratings};
+      },
+      std::bind_front(&ShardedEngine::PublishSet, this),
+      options_.recommender.compact_delta_fraction};
 };
 
 }  // namespace greca

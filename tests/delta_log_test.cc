@@ -216,6 +216,43 @@ TEST(RatingsOverlayTest, MergesAndCompactsLikeFromRecords) {
   }
 }
 
+// A fold rewrites the delta rows of touched users only, on copies of their
+// pages: the overlay it folds from reads exactly as before, and untouched
+// users' rows stay shared, across page boundaries and a partial last page.
+TEST(RatingsOverlayTest, FoldLeavesEarlierOverlayUntouched) {
+  constexpr std::size_t kUsers = 200;
+  auto base = std::make_shared<const RatingsDataset>(
+      RatingsDataset::FromRecords(kUsers, 4, {{5, 0, 3.0, 100}}));
+  const RatingsOverlay empty(base);
+  const std::vector<UserId> first_users = {0, 1, 63, 64, 127, 128, 199};
+  std::vector<RatingRecord> first;
+  for (const UserId u : first_users) first.push_back({u, 1, 4.0, 200});
+  const auto a = empty.WithEvents(first);
+  const auto b = a->WithEvents(std::vector<RatingRecord>{
+      {1, 2, 2.0, 300}, {64, 1, 5.0, 300}, {199, 3, 1.0, 300}});
+
+  for (UserId u = 0; u < kUsers; ++u) {
+    EXPECT_TRUE(empty.DeltaOfUser(u).empty()) << "user " << u;
+    const bool rated = std::ranges::find(first_users, u) != first_users.end();
+    ASSERT_EQ(a->DeltaOfUser(u).size(), rated ? 1u : 0u) << "user " << u;
+    if (rated) {
+      EXPECT_EQ(a->GetRating(u, 1), std::make_optional(4.0));
+    }
+  }
+  EXPECT_EQ(a->delta_ratings(), first_users.size());
+  EXPECT_EQ(b->delta_ratings(), first_users.size() + 2);
+  EXPECT_EQ(b->GetRating(1, 2), std::make_optional(2.0));
+  EXPECT_EQ(b->GetRating(64, 1), std::make_optional(5.0));
+  EXPECT_EQ(b->GetRating(199, 3), std::make_optional(1.0));
+  // Untouched rows on a rewritten page and on an untouched page are the
+  // very rows of the earlier overlay.
+  for (const UserId u : {0u, 63u, 127u, 128u}) {
+    EXPECT_EQ(b->DeltaOfUser(u).data(), a->DeltaOfUser(u).data())
+        << "user " << u;
+  }
+  EXPECT_EQ(b->GetRating(5, 0), std::make_optional(3.0));  // base only
+}
+
 // --- Report semantics (satellite regressions) ------------------------------
 
 TEST_F(DeltaLogTest, StaleEventsCountedSeparatelyAndPublishNothing) {

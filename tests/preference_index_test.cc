@@ -274,7 +274,7 @@ TEST(PreferenceIndexPagesTest, EngineStoresEachRowOnce) {
   const ShardedEngine engine(
       TruthInputs(scale, scale.dataset.TopPopularItems(kPool)), options);
   for (std::size_t s = 0; s < engine.num_shards(); ++s) {
-    const PreferenceIndex& index = *engine.shard(s).snapshot()->index;
+    const PreferenceIndex& index = *engine.Pin()->shard(s).index;
     EXPECT_EQ(index.rows_per_page(), 16u) << "shard " << s;
     EXPECT_EQ(index.MemoryBytes(),
               engine.shard(s).num_local_users() * kPool * 16u +
@@ -673,7 +673,7 @@ TEST(PreferenceIndexNanTest, ShardedEngineWithNanPredictorServes) {
   spec.eval_period = 0;
   const auto check = [&] {
     for (std::size_t s = 0; s < engine.num_shards(); ++s) {
-      ExpectRowsSorted(*engine.shard(s).snapshot()->index);
+      ExpectRowsSorted(*engine.Pin()->shard(s).index);
     }
     for (UserId first = 0; first + 4 < 400; first += 37) {
       const std::vector<UserId> group{first, first + 1, first + 2, first + 3};

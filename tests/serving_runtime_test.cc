@@ -7,10 +7,10 @@
 //    one pinned snapshot, with a publisher racing them, must each reproduce
 //    the serial reference bit-for-bit. Runs under the TSan CI job like every
 //    test (the old workspace sharing was exactly the race TSan would flag).
-//  * Pin() under a publish storm — the per-shard snapshot gather runs
-//    outside pin_mu_ (see ShardedEngine::Pin); the benign race must only
-//    ever cost a missed reuse, never hand out a set older than a completed
-//    publish.
+//  * Pin() under a publish storm — Pin() must never hand out a set older
+//    than a completed publish.
+//  * Cross-shard atomicity — a batch rating users on two shards lands in a
+//    pinned set on both shards or on neither.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -262,11 +262,10 @@ TEST_F(ServingRuntimeTest, ShardedRacingBatchesMatchPinnedReference) {
 
 // --- Pin() publish storm ----------------------------------------------------
 
-// Pin()'s gather runs outside pin_mu_; the race with concurrent publishes is
-// benign ONLY if reuse never resurrects a retired set. Storm: one thread
+// Pin() reuse must never resurrect a retired set. Storm: one thread
 // publishes continuously and, after every publish, pins and checks the set
 // reflects at least the generation it just published; reader threads hammer
-// Pin() throughout to keep last_pin_ churning.
+// Pin() throughout.
 TEST_F(ServingRuntimeTest, PinNeverReusesStaleSetAcrossPublishStorm) {
   ShardedEngineOptions options;
   options.num_shards = 4;
@@ -311,6 +310,134 @@ TEST_F(ServingRuntimeTest, PinNeverReusesStaleSetAcrossPublishStorm) {
   // Quiescent again: reuse resumes (same set object on repeat pins).
   const auto a = engine.Pin();
   EXPECT_EQ(a.get(), engine.Pin().get());
+}
+
+// --- Cross-shard atomicity -------------------------------------------------
+
+// One publish is one state for every shard. Users a and b live on different
+// shards; publish t rates pool item x[t % n] for a and y[t % n] for b, with
+// a fresh rating and timestamp, every x and y unrated by either user
+// before. Readers pin concurrently and check on the pinned set that a's
+// overlay entry for each x[i] equals b's entry for y[i] (both absent, or
+// both from the same publish), and that a served {a, b} query's problem
+// (built through the tombstone bitmap of the items either member rated)
+// tombstones x[i] exactly when it tombstones y[i]. A set holding shard A
+// after a publish and shard B before it fails the first check, and within
+// the first n publishes the second.
+TEST_F(ServingRuntimeTest, CrossShardPublishIsAtomic) {
+  ShardedEngineOptions options;
+  options.num_shards = 4;
+  options.recommender.max_candidate_items = 240;
+  options.batch_threads = 1;
+  ShardedEngine engine(universe_->dataset, *study_, options);
+
+  const UserId a = 0;
+  UserId b = 1;
+  while (engine.router().ShardOf(b) == engine.router().ShardOf(a)) ++b;
+  const std::size_t shard_a = engine.router().ShardOf(a);
+  const std::size_t shard_b = engine.router().ShardOf(b);
+  const auto rated = [&](UserId u, ItemId item) {
+    const auto row = study_->study_ratings.RatingsOfUser(u);
+    return std::any_of(row.begin(), row.end(), [&](const UserRatingEntry& e) {
+      return e.item == item;
+    });
+  };
+  // x and y hold the items; x_key and y_key their pool positions, i.e. the
+  // problem's candidate keys.
+  std::vector<ItemId> x, y;
+  std::vector<ListKey> x_key, y_key;
+  const std::span<const ItemId> pool = engine.pool();
+  for (std::size_t key = 0; key < pool.size() && y.size() < 32; ++key) {
+    if (rated(a, pool[key]) || rated(b, pool[key])) continue;
+    const bool to_x = x.size() == y.size();
+    (to_x ? x : y).push_back(pool[key]);
+    (to_x ? x_key : y_key).push_back(static_cast<ListKey>(key));
+  }
+  const std::size_t n = y.size();
+  ASSERT_EQ(n, 32u) << "too few unrated pool items";
+  constexpr std::size_t kPublishes = 600;
+
+  // (rating, timestamp) of u's entry for `item` in the overlay; (0, 0) when
+  // u has none.
+  const auto entry = [](std::span<const UserRatingEntry> merged, ItemId item) {
+    for (const UserRatingEntry& e : merged) {
+      if (e.item == item) return std::pair(e.rating, e.timestamp);
+    }
+    return std::pair(Score{0}, Timestamp{0});
+  };
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> torn_ratings{0};
+  std::atomic<int> torn_tombstones{0};
+  std::atomic<int> build_failures{0};
+  std::atomic<int> reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      const std::vector<UserId> group{a, b};
+      QuerySpec spec;
+      spec.k = 5;
+      spec.num_candidate_items = 240;
+      QueryWorkspace ws;
+      std::vector<UserRatingEntry> scratch_a, scratch_b;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const auto set = engine.Pin();
+        reads.fetch_add(1, std::memory_order_relaxed);
+        const auto merged_a =
+            set->shard(shard_a).ratings->MergedRatingsOfUser(a, scratch_a);
+        const auto merged_b =
+            set->shard(shard_b).ratings->MergedRatingsOfUser(b, scratch_b);
+        for (std::size_t i = 0; i < n; ++i) {
+          if (entry(merged_a, x[i]) != entry(merged_b, y[i])) {
+            torn_ratings.fetch_add(1, std::memory_order_relaxed);
+            break;
+          }
+        }
+        const Result<GroupProblem> problem =
+            engine.BuildProblem(set, group, spec, nullptr, &ws);
+        if (!problem.ok()) {
+          build_failures.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          if (problem.value().IsCandidate(x_key[i]) !=
+              problem.value().IsCandidate(y_key[i])) {
+            torn_tombstones.fetch_add(1, std::memory_order_relaxed);
+            break;
+          }
+        }
+      }
+    });
+  }
+
+  // Publish only once both readers are pinning.
+  while (reads.load(std::memory_order_relaxed) < 2) std::this_thread::yield();
+  for (std::size_t t = 0; t < kPublishes; ++t) {
+    const auto rating = static_cast<Score>(1 + t % 5);
+    const auto ts = static_cast<Timestamp>(3'000'000 + t);
+    const std::vector<RatingEvent> events = {{a, x[t % n], rating, ts},
+                                             {b, y[t % n], rating, ts}};
+    ShardedUpdateReport report;
+    EXPECT_TRUE(engine.ApplyUpdates(events, &report).ok());
+    EXPECT_EQ(report.total.events_applied, 2u);
+    EXPECT_EQ(report.shards_touched, 2u);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& r : readers) r.join();
+
+  EXPECT_EQ(build_failures.load(), 0);
+  EXPECT_EQ(torn_ratings.load(), 0)
+      << "a pinned set held one shard after a publish, the other before it";
+  EXPECT_EQ(torn_tombstones.load(), 0)
+      << "a served query tombstoned one member's new rating but not the "
+         "other's";
+  // The last publish landed on both shards.
+  const auto set = engine.Pin();
+  std::vector<UserRatingEntry> scratch;
+  const auto last = entry(
+      set->shard(shard_a).ratings->MergedRatingsOfUser(a, scratch),
+      x[(kPublishes - 1) % n]);
+  EXPECT_EQ(last.second, static_cast<Timestamp>(3'000'000 + kPublishes - 1));
 }
 
 }  // namespace

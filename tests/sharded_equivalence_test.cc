@@ -217,6 +217,23 @@ TEST(ShardRouterTest, PartitionCoversEveryUserExactlyOnce) {
   }
 }
 
+// A shard count of 0 reads as 1 under both strategies: one shard owning
+// every user, no division by the count.
+TEST(ShardRouterTest, ZeroShardsReadsAsOne) {
+  for (const ShardStrategy strategy :
+       {ShardStrategy::kHash, ShardStrategy::kRange}) {
+    const ShardRouter router(0, 10, strategy);
+    EXPECT_EQ(router.num_shards(), 1u);
+    const auto owned = router.PartitionUsers();
+    ASSERT_EQ(owned.size(), 1u);
+    EXPECT_EQ(owned[0].size(), 10u);
+    for (UserId u = 0; u < 10; ++u) EXPECT_EQ(router.ShardOf(u), 0u);
+  }
+  // An empty population has zero-width ranges; routing still divides by a
+  // block of at least one id.
+  EXPECT_EQ(ShardRouter(4, 0, ShardStrategy::kRange).ShardOf(7), 3u);
+}
+
 TEST(ShardRouterTest, RangeStrategyKeepsNeighborsTogether) {
   const ShardRouter router(4, 1000, ShardStrategy::kRange);
   EXPECT_EQ(router.ShardOf(0), 0u);
@@ -239,6 +256,28 @@ TEST_F(ShardedEquivalenceTest, FreshEnginesAreBitIdentical) {
   }
   const auto range = MakeSharded(4, ShardStrategy::kRange);
   ExpectBitIdentical(baseline, RunSharded(*range, mix), "range-fresh");
+}
+
+// num_shards = 0 builds the 1-shard engine: same answers before and after
+// publishes, same reports.
+TEST_F(ShardedEquivalenceTest, ZeroShardsServesLikeOneShard) {
+  const auto zero = MakeSharded(0, ShardStrategy::kRange);
+  const auto one = MakeSharded(1, ShardStrategy::kRange);
+  EXPECT_EQ(zero->num_shards(), 1u);
+  const std::vector<Query> mix = QueryMix();
+  ExpectBitIdentical(RunSharded(*one, mix), RunSharded(*zero, mix),
+                     "zero-shards-fresh");
+  for (std::uint64_t batch = 0; batch < 3; ++batch) {
+    const std::vector<RatingEvent> events = RandomEvents(20, 4'100 + batch);
+    ShardedUpdateReport zero_report;
+    ShardedUpdateReport one_report;
+    ASSERT_TRUE(zero->ApplyUpdates(events, &zero_report).ok());
+    ASSERT_TRUE(one->ApplyUpdates(events, &one_report).ok());
+    ExpectSameReport(one_report.total, zero_report.total, batch);
+    EXPECT_EQ(zero_report.shards_touched, 1u);
+    ExpectBitIdentical(RunSharded(*one, mix), RunSharded(*zero, mix),
+                       "zero-shards-published");
+  }
 }
 
 // ShardedEngine::BuildProblem is the sharded twin of
@@ -288,9 +327,8 @@ TEST_F(ShardedEquivalenceTest, BuildProblemMatchesMonolithic) {
 
 // A randomized update stream applied to the monolithic engine and to
 // ShardedEngine(N in {1, 2, 4, 7}) must keep recommendations bit-identical
-// after EVERY batch, and the summed per-shard attribution must equal the
-// monolithic report exactly (the event partition is by user, so applied /
-// stale / users_rebuilt totals cannot differ).
+// after EVERY batch, and the engine-wide report must equal the monolithic
+// report exactly (one fold over one overlay, whatever the shard count).
 TEST_F(ShardedEquivalenceTest, RandomizedUpdateStreamEquivalence) {
   const auto mono = MakeMono();
   std::vector<std::unique_ptr<ShardedEngine>> fleet;
@@ -325,22 +363,20 @@ TEST_F(ShardedEquivalenceTest, RandomizedUpdateStreamEquivalence) {
                     report.total.events_ignored_stale,
                 events.size());
 
-      // Per-shard attribution is internally consistent: the totals are
-      // sums over exactly the touched shards.
-      std::size_t applied = 0, stale = 0, rebuilt = 0, touched = 0;
+      // The batch reached exactly the shards the router places its users
+      // on, and every shard of the published set carries the publish's
+      // generation.
+      std::vector<bool> owns_event(sharded->num_shards(), false);
+      for (const RatingEvent& e : events) {
+        owns_event[sharded->router().ShardOf(e.user)] = true;
+      }
+      EXPECT_EQ(report.shards_touched,
+                static_cast<std::size_t>(std::count(
+                    owns_event.begin(), owns_event.end(), true)));
       ASSERT_EQ(report.per_shard.size(), sharded->num_shards());
       for (const UpdateReport& r : report.per_shard) {
-        applied += r.events_applied;
-        stale += r.events_ignored_stale;
-        rebuilt += r.users_rebuilt;
-        if (r.events_applied + r.events_ignored_stale > 0) ++touched;
+        EXPECT_EQ(r.published_generation, report.total.published_generation);
       }
-      EXPECT_EQ(applied, report.total.events_applied);
-      EXPECT_EQ(stale, report.total.events_ignored_stale);
-      EXPECT_EQ(rebuilt, report.total.users_rebuilt);
-      EXPECT_LE(touched, report.shards_touched);
-      EXPECT_GE(report.shards_touched, 1u);
-      EXPECT_LE(report.shards_touched, sharded->num_shards());
 
       ExpectBitIdentical(baseline, RunSharded(*sharded, mix),
                          "post-update");
@@ -348,15 +384,18 @@ TEST_F(ShardedEquivalenceTest, RandomizedUpdateStreamEquivalence) {
   }
 }
 
-// Compaction is a per-shard policy triggering at per-shard cadences that
-// can never line up with a non-compacting monolithic engine's — and must
-// still be unobservable in the recommendations. On one shard the cadence
-// is the monolithic one: both owners run the same publisher, so every
-// publish reports the same generation, compaction and delta-log size.
+// Compaction must be unobservable in the recommendations, against a
+// monolithic engine that never compacts. The trigger reads the engine's one
+// overlay, so at any shard count the cadence is the monolithic one: every
+// publish of a 1- and a 4-shard engine reports what a compacting monolithic
+// engine reports, every shard's entry carries the publish's generation and
+// compaction, and every shard of a pinned set reads the same overlay —
+// after a compacting publish too, when a per-shard log would have given
+// each shard a private copy of the compacted base.
 TEST_F(ShardedEquivalenceTest, CompactionIsUnobservableAcrossShardCounts) {
   RecommenderOptions compacting = MonoOptions();
-  // Aggressive size trigger: compact once a log holds more than 12 ratings
-  // — almost every publish on one shard, every few on each of four.
+  // Aggressive size trigger: compact once the log holds more than 12
+  // ratings — almost every publish.
   compacting.compact_delta_fraction =
       12.0 / static_cast<double>(study_->study_ratings.num_ratings());
   const auto mono = MakeMono();  // never compacts
@@ -372,21 +411,32 @@ TEST_F(ShardedEquivalenceTest, CompactionIsUnobservableAcrossShardCounts) {
   const std::vector<Query> mix = QueryMix();
 
   bool saw_compaction = false;
-  bool saw_mono_compaction = false;
   for (std::uint64_t batch = 0; batch < 6; ++batch) {
     const std::vector<RatingEvent> events = RandomEvents(24, 2'900 + batch);
     ASSERT_TRUE(mono->ApplyUpdates(events).ok());
-    ShardedUpdateReport report;
-    ASSERT_TRUE(sharded->ApplyUpdates(events, &report).ok());
-    saw_compaction = saw_compaction || report.total.compacted;
-
     UpdateReport mono_report;
     ASSERT_TRUE(mono_compacting->ApplyUpdates(events, &mono_report).ok());
-    ShardedUpdateReport single_report;
-    ASSERT_TRUE(single->ApplyUpdates(events, &single_report).ok());
-    ExpectSameReport(mono_report, single_report.total, batch);
-    ExpectSameReport(mono_report, single_report.per_shard[0], batch);
-    saw_mono_compaction = saw_mono_compaction || mono_report.compacted;
+    saw_compaction = saw_compaction || mono_report.compacted;
+    for (ShardedEngine* engine : {sharded.get(), single.get()}) {
+      ShardedUpdateReport report;
+      ASSERT_TRUE(engine->ApplyUpdates(events, &report).ok());
+      ExpectSameReport(mono_report, report.total, batch);
+      ASSERT_EQ(report.per_shard.size(), engine->num_shards());
+      for (const UpdateReport& r : report.per_shard) {
+        EXPECT_EQ(r.published_generation, mono_report.published_generation)
+            << "batch " << batch;
+        EXPECT_EQ(r.compacted, mono_report.compacted) << "batch " << batch;
+        EXPECT_EQ(r.delta_log_ratings, mono_report.delta_log_ratings)
+            << "batch " << batch;
+        EXPECT_EQ(r.batches_coalesced, mono_report.batches_coalesced)
+            << "batch " << batch;
+      }
+      const auto set = engine->Pin();
+      for (std::size_t s = 1; s < set->num_shards(); ++s) {
+        EXPECT_EQ(set->shard(s).ratings, set->shard(0).ratings)
+            << "batch " << batch << " shard " << s;
+      }
+    }
 
     const auto baseline = RunMono(*mono, mix);
     ExpectBitIdentical(baseline, RunSharded(*sharded, mix),
@@ -397,8 +447,6 @@ TEST_F(ShardedEquivalenceTest, CompactionIsUnobservableAcrossShardCounts) {
                        "compacting-single-shard");
   }
   EXPECT_TRUE(saw_compaction) << "the cadence never fired; test is vacuous";
-  EXPECT_TRUE(saw_mono_compaction)
-      << "the monolithic cadence never fired; test is vacuous";
 }
 
 // Both engines own one period-list cache that every rating generation
