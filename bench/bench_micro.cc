@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the core building blocks: end-to-end
 // top-k latency per algorithm, GRECA on an engine's served problems, CF
-// prediction, affinity table construction and
+// prediction (fresh and one-event re-predict), affinity table construction and
 // incremental maintenance, the periodic-affinity closed form, the index
 // row-layout primitive (SoA-vs-AoS tombstone-skip scan), and the paged
 // index's publish clone and row lookup.
@@ -176,6 +176,29 @@ void BM_CfPredictAll(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CfPredictAll);
+
+void BM_CfRepredictOneEvent(benchmark::State& state) {
+  // The publish path's re-predict of study user 0 after one rating change:
+  // each iteration moves the first profile item's rating by half a star and
+  // back, so the per-user state walks one rater list and then runs the tail
+  // BM_CfPredictAll runs.
+  const auto& ctx = BenchContext::Get();
+  const UserKnn knn(ctx.universe.dataset, {});
+  UserKnnStates states(knn, 1);
+  const auto row = ctx.study.study_ratings.RatingsOfUser(0);
+  std::vector<UserRatingEntry> profiles[2] = {{row.begin(), row.end()},
+                                              {row.begin(), row.end()}};
+  Score& rerated = profiles[1].front().rating;
+  rerated += rerated < 5.0 ? 0.5 : -0.5;
+  benchmark::DoNotOptimize(states.Predict(0, profiles[0]).data());
+  std::size_t next = 1;
+  for (auto _ : state) {
+    const auto predictions = states.Predict(0, profiles[next]);
+    benchmark::DoNotOptimize(predictions.data());
+    next ^= 1;
+  }
+}
+BENCHMARK(BM_CfRepredictOneEvent);
 
 void BM_PeriodicAffinityCompute(benchmark::State& state) {
   const auto& ctx = BenchContext::Get();

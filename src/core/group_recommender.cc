@@ -16,6 +16,7 @@ GroupRecommender::GroupRecommender(const RatingsDataset& universe,
     : universe_(&universe),
       study_(&study),
       knn_(universe, options.knn),
+      knn_states_(knn_, study.num_participants()),
       affinity_(StudyAffinitySource::FromStudy(study)),
       publisher_(
           [this] {
@@ -71,8 +72,10 @@ void GroupRecommender::RebuildRatings(
     std::span<const UserId> touched, std::uint64_t generation) {
   // Rebuild CF predictions + index rows for the touched users only, reading
   // through the merged view (base + delta) — identical input to a full
-  // re-fold, so the rebuilt rows are bit-identical too. Untouched prediction
-  // rows and index pages stay shared with the current generation.
+  // re-fold, so the rebuilt rows are bit-identical too. The per-user CF
+  // state re-walks only the items whose rating changed since the user's
+  // last publish. Untouched prediction rows and index pages stay shared
+  // with the current generation.
   const std::shared_ptr<const Snapshot> cur = snapshot();
   std::vector<PredictionRow> preds = cur->prediction_rows();
   std::vector<UserRatingEntry> scratch;
@@ -80,7 +83,7 @@ void GroupRecommender::RebuildRatings(
   touched_preds.reserve(touched.size());
   for (const UserId su : touched) {
     preds[su] = std::make_shared<const std::vector<Score>>(
-        knn_.PredictAll(ratings->MergedRatingsOfUser(su, scratch)));
+        knn_states_.Predict(su, ratings->MergedRatingsOfUser(su, scratch)));
     touched_preds.emplace_back(*preds[su]);
   }
   auto index = std::make_shared<const PreferenceIndex>(

@@ -322,6 +322,9 @@ class GroupRecommender {
   const RatingsDataset* universe_;
   const FacebookStudy* study_;
   UserKnn knn_;
+  // Publish-side CF state per study participant (RebuildRatings only; the
+  // publisher serializes rebuilds).
+  UserKnnStates knn_states_;
   std::shared_ptr<const StudyAffinitySource> affinity_;
   mutable PeriodListCache period_cache_;
 

@@ -19,8 +19,10 @@
 // universe-scale prediction arrays: the predictor maps a user's merged
 // ratings straight to raw scores per POOL POSITION, so million-user shards
 // never materialize num_users × num_universe_items state. The study-backed
-// engine wraps UserKnn::PredictAll in one; the scale harness wraps the
-// synthetic ground truth.
+// engine wraps UserKnnStates::Predict in one — bit-identical to
+// UserKnn::PredictAll, but a re-predict walks only the rater lists of the
+// items whose rating changed since that user's last call; the scale harness
+// wraps the synthetic ground truth.
 //
 // Equivalence contract (tests/sharded_equivalence_test.cc): a shard's rows
 // are bit-identical to the corresponding rows of a monolithic index built

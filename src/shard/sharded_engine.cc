@@ -18,16 +18,21 @@ ShardedEngine::ShardedEngine(const RatingsDataset& universe,
       num_universe_items_(universe.num_items()),
       num_periods_(study.periods.num_periods()),
       knn_(std::make_unique<UserKnn>(universe, options.recommender.knn)),
+      knn_states_(std::make_unique<UserKnnStates>(*knn_,
+                                                  study.num_participants())),
       affinity_(StudyAffinitySource::FromStudy(study)) {
   // The shard-side prediction backend: CF over the merged profile, gathered
   // down to pool positions. Feeding RebuildRowFromPool the same raw values
   // Build() would read via pool[key] keeps shard rows bit-identical to a
-  // monolithic index over the same study.
-  const UserKnn* knn = knn_.get();
-  predictor_ = [knn](UserId /*user*/,
-                     std::span<const UserRatingEntry> merged_ratings,
-                     std::span<const ItemId> pool, std::span<Score> out) {
-    const std::vector<Score> preds = knn->PredictAll(merged_ratings);
+  // monolithic index over the same study. The per-user CF state holds a
+  // slot per participant from construction on, so the predictor stays safe
+  // on distinct users at once (build_threads); a publish re-walks only the
+  // items whose rating changed.
+  UserKnnStates* states = knn_states_.get();
+  predictor_ = [states](UserId user,
+                        std::span<const UserRatingEntry> merged_ratings,
+                        std::span<const ItemId> pool, std::span<Score> out) {
+    const std::vector<Score> preds = states->Predict(user, merged_ratings);
     for (std::size_t k = 0; k < pool.size(); ++k) out[k] = preds[pool[k]];
   };
   // Generation 1 aliases the study-owned ratings, like the monolithic

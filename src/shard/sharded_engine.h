@@ -261,9 +261,11 @@ class ShardedEngine {
   std::size_t num_universe_items_ = 0;
   std::size_t num_periods_ = 1;
 
-  // The study path's CF backend (null on the generic path). It backs
-  // predictor_, so it must outlive every publish (declaration order).
+  // The study path's CF backend and its per-user state (both null on the
+  // generic path). They back predictor_, so they must outlive every publish
+  // (declaration order).
   std::unique_ptr<UserKnn> knn_;
+  std::unique_ptr<UserKnnStates> knn_states_;
 
   std::shared_ptr<const AffinitySource> affinity_;
   mutable PeriodListCache period_cache_;

@@ -1,10 +1,13 @@
 // Tests for the collaborative-filtering engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "cf/similarity.h"
 #include "cf/user_knn.h"
+#include "common/rng.h"
 #include "dataset/synthetic.h"
 
 namespace greca {
@@ -100,7 +103,7 @@ TEST_F(UserKnnTest, EmptyProfileFallsBackToItemMeans) {
   EXPECT_NEAR(preds[top], synthetic_.dataset.ItemMeanRating(top, 3.5), 0.2);
 }
 
-TEST_F(UserKnnTest, PredictWithNeighborsMatchesKnownRatingsRoughly) {
+TEST_F(UserKnnTest, PredictAllReconstructsKnownRatings) {
   const UserKnn knn(synthetic_.dataset, {});
   double err = 0.0;
   std::size_t count = 0;
@@ -114,6 +117,46 @@ TEST_F(UserKnnTest, PredictWithNeighborsMatchesKnownRatingsRoughly) {
   }
   // Reconstruction MAE well under random guessing (~1.5 stars).
   EXPECT_LT(err / static_cast<double>(count), 1.0);
+}
+
+TEST_F(UserKnnTest, StatesMatchPredictAllThroughProfileEdits) {
+  // Random edits of two users' profiles — re-rates, added and removed items,
+  // off-grid ratings — each re-predicted through the per-user state, must
+  // give PredictAll's bits. Most steps take the diff walk.
+  const UserKnn knn(synthetic_.dataset, {});
+  UserKnnStates states(knn, 2);
+  std::vector<UserRatingEntry> profiles[2];
+  for (UserId u = 0; u < 2; ++u) {
+    const auto row = synthetic_.dataset.RatingsOfUser(u + 7);
+    profiles[u].assign(row.begin(), row.end());
+  }
+  Rng rng(19);
+  const auto items = static_cast<ItemId>(synthetic_.dataset.num_items());
+  for (int step = 0; step < 300; ++step) {
+    const auto u = static_cast<UserId>(rng.NextBounded(2));
+    std::vector<UserRatingEntry>& profile = profiles[u];
+    const ItemId item = static_cast<ItemId>(rng.NextBounded(items));
+    const double rating =
+        step % 37 == 36 ? 3.7 : 0.5 * static_cast<double>(rng.NextBounded(11));
+    const auto it = std::lower_bound(
+        profile.begin(), profile.end(), item,
+        [](const UserRatingEntry& e, ItemId i) { return e.item < i; });
+    if (it != profile.end() && it->item == item) {
+      if (rng.NextBounded(3) == 0) {
+        profile.erase(it);
+      } else {
+        it->rating = rating;
+      }
+    } else {
+      profile.insert(it, {item, rating, 0});
+    }
+    const std::vector<Score> got = states.Predict(u, profile);
+    const std::vector<Score> want = knn.PredictAll(profile);
+    ASSERT_EQ(got.size(), want.size());
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(Score)),
+              0)
+        << "step " << step;
+  }
 }
 
 }  // namespace
