@@ -184,7 +184,6 @@ int main() {
     std::size_t buckets = 0;
     double dedup = 1.0;
     double qps = 0.0;
-    std::size_t agreement_materialized = 0;
     std::uint64_t tombstone_hits = 0;
     std::uint64_t tombstone_misses = 0;
   };
@@ -204,7 +203,7 @@ int main() {
       const std::size_t distinct =
           std::max<std::size_t>(1, num_queries / dup);
       // Distinct base queries over random groups, cycling the consensus
-      // function (pairwise included, so the lazy-agreement path runs).
+      // function (pairwise included, so the agreement list is built).
       const PerformanceHarness dup_perf(recommender, /*seed=*/77 + dup);
       std::vector<Query> base;
       for (const Group& group : dup_perf.RandomGroups(distinct, 6)) {
@@ -251,7 +250,6 @@ int main() {
       row.buckets = report.num_buckets;
       row.dedup = report.dedup_ratio;
       row.qps = static_cast<double>(dup_batch.size()) / best;
-      row.agreement_materialized = report.agreement_lists_materialized;
       row.tombstone_hits = report.tombstone_cache_hits;
       row.tombstone_misses = report.tombstone_cache_misses;
       planner_sweep.push_back(row);
@@ -431,8 +429,6 @@ int main() {
            << ", \"qps\": " << row.qps
            << ", \"speedup_vs_dup1\": "
            << (row.qps / planner_sweep.front().qps)
-           << ", \"agreement_lists_materialized\": "
-           << row.agreement_materialized
            << ", \"tombstone_cache_hits\": " << row.tombstone_hits
            << ", \"tombstone_cache_misses\": " << row.tombstone_misses << "}"
            << (i + 1 < planner_sweep.size() ? "," : "") << "\n";

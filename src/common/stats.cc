@@ -65,8 +65,6 @@ double Variance(std::span<const double> xs) {
   return sum / static_cast<double>(xs.size());
 }
 
-double StdDev(std::span<const double> xs) { return std::sqrt(Variance(xs)); }
-
 double PearsonCorrelation(std::span<const double> xs,
                           std::span<const double> ys) {
   assert(xs.size() == ys.size());

@@ -40,7 +40,6 @@ class OnlineStats {
 double Mean(std::span<const double> xs);
 /// Population variance.
 double Variance(std::span<const double> xs);
-double StdDev(std::span<const double> xs);
 
 /// Pearson correlation; returns 0 when either side has zero variance.
 double PearsonCorrelation(std::span<const double> xs,

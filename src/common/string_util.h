@@ -25,9 +25,6 @@ std::optional<std::int64_t> ParseInt64(std::string_view text);
 /// Strict floating-point parse of the full string.
 std::optional<double> ParseDouble(std::string_view text);
 
-/// True if `text` begins with `prefix`.
-bool StartsWith(std::string_view text, std::string_view prefix);
-
 /// Formats a double with `digits` decimal places (locale-independent).
 std::string FormatDouble(double value, int digits);
 

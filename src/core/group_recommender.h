@@ -113,9 +113,9 @@ struct QuerySpec {
   /// period"; explicit indices must be in range — ResolvePeriod rejects
   /// out-of-range values with kOutOfRange instead of clamping.
   std::optional<PeriodId> eval_period;
-  /// Registry solver id (solver/solver_registry.h): "greca", "naive", "ta",
-  /// "submodular" or any client-registered id. Unknown ids — the empty one
-  /// included — are rejected at validation with kInvalidArgument.
+  /// Registry solver id (solver/solver_registry.h): "greca", "naive", "ta"
+  /// or "submodular". Unknown ids — the empty one included — are rejected
+  /// at validation with kInvalidArgument.
   std::string solver_id = "greca";
   /// Per-member consensus weighting (see MemberWeighting). kUniform keeps
   /// the historical bit-identical scoring path.

@@ -191,7 +191,6 @@ GroupProblem AssembleGroupProblem(const AssemblyContext& ctx,
   // negatives, non-finite) also fall back to uniform.
   arena.member_weights.clear();
   arena.pair_weights.clear();
-  bool weighted = false;
   if (spec.weighting == MemberWeighting::kInfluence) {
     const std::size_t g = members.size();
     double sum = 0.0;
@@ -201,7 +200,6 @@ GroupProblem AssembleGroupProblem(const AssemblyContext& ctx,
       sum += m.weight;
     }
     if (sane && sum > 0.0) {
-      weighted = true;
       arena.member_weights.reserve(g);
       for (const MemberSlice& m : members) {
         arena.member_weights.push_back(m.weight / sum);
@@ -234,15 +232,12 @@ GroupProblem AssembleGroupProblem(const AssemblyContext& ctx,
     candidates_out->assign(items.begin(), items.begin() + pool);
   }
   // Pair-wise disagreement problems build their aggregated agreement list
-  // into this arena only if a solver walks it (GroupProblem::agreement_list).
-  GroupProblem problem(pool, live, arena.preference_views,
-                       ListView(arena.static_list), arena.period_views,
-                       std::move(combiner), spec.consensus, arena,
-                       std::move(owned_arena));
-  if (weighted) {
-    problem.SetConsensusWeights(arena.member_weights, arena.pair_weights);
-  }
-  return problem;
+  // into this arena here (GroupProblem::agreement_list).
+  return GroupProblem(pool, live, arena.preference_views,
+                      ListView(arena.static_list), arena.period_views,
+                      std::move(combiner), spec.consensus, arena,
+                      {arena.member_weights, arena.pair_weights},
+                      std::move(owned_arena));
 }
 
 void StampMemberWeights(const AffinitySource& source,
@@ -260,7 +255,8 @@ void StampMemberWeights(const AffinitySource& source,
   }
 }
 
-Recommendation SolveGroupProblem(GroupProblem& problem, const QuerySpec& spec,
+Recommendation SolveGroupProblem(const GroupProblem& problem,
+                                 const QuerySpec& spec,
                                  std::span<const ItemId> pool_items,
                                  QueryWorkspace& workspace) {
   Recommendation rec;

@@ -101,7 +101,8 @@ GroupProblem AssembleGroupProblem(const AssemblyContext& ctx,
 /// `pool_items` (the shared pool, key order). `workspace` provides the
 /// solvers' reusable buffers. The spec must have passed ValidateGroupQuery —
 /// that is where unknown solver ids are rejected.
-Recommendation SolveGroupProblem(GroupProblem& problem, const QuerySpec& spec,
+Recommendation SolveGroupProblem(const GroupProblem& problem,
+                                 const QuerySpec& spec,
                                  std::span<const ItemId> pool_items,
                                  QueryWorkspace& workspace);
 

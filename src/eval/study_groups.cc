@@ -159,17 +159,4 @@ std::vector<StudyGroup> FormStudyGroups(const GroupRecommender& recommender) {
   return groups;
 }
 
-double CharacteristicMean(
-    const std::vector<StudyGroup>& groups, GroupCharacteristic c,
-    const std::function<double(const StudyGroup&)>& value) {
-  double sum = 0.0;
-  std::size_t count = 0;
-  for (const StudyGroup& g : groups) {
-    if (!HasCharacteristic(g.spec, c)) continue;
-    sum += value(g);
-    ++count;
-  }
-  return count == 0 ? 0.0 : sum / static_cast<double>(count);
-}
-
 }  // namespace greca

@@ -49,11 +49,6 @@ bool HasCharacteristic(const StudyGroupSpec& spec, GroupCharacteristic c);
 /// high-affinity groups.
 std::vector<StudyGroup> FormStudyGroups(const GroupRecommender& recommender);
 
-/// Mean of `value(group)` over the study groups having characteristic `c`.
-double CharacteristicMean(const std::vector<StudyGroup>& groups,
-                          GroupCharacteristic c,
-                          const std::function<double(const StudyGroup&)>& value);
-
 }  // namespace greca
 
 #endif  // GRECA_EVAL_STUDY_GROUPS_H_

@@ -57,9 +57,8 @@ struct BatchQueryAttribution {
   bool representative = false;
 };
 
-/// Execution stats of one batch: what the planner shared, what the
-/// lazy-agreement path skipped, and what the snapshot caches did while the
-/// batch ran. Filled by Engine::RecommendBatch /
+/// Execution stats of one batch: what the planner shared and what the
+/// snapshot caches did while the batch ran. Filled by Engine::RecommendBatch /
 /// ShardedEngine::RecommendBatch when the caller passes one.
 struct BatchReport {
   std::size_t num_queries = 0;
@@ -74,12 +73,6 @@ struct BatchReport {
   /// valid / buckets — the batch's duplicate factor (1.0 when nothing
   /// repeats or the batch is empty).
   double dedup_ratio = 1.0;
-
-  /// Lazy-agreement accounting over the solved problems: pairwise-consensus
-  /// problems whose aggregated agreement list was actually built (the
-  /// algorithm walked it) vs deferred-and-never-built.
-  std::size_t agreement_lists_materialized = 0;
-  std::size_t agreement_lists_skipped = 0;
 
   /// Cache counter deltas across the batch: the engine's period cache on
   /// both engines, plus the tombstone memo of the pinned view (monolithic:

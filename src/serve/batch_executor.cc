@@ -89,30 +89,20 @@ std::vector<Result<Recommendation>> BatchExecutor::Execute(
   // (distinct execution signatures against one immutable pinned view), so
   // they run over the pool; every fanned-out copy below is bit-identical to
   // solving its query directly.
-  struct BucketOutcome {
-    std::optional<Result<Recommendation>> result;
-    bool agreement_deferred = false;
-    bool agreement_materialized = false;
-  };
-  std::vector<BucketOutcome> solved(plan.buckets.size());
+  std::vector<std::optional<Result<Recommendation>>> solved(
+      plan.buckets.size());
   const std::span<const ItemId> pool_items = PoolOf(*pin);
   RunUnits(plan.buckets.size(), pool, workspaces,
            [&](QueryWorkspace& ws, std::size_t b) {
              const Query& q = queries[plan.buckets[b].queries.front()];
-             BucketOutcome& out = solved[b];
              Result<GroupProblem> problem =
                  engine.BuildProblem(pin, q.group, q.spec, nullptr, &ws);
              if (!problem.ok()) {
-               out.result.emplace(problem.status());
+               solved[b].emplace(problem.status());
                return;
              }
-             out.result.emplace(
+             solved[b].emplace(
                  SolveGroupProblem(problem.value(), q.spec, pool_items, ws));
-             // Read after the solve: the agreement list materializes on the
-             // solver's first walk.
-             out.agreement_deferred = problem.value().agreement_deferred();
-             out.agreement_materialized =
-                 problem.value().agreement_materialized();
            });
 
   // Fan the solved results back out to every duplicate, in input order.
@@ -123,7 +113,7 @@ std::vector<Result<Recommendation>> BatchExecutor::Execute(
     if (b == BatchQueryAttribution::kInvalid) {
       results.emplace_back(plan.statuses[i]);
     } else {
-      results.push_back(*solved[b].result);
+      results.push_back(*solved[b]);
     }
   }
 
@@ -134,11 +124,6 @@ std::vector<Result<Recommendation>> BatchExecutor::Execute(
     report->num_buckets = plan.buckets.size();
     report->duplicates_shared = plan.num_valid - plan.buckets.size();
     report->dedup_ratio = plan.DedupRatio();
-    for (const BucketOutcome& o : solved) {
-      if (!o.agreement_deferred) continue;
-      ++(o.agreement_materialized ? report->agreement_lists_materialized
-                                  : report->agreement_lists_skipped);
-    }
     report->per_query.resize(queries.size());
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const std::uint32_t b = plan.bucket_of[i];

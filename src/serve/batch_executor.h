@@ -17,9 +17,9 @@
 //    its own workspace leased from a WorkspacePool; a null pool runs them
 //    inline on the calling thread, which doubles as the serial reference for
 //    the parallel path;
-//  * BatchReport assembly — dedup ratio, the lazy-agreement counters read
-//    off each built GroupProblem, the cache deltas read off the engine's
-//    period_cache() and the pin's tombstone_cache(), per-query attribution.
+//  * BatchReport assembly — dedup ratio, the cache deltas read off the
+//    engine's period_cache() and the pin's tombstone_cache(), per-query
+//    attribution.
 //
 // Determinism: buckets are independent and the algorithms are deterministic
 // functions of (pinned view, query), so parallel and serial execution

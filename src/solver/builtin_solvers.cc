@@ -20,7 +20,8 @@ Status GrecaSolver::ValidateQuery(std::span<const UserId> group,
   return Status::Ok();
 }
 
-SolverResult GrecaSolver::Solve(GroupProblem& problem, const QuerySpec& spec,
+SolverResult GrecaSolver::Solve(const GroupProblem& problem,
+                                const QuerySpec& spec,
                                 QueryWorkspace& workspace) const {
   SolverResult result;
   GrecaConfig config;
@@ -30,7 +31,8 @@ SolverResult GrecaSolver::Solve(GroupProblem& problem, const QuerySpec& spec,
   return result;
 }
 
-SolverResult NaiveSolver::Solve(GroupProblem& problem, const QuerySpec& spec,
+SolverResult NaiveSolver::Solve(const GroupProblem& problem,
+                                const QuerySpec& spec,
                                 QueryWorkspace& workspace) const {
   (void)workspace;
   SolverResult result;
@@ -38,7 +40,8 @@ SolverResult NaiveSolver::Solve(GroupProblem& problem, const QuerySpec& spec,
   return result;
 }
 
-SolverResult TaSolver::Solve(GroupProblem& problem, const QuerySpec& spec,
+SolverResult TaSolver::Solve(const GroupProblem& problem,
+                             const QuerySpec& spec,
                              QueryWorkspace& workspace) const {
   (void)workspace;
   SolverResult result;

@@ -19,7 +19,7 @@ class GrecaSolver final : public GroupSolver {
   std::string_view id() const override { return kGrecaSolverId; }
   Status ValidateQuery(std::span<const UserId> group,
                        const QuerySpec& spec) const override;
-  SolverResult Solve(GroupProblem& problem, const QuerySpec& spec,
+  SolverResult Solve(const GroupProblem& problem, const QuerySpec& spec,
                      QueryWorkspace& workspace) const override;
 };
 
@@ -27,7 +27,7 @@ class GrecaSolver final : public GroupSolver {
 class NaiveSolver final : public GroupSolver {
  public:
   std::string_view id() const override { return kNaiveSolverId; }
-  SolverResult Solve(GroupProblem& problem, const QuerySpec& spec,
+  SolverResult Solve(const GroupProblem& problem, const QuerySpec& spec,
                      QueryWorkspace& workspace) const override;
 };
 
@@ -35,7 +35,7 @@ class NaiveSolver final : public GroupSolver {
 class TaSolver final : public GroupSolver {
  public:
   std::string_view id() const override { return kTaSolverId; }
-  SolverResult Solve(GroupProblem& problem, const QuerySpec& spec,
+  SolverResult Solve(const GroupProblem& problem, const QuerySpec& spec,
                      QueryWorkspace& workspace) const override;
 };
 

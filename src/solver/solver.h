@@ -1,18 +1,19 @@
 // The pluggable solver seam: every aggregation objective — GRECA's
-// bound-based early termination, TA, the exhaustive scan, submodular
-// coverage, and anything registered later — implements this one interface
-// and is dispatched by stable string id through SolverRegistry
-// (solver_registry.h). The serving layers (SolveGroupProblem, the batch
-// planner, both engines' RecommendBatch) know nothing about individual
-// algorithms anymore; adding an objective is one registration, not a
-// nine-layer edit.
+// bound-based early termination, TA, the exhaustive scan and submodular
+// coverage — implements this one interface and is dispatched by stable
+// string id through SolverRegistry (solver_registry.h). The serving layers
+// (SolveGroupProblem, the batch planner, both engines' RecommendBatch) know
+// nothing about individual algorithms; adding an objective is one class and
+// one registry table entry, not a nine-layer edit.
 //
-// A solver consumes a fully assembled GroupProblem (zero-copy ListViews,
-// consensus spec, per-member weights) and produces a TopKResult over POOL
-// KEYS plus its access statistics; the caller maps keys back to universe
-// items. Solvers must be stateless and safe for concurrent const use — all
-// per-run mutable state belongs in the caller-provided QueryWorkspace or on
-// the stack, because one registered instance serves every batch worker.
+// A solver reads a fully assembled, immutable GroupProblem (zero-copy
+// ListViews, consensus spec, per-member weights, the agreement list) through
+// const& and produces a TopKResult over POOL KEYS plus its access
+// statistics; the caller maps keys back to universe items. Solvers must be
+// stateless and safe for concurrent const use — all per-run mutable state
+// belongs in the caller-provided QueryWorkspace or on the stack, because one
+// registered instance serves every batch worker, and several solvers may
+// read one problem at once.
 #ifndef GRECA_SOLVER_SOLVER_H_
 #define GRECA_SOLVER_SOLVER_H_
 
@@ -39,8 +40,8 @@ class GroupSolver {
  public:
   virtual ~GroupSolver() = default;
 
-  /// Stable registry id ("greca", "naive", "ta", "submodular", ...). Must be
-  /// unique across the registry and stable across versions — it is the batch
+  /// Stable registry id ("greca", "naive", "ta" or "submodular"). Unique
+  /// across the registry and stable across versions — it is the batch
   /// planner's bucketing key and the public selection handle
   /// (QuerySpec::solver_id).
   virtual std::string_view id() const = 0;
@@ -60,7 +61,8 @@ class GroupSolver {
   /// positions; access counts follow each algorithm's published accounting.
   /// `workspace` offers reusable buffers (arena, GRECA bound state) — using
   /// them is optional, mutating shared solver state is not.
-  virtual SolverResult Solve(GroupProblem& problem, const QuerySpec& spec,
+  virtual SolverResult Solve(const GroupProblem& problem,
+                             const QuerySpec& spec,
                              QueryWorkspace& workspace) const = 0;
 };
 

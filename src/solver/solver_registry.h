@@ -1,21 +1,14 @@
 // Registry of GroupSolvers keyed by stable solver id.
 //
-// The process-wide registry (Global()) self-registers the built-ins on first
-// use — GRECA, TA, the naive scan and the submodular-coverage solver — so
-// lookup works without any static-initializer ceremony (and survives static
-// archive linking, where file-scope registrar objects get dropped). Clients
-// add solvers at startup with Register(); ids are first-come-first-served
-// and never overwritten, so a typo'd duplicate fails loudly instead of
-// silently replacing a built-in.
-//
-// Thread safety: Register() and Find() may race arbitrarily — lookups take a
-// shared lock. Registered solvers are immutable and live for the process.
+// The registry is a fixed table of the four built-ins — GRECA, TA, the naive
+// scan and the submodular-coverage solver — sorted by id and built on first
+// use of Global() (which survives static-archive linking, where file-scope
+// registrar objects get dropped). It never changes after that, so lookups
+// take no lock and any number of threads may read it at once.
 #ifndef GRECA_SOLVER_SOLVER_REGISTRY_H_
 #define GRECA_SOLVER_SOLVER_REGISTRY_H_
 
-#include <map>
-#include <memory>
-#include <shared_mutex>
+#include <array>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,13 +26,8 @@ inline constexpr std::string_view kSubmodularSolverId = "submodular";
 
 class SolverRegistry {
  public:
-  /// The process-wide registry, with the built-ins already registered.
-  static SolverRegistry& Global();
-
-  /// Adds `solver` under its id(). Fails with kInvalidArgument on a null
-  /// solver, an empty id, or an id already taken (the existing registration
-  /// is kept either way).
-  Status Register(std::unique_ptr<const GroupSolver> solver);
+  /// The process-wide registry of the built-ins.
+  static const SolverRegistry& Global();
 
   /// The solver registered under `id`, or null.
   const GroupSolver* Find(std::string_view id) const;
@@ -48,11 +36,10 @@ class SolverRegistry {
   std::vector<std::string> RegisteredIds() const;
 
  private:
-  SolverRegistry() = default;
+  explicit SolverRegistry(std::array<const GroupSolver*, 4> solvers)
+      : solvers_(solvers) {}
 
-  mutable std::shared_mutex mu_;
-  std::map<std::string, std::unique_ptr<const GroupSolver>, std::less<>>
-      solvers_;
+  std::array<const GroupSolver*, 4> solvers_;  // sorted by id()
 };
 
 }  // namespace greca

@@ -11,7 +11,7 @@ SubmodularGreedySolver::SubmodularGreedySolver(double relevance_weight)
   assert(relevance_weight_ >= 0.0 && relevance_weight_ <= 1.0);
 }
 
-SolverResult SubmodularGreedySolver::Solve(GroupProblem& problem,
+SolverResult SubmodularGreedySolver::Solve(const GroupProblem& problem,
                                            const QuerySpec& spec,
                                            QueryWorkspace& workspace) const {
   (void)workspace;

@@ -42,7 +42,7 @@ class SubmodularGreedySolver final : public GroupSolver {
   explicit SubmodularGreedySolver(double relevance_weight = 0.5);
 
   std::string_view id() const override { return kSubmodularSolverId; }
-  SolverResult Solve(GroupProblem& problem, const QuerySpec& spec,
+  SolverResult Solve(const GroupProblem& problem, const QuerySpec& spec,
                      QueryWorkspace& workspace) const override;
 
   double relevance_weight() const { return relevance_weight_; }

@@ -58,10 +58,6 @@ constexpr Interval Min(const Interval& a, const Interval& b) {
   return {std::min(a.lb, b.lb), std::min(a.ub, b.ub)};
 }
 
-constexpr Interval Intersect(const Interval& a, const Interval& b) {
-  return {std::max(a.lb, b.lb), std::min(a.ub, b.ub)};
-}
-
 }  // namespace greca
 
 #endif  // GRECA_TOPK_INTERVAL_H_

@@ -5,7 +5,7 @@
 // sorted_list.h / index/preference_index.h) plus a key→position span,
 // optionally restricted to a key-space prefix and filtered by a tombstone
 // bitmap. The restriction mechanism is what makes zero-copy problem assembly
-// possible: the shared PreferenceIndex stores one immutable row per user
+// possible: the shared PreferenceIndex stores one read-only row per user
 // over the full popular-item pool, and a query slices it by prefix (its
 // candidate-pool size) while tombstoning the group's already-rated items —
 // no re-sort, no re-key, no copy. Liveness of an entry depends only on its
@@ -24,10 +24,9 @@
 // SortedList that materialized exactly the live entries.
 //
 // The sequential cursor is a raw position: callers initialize it to 0 and
-// hand it back to SkipToLive / ReadSequential / PeekScore unmodified. The
-// lazily cached MaxScore is the only mutable state, so a single ListView
-// object must not be used by two threads concurrently — views are
-// per-query/per-worker (ProblemArena) by construction, never shared.
+// hand it back to SkipToLive / ReadSequential / PeekScore unmodified. A view
+// is a plain value that no read changes, so any number of threads may read
+// one view at once.
 //
 // A ListView never owns storage. The wrapped SortedList / PreferenceIndex /
 // tombstone buffer must outlive the view; the buffers live either in a
@@ -133,17 +132,6 @@ class alignas(64) ListView {
     return ScoreOfKey(key);
   }
 
-  /// Highest live score (0.0 when no live entries). Lazily computed once and
-  /// cached — repeated calls do not re-walk the dead prefix.
-  double MaxScore() const {
-    if (!max_score_valid_) {
-      const std::size_t pos = FindFirstLive(0);
-      max_score_ = pos < keys_.size() ? scores_[pos] : 0.0;
-      max_score_valid_ = true;
-    }
-    return max_score_;
-  }
-
  private:
   /// The one scan primitive: first live position at or after `begin` in the
   /// key array (vectorized under GRECA_SIMD).
@@ -159,13 +147,11 @@ class alignas(64) ListView {
   std::span<const std::uint64_t> tombstones_;  // empty = nothing tombstoned
   std::size_t key_space_ = 0;
   std::size_t live_entries_ = 0;
-
-  // Mutable because views are handed to algorithms by const reference; a
-  // view instance belongs to one problem on one thread (see the header
-  // comment).
-  mutable double max_score_ = 0.0;
-  mutable bool max_score_valid_ = false;
 };
+
+// Two cache lines: the layout moves GRECA/TA query latency by several
+// percent, so a change to it must be measured, not incidental.
+static_assert(sizeof(ListView) == 128);
 
 }  // namespace greca
 

@@ -13,12 +13,13 @@ GroupProblem::GroupProblem(std::size_t num_items, std::size_t num_candidates,
                            ListView static_view,
                            std::span<const ListView> period_views,
                            AffinityCombiner combiner, ConsensusSpec consensus,
-                           ProblemArena& arena,
+                           ProblemArena& arena, ConsensusWeights weights,
                            std::unique_ptr<ProblemArena> backing)
     : num_items_(num_items),
       num_candidates_(num_candidates),
       combiner_(std::move(combiner)),
       consensus_(std::move(consensus)),
+      weights_(weights),
       uses_agreement_(consensus_.disagreement == DisagreementKind::kPairwise &&
                       preference_views.size() >= 2),
       owned_arena_(std::move(backing)),
@@ -30,9 +31,12 @@ GroupProblem::GroupProblem(std::size_t num_items, std::size_t num_candidates,
   assert(num_candidates_ <= num_items_);
   assert(period_views_.size() == combiner_.num_periods());
   assert(owned_arena_ == nullptr || owned_arena_.get() == arena_);
+  assert(weights_.uniform() || weights_.member.size() == group_size());
+  assert(weights_.uniform() || weights_.pair.size() == num_pairs());
+  if (uses_agreement_) BuildAgreementList();
 }
 
-void GroupProblem::BuildAgreementList() const {
+void GroupProblem::BuildAgreementList() {
   const std::size_t g = group_size();
   const double num_pairs = static_cast<double>(NumUserPairs(g));
   const bool weighted = !weights_.pair.empty();
@@ -57,14 +61,13 @@ void GroupProblem::BuildAgreementList() const {
   arena_->agreement_list.AssignUnsorted(scratch,
                                         static_cast<ListKey>(num_items_));
   agreement_view_ = ListView(arena_->agreement_list);
-  agreement_built_ = true;
 }
 
 std::size_t GroupProblem::TotalEntries() const {
   std::size_t total = static_view_.size();
   for (const ListView& list : preference_views_) total += list.size();
   for (const ListView& list : period_views_) total += list.size();
-  // The agreement list holds one entry per live candidate, built or not.
+  // The agreement list holds one entry per live candidate.
   if (uses_agreement_) total += num_candidates_;
   return total;
 }

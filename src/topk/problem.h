@@ -23,8 +23,12 @@
 // preference-list sort. Callers that hold their own SortedLists (tests, the
 // paper-figure benches) adapt them with ListView(list) and keep them alive
 // with PinLifetime. Pairwise-disagreement problems additionally carry one
-// aggregated group-agreement list, which the problem builds from its own
-// preference views into the arena the first time a solver walks it.
+// aggregated group-agreement list, which the constructor builds from the
+// problem's own preference views into the arena.
+//
+// An assembled problem is read-only: every list it serves exists before a
+// solver runs (paper §3.1), so any number of solvers may read one problem
+// through const& at the same time, each on its own QueryWorkspace.
 #ifndef GRECA_TOPK_PROBLEM_H_
 #define GRECA_TOPK_PROBLEM_H_
 
@@ -84,8 +88,8 @@ struct ProblemArena {
   /// list, so a problem survives the bounded cache evicting its lists.
   std::vector<ListView> period_views;
   std::vector<std::shared_ptr<const SortedList>> period_pins;
-  /// The aggregated group-agreement list, built on first walk by the
-  /// problem this arena backs (GroupProblem::agreement_list()).
+  /// The aggregated group-agreement list of the problem this arena backs
+  /// (GroupProblem::agreement_list()).
   SortedList agreement_list;
   /// Unsorted-entry scratch shared by the list materializers.
   std::vector<ListEntry> entry_scratch;
@@ -109,15 +113,21 @@ class GroupProblem {
   /// external storage that must outlive the problem (or be pinned on it, see
   /// PinLifetime).
   ///
-  /// `arena` is where the problem builds its aggregated group-agreement list
-  /// (pairwise consensus over >= 2 members); it must outlive the problem and
-  /// back no other live problem. When `backing` is non-null the problem owns
-  /// it, and `arena` must be *backing (the facade's workspace-less path).
+  /// `weights` are the normalized consensus weights: `member` one weight
+  /// per member summing to 1, `pair` one weight per local pair summing to 1
+  /// (empty only for singleton groups); empty spans = uniform. Their backing
+  /// storage must outlive the problem (the assembly arena).
+  ///
+  /// `arena` is where the constructor builds the aggregated group-agreement
+  /// list (pairwise consensus over >= 2 members); it must outlive the
+  /// problem and back no other live problem. When `backing` is non-null the
+  /// problem owns it, and `arena` must be *backing (the facade's
+  /// workspace-less path).
   GroupProblem(std::size_t num_items, std::size_t num_candidates,
                std::span<const ListView> preference_views,
                ListView static_view, std::span<const ListView> period_views,
                AffinityCombiner combiner, ConsensusSpec consensus,
-               ProblemArena& arena,
+               ProblemArena& arena, ConsensusWeights weights = {},
                std::unique_ptr<ProblemArena> backing = nullptr);
 
   // Views alias external storage: movable, not copyable.
@@ -161,22 +171,15 @@ class GroupProblem {
   /// The aggregated group-agreement list: one entry per live candidate,
   /// scored the mean over member pairs of PairAgreement(apref_a, apref_b,
   /// disagreement_scale) = 1 − dis(G, i), or the pair-weighted mean when
-  /// the problem carries consensus weights. The FIRST call pays the
-  /// O(C log C) build into the arena (capacities reused); solvers that
-  /// never walk the list never pay it. Building mutates cached state, so it
-  /// follows the problem's single-consumer contract (one algorithm at a
-  /// time). Requires uses_agreement_list().
+  /// the problem carries consensus weights. Requires uses_agreement_list().
   const ListView& agreement_list() const {
     assert(uses_agreement_);
-    if (!agreement_built_) BuildAgreementList();
     return agreement_view_;
   }
-  /// Every agreement list is built lazily, so this equals
-  /// uses_agreement_list(); serving reports it with agreement_materialized()
-  /// in BatchReport's agreement counters.
+  /// Both equal uses_agreement_list(): the list is built at assembly and
+  /// never deferred. Kept for perfbench's traced agreement counters.
   bool agreement_deferred() const { return uses_agreement_; }
-  /// True once agreement_list() has been built.
-  bool agreement_materialized() const { return agreement_built_; }
+  bool agreement_materialized() const { return uses_agreement_; }
 
   const AffinityCombiner& combiner() const { return combiner_; }
   const ConsensusSpec& consensus() const { return consensus_; }
@@ -187,20 +190,6 @@ class GroupProblem {
   /// through every solver without per-solver code.
   const ConsensusWeights& consensus_weights() const { return weights_; }
   bool weighted() const { return !weights_.uniform(); }
-
-  /// Installs normalized consensus weights: `member` one weight per member
-  /// summing to 1, `pair` one weight per local pair summing to 1 (empty only
-  /// for singleton groups). Backing storage must outlive the problem (the
-  /// assembly arena). Must be set before any solver reads the problem: the
-  /// agreement list bakes the pair weights in when it is built.
-  void SetConsensusWeights(std::span<const double> member,
-                           std::span<const double> pair) {
-    assert(member.size() == group_size());
-    assert(pair.size() == num_pairs());
-    assert(!agreement_built_);
-    weights_.member = member;
-    weights_.pair = pair;
-  }
 
   /// Total live entries across all input lists — the exhaustive-scan cost
   /// that normalizes the %SA metric.
@@ -240,7 +229,7 @@ class GroupProblem {
   std::size_t PairIndex(std::size_t a, std::size_t b) const;
 
  private:
-  void BuildAgreementList() const;
+  void BuildAgreementList();
 
   std::size_t num_items_;
   std::size_t num_candidates_;
@@ -257,10 +246,7 @@ class GroupProblem {
   std::span<const ListView> preference_views_;
   ListView static_view_;
   std::span<const ListView> period_views_;
-  // mutable: the agreement build is a cached const-path materialization
-  // (single-consumer contract, see agreement_list()).
-  mutable ListView agreement_view_;
-  mutable bool agreement_built_ = false;
+  ListView agreement_view_;  // empty unless uses_agreement_
 };
 
 }  // namespace greca

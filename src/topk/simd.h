@@ -4,11 +4,11 @@
 // The SoA index layout (index/preference_index.h) stores row keys as a bare
 // uint32 array, so liveness of 8 entries is decidable from one 32-byte load:
 // a key is live when it lies inside the prefix [0, key_space) AND its bit in
-// the tombstone bitmap is clear. ListView's sequential scan and MaxScore
-// both reduce to FindFirstLive over some [begin, end) range of a key
-// array — this header gives that primitive an AVX2 body with a scalar
-// tail, plus a portable scalar fallback compiled when GRECA_SIMD is off (or
-// the target has no AVX2). Both paths return bit-identical positions; the
+// the tombstone bitmap is clear. ListView's sequential scan reduces to
+// FindFirstLive over some [begin, end) range of a key array — this header
+// gives that primitive an AVX2 body with a scalar tail, plus a portable
+// scalar fallback compiled when GRECA_SIMD is off (or the target has no
+// AVX2). Both paths return bit-identical positions; the
 // equivalence suites and the -DGRECA_SIMD=OFF CI job hold them to it.
 //
 // The tombstone bitmap only covers the prefix ((key_space + 63) / 64 words),

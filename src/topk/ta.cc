@@ -18,8 +18,7 @@ TopKResult TaTopK(const GroupProblem& problem, std::size_t k) {
 
   // One shared skip pass per list seeds the threshold bound (the first live
   // score) AND leaves the cursor on that entry for round 1, so the dead
-  // prefix ahead of it is walked once — not once per MaxScore call and again
-  // by the main loop.
+  // prefix ahead of it is walked once, not again by the main loop.
   std::vector<std::size_t> cursor(g, 0);
   std::vector<double> cursor_score(g);
   for (std::size_t u = 0; u < g; ++u) {

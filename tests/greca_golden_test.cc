@@ -144,10 +144,6 @@ GroupProblem BuildProblem(const GoldenCase& c, std::uint64_t seed,
   }
   for (const SortedList& list : s.period) s.period_views.emplace_back(list);
 
-  GroupProblem problem(prefix, live, s.preference_views,
-                       ListView(s.static_list), s.period_views,
-                       AffinityCombiner(model, std::move(averages)),
-                       c.consensus, *s.arena);
   if (c.weighted) {
     double sum = 0.0;
     for (std::size_t u = 0; u < c.g; ++u) {
@@ -163,9 +159,12 @@ GroupProblem BuildProblem(const GoldenCase& c, std::uint64_t seed,
       }
     }
     for (double& w : s.pair_weights) w /= pair_sum;
-    problem.SetConsensusWeights(s.member_weights, s.pair_weights);
   }
-  return problem;
+  return GroupProblem(prefix, live, s.preference_views,
+                      ListView(s.static_list), s.period_views,
+                      AffinityCombiner(model, std::move(averages)),
+                      c.consensus, *s.arena,
+                      {s.member_weights, s.pair_weights});
 }
 
 std::string Hex(double v) {

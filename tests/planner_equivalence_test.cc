@@ -8,7 +8,7 @@
 // "Bit-identical" covers the full observable surface: per-query ok/status,
 // recommended items, scores, raw access counters, rounds, early termination
 // and GRECA's execution stats. The planner's report (buckets, attribution,
-// dedup ratio, lazy-agreement and cache counters) is audited alongside.
+// dedup ratio and cache counters) is audited alongside.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -234,7 +234,7 @@ class PlannerEquivalenceTest : public ::testing::Test {
 
   /// A duplicate-heavy batch: `num_base` distinct valid queries across
   /// algorithms, models and consensus functions (pairwise included — the
-  /// lazy-agreement path must be exercised), each repeated `dup` times, the
+  /// agreement list must be exercised), each repeated `dup` times, the
   /// whole batch shuffled, with invalid queries interleaved.
   static std::vector<Query> DuplicateHeavyBatch(std::size_t num_base,
                                                 std::size_t dup,
@@ -411,9 +411,6 @@ TEST_F(PlannerEquivalenceTest, PlannedMatchesSequentialOnTheMonolithicEngine) {
     EXPECT_EQ(report.num_buckets, valid / dup)
         << "every duplicate must share its base query's bucket";
     EXPECT_NEAR(report.dedup_ratio, static_cast<double>(dup), 1e-12);
-    // Pairwise-consensus problems were solved, so their agreement lists
-    // must have been built (every algorithm scores through them).
-    EXPECT_GT(report.agreement_lists_materialized, 0u);
   }
 }
 
@@ -573,10 +570,10 @@ TEST_F(PlannerEquivalenceTest, ShardedParallelPlannedMatchesSerialReference) {
   }
 }
 
-// The lazy aggregated agreement list: deferred at assembly, materialized
-// only when an algorithm walks it, with TotalEntries (the paper's EDA cost
-// surface) exact in both states.
-TEST_F(PlannerEquivalenceTest, LazyAgreementDeferAndMaterialize) {
+// The aggregated agreement list is built at assembly: right after
+// BuildProblem it holds one entry per live candidate, and TotalEntries (the
+// paper's EDA cost surface) counts it like every other input list.
+TEST_F(PlannerEquivalenceTest, AgreementListBuiltAtAssembly) {
   const auto engine = MakeMono();
   const GroupRecommender& rec = engine->recommender();
 
@@ -584,26 +581,21 @@ TEST_F(PlannerEquivalenceTest, LazyAgreementDeferAndMaterialize) {
   pairwise.consensus = ConsensusSpec::PairwiseDisagreement();
   const std::vector<UserId> group = {1, 2, 3};
 
-  // Build WITHOUT solving: the agreement list must stay unbuilt.
   auto problem = rec.BuildProblem(group, pairwise);
   ASSERT_TRUE(problem.ok()) << problem.status().ToString();
-  EXPECT_TRUE(problem.value().agreement_deferred());
-  EXPECT_FALSE(problem.value().agreement_materialized());
-  EXPECT_TRUE(problem.value().uses_agreement_list());
-  const std::size_t entries_deferred = problem.value().TotalEntries();
-
-  // First walk materializes; the observable surface must not move.
-  const ListView& list = problem.value().agreement_list();
-  EXPECT_TRUE(problem.value().agreement_materialized());
-  EXPECT_EQ(problem.value().TotalEntries(), entries_deferred)
-      << "deferred-entry accounting must equal the built list's size";
+  const GroupProblem& p = problem.value();
+  ASSERT_TRUE(p.uses_agreement_list());
+  const ListView& list = p.agreement_list();
   EXPECT_GT(list.size(), 0u);
-  EXPECT_EQ(list.size(), problem.value().num_candidates());
+  EXPECT_EQ(list.size(), p.num_candidates());
+  std::size_t entries = p.static_affinity().size() + list.size();
+  for (const ListView& l : p.preference_lists()) entries += l.size();
+  for (const ListView& l : p.period_affinity()) entries += l.size();
+  EXPECT_EQ(p.TotalEntries(), entries);
 
-  // Non-pairwise consensus never defers (nothing to build).
+  // Non-pairwise consensus has no agreement list.
   auto plain = rec.BuildProblem(group, SmallSpec());
   ASSERT_TRUE(plain.ok());
-  EXPECT_FALSE(plain.value().agreement_deferred());
   EXPECT_FALSE(plain.value().uses_agreement_list());
 }
 

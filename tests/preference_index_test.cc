@@ -126,7 +126,6 @@ TEST(PreferenceIndexTest, UserViewSlicesPrefixAndSkipsTombstones) {
   EXPECT_DOUBLE_EQ(view.ScoreOfKey(1), 0.6);
   EXPECT_DOUBLE_EQ(view.ScoreOfKey(0), 0.0);
   EXPECT_DOUBLE_EQ(view.ScoreOfKey(3), 0.0);
-  EXPECT_DOUBLE_EQ(view.MaxScore(), 0.6);
 }
 
 TEST(PreferenceIndexTest, FullPrefixViewMatchesRow) {

@@ -7,6 +7,8 @@
 //    one pinned snapshot, with a publisher racing them, must each reproduce
 //    the serial reference bit-for-bit. Runs under the TSan CI job like every
 //    test (the old workspace sharing was exactly the race TSan would flag).
+//  * Concurrent solvers — one assembled problem, read by two solvers on two
+//    threads at once, yields what each solver returns alone.
 //  * Pin() under a publish storm — Pin() must never hand out a set older
 //    than a completed publish.
 //  * Cross-shard atomicity — a batch rating users on two shards lands in a
@@ -17,14 +19,18 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "api/engine.h"
 #include "common/rng.h"
+#include "core/problem_assembly.h"
 #include "serve/workspace_pool.h"
 #include "shard/sharded_engine.h"
+#include "solver/solver_registry.h"
 
 namespace greca {
 namespace {
@@ -216,6 +222,62 @@ TEST_F(ServingRuntimeTest, RacingBatchesMatchSerialReferenceUnderPublish) {
   // Fresh batches on the post-publish snapshot still work.
   for (const auto& r : engine.RecommendBatch(batch_a)) {
     EXPECT_TRUE(r.ok()) << r.status().ToString();
+  }
+}
+
+// An assembled problem is immutable: two solvers read one pairwise-
+// disagreement problem (whose agreement list every solver walks) from two
+// threads at once, each on its own workspace, and each result is
+// bit-identical to a serial solve of the same problem. The serial
+// references run after the race, so the threads are the problem's first
+// readers.
+TEST_F(ServingRuntimeTest, ConcurrentSolversShareOneProblem) {
+  RecommenderOptions ropts;
+  ropts.max_candidate_items = 240;
+  const GroupRecommender recommender(universe_->dataset, *study_, ropts);
+  const std::vector<UserId> group = {0, 5, 11, 17, 23, 29};
+  QuerySpec spec;
+  spec.k = 5;
+  spec.num_candidate_items = 240;
+  spec.consensus = ConsensusSpec::PairwiseDisagreement();
+  const Result<GroupProblem> built = recommender.BuildProblem(group, spec);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const GroupProblem& problem = built.value();
+  ASSERT_EQ(problem.group_size(), 6u);
+  ASSERT_TRUE(problem.uses_agreement_list());
+  const std::span<const ItemId> pool = recommender.snapshot()->index().pool();
+
+  const std::string solver_ids[2] = {std::string(kGrecaSolverId),
+                                     std::string(kNaiveSolverId)};
+  const auto solve = [&](const std::string& id) {
+    QuerySpec s = spec;
+    s.solver_id = id;
+    QueryWorkspace ws;
+    return SolveGroupProblem(problem, s, pool, ws);
+  };
+  Recommendation raced[2];
+  std::atomic<int> ready{0};
+  const auto racer = [&](int t) {
+    ready.fetch_add(1);
+    while (ready.load() < 2) std::this_thread::yield();
+    raced[t] = solve(solver_ids[t]);
+  };
+  std::thread t0(racer, 0);
+  std::thread t1(racer, 1);
+  t0.join();
+  t1.join();
+
+  for (int t = 0; t < 2; ++t) {
+    const Recommendation serial = solve(solver_ids[t]);
+    ASSERT_FALSE(serial.items.empty()) << solver_ids[t];
+    EXPECT_EQ(raced[t].items, serial.items) << solver_ids[t];
+    EXPECT_EQ(raced[t].scores, serial.scores) << solver_ids[t];
+    EXPECT_EQ(raced[t].raw.accesses.sequential,
+              serial.raw.accesses.sequential)
+        << solver_ids[t];
+    EXPECT_EQ(raced[t].raw.accesses.random, serial.raw.accesses.random)
+        << solver_ids[t];
+    EXPECT_EQ(raced[t].raw.rounds, serial.raw.rounds) << solver_ids[t];
   }
 }
 

@@ -36,7 +36,8 @@ GroupProblem MakeProblem(std::size_t num_items,
                          std::vector<SortedList> preference_lists,
                          SortedList static_affinity,
                          std::vector<SortedList> period_affinity,
-                         AffinityCombiner combiner, ConsensusSpec consensus) {
+                         AffinityCombiner combiner, ConsensusSpec consensus,
+                         ConsensusWeights weights) {
   auto owned = std::make_shared<OwnedLists>();
   owned->preference = std::move(preference_lists);
   owned->static_list = std::move(static_affinity);
@@ -50,7 +51,7 @@ GroupProblem MakeProblem(std::size_t num_items,
   GroupProblem problem(num_items, num_items, owned->preference_views,
                        ListView(owned->static_list), owned->period_views,
                        std::move(combiner), std::move(consensus),
-                       owned->arena);
+                       owned->arena, weights);
   problem.PinLifetime(std::move(owned));
   return problem;
 }
@@ -58,7 +59,8 @@ GroupProblem MakeProblem(std::size_t num_items,
 GroupProblem MakeRandomProblem(Rng& rng, std::size_t g, std::size_t m,
                                std::size_t num_periods,
                                const ConsensusSpec& consensus,
-                               const AffinityModelSpec& model) {
+                               const AffinityModelSpec& model,
+                               ConsensusWeights weights) {
   std::vector<SortedList> pref_lists;
   for (std::size_t u = 0; u < g; ++u) pref_lists.push_back(RandomList(rng, m));
   const std::size_t pairs = NumUserPairs(g);
@@ -73,7 +75,8 @@ GroupProblem MakeRandomProblem(Rng& rng, std::size_t g, std::size_t m,
   }
   return MakeProblem(m, std::move(pref_lists), std::move(static_list),
                      std::move(period_lists),
-                     AffinityCombiner(model, std::move(averages)), consensus);
+                     AffinityCombiner(model, std::move(averages)), consensus,
+                     weights);
 }
 
 GroupProblem MakeRunningExampleProblem(const ConsensusSpec& consensus,

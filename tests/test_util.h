@@ -16,12 +16,14 @@ namespace greca::testing {
 /// views and the arena the agreement list is built in move into one heap
 /// block pinned on the problem (GroupProblem::PinLifetime). Every key in
 /// [0, num_items) is a live candidate; the number of period lists must
-/// equal combiner.num_periods().
+/// equal combiner.num_periods(). `weights` (uniform by default) must
+/// outlive the problem.
 GroupProblem MakeProblem(std::size_t num_items,
                          std::vector<SortedList> preference_lists,
                          SortedList static_affinity,
                          std::vector<SortedList> period_affinity,
-                         AffinityCombiner combiner, ConsensusSpec consensus);
+                         AffinityCombiner combiner, ConsensusSpec consensus,
+                         ConsensusWeights weights = {});
 
 /// Builds a randomized but fully valid GroupProblem: `g` members over `m`
 /// candidate items and `num_periods` periods, every list covering its whole
@@ -29,7 +31,8 @@ GroupProblem MakeProblem(std::size_t num_items,
 GroupProblem MakeRandomProblem(Rng& rng, std::size_t g, std::size_t m,
                                std::size_t num_periods,
                                const ConsensusSpec& consensus,
-                               const AffinityModelSpec& model);
+                               const AffinityModelSpec& model,
+                               ConsensusWeights weights = {});
 
 /// The paper's running example (§3.1, Tables 1–4): three users, three items,
 /// two periods. Preferences are normalized to [0, 1] by the 5-star scale.

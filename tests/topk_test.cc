@@ -78,7 +78,6 @@ TEST(ListViewTest, AdapterMatchesSortedList) {
   const ListView view(list);
   EXPECT_EQ(view.size(), list.size());
   EXPECT_EQ(view.key_space(), 3u);
-  EXPECT_DOUBLE_EQ(view.MaxScore(), list.MaxScore());
   for (ListKey key = 0; key < 3; ++key) {
     EXPECT_FALSE(view.IsTombstoned(key));
     EXPECT_DOUBLE_EQ(view.ScoreOfKey(key), list.ScoreOfKey(key));
@@ -159,13 +158,13 @@ TEST(GroupProblemTest, AggregatedAgreementListEqualsPairMean) {
 
   for (const bool weighted : {false, true}) {
     Rng rng(90);
-    GroupProblem problem = testing::MakeRandomProblem(
+    const ConsensusWeights weights =
+        weighted ? ConsensusWeights{member_weights, pair_weights}
+                 : ConsensusWeights{};
+    const GroupProblem problem = testing::MakeRandomProblem(
         rng, 4, 10, 1, ConsensusSpec::PairwiseDisagreement(0.5),
-        AffinityModelSpec::Default());
-    if (weighted) problem.SetConsensusWeights(member_weights, pair_weights);
-    ASSERT_FALSE(problem.agreement_materialized());
+        AffinityModelSpec::Default(), weights);
     const ListView& list = problem.agreement_list();
-    EXPECT_TRUE(problem.agreement_materialized());
     EXPECT_EQ(list.size(), problem.num_candidates());
     const double scale = problem.consensus().disagreement_scale;
     for (ListKey item = 0; item < 10; ++item) {
