@@ -18,13 +18,14 @@
 // change the batch size, and GRECA_BATCH_ASSERT_PLANNER=1 (CI) to fail the
 // run when qps at duplicate factor 16 undershoots 1.5x the qps at factor 1,
 // or the planner ever merges buckets across solver ids / weighting modes.
-// GRECA_BATCH_ALGO restricts the registered-solver quality-vs-speed sweep
+// GRECA_BATCH_ALGO restricts the built-in-solver quality-vs-speed sweep
 // (comma-separated solver ids; default "all").
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -282,17 +283,15 @@ int main() {
                   << dup16_ratio << ")\n";
         return 1;
       }
-      // Bucketing-safety smoke: the same group issued under every registered
+      // Bucketing-safety smoke: the same group issued under every built-in
       // solver id and under both weighting modes — each duplicated — must
       // never share a bucket across solver ids or weighting modes (a merge
       // would silently serve one solver's result as another's), while exact
       // duplicates still share.
       std::vector<Query> mixed;
-      const std::vector<std::string> reg_ids =
-          SolverRegistry::Global().RegisteredIds();
-      for (const std::string& id : reg_ids) {
+      for (const std::string_view id : kSolverIds) {
         Query q = batch[0];
-        q.spec.solver_id = id;
+        q.spec.solver_id = std::string(id);
         mixed.push_back(q);
         mixed.push_back(q);  // exact duplicate — must still share
       }
@@ -303,7 +302,7 @@ int main() {
       BatchReport mixed_report;
       const auto mixed_results =
           planner_engine.RecommendBatch(mixed, &mixed_report);
-      const std::size_t distinct_signatures = reg_ids.size() + 1;
+      const std::size_t distinct_signatures = kSolverIds.size() + 1;
       if (mixed_report.num_buckets != distinct_signatures ||
           mixed_report.duplicates_shared != distinct_signatures) {
         std::cerr << "ERROR: planner merged queries across solver ids or "
@@ -326,7 +325,7 @@ int main() {
   }
 
   // ---- Solver sweep: the quality-vs-speed frontier -----------------------
-  // Every registered aggregation objective runs the same batch; qps comes
+  // Every built-in aggregation objective runs the same batch; qps comes
   // from best-of-3 sequential passes and quality from the satisfaction
   // oracle at the last study period (the paper's §4 protocol). The exact
   // rankers (greca/naive/ta) score identical lists, so their satisfaction
@@ -345,7 +344,7 @@ int main() {
     std::string algo_sel = algo_env != nullptr ? algo_env : "all";
     std::vector<std::string> solver_ids;
     if (algo_sel == "all" || algo_sel.empty()) {
-      solver_ids = SolverRegistry::Global().RegisteredIds();
+      solver_ids.assign(kSolverIds.begin(), kSolverIds.end());
     } else {
       std::size_t start = 0;
       while (start <= algo_sel.size()) {
@@ -354,7 +353,7 @@ int main() {
             start, comma == std::string::npos ? std::string::npos
                                               : comma - start);
         if (!id.empty()) {
-          if (SolverRegistry::Global().Find(id) == nullptr) {
+          if (!IsSolverId(id)) {
             std::cerr << "ignoring unknown solver id '" << id
                       << "' in GRECA_BATCH_ALGO\n";
           } else {

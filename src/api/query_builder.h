@@ -53,7 +53,7 @@ class QueryBuilder {
   QueryBuilder& AtPeriod(PeriodId period);
   /// Evaluates at the last study period (the default).
   QueryBuilder& AtLastPeriod();
-  /// Selects a registered solver by id (solver/solver_registry.h). Unknown
+  /// Selects a built-in solver by id (solver/solver_registry.h). Unknown
   /// ids fail at Build() with kInvalidArgument.
   QueryBuilder& Using(std::string solver_id);
   /// Per-member consensus weighting (kUniform default; kInfluence derives

@@ -51,6 +51,7 @@ class GrecaRun {
         num_pairs_(problem.num_pairs()),
         num_periods_(problem.num_periods()),
         m_(problem.num_items()),
+        seen_words_((g_ + 63) / 64),
         pair_norm_(g_ > 1 ? 1.0 / static_cast<double>(g_ - 1) : 0.0),
         ag_floor_(1.0 - problem.consensus().disagreement_scale),
         uses_agreement_(problem.uses_agreement_list()),
@@ -69,7 +70,7 @@ class GrecaRun {
     period_seen_.assign(num_periods_ * num_pairs_, 0);
 
     apref_val_.assign(m_ * g_, 0.0);
-    apref_seen_.assign(m_, 0u);
+    apref_seen_.assign(m_ * seen_words_, 0u);
     item_state_.assign(m_, kUnseen);
     active_items_.clear();
 
@@ -98,7 +99,6 @@ class GrecaRun {
   TopKResult Run() {
     TopKResult result;
     result.total_entries = problem_.TotalEntries();
-    assert(g_ <= 32 && "seen-bitmask limits groups to 32 members");
 
     bool stopped = false;
     while (!stopped && !AllExhausted()) {
@@ -153,7 +153,8 @@ class GrecaRun {
       const ListEntry& e = list.ReadSequential(pref_pos_[u], counter);
       pref_bound_[u] = e.score;
       apref_val_[e.id * g_ + u] = e.score;
-      apref_seen_[e.id] |= (1u << u);
+      apref_seen_[e.id * seen_words_ + (u >> 6)] |=
+          std::uint64_t{1} << (u & 63);
       Touch(e.id);
     }
     {
@@ -236,15 +237,31 @@ class GrecaRun {
                          : Interval{ag_floor_, ag_bound_};
   }
 
-  /// Consensus-score interval of item `key` (ComputeLB/ComputeUB).
+  /// Calls visit(u) for every member u whose preference of item `key` has
+  /// been seen, in member order. Each seen-set word is loaded once.
+  template <typename Visit>
+  void ForEachSeenMember(ListKey key, Visit visit) const {
+    const std::uint64_t* words = &apref_seen_[key * seen_words_];
+    for (std::size_t w = 0; w < seen_words_; ++w) {
+      for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+        visit(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+      }
+    }
+  }
+
+  /// Consensus-score interval of item `key` (ComputeLB/ComputeUB). An
+  /// unseen preference spans [0, its list's cursor bound]; a seen one is
+  /// exact.
   Interval ItemInterval(ListKey key) {
-    const std::uint32_t mask = apref_seen_[key];
     const double* seen = &apref_val_[key * g_];
     for (std::size_t u = 0; u < g_; ++u) {
-      const bool known = (mask >> u) & 1u;
-      apref_lb_[u] = known ? seen[u] : 0.0;
-      apref_ub_[u] = known ? seen[u] : pref_bound_[u];
+      apref_lb_[u] = 0.0;
+      apref_ub_[u] = pref_bound_[u];
     }
+    ForEachSeenMember(key, [&](std::size_t u) {
+      apref_lb_[u] = seen[u];
+      apref_ub_[u] = seen[u];
+    });
     MemberPreferenceEndpoints(apref_lb_, pair_lb_dense_, pair_norm_,
                               pref_lb_);
     MemberPreferenceEndpoints(apref_ub_, pair_ub_dense_, pair_norm_,
@@ -260,11 +277,9 @@ class GrecaRun {
   /// interval over degenerate [ub, ub] member preferences yields exactly
   /// the upper bound ItemInterval computes.
   double ItemUpperBound(ListKey key) {
-    const std::uint32_t mask = apref_seen_[key];
     const double* seen = &apref_val_[key * g_];
-    for (std::size_t u = 0; u < g_; ++u) {
-      apref_ub_[u] = (mask >> u) & 1u ? seen[u] : pref_bound_[u];
-    }
+    for (std::size_t u = 0; u < g_; ++u) apref_ub_[u] = pref_bound_[u];
+    ForEachSeenMember(key, [&](std::size_t u) { apref_ub_[u] = seen[u]; });
     MemberPreferenceEndpoints(apref_ub_, pair_ub_dense_, pair_norm_,
                               pref_ub_);
     for (std::size_t u = 0; u < g_; ++u) {
@@ -413,9 +428,10 @@ class GrecaRun {
   std::vector<double>& period_val_;
   std::vector<std::uint8_t>& period_seen_;
 
-  // Seen absolute preferences per (item, member).
+  // Seen absolute preferences per (item, member); the seen-set holds
+  // seen_words_ words of member bits per item.
   std::vector<double>& apref_val_;
-  std::vector<std::uint32_t>& apref_seen_;
+  std::vector<std::uint64_t>& apref_seen_;
   std::vector<std::uint8_t>& item_state_;
   std::vector<ListKey>& active_items_;
 
@@ -449,6 +465,7 @@ class GrecaRun {
   const std::size_t num_pairs_;
   const std::size_t num_periods_;
   const std::size_t m_;
+  const std::size_t seen_words_;  // ⌈g/64⌉ seen-set words per item
   const double pair_norm_;  // 1/(g−1): rpref's normalization
   const double ag_floor_;
   const bool uses_agreement_;

@@ -90,9 +90,11 @@ struct GrecaWorkspace {
   std::vector<double> period_val;
   std::vector<std::uint8_t> period_seen;
 
-  // Seen absolute preferences per (item, member) and the candidate buffer.
+  // Seen absolute preferences per (item, member), the seen-set (⌈g/64⌉
+  // words of member bits per item, so groups of any size) and the candidate
+  // buffer.
   std::vector<double> apref_val;
-  std::vector<std::uint32_t> apref_seen;
+  std::vector<std::uint64_t> apref_seen;
   std::vector<std::uint8_t> item_state;
   std::vector<ListKey> active_items;
 

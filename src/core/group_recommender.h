@@ -82,7 +82,7 @@ enum class MemberWeighting {
   /// Per-member weights from social-graph influence (propagation
   /// centrality over the study's friendship graph), materialized by the
   /// engine's AffinitySource and normalized per group. Flows through every
-  /// registered solver without per-solver code.
+  /// built-in solver without per-solver code.
   kInfluence,
 };
 
@@ -113,7 +113,7 @@ struct QuerySpec {
   /// period"; explicit indices must be in range — ResolvePeriod rejects
   /// out-of-range values with kOutOfRange instead of clamping.
   std::optional<PeriodId> eval_period;
-  /// Registry solver id (solver/solver_registry.h): "greca", "naive", "ta"
+  /// Built-in solver id (solver/solver_registry.h): "greca", "naive", "ta"
   /// or "submodular". Unknown ids — the empty one included — are rejected
   /// at validation with kInvalidArgument.
   std::string solver_id = "greca";
@@ -267,9 +267,10 @@ class GroupRecommender {
       QueryWorkspace* workspace = nullptr) const;
 
   /// Validates a query without running it: non-empty group of known,
-  /// distinct participants (≤ 32 for GRECA, its seen-bitmask limit), k ≥ 1,
-  /// a non-empty candidate pool and an in-range evaluation period. Nothing
-  /// validated depends on the rating generation, so no snapshot is read.
+  /// distinct participants (any number, for every solver), a built-in
+  /// solver id, k ≥ 1, a non-empty candidate pool and an in-range
+  /// evaluation period. Nothing validated depends on the rating
+  /// generation, so no snapshot is read.
   Status ValidateQuery(std::span<const UserId> group,
                        const QuerySpec& spec) const;
   /// Same as above: `snap` is unused. The overload stays only because the

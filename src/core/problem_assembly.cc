@@ -2,13 +2,18 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cmath>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "dataset/ratings_overlay.h"
 #include "solver/solver_registry.h"
+#include "solver/submodular_solver.h"
+#include "topk/naive.h"
+#include "topk/ta.h"
 
 namespace greca {
 
@@ -30,17 +35,9 @@ Status ValidateGroupQuery(std::span<const UserId> group, const QuerySpec& spec,
   if (group.empty()) {
     return Status::InvalidArgument("group must not be empty");
   }
-  // Solver lookup plus the solver's own veto hook, at the position of the
-  // historical GRECA group-size check, so error sequences are unchanged.
-  const GroupSolver* solver =
-      SolverRegistry::Global().Find(spec.solver_id);
-  if (solver == nullptr) {
+  if (!IsSolverId(spec.solver_id)) {
     return Status::InvalidArgument("unknown solver id \"" + spec.solver_id +
                                    "\"");
-  }
-  if (Status solver_veto = solver->ValidateQuery(group, spec);
-      !solver_veto.ok()) {
-    return solver_veto;
   }
   if (spec.k == 0) {
     return Status::InvalidArgument("k must be >= 1");
@@ -260,15 +257,24 @@ Recommendation SolveGroupProblem(const GroupProblem& problem,
                                  std::span<const ItemId> pool_items,
                                  QueryWorkspace& workspace) {
   Recommendation rec;
-  const GroupSolver* solver =
-      SolverRegistry::Global().Find(spec.solver_id);
-  // ValidateGroupQuery rejects unknown ids before any assembly happens; a
-  // null here means a caller skipped validation.
-  assert(solver != nullptr);
-  if (solver == nullptr) return rec;
-  SolverResult solved = solver->Solve(problem, spec, workspace);
-  rec.raw = std::move(solved.raw);
-  rec.greca_stats = solved.greca_stats;
+  const std::string_view id = spec.solver_id;
+  if (id == kGrecaSolverId) {
+    GrecaConfig config;
+    config.k = spec.k;
+    config.termination = spec.termination;
+    rec.raw = Greca(problem, config, &rec.greca_stats, &workspace.greca);
+  } else if (id == kNaiveSolverId) {
+    rec.raw = NaiveTopK(problem, spec.k);
+  } else if (id == kTaSolverId) {
+    rec.raw = TaTopK(problem, spec.k);
+  } else if (id == kSubmodularSolverId) {
+    rec.raw = SubmodularGreedyTopK(problem, spec.k);
+  } else {
+    // ValidateGroupQuery rejects unknown ids before any assembly happens;
+    // reaching this branch means a caller skipped validation.
+    assert(false && "unknown solver id");
+    return rec;
+  }
   rec.items.reserve(rec.raw.items.size());
   rec.scores.reserve(rec.raw.items.size());
   for (const ListEntry& e : rec.raw.items) {

@@ -59,9 +59,8 @@ Result<PeriodId> ResolveEvalPeriod(std::optional<PeriodId> requested,
                                    std::size_t num_periods);
 
 /// Validation shared by every facade: non-empty group of known, distinct
-/// members, a registered solver (unknown QuerySpec::solver_id values are
-/// rejected with kInvalidArgument; the selected solver's own ValidateQuery
-/// hook may veto further — GRECA caps groups at 32 members), k >= 1, a
+/// members, a built-in solver id (IsSolverId; any other
+/// QuerySpec::solver_id is rejected with kInvalidArgument), k >= 1, a
 /// non-empty candidate pool, finite non-negative consensus weights and
 /// disagreement scale, a finite drift gain, an in-range evaluation period
 /// and (for time+affinity aware models) an affinity source covering it.
@@ -96,11 +95,12 @@ GroupProblem AssembleGroupProblem(const AssemblyContext& ctx,
                                   std::vector<ItemId>* candidates_out,
                                   QueryWorkspace* workspace);
 
-/// Dispatches the spec's solver (solver/solver_registry.h) over an assembled
-/// problem and maps the result keys back to universe items through
-/// `pool_items` (the shared pool, key order). `workspace` provides the
-/// solvers' reusable buffers. The spec must have passed ValidateGroupQuery —
-/// that is where unknown solver ids are rejected.
+/// The one solver dispatch: calls the free function of the spec's solver id
+/// (solver/solver_registry.h) — Greca, NaiveTopK, TaTopK or
+/// SubmodularGreedyTopK — on an assembled problem and maps the result keys
+/// back to universe items through `pool_items` (the shared pool, key order).
+/// `workspace` provides GRECA's reusable buffers. The spec must have passed
+/// ValidateGroupQuery — that is where unknown solver ids are rejected.
 Recommendation SolveGroupProblem(const GroupProblem& problem,
                                  const QuerySpec& spec,
                                  std::span<const ItemId> pool_items,

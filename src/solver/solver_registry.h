@@ -1,46 +1,35 @@
-// Registry of GroupSolvers keyed by stable solver id.
-//
-// The registry is a fixed table of the four built-ins — GRECA, TA, the naive
-// scan and the submodular-coverage solver — sorted by id and built on first
-// use of Global() (which survives static-archive linking, where file-scope
-// registrar objects get dropped). It never changes after that, so lookups
-// take no lock and any number of threads may read it at once.
+// The built-in solver ids: the paper's GRECA, its two baselines (the naive
+// scan and TA) and the submodular-coverage objective. QuerySpec::solver_id
+// selects one of them; ValidateGroupQuery rejects any other id, and
+// SolveGroupProblem (core/problem_assembly.h) dispatches on the id to the
+// solver's free function. Adding a solver is an id constant here, an entry
+// in kSolverIds and one branch in SolveGroupProblem.
 #ifndef GRECA_SOLVER_SOLVER_REGISTRY_H_
 #define GRECA_SOLVER_SOLVER_REGISTRY_H_
 
+#include <algorithm>
 #include <array>
-#include <string>
 #include <string_view>
-#include <vector>
-
-#include "solver/solver.h"
 
 namespace greca {
 
-/// Built-in solver ids: the paper's GRECA, its two baselines and the
-/// submodular objective. kGrecaSolverId is QuerySpec::solver_id's default.
+/// kGrecaSolverId is QuerySpec::solver_id's default.
 inline constexpr std::string_view kGrecaSolverId = "greca";
 inline constexpr std::string_view kNaiveSolverId = "naive";
 inline constexpr std::string_view kTaSolverId = "ta";
 inline constexpr std::string_view kSubmodularSolverId = "submodular";
 
-class SolverRegistry {
- public:
-  /// The process-wide registry of the built-ins.
-  static const SolverRegistry& Global();
+/// Every built-in id, sorted (stable iteration for sweeps and listings).
+inline constexpr std::array<std::string_view, 4> kSolverIds = {
+    kGrecaSolverId, kNaiveSolverId, kSubmodularSolverId, kTaSolverId};
+static_assert(std::is_sorted(kSolverIds.begin(), kSolverIds.end()),
+              "kSolverIds must stay sorted");
 
-  /// The solver registered under `id`, or null.
-  const GroupSolver* Find(std::string_view id) const;
-
-  /// All registered ids, sorted (stable iteration for sweeps and listings).
-  std::vector<std::string> RegisteredIds() const;
-
- private:
-  explicit SolverRegistry(std::array<const GroupSolver*, 4> solvers)
-      : solvers_(solvers) {}
-
-  std::array<const GroupSolver*, 4> solvers_;  // sorted by id()
-};
+/// True when `id` names a built-in solver.
+constexpr bool IsSolverId(std::string_view id) {
+  return std::find(kSolverIds.begin(), kSolverIds.end(), id) !=
+         kSolverIds.end();
+}
 
 }  // namespace greca
 

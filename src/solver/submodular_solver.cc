@@ -6,17 +6,10 @@
 
 namespace greca {
 
-SubmodularGreedySolver::SubmodularGreedySolver(double relevance_weight)
-    : relevance_weight_(relevance_weight) {
-  assert(relevance_weight_ >= 0.0 && relevance_weight_ <= 1.0);
-}
-
-SolverResult SubmodularGreedySolver::Solve(const GroupProblem& problem,
-                                           const QuerySpec& spec,
-                                           QueryWorkspace& workspace) const {
-  (void)workspace;
-  SolverResult result;
-  TopKResult& out = result.raw;
+TopKResult SubmodularGreedyTopK(const GroupProblem& problem, std::size_t k,
+                                double relevance_weight) {
+  assert(relevance_weight >= 0.0 && relevance_weight <= 1.0);
+  TopKResult out;
   out.total_entries = problem.TotalEntries();
 
   // Phase 1 — exhaustive scan, identical accounting to the naive baseline:
@@ -78,11 +71,11 @@ SolverResult SubmodularGreedySolver::Solve(const GroupProblem& problem,
   // remaining candidate's marginal gain against the current coverage vector.
   // Uniform weights use 1/g so λ = 1 exactly reproduces the consensus
   // ranking and λ = 0 a [0, 1]-scaled coverage objective.
-  const double lambda = relevance_weight_;
+  const double lambda = relevance_weight;
   const double uniform_w = g > 0 ? 1.0 / static_cast<double>(g) : 0.0;
   std::vector<double> coverage(g, 0.0);
   std::vector<bool> picked(candidates.size(), false);
-  const std::size_t rounds = std::min(spec.k, candidates.size());
+  const std::size_t rounds = std::min(k, candidates.size());
   out.items.reserve(rounds);
   for (std::size_t round = 0; round < rounds; ++round) {
     std::ptrdiff_t best = -1;
@@ -118,7 +111,7 @@ SolverResult SubmodularGreedySolver::Solve(const GroupProblem& problem,
     ++out.rounds;
   }
   out.early_terminated = false;
-  return result;
+  return out;
 }
 
 }  // namespace greca

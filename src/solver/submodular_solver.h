@@ -1,5 +1,6 @@
 // SAGA-style submodular-greedy group top-k (PAPERS.md: "SAGA: A Submodular
-// Greedy Algorithm For Group Recommendation").
+// Greedy Algorithm For Group Recommendation"), served under solver id
+// "submodular".
 //
 // Where GRECA/TA/Naive rank items independently by consensus score F, this
 // solver selects a SET: greedy maximization of the monotone submodular
@@ -29,27 +30,19 @@
 #ifndef GRECA_SOLVER_SUBMODULAR_SOLVER_H_
 #define GRECA_SOLVER_SUBMODULAR_SOLVER_H_
 
-#include "solver/solver.h"
-#include "solver/solver_registry.h"
+#include <cstddef>
+
+#include "topk/problem.h"
+#include "topk/result.h"
 
 namespace greca {
 
-class SubmodularGreedySolver final : public GroupSolver {
- public:
-  /// `relevance_weight` is λ ∈ [0, 1]: 1 reduces to the exact consensus
-  /// ranking (same items and order as the naive scan), 0 ranks by pure
-  /// coverage of member tastes. The registered built-in uses the default.
-  explicit SubmodularGreedySolver(double relevance_weight = 0.5);
-
-  std::string_view id() const override { return kSubmodularSolverId; }
-  SolverResult Solve(const GroupProblem& problem, const QuerySpec& spec,
-                     QueryWorkspace& workspace) const override;
-
-  double relevance_weight() const { return relevance_weight_; }
-
- private:
-  double relevance_weight_;
-};
+/// Greedy top-k set over `problem`'s candidates. `relevance_weight` is
+/// λ ∈ [0, 1]: 1 reduces to the exact consensus ranking (same items and
+/// order as the naive scan), 0 ranks by pure coverage of member tastes. The
+/// served solver uses the default.
+TopKResult SubmodularGreedyTopK(const GroupProblem& problem, std::size_t k,
+                                double relevance_weight = 0.5);
 
 }  // namespace greca
 

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <utility>
+#include <vector>
 
 #include "affinity/static_affinity.h"
 #include "preference/preference_model.h"
@@ -43,14 +44,18 @@ void GroupProblem::BuildAgreementList() {
   std::vector<ListEntry>& scratch = arena_->entry_scratch;
   scratch.clear();
   scratch.reserve(num_items_);
+  // Each member's score is looked up once per key, then every pair reads it.
+  std::vector<double> scores(g);
   for (ListKey key = 0; key < num_items_; ++key) {
     if (!IsCandidate(key)) continue;
+    for (std::size_t u = 0; u < g; ++u) {
+      scores[u] = preference_views_[u].ScoreOfKey(key);
+    }
     double sum = 0.0;
     std::size_t q = 0;
     for (std::size_t a = 0; a < g; ++a) {
       for (std::size_t b = a + 1; b < g; ++b, ++q) {
-        const double ag = PairAgreement(preference_views_[a].ScoreOfKey(key),
-                                        preference_views_[b].ScoreOfKey(key),
+        const double ag = PairAgreement(scores[a], scores[b],
                                         consensus_.disagreement_scale);
         sum += weighted ? weights_.pair[q] * ag : ag;
       }

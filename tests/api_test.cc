@@ -178,13 +178,16 @@ TEST_F(ApiTest, ValidationErrorsSurfaceAsStatus) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 
-  // Oversized groups are a GRECA-only limit (32-bit seen bitmask); the
-  // naive scan accepts them.
+  // No solver caps the group size: a 33-member group builds and serves
+  // under the default GRECA solver and under the naive scan.
   std::vector<UserId> big_group;
   for (UserId u = 0; u < 33; ++u) big_group.push_back(u);
   r = QueryBuilder(*engine_).Members(big_group).TopK(3).Build();
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().spec.solver_id, kGrecaSolverId);
+  const auto big_rec = engine_->Recommend(r.value());
+  ASSERT_TRUE(big_rec.ok()) << big_rec.status().ToString();
+  EXPECT_EQ(big_rec.value().items.size(), 3u);
   r = QueryBuilder(*engine_)
           .Members(big_group)
           .TopK(3)
@@ -203,7 +206,7 @@ TEST_F(ApiTest, ValidationErrorsSurfaceAsStatus) {
 // Numeric spec fields reach every score: NaN or inf poisons them, and a
 // negative consensus weight or disagreement scale makes the consensus
 // non-monotone, which breaks GRECA's exact-itemset guarantee. Every entry
-// point rejects them, under every registered solver, on both engines.
+// point rejects them, under every built-in solver, on both engines.
 TEST_F(ApiTest, NonFiniteOrNegativeSpecNumbersAreRejected) {
   ShardedEngineOptions sopts;
   sopts.num_shards = 2;
@@ -238,7 +241,8 @@ TEST_F(ApiTest, NonFiniteOrNegativeSpecNumbersAreRejected) {
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << what;
   };
 
-  for (const std::string& id : SolverRegistry::Global().RegisteredIds()) {
+  for (const std::string_view solver : kSolverIds) {
+    const std::string id(solver);
     for (const bool pairwise : {false, true}) {
       for (const auto& [name, mutate] : bad) {
         const std::string what = id + " / " + name +

@@ -22,6 +22,7 @@ struct SweepCase {
   std::size_t num_items;
   std::size_t num_periods;
   std::size_t k;
+  TerminationPolicy termination = TerminationPolicy::kBufferCondition;
 };
 
 class GrecaSweepTest : public ::testing::TestWithParam<SweepCase> {};
@@ -35,6 +36,7 @@ TEST_P(GrecaSweepTest, MatchesNaiveTopKScores) {
     const TopKResult naive = NaiveTopK(problem, c.k);
     GrecaConfig config;
     config.k = c.k;
+    config.termination = c.termination;
     const TopKResult greca = Greca(problem, config);
 
     ASSERT_EQ(greca.items.size(), c.k) << c.name << " trial " << trial;
@@ -54,6 +56,7 @@ TEST_P(GrecaSweepTest, LowerBoundsNeverExceedExactScores) {
       rng, c.group_size, c.num_items, c.num_periods, c.consensus, c.model);
   GrecaConfig config;
   config.k = c.k;
+  config.termination = c.termination;
   const TopKResult result = Greca(problem, config);
   for (const ListEntry& e : result.items) {
     EXPECT_LE(e.score, problem.ExactScore(e.id) + 1e-9) << c.name;
@@ -91,7 +94,38 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{"ap_k1", ConsensusSpec::AveragePreference(),
                   AffinityModelSpec::Default(), 3, 50, 2, 1},
         SweepCase{"ap_k_equals_m", ConsensusSpec::AveragePreference(),
-                  AffinityModelSpec::Default(), 3, 12, 2, 12}),
+                  AffinityModelSpec::Default(), 3, 12, 2, 12},
+        // Groups past 32 members, on both sides of the 64-member word
+        // boundary of GRECA's seen-set. At 64 and 65 members the affinity-
+        // agnostic model keeps the runs short: the pair lists hold
+        // g(g−1)/2 entries that GRECA would otherwise scan round by round.
+        SweepCase{"ap_g33", ConsensusSpec::AveragePreference(),
+                  AffinityModelSpec::Default(), 33, 40, 2, 5},
+        SweepCase{"mo_g33", ConsensusSpec::LeastMisery(),
+                  AffinityModelSpec::Default(), 33, 40, 2, 5},
+        SweepCase{"pd08_g33", ConsensusSpec::PairwiseDisagreement(0.8),
+                  AffinityModelSpec::Default(), 33, 40, 2, 5},
+        SweepCase{"vd08_g33", ConsensusSpec::VarianceDisagreement(0.8),
+                  AffinityModelSpec::Default(), 33, 40, 2, 5},
+        SweepCase{"ap_g64", ConsensusSpec::AveragePreference(),
+                  AffinityModelSpec::AffinityAgnostic(), 64, 40, 0, 5},
+        SweepCase{"mo_g64", ConsensusSpec::LeastMisery(),
+                  AffinityModelSpec::AffinityAgnostic(), 64, 40, 0, 5},
+        SweepCase{"pd08_g64", ConsensusSpec::PairwiseDisagreement(0.8),
+                  AffinityModelSpec::AffinityAgnostic(), 64, 40, 0, 5},
+        SweepCase{"vd08_g64", ConsensusSpec::VarianceDisagreement(0.8),
+                  AffinityModelSpec::AffinityAgnostic(), 64, 40, 0, 5},
+        SweepCase{"ap_g65", ConsensusSpec::AveragePreference(),
+                  AffinityModelSpec::AffinityAgnostic(), 65, 40, 0, 5},
+        SweepCase{"mo_g65", ConsensusSpec::LeastMisery(),
+                  AffinityModelSpec::AffinityAgnostic(), 65, 40, 0, 5},
+        SweepCase{"pd08_g65", ConsensusSpec::PairwiseDisagreement(0.8),
+                  AffinityModelSpec::AffinityAgnostic(), 65, 40, 0, 5},
+        SweepCase{"vd08_g65", ConsensusSpec::VarianceDisagreement(0.8),
+                  AffinityModelSpec::AffinityAgnostic(), 65, 40, 0, 5},
+        SweepCase{"ap_g33_threshold_only", ConsensusSpec::AveragePreference(),
+                  AffinityModelSpec::AffinityAgnostic(), 33, 40, 0, 5,
+                  TerminationPolicy::kThresholdOnly}),
     [](const ::testing::TestParamInfo<SweepCase>& param_info) {
       return param_info.param.name;
     });

@@ -12,6 +12,8 @@
 #include "core/group_recommender.h"
 #include "eval/experiments.h"
 #include "solver/solver_registry.h"
+#include "topk/naive.h"
+#include "topk/ta.h"
 
 namespace greca {
 namespace {
@@ -176,22 +178,29 @@ TEST_F(IntegrationTest, PredictionsCoverEveryItem) {
   EXPECT_EQ(snap->predictions(0).size(), universe_->dataset.num_items());
 }
 
+// Also over a 40-member group: GRECA's seen-set spans more than one 32-bit
+// word there, and no solver caps the group size.
 TEST_F(IntegrationTest, GrecaMatchesNaiveForEveryConsensusThroughFacade) {
-  const Group group{6, 14, 33, 50};
-  for (const auto consensus :
-       {ConsensusSpec::AveragePreference(), ConsensusSpec::LeastMisery(),
-        ConsensusSpec::PairwiseDisagreement(0.8),
-        ConsensusSpec::PairwiseDisagreement(0.2),
-        ConsensusSpec::VarianceDisagreement(0.8)}) {
-    QuerySpec spec = BaseSpec();
-    spec.consensus = consensus;
-    spec.solver_id = std::string(kGrecaSolverId);
-    const Recommendation greca = recommender_->Recommend(group, spec).value();
-    spec.solver_id = std::string(kNaiveSolverId);
-    const Recommendation naive = recommender_->Recommend(group, spec).value();
-    const std::set<ItemId> gs(greca.items.begin(), greca.items.end());
-    const std::set<ItemId> ns(naive.items.begin(), naive.items.end());
-    EXPECT_EQ(gs, ns) << consensus.Name();
+  Group forty;
+  for (UserId u = 20; u < 60; ++u) forty.push_back(u);
+  for (const Group& group : {Group{6, 14, 33, 50}, forty}) {
+    for (const auto consensus :
+         {ConsensusSpec::AveragePreference(), ConsensusSpec::LeastMisery(),
+          ConsensusSpec::PairwiseDisagreement(0.8),
+          ConsensusSpec::PairwiseDisagreement(0.2),
+          ConsensusSpec::VarianceDisagreement(0.8)}) {
+      QuerySpec spec = BaseSpec();
+      spec.consensus = consensus;
+      spec.solver_id = std::string(kGrecaSolverId);
+      const Recommendation greca =
+          recommender_->Recommend(group, spec).value();
+      spec.solver_id = std::string(kNaiveSolverId);
+      const Recommendation naive =
+          recommender_->Recommend(group, spec).value();
+      const std::set<ItemId> gs(greca.items.begin(), greca.items.end());
+      const std::set<ItemId> ns(naive.items.begin(), naive.items.end());
+      EXPECT_EQ(gs, ns) << consensus.Name() << " g=" << group.size();
+    }
   }
 }
 
@@ -215,10 +224,19 @@ TEST_F(IntegrationTest, ExactSolversReturnTheNaiveExactScoreMultiset) {
     QueryWorkspace ws;
     GroupProblem problem =
         recommender_->BuildProblem(group, spec, nullptr, &ws).value();
-    const SolverResult solved =
-        SolverRegistry::Global().Find(solver_id)->Solve(problem, spec, ws);
+    TopKResult solved;
+    if (solver_id == kGrecaSolverId) {
+      GrecaConfig config;
+      config.k = spec.k;
+      config.termination = spec.termination;
+      solved = Greca(problem, config, nullptr, &ws.greca);
+    } else if (solver_id == kTaSolverId) {
+      solved = TaTopK(problem, spec.k);
+    } else {
+      solved = NaiveTopK(problem, spec.k);
+    }
     std::vector<double> scores;
-    for (const ListEntry& e : solved.raw.items) {
+    for (const ListEntry& e : solved.items) {
       scores.push_back(problem.ExactScore(e.id));
     }
     std::sort(scores.begin(), scores.end(), std::greater<>());

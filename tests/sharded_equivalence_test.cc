@@ -258,6 +258,42 @@ TEST_F(ShardedEquivalenceTest, FreshEnginesAreBitIdentical) {
   ExpectBitIdentical(baseline, RunSharded(*range, mix), "range-fresh");
 }
 
+// A 40-member group, past what a 32-bit seen mask could hold: every solver
+// over AP and PD serves it bit-identically on the monolithic engine and on
+// 1- and 3-shard engines, fresh and after a publish. (It has its own grid:
+// one such GRECA query costs as much as the whole shared mix.)
+TEST_F(ShardedEquivalenceTest, FortyMemberGroupIsBitIdentical) {
+  std::vector<Query> mix;
+  for (const ConsensusSpec& consensus :
+       {ConsensusSpec::AveragePreference(),
+        ConsensusSpec::PairwiseDisagreement()}) {
+    for (const std::string_view id : kSolverIds) {
+      Query q;
+      for (UserId u = 10; u < 50; ++u) q.group.push_back(u);
+      q.spec.k = 6;
+      q.spec.consensus = consensus;
+      q.spec.solver_id = std::string(id);
+      q.spec.num_candidate_items = 120;
+      mix.push_back(std::move(q));
+    }
+  }
+  const auto mono = MakeMono();
+  const auto one = MakeSharded(1, ShardStrategy::kHash);
+  const auto three = MakeSharded(3, ShardStrategy::kHash);
+  for (std::uint64_t batch = 0; batch < 2; ++batch) {
+    if (batch > 0) {
+      const std::vector<RatingEvent> events = RandomEvents(24, 7'300);
+      ASSERT_TRUE(mono->ApplyUpdates(events).ok());
+      ASSERT_TRUE(one->ApplyUpdates(events).ok());
+      ASSERT_TRUE(three->ApplyUpdates(events).ok());
+    }
+    const auto baseline = RunMono(*mono, mix);
+    ExpectBitIdentical(baseline, RunSharded(*one, mix), "forty-one-shard");
+    ExpectBitIdentical(baseline, RunSharded(*three, mix),
+                       "forty-three-shards");
+  }
+}
+
 // num_shards = 0 builds the 1-shard engine: same answers before and after
 // publishes, same reports.
 TEST_F(ShardedEquivalenceTest, ZeroShardsServesLikeOneShard) {

@@ -1,18 +1,21 @@
-// The pluggable-solver contract:
-//  * the global registry serves the four built-ins, sorted by id;
+// The solver-selection contract:
+//  * kSolverIds lists the four built-ins, sorted by id, and each validates;
 //  * QuerySpec::solver_id is the one solver selector: the default spec runs
 //    GRECA, and unknown ids (the empty one included) fail validation — on
 //    the builder, the monolithic engine and the sharded engine alike;
-//  * the registry-dispatched uniform-weight path is BIT-IDENTICAL (items,
-//    scores, access counts, rounds) to a switch over the id — i.e. to
-//    calling Greca/NaiveTopK/TaTopK directly on the same assembled problem —
-//    on both engines and across live publishes on pinned snapshots;
+//  * GRECA serves groups of any size (its seen-set grows in 64-member
+//    words), so a 33-member group builds and serves like any other;
+//  * the served uniform-weight path is BIT-IDENTICAL (items, scores, access
+//    counts, rounds) to calling Greca/NaiveTopK/TaTopK/SubmodularGreedyTopK
+//    directly on the same assembled problem — on both engines and across
+//    live publishes on pinned snapshots;
 //  * influence weighting produces genuinely non-uniform weights from the
 //    social graph and flows through every solver with no per-solver code.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,7 +24,6 @@
 #include "core/greca.h"
 #include "core/problem_assembly.h"
 #include "shard/sharded_engine.h"
-#include "solver/builtin_solvers.h"
 #include "solver/solver_registry.h"
 #include "solver/submodular_solver.h"
 #include "topk/naive.h"
@@ -83,19 +85,25 @@ void ExpectSameRecommendation(const Recommendation& a,
 }
 
 TEST_F(SolverRegistryTest, BuiltinsRegistered) {
-  const SolverRegistry& registry = SolverRegistry::Global();
+  EXPECT_TRUE(std::is_sorted(kSolverIds.begin(), kSolverIds.end()));
   for (const std::string_view id :
        {kGrecaSolverId, kNaiveSolverId, kTaSolverId, kSubmodularSolverId}) {
-    const GroupSolver* solver = registry.Find(id);
-    ASSERT_NE(solver, nullptr) << id;
-    EXPECT_EQ(solver->id(), id);
+    EXPECT_TRUE(IsSolverId(id)) << id;
+    EXPECT_NE(std::find(kSolverIds.begin(), kSolverIds.end(), id),
+              kSolverIds.end())
+        << id;
   }
-  EXPECT_EQ(registry.Find("no-such-solver"), nullptr);
-  const std::vector<std::string> ids = registry.RegisteredIds();
-  EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
-  for (const std::string_view id :
-       {kGrecaSolverId, kNaiveSolverId, kTaSolverId, kSubmodularSolverId}) {
-    EXPECT_NE(std::find(ids.begin(), ids.end(), std::string(id)), ids.end());
+  EXPECT_FALSE(IsSolverId("no-such-solver"));
+  EXPECT_FALSE(IsSolverId(""));
+
+  // Every listed id passes validation on a plain query.
+  const GroupRecommender recommender(universe_->dataset, *study_, Options());
+  const std::vector<UserId> group{0, 1, 2};
+  for (const std::string_view id : kSolverIds) {
+    QuerySpec spec;
+    spec.num_candidate_items = 280;
+    spec.solver_id = std::string(id);
+    EXPECT_TRUE(recommender.ValidateQuery(group, spec).ok()) << id;
   }
 }
 
@@ -143,28 +151,44 @@ TEST_F(SolverRegistryTest, DefaultSpecSolvesAsGreca) {
   EXPECT_GT(a.value().greca_stats.stop_checks, 0u);  // GRECA ran
 }
 
-TEST_F(SolverRegistryTest, GrecaGroupCapEnforcedThroughSolverHook) {
+// GRECA has no group-size cap: a 33-member group (one past the width of a
+// 32-bit mask) builds through QueryBuilder and serves the naive scan's
+// itemset.
+TEST_F(SolverRegistryTest, GrecaServesGroupsOver32Members) {
   const GroupRecommender recommender(universe_->dataset, *study_, Options());
   std::vector<UserId> big(33);
   for (UserId u = 0; u < 33; ++u) big[u] = u;
-  QuerySpec spec;  // defaults to "greca"
-  spec.num_candidate_items = 280;
-  const Status status = recommender.ValidateQuery(big, spec);
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("32-member"), std::string::npos);
-  EXPECT_NE(status.message().find("use solver \"naive\" or \"ta\""),
-            std::string::npos);
-  // The same group passes for solvers without the cap.
-  spec.solver_id = std::string(kNaiveSolverId);
-  EXPECT_TRUE(recommender.ValidateQuery(big, spec).ok());
+  const Result<Query> built = QueryBuilder(recommender)
+                                  .Members(big)
+                                  .TopK(6)
+                                  .CandidatePool(280)
+                                  .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const Query& query = built.value();
+  EXPECT_EQ(query.spec.solver_id, kGrecaSolverId);
+  const Result<Recommendation> greca =
+      recommender.Recommend(query.group, query.spec);
+  ASSERT_TRUE(greca.ok()) << greca.status().ToString();
+  EXPECT_EQ(greca.value().items.size(), 6u);
+  EXPECT_GT(greca.value().greca_stats.stop_checks, 0u);
+
+  QuerySpec naive_spec = query.spec;
+  naive_spec.solver_id = std::string(kNaiveSolverId);
+  const Result<Recommendation> naive =
+      recommender.Recommend(query.group, naive_spec);
+  ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+  EXPECT_EQ(std::set<ItemId>(greca.value().items.begin(),
+                             greca.value().items.end()),
+            std::set<ItemId>(naive.value().items.begin(),
+                             naive.value().items.end()));
 }
 
-// A direct switch over the built-in ids, applied to the same assembled
-// problem the registry path solves — the pre-registry reference.
-Recommendation SolveViaSwitch(const GroupRecommender& recommender,
-                              const std::shared_ptr<const Snapshot>& snap,
-                              const std::vector<UserId>& group,
-                              const QuerySpec& spec) {
+// Each built-in's free function called directly on the same assembled
+// problem the served path solves — the reference the dispatch must match.
+Recommendation SolveDirectly(const GroupRecommender& recommender,
+                             const std::shared_ptr<const Snapshot>& snap,
+                             const std::vector<UserId>& group,
+                             const QuerySpec& spec) {
   QueryWorkspace ws;
   std::vector<ItemId> candidates;
   Result<GroupProblem> problem =
@@ -180,8 +204,10 @@ Recommendation SolveViaSwitch(const GroupRecommender& recommender,
     rec.raw = NaiveTopK(problem.value(), spec.k);
   } else if (spec.solver_id == kTaSolverId) {
     rec.raw = TaTopK(problem.value(), spec.k);
+  } else if (spec.solver_id == kSubmodularSolverId) {
+    rec.raw = SubmodularGreedyTopK(problem.value(), spec.k);
   } else {
-    ADD_FAILURE() << "no switch case for solver " << spec.solver_id;
+    ADD_FAILURE() << "no direct call for solver " << spec.solver_id;
   }
   for (const ListEntry& e : rec.raw.items) {
     rec.items.push_back(candidates[e.id]);
@@ -190,7 +216,8 @@ Recommendation SolveViaSwitch(const GroupRecommender& recommender,
   return rec;
 }
 
-TEST_F(SolverRegistryTest, RegistryPathBitIdenticalToSwitchAcrossPublishes) {
+TEST_F(SolverRegistryTest,
+       ServedPathBitIdenticalToDirectCallsAcrossPublishes) {
   GroupRecommender recommender(universe_->dataset, *study_, Options());
   const std::vector<UserId> group{1, 4, 9, 16};
   const ConsensusSpec consensuses[] = {ConsensusSpec::AveragePreference(),
@@ -204,25 +231,24 @@ TEST_F(SolverRegistryTest, RegistryPathBitIdenticalToSwitchAcrossPublishes) {
 
   for (const auto& snap : {before, after}) {
     for (const ConsensusSpec& consensus : consensuses) {
-      for (const std::string_view id :
-           {kGrecaSolverId, kNaiveSolverId, kTaSolverId}) {
+      for (const std::string_view id : kSolverIds) {
         QuerySpec spec;
         spec.k = 8;
         spec.consensus = consensus;
         spec.solver_id = std::string(id);
         spec.num_candidate_items = 280;
         const Recommendation reference =
-            SolveViaSwitch(recommender, snap, group, spec);
-        const Result<Recommendation> via_registry =
+            SolveDirectly(recommender, snap, group, spec);
+        const Result<Recommendation> served =
             recommender.Recommend(snap, group, spec);
-        ASSERT_TRUE(via_registry.ok()) << id;
-        ExpectSameRecommendation(via_registry.value(), reference);
+        ASSERT_TRUE(served.ok()) << id;
+        ExpectSameRecommendation(served.value(), reference);
       }
     }
   }
 }
 
-TEST_F(SolverRegistryTest, ShardedRegistryPathMatchesMonolithic) {
+TEST_F(SolverRegistryTest, ShardedServedPathMatchesMonolithic) {
   GroupRecommender mono(universe_->dataset, *study_, Options());
   ShardedEngineOptions sopts;
   sopts.num_shards = 4;

@@ -15,6 +15,7 @@
 #include "api/engine.h"
 #include "api/query_builder.h"
 #include "common/rng.h"
+#include "solver/solver_registry.h"
 #include "solver/submodular_solver.h"
 #include "test_util.h"
 #include "topk/naive.h"
@@ -22,15 +23,7 @@
 namespace greca {
 namespace {
 
-QuerySpec SpecForK(std::size_t k) {
-  QuerySpec spec;
-  spec.k = k;
-  spec.solver_id = std::string(kSubmodularSolverId);
-  return spec;
-}
-
 TEST(SubmodularSolverTest, LambdaOneMatchesNaiveExactly) {
-  const SubmodularGreedySolver solver(1.0);
   Rng rng(91);
   for (const ConsensusSpec& consensus :
        {ConsensusSpec::AveragePreference(), ConsensusSpec::LeastMisery(),
@@ -38,17 +31,16 @@ TEST(SubmodularSolverTest, LambdaOneMatchesNaiveExactly) {
     GroupProblem problem = greca::testing::MakeRandomProblem(
         rng, 4, 60, 3, consensus, AffinityModelSpec::Default());
     const TopKResult naive = NaiveTopK(problem, 8);
-    QueryWorkspace ws;
-    const SolverResult greedy = solver.Solve(problem, SpecForK(8), ws);
-    ASSERT_EQ(greedy.raw.items.size(), naive.items.size());
+    const TopKResult greedy = SubmodularGreedyTopK(problem, 8, 1.0);
+    ASSERT_EQ(greedy.items.size(), naive.items.size());
     for (std::size_t i = 0; i < naive.items.size(); ++i) {
-      EXPECT_EQ(greedy.raw.items[i].id, naive.items[i].id) << "rank " << i;
-      EXPECT_DOUBLE_EQ(greedy.raw.items[i].score, naive.items[i].score);
+      EXPECT_EQ(greedy.items[i].id, naive.items[i].id) << "rank " << i;
+      EXPECT_DOUBLE_EQ(greedy.items[i].score, naive.items[i].score);
     }
     // Same cost model as the exhaustive baseline: one full sequential scan.
-    EXPECT_EQ(greedy.raw.accesses.sequential, naive.accesses.sequential);
-    EXPECT_EQ(greedy.raw.accesses.random, naive.accesses.random);
-    EXPECT_EQ(greedy.raw.total_entries, naive.total_entries);
+    EXPECT_EQ(greedy.accesses.sequential, naive.accesses.sequential);
+    EXPECT_EQ(greedy.accesses.random, naive.accesses.random);
+    EXPECT_EQ(greedy.total_entries, naive.total_entries);
   }
 }
 
@@ -85,19 +77,16 @@ TEST(SubmodularSolverTest, CoverageServesEveryMember) {
   // Pure coverage (λ = 0): round 1 picks item 1 (best average coverage),
   // round 2's marginal gains are item0 ≈ .04, item2 = .05, item3 = .40 —
   // member B finally gets item 3.
-  const SubmodularGreedySolver coverage(0.0);
-  QueryWorkspace ws;
-  const SolverResult greedy = coverage.Solve(problem, SpecForK(2), ws);
-  ASSERT_EQ(greedy.raw.items.size(), 2u);
-  EXPECT_EQ(greedy.raw.items[0].id, 1u);
-  EXPECT_EQ(greedy.raw.items[1].id, 3u);
+  const TopKResult greedy = SubmodularGreedyTopK(problem, 2, 0.0);
+  ASSERT_EQ(greedy.items.size(), 2u);
+  EXPECT_EQ(greedy.items[0].id, 1u);
+  EXPECT_EQ(greedy.items[1].id, 3u);
 
   // The balanced default keeps the same diverse pick on this group.
-  const SubmodularGreedySolver balanced;
-  const SolverResult mixed = balanced.Solve(problem, SpecForK(2), ws);
-  ASSERT_EQ(mixed.raw.items.size(), 2u);
-  EXPECT_EQ(mixed.raw.items[0].id, 1u);
-  EXPECT_EQ(mixed.raw.items[1].id, 3u);
+  const TopKResult mixed = SubmodularGreedyTopK(problem, 2);
+  ASSERT_EQ(mixed.items.size(), 2u);
+  EXPECT_EQ(mixed.items[0].id, 1u);
+  EXPECT_EQ(mixed.items[1].id, 3u);
 }
 
 TEST(SubmodularSolverTest, ScoresAreNonIncreasingMarginalGains) {
@@ -105,15 +94,13 @@ TEST(SubmodularSolverTest, ScoresAreNonIncreasingMarginalGains) {
   GroupProblem problem = greca::testing::MakeRandomProblem(
       rng, 5, 80, 2, ConsensusSpec::AveragePreference(),
       AffinityModelSpec::Default());
-  const SubmodularGreedySolver solver(0.3);
-  QueryWorkspace ws;
-  const SolverResult result = solver.Solve(problem, SpecForK(10), ws);
-  ASSERT_EQ(result.raw.items.size(), 10u);
-  EXPECT_EQ(result.raw.rounds, 10u);
-  EXPECT_FALSE(result.raw.early_terminated);
-  EXPECT_EQ(result.raw.accesses.random, 0u);
-  for (std::size_t i = 1; i < result.raw.items.size(); ++i) {
-    EXPECT_GE(result.raw.items[i - 1].score, result.raw.items[i].score);
+  const TopKResult result = SubmodularGreedyTopK(problem, 10, 0.3);
+  ASSERT_EQ(result.items.size(), 10u);
+  EXPECT_EQ(result.rounds, 10u);
+  EXPECT_FALSE(result.early_terminated);
+  EXPECT_EQ(result.accesses.random, 0u);
+  for (std::size_t i = 1; i < result.items.size(); ++i) {
+    EXPECT_GE(result.items[i - 1].score, result.items[i].score);
   }
 }
 
