@@ -60,12 +60,13 @@ int main() {
     batch.push_back(Query{group, spec});
   }
 
-  // Cold assembly pass, before anything touches the recommender's
-  // (group, period) period-list cache: every query materializes its periodic
-  // lists. The warm pass below re-assembles the same batch with the cache
-  // full — the difference is what period caching buys repeated-group
-  // workloads.
-  const PeriodListCache& period_cache = recommender.period_cache();
+  // Cold assembly pass, before anything touches the pinned snapshot's
+  // (group, pool) tombstone memo: every query builds its group-rated bitmap.
+  // The warm pass below re-assembles the same batch with the memo full —
+  // the difference is what the memo buys repeated-group workloads. Nothing
+  // publishes meanwhile, so every pass below reads this snapshot.
+  const auto snap = recommender.snapshot();
+  const TombstoneCache& tombs = snap->tombstone_cache();
   QueryWorkspace cold_workspace;
   Stopwatch cold_watch;
   for (const Query& q : batch) {
@@ -77,7 +78,7 @@ int main() {
     }
   }
   const double cold_asm_seconds = cold_watch.ElapsedSeconds();
-  const std::uint64_t cold_misses = period_cache.misses();
+  const std::uint64_t cold_misses = tombs.misses();
 
   // Sequential baseline: one query at a time through the facade, with a
   // single reused workspace (the fairest single-thread configuration).
@@ -121,7 +122,7 @@ int main() {
     eopts.num_threads = threads;
     const Engine engine(ctx.universe, ctx.study, ctx.options, eopts);
     // Warm-up run so worker workspaces reach steady-state capacity and the
-    // engine's own period cache is as warm as the sequential pass's was.
+    // engine's own tombstone memo is as warm as the sequential pass's was.
     engine.RecommendBatch(batch);
     Stopwatch watch;
     const auto results = engine.RecommendBatch(batch);
@@ -157,11 +158,10 @@ int main() {
             << "% of sequential query time)\n"
             << "solve_seconds: " << (seq_seconds - asm_seconds)
             << " (sequential total minus assembly)\n"
-            << "period_cache: cold assembly " << cold_per_query_us
-            << " us/query (" << cold_misses << " lists materialized) vs warm "
-            << per_query_us << " us/query ("
-            << period_cache.hits() << " hits, " << period_cache.misses()
-            << " misses total) — speedup "
+            << "tombstone_cache: cold assembly " << cold_per_query_us
+            << " us/query (" << cold_misses << " bitmaps built) vs warm "
+            << per_query_us << " us/query (" << tombs.hits() << " hits, "
+            << tombs.misses() << " misses total) — speedup "
             << (asm_seconds > 0.0 ? cold_asm_seconds / asm_seconds : 0.0)
             << "x\n";
 

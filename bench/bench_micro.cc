@@ -12,6 +12,7 @@
 #include <memory>
 #include <numeric>
 #include <random>
+#include <set>
 #include <span>
 #include <utility>
 #include <vector>
@@ -150,21 +151,46 @@ void BM_BuildProblem(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildProblem);
 
+// `count` distinct sorted 6-member groups of the study, drawn once per count.
+const std::vector<Group>& DistinctGroups(std::size_t count) {
+  static std::map<std::size_t, std::vector<Group>> by_count;
+  std::vector<Group>& groups = by_count[count];
+  std::set<Group> seen;
+  for (std::uint64_t seed = 7; groups.size() < count; ++seed) {
+    const PerformanceHarness perf(*BenchContext::Get().recommender, seed);
+    for (Group& g : perf.RandomGroups(count, 6)) {
+      if (groups.size() < count && seen.insert(g).second) {
+        groups.push_back(std::move(g));
+      }
+    }
+  }
+  return groups;
+}
+
 void BM_ProblemAssembly(benchmark::State& state) {
-  // Steady-state batch-worker assembly: the reused workspace arena makes
-  // BuildProblem sort- and allocation-free (the perf target of the
-  // PreferenceIndex + ListView refactor).
+  // Steady-state batch-worker assembly on one reused workspace. Queries
+  // cycle over `groups` distinct 6-member groups, so the time stays flat in
+  // `groups` unless assembly keeps per-group state that stops fitting. PD
+  // adds the agreement-list build to AP's tombstones, views and affinity
+  // lists.
   const auto& ctx = BenchContext::Get();
-  const QuerySpec spec = PerformanceHarness::DefaultSpec();
+  const QuerySpec spec = TopKSpec(state.range(0));
+  const std::vector<Group>& groups =
+      DistinctGroups(static_cast<std::size_t>(state.range(1)));
   QueryWorkspace workspace;
+  std::size_t next = 0;
   for (auto _ : state) {
     const GroupProblem problem =
-        ctx.recommender->BuildProblem(SampleGroup(), spec, nullptr, &workspace)
+        ctx.recommender->BuildProblem(groups[next], spec, nullptr, &workspace)
             .value();
     benchmark::DoNotOptimize(&problem);
+    next = next + 1 == groups.size() ? 0 : next + 1;
   }
+  state.SetLabel(spec.consensus.Name());
 }
-BENCHMARK(BM_ProblemAssembly);
+BENCHMARK(BM_ProblemAssembly)
+    ->ArgsProduct({{0, 1}, {64, 4'096}})
+    ->ArgNames({"consensus", "groups"});
 
 void BM_CfPredictAll(benchmark::State& state) {
   const auto& ctx = BenchContext::Get();

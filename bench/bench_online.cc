@@ -157,7 +157,7 @@ int main() {
 
   // Warm-up: touch every query once outside the measurement windows so the
   // baseline phase is not charged the process's cold-start (allocator,
-  // period-cache fill for generation 1).
+  // tombstone-memo fill for generation 1).
   for (const Query& q : queries) {
     if (!engine.Recommend(q).ok()) std::abort();
   }

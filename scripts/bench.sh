@@ -9,7 +9,7 @@
 #   BENCH_fig5.txt       — GRECA %SA scalability sweep (paper Figure 5).
 #   BENCH_batch.txt      — Engine::RecommendBatch vs sequential throughput
 #                          plus the problem_assembly_seconds / solve_seconds
-#                          split, the period-cache cold/warm assembly
+#                          split, the tombstone-memo cold/warm assembly
 #                          comparison, the batch-planner sweep and the
 #                          per-solver quality-vs-speed sweep
 #                          (GRECA_BATCH_ALGO=all, as in CI).

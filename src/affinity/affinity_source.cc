@@ -9,14 +9,6 @@
 
 namespace greca {
 
-double AffinitySource::CumulativeDrift(UserId u, UserId v, PeriodId p) const {
-  double sum = 0.0;
-  for (PeriodId q = 0; q <= p; ++q) {
-    sum += Periodic(u, v, q) - PeriodAverage(q);
-  }
-  return sum;
-}
-
 double AffinitySource::NormalizedStatic(UserId u, UserId v) const {
   const double max = MaxStatic();
   return max > 0.0 ? Static(u, v) / max : 0.0;
@@ -106,7 +98,6 @@ StudyAffinitySource::StudyAffinitySource(PairTable static_counts,
                                          std::vector<double> influence)
     : static_(std::move(static_counts)),
       periodic_(std::move(periodic)),
-      dynamic_(DynamicAffinityIndex::Build(periodic_)),
       influence_(std::move(influence)) {}
 
 void StudyAffinitySource::MaterializeMemberWeightsInto(

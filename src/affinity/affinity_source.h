@@ -3,10 +3,11 @@
 //
 // The paper's deployment computes static affinity from common Facebook
 // friends and periodic affinity from common page-like categories (§2.1,
-// §4.1.2); StudyAffinitySource owns exactly those tables plus the
-// incremental drift index of Equation 1, built once from the study by
-// StudyAffinitySource::FromStudy; ConstantAffinitySource serves populations
-// with no social signal (the sharded scale harness).
+// §4.1.2); StudyAffinitySource owns exactly those tables, built once from
+// the study by StudyAffinitySource::FromStudy; ConstantAffinitySource serves
+// populations with no social signal (the sharded scale harness). Equation
+// 1's drift needs no table of its own: AffinityCombiner::MeanDrift takes it
+// from the period values assembly already holds.
 //
 // Contract invariants every implementation must keep:
 //  * Periodic() and PeriodAverage() are on the normalized [0, 1] scale;
@@ -16,12 +17,11 @@
 //    keeps the consensus bounds sound (Lemma 1);
 //  * a source is fixed for its engine's lifetime. The paper builds its
 //    affinities once from the study, so GroupRecommender and ShardedEngine
-//    each bind one source at construction, next to an engine-owned
-//    (group, period) list cache (PeriodListCache, api/snapshot.h) that
-//    serves every rating generation; no cached list is ever invalidated;
+//    each bind one source at construction and every rating generation
+//    reads it;
 //  * implementations are immutable and safe for concurrent const reads:
-//    MaterializePeriodListInto is the cache's fill hook, which may run on
-//    any batch worker.
+//    problem assembly materializes each query's lists through them on any
+//    batch worker.
 #ifndef GRECA_AFFINITY_AFFINITY_SOURCE_H_
 #define GRECA_AFFINITY_AFFINITY_SOURCE_H_
 
@@ -29,7 +29,6 @@
 #include <span>
 #include <vector>
 
-#include "affinity/dynamic_affinity.h"
 #include "affinity/periodic_affinity.h"
 #include "affinity/static_affinity.h"
 #include "common/types.h"
@@ -55,11 +54,6 @@ class AffinitySource {
   virtual double Periodic(UserId u, UserId v, PeriodId p) const = 0;
   /// Population average of the normalized periodic affinity in period p.
   virtual double PeriodAverage(PeriodId p) const = 0;
-
-  /// Cumulative drift Σ_{p' ≤ p} (affP(u, v, p') − AvgAffP(p')) — the
-  /// numerator of Equation 1. The default recomputes from Periodic() and
-  /// PeriodAverage() in O(p); index-backed sources override with O(1).
-  virtual double CumulativeDrift(UserId u, UserId v, PeriodId p) const;
 
   /// Static affinity normalized by the population max, in [0, 1].
   double NormalizedStatic(UserId u, UserId v) const;
@@ -103,20 +97,18 @@ class AffinitySource {
 };
 
 /// The study-backed source. It owns its tables: common-friend counts
-/// (static), common page-like category counts (periodic), the incremental
-/// drift index over them (dynamic, O(1) CumulativeDrift) and one raw
+/// (static), common page-like category counts (periodic) and one raw
 /// influence weight per participant.
 class StudyAffinitySource final : public AffinitySource {
  public:
   /// The paper's setup (§2.1): common-friend counts over the study's
-  /// friendship graph, page-like periodic affinity over its timeline, the
-  /// drift index over those, and PropagationCentrality over the graph as
-  /// the influence weights. Both engines build their source here.
+  /// friendship graph, page-like periodic affinity over its timeline, and
+  /// PropagationCentrality over the graph as the influence weights. Both
+  /// engines build their source here.
   static std::shared_ptr<const StudyAffinitySource> FromStudy(
       const FacebookStudy& study);
 
-  /// Takes the tables as given and builds the drift index over `periodic`.
-  /// `influence` holds one raw weight per user for
+  /// Takes the tables as given. `influence` holds one raw weight per user for
   /// MaterializeMemberWeightsInto; users past its end (all users, when it
   /// is empty) weigh 1.0.
   StudyAffinitySource(PairTable static_counts, PeriodicAffinity periodic,
@@ -134,10 +126,6 @@ class StudyAffinitySource final : public AffinitySource {
   double PeriodAverage(PeriodId p) const override {
     return periodic_.PopulationAverageNormalized(p);
   }
-  /// O(1) through the drift index; `p` must be < num_periods().
-  double CumulativeDrift(UserId u, UserId v, PeriodId p) const override {
-    return dynamic_.CumulativeDrift(u, v, p);
-  }
   void MaterializeMemberWeightsInto(std::span<const UserId> group,
                                     std::span<double> out) const override;
 
@@ -147,7 +135,6 @@ class StudyAffinitySource final : public AffinitySource {
  private:
   PairTable static_;  // raw common-friend counts
   PeriodicAffinity periodic_;
-  DynamicAffinityIndex dynamic_;  // built over periodic_
   std::vector<double> influence_;  // per-user, raw
 };
 

@@ -9,8 +9,8 @@
 //  * Reads — Recommend / RecommendBatch — pin the currently published
 //    immutable Snapshot (pre-sorted PreferenceIndex + CF predictions +
 //    study ratings + generation id, see snapshot.h) for their whole
-//    lifetime; the affinity source and the period-list cache they also read
-//    are fixed at construction. Every query is the recommender's
+//    lifetime; the affinity source they also read is fixed at
+//    construction. Every query is the recommender's
 //    BuildProblem on the pinned snapshot, then SolveGroupProblem. A batch
 //    runs those same two steps in parallel over an internal thread pool
 //    through the batch executor (serve/batch_executor.h), all workers

@@ -6,29 +6,14 @@
 
 namespace greca {
 
-std::shared_ptr<const SortedList> PeriodListCache::GetShared(
-    std::span<const UserId> group, PeriodId p, const AffinitySource& source) {
-  return cache_.GetOrBuild(
-      group, static_cast<std::uint64_t>(p),
-      [&]() -> std::shared_ptr<const SortedList> {
-        // Materialized outside the cache lock (see BoundedGroupCache);
-        // concurrent builders of the same key race benignly (the loser
-        // drops its copy).
-        auto list = std::make_shared<SortedList>();
-        std::vector<ListEntry> scratch;
-        source.MaterializePeriodListInto(group, p, scratch, *list);
-        return list;
-      });
-}
-
-std::size_t PeriodListCache::MemoryBytes() const {
-  return cache_.MemoryBytes([](const SortedList& list) {
-    // SoA rows: 4-byte keys + 8-byte scores per entry, 4-byte positions per
-    // key-space slot.
-    return sizeof(SortedList) +
-           list.size() * (sizeof(ListKey) + sizeof(Score)) +
-           list.key_space() * sizeof(std::uint32_t);
-  });
+std::size_t TombstoneCache::MemoryBytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::size_t bytes = 0;
+  for (const auto& [key, set] : cache_) {
+    bytes += sizeof(Key) + key.group.size() * sizeof(UserId) +
+             sizeof(TombstoneSet) + set->words.size() * sizeof(std::uint64_t);
+  }
+  return bytes;
 }
 
 Snapshot::Snapshot(std::uint64_t generation,

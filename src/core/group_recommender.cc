@@ -172,13 +172,12 @@ Result<GroupProblem> GroupRecommender::BuildProblem(
   AssemblyContext ctx;
   ctx.key_index = &snap->index();
   ctx.affinity = affinity_.get();
-  ctx.period_cache = &period_cache_;
   ctx.tombstone_cache = &snap->tombstone_cache();
   GroupProblem problem = AssembleGroupProblem(ctx, group, slices, spec,
                                               eval_period, candidates_out,
                                               workspace);
   // The problem's views alias the snapshot's index rows: share ownership so
-  // they survive a concurrent publish (assembly pinned the period lists).
+  // they survive a concurrent publish.
   problem.PinLifetime(snap);
   return problem;
 }

@@ -13,7 +13,7 @@
 //     the index (no sort, no copy);
 //  3. static affinities from common friends, normalized within the group;
 //  4. periodic affinities from common page-like categories per period,
-//     served from the recommender's (group, period) list cache;
+//     built per query like the static list;
 //  5. the chosen temporal model + consensus function form a GroupProblem
 //     solved by GRECA / TA / the naive scan.
 //
@@ -26,8 +26,7 @@
 // and publish a new generation with an atomic pointer swap (RCU-style)
 // without ever blocking or corrupting in-flight queries. The affinity
 // source (StudyAffinitySource::FromStudy, the same setup ShardedEngine
-// uses) and the (group, period) list cache never change after construction
-// and are owned here (affinity(), period_cache()).
+// uses) never changes after construction and is owned here (affinity()).
 //
 // A query is BuildProblem then SolveGroupProblem (core/problem_assembly.h),
 // whether it arrives alone (Recommend) or in a batch (Engine::RecommendBatch
@@ -99,8 +98,7 @@ struct RecommenderOptions {
   /// log exceeds this fraction of the base's rating count (0 = never). The
   /// default bounds the overlay — and the per-query merge overhead — to a
   /// quarter of the base. Compaction changes no observable state
-  /// (recommendations, reports and the period-list cache behave identically
-  /// — tests/delta_log_test.cc).
+  /// (recommendations and reports stay identical — tests/delta_log_test.cc).
   double compact_delta_fraction = 0.25;
 };
 
@@ -165,8 +163,8 @@ class GroupRecommender {
   /// Both references must outlive this object (and every snapshot pinned
   /// from it). Construction precomputes CF predictions for every study
   /// participant, builds the affinity source from the study
-  /// (StudyAffinitySource::FromStudy) and the period-list cache for the
-  /// recommender's lifetime, and publishes generation 1.
+  /// (StudyAffinitySource::FromStudy) for the recommender's lifetime, and
+  /// publishes generation 1.
   /// `universe` may be any collaborative rating dataset — the synthetic twin
   /// or a parsed real MovieLens file.
   GroupRecommender(const RatingsDataset& universe, const FacebookStudy& study,
@@ -242,9 +240,8 @@ class GroupRecommender {
   /// against the currently published snapshot.
   /// Zero-copy hot path: member preference lists are ListView slices of the
   /// snapshot's PreferenceIndex (pool-prefix keys, group-rated items
-  /// tombstoned) — no per-query sort or copy; periodic affinity lists come
-  /// from period_cache(), and only the small static / agreement lists are
-  /// materialized into the workspace's arena.
+  /// tombstoned) — no per-query sort or copy; only the small static,
+  /// periodic and agreement lists are materialized into the arena.
   ///
   /// `candidates_out`, when non-null, receives the candidate-pool items in
   /// key order (problem key k ↔ candidates_out[k]; tombstoned keys never
@@ -252,8 +249,7 @@ class GroupRecommender {
   /// point into its arena — the workspace must outlive the problem and not
   /// be reused before the problem is dropped; when null the problem owns its
   /// arena. Either way the problem shares ownership of the snapshot it was
-  /// built from and pins the cached period lists it reads, so its views
-  /// outlive any subsequent publish and any cache eviction.
+  /// built from, so its views outlive any subsequent publish.
   Result<GroupProblem> BuildProblem(
       std::span<const UserId> group, const QuerySpec& spec,
       std::vector<ItemId>* candidates_out = nullptr,
@@ -294,10 +290,6 @@ class GroupRecommender {
 
   /// The affinity backend, fixed at construction.
   const AffinitySource& affinity() const { return *affinity_; }
-  /// The (group, period) list cache shared by every rating generation
-  /// (internally synchronized; bounded at PeriodListCache's default cap).
-  /// Mutable state behind a const engine, hence the const accessor.
-  PeriodListCache& period_cache() const { return period_cache_; }
 
   /// The study tables behind affinity().
   const PeriodicAffinity& periodic_affinity() const {
@@ -327,7 +319,6 @@ class GroupRecommender {
   // publisher serializes rebuilds).
   UserKnnStates knn_states_;
   std::shared_ptr<const StudyAffinitySource> affinity_;
-  mutable PeriodListCache period_cache_;
 
   // The RCU publication point: queries copy the pointer, the publisher
   // (serialized by its build lock) swaps in a freshly built snapshot.

@@ -115,8 +115,8 @@ GroupProblem AssembleGroupProblem(const AssemblyContext& ctx,
   // entirely. A member's rated items = the immutable base row plus the live
   // delta row of the overlay that SERVES that member (on the sharded path
   // the member's shard entry, which holds the engine's one overlay). The
-  // pin keeps an evicted bitmap alive for the problem's lifetime (the arena
-  // outlives the problem by contract).
+  // pin keeps the bitmap alive for the problem's lifetime even if the memo
+  // is cleared meanwhile (the arena outlives the problem by contract).
   std::shared_ptr<const TombstoneSet> tombstones =
       ctx.tombstone_cache->GetShared(
           group, pool, [&]() -> std::shared_ptr<const TombstoneSet> {
@@ -154,27 +154,24 @@ GroupProblem AssembleGroupProblem(const AssemblyContext& ctx,
         m.index->UserView(m.row, pool, words, live));
   }
 
-  // Affinity lists come only from the engine's source: the static list is
-  // group-normalized (paper §4.1.2) and materialized into the arena, plus
-  // one periodic list per period 0..eval_period served from the shared
-  // (group, period) cache — repeated groups in a batch rebuild nothing, and
-  // each list is pinned so the bounded cache evicting it mid-flight cannot
-  // invalidate this problem. Time- or affinity-agnostic variants read no
-  // periodic lists at all.
+  // Affinity lists come only from the engine's source and are materialized
+  // into the arena: the group-normalized static list (paper §4.1.2) plus
+  // one periodic list per period 0..eval_period. Time- or affinity-agnostic
+  // variants read no periodic lists at all.
   source.MaterializeStaticListInto(group, arena.entry_scratch,
                                    arena.static_list);
   arena.period_views.clear();
-  arena.period_pins.clear();
   std::vector<double> averages;
   if (spec.model.time_aware && spec.model.affinity_aware) {
-    assert(ctx.period_cache != nullptr);
     const std::size_t periods = static_cast<std::size_t>(eval_period) + 1;
+    if (arena.period_lists.size() < periods) {
+      arena.period_lists.resize(periods);
+    }
     arena.period_views.reserve(periods);
-    arena.period_pins.reserve(periods);
     for (PeriodId p = 0; p <= eval_period; ++p) {
-      arena.period_pins.push_back(
-          ctx.period_cache->GetShared(group, p, source));
-      arena.period_views.emplace_back(*arena.period_pins.back());
+      SortedList& list = arena.period_lists[p];
+      source.MaterializePeriodListInto(group, p, arena.entry_scratch, list);
+      arena.period_views.emplace_back(list);
     }
     averages = source.PeriodAverages(eval_period);
   }

@@ -4,15 +4,15 @@
 // GroupRecommender::BuildProblem (single index) and the sharded engine's
 // scatter/gather path (src/shard/) assemble EXACTLY the same GroupProblem:
 // tombstoned pool-prefix candidates, one ListView per member sliced from a
-// PreferenceIndex, the group-normalized static affinity list, cached period
-// lists and the optional aggregated agreement list. This header extracts
-// that assembly into free functions parameterized by WHERE each member's
-// rows live (MemberSlice, topk/problem.h): the single-index path passes the
-// snapshot's index/overlay for every member, the sharded path passes each
-// member's own shard — and because every per-member input is identical
-// either way, the assembled problems (and therefore recommendations and
-// access counts) are bit-identical. That equivalence is the foundation of
-// sharded_equivalence_test.
+// PreferenceIndex, the group-normalized static affinity list, one periodic
+// list per period and the optional aggregated agreement list. This header
+// extracts that assembly into free functions parameterized by WHERE each
+// member's rows live (MemberSlice, topk/problem.h): the single-index path
+// passes the snapshot's index/overlay for every member, the sharded path
+// passes each member's own shard — and because every per-member input is
+// identical either way, the assembled problems (and therefore
+// recommendations and access counts) are bit-identical. That equivalence is
+// the foundation of sharded_equivalence_test.
 //
 // All candidate keys are POOL POSITIONS of a shared popularity pool: every
 // index participating in one assembly must have been built over the same
@@ -41,10 +41,9 @@ namespace greca {
 struct AssemblyContext {
   /// Pool / item→key authority. Any index built over the shared pool.
   const PreferenceIndex* key_index = nullptr;
+  /// Source of the static and periodic affinity lists, which assembly
+  /// materializes into the query's arena.
   const AffinitySource* affinity = nullptr;
-  /// The (group, period) list cache; may be null only for models that read
-  /// no period lists (!time_aware or !affinity_aware).
-  PeriodListCache* period_cache = nullptr;
   /// Required: the (group, pool) memo of the bitmap that excludes the
   /// group's rated items (paper §2.4) — scoped to whatever pins the members'
   /// rated-item state (the Snapshot's generation on the monolithic path, the
@@ -87,7 +86,7 @@ void StampMemberWeights(const AffinitySource& source,
 /// `members` only needs to live for the duration of this call either way.
 /// `candidates_out`, when non-null, receives the candidate pool in key
 /// order. The caller pins whatever owns the index rows on the result
-/// (GroupProblem::PinLifetime); cached period lists are pinned internally.
+/// (GroupProblem::PinLifetime); the affinity lists live in the arena.
 GroupProblem AssembleGroupProblem(const AssemblyContext& ctx,
                                   std::span<const UserId> group,
                                   std::span<const MemberSlice> members,

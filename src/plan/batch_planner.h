@@ -2,9 +2,9 @@
 //
 // Production batch traffic at millions-of-users scale is highly redundant —
 // popular groups recur, dashboards re-issue identical queries, and group
-// sessions page through the same (group, spec) repeatedly. The snapshot
-// caches (period lists, tombstone bitmaps) already share SUB-problem state
-// across such repeats; the planner shares the WHOLE problem: before a batch
+// sessions page through the same (group, spec) repeatedly. The snapshot's
+// tombstone memo already shares SUB-problem state across such repeats; the
+// planner shares the WHOLE problem: before a batch
 // executes, queries are bucketed by their execution signature — the ordered
 // group plus every solve-relevant QuerySpec field: k, the affinity model,
 // the consensus spec, the termination policy, the pool size, the weighting
@@ -58,8 +58,9 @@ struct BatchQueryAttribution {
 };
 
 /// Execution stats of one batch: what the planner shared and what the
-/// snapshot caches did while the batch ran. Filled by Engine::RecommendBatch /
-/// ShardedEngine::RecommendBatch when the caller passes one.
+/// pinned view's tombstone memo did while the batch ran. Filled by
+/// Engine::RecommendBatch / ShardedEngine::RecommendBatch when the caller
+/// passes one.
 struct BatchReport {
   std::size_t num_queries = 0;
   /// Queries rejected by validation (non-OK Result, no bucket).
@@ -74,11 +75,13 @@ struct BatchReport {
   /// repeats or the batch is empty).
   double dedup_ratio = 1.0;
 
-  /// Cache counter deltas across the batch: the engine's period cache on
-  /// both engines, plus the tombstone memo of the pinned view (monolithic:
-  /// the Snapshot's; sharded: the pinned set's).
+  /// Always 0: period lists are built per query and nothing caches them.
+  /// Kept only because perfbench reads them, until its adapter calls
+  /// engine-level names only (ROADMAP item 1).
   std::uint64_t period_cache_hits = 0;
   std::uint64_t period_cache_misses = 0;
+  /// Tombstone memo counter deltas across the batch, read off the pinned
+  /// view (monolithic: the Snapshot's; sharded: the pinned set's).
   std::uint64_t tombstone_cache_hits = 0;
   std::uint64_t tombstone_cache_misses = 0;
   std::uint64_t tombstone_cache_evictions = 0;

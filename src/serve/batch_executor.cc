@@ -52,15 +52,12 @@ const char* NullPinError(const ShardedSnapshotSet*) {
   return "snapshot set must not be null";
 }
 
-/// The cache counters a batch reports deltas of.
+/// The tombstone-memo counters a batch reports deltas of.
 struct CacheCounters {
-  std::uint64_t period_hits, period_misses;
   std::uint64_t tomb_hits, tomb_misses, tomb_evictions;
 
-  CacheCounters(const PeriodListCache& periods, const TombstoneCache& tombs)
-      : period_hits(periods.hits()),
-        period_misses(periods.misses()),
-        tomb_hits(tombs.hits()),
+  explicit CacheCounters(const TombstoneCache& tombs)
+      : tomb_hits(tombs.hits()),
         tomb_misses(tombs.misses()),
         tomb_evictions(tombs.evictions()) {}
 };
@@ -77,9 +74,8 @@ std::vector<Result<Recommendation>> BatchExecutor::Execute(
         queries.size(), Result<Recommendation>(Status::InvalidArgument(
                             NullPinError(pin.get()))));
   }
-  const PeriodListCache& periods = engine.period_cache();
   const TombstoneCache& tombs = pin->tombstone_cache();
-  const CacheCounters before(periods, tombs);
+  const CacheCounters before(tombs);
   BatchPlan plan = BatchPlanner::Plan(
       queries,
       [&](const Query& q) { return engine.ValidateQuery(q.group, q.spec); },
@@ -132,9 +128,7 @@ std::vector<Result<Recommendation>> BatchExecutor::Execute(
                  plan.buckets[b].queries.front() ==
                      static_cast<std::uint32_t>(i)};
     }
-    const CacheCounters after(periods, tombs);
-    report->period_cache_hits = after.period_hits - before.period_hits;
-    report->period_cache_misses = after.period_misses - before.period_misses;
+    const CacheCounters after(tombs);
     report->tombstone_cache_hits = after.tomb_hits - before.tomb_hits;
     report->tombstone_cache_misses = after.tomb_misses - before.tomb_misses;
     report->tombstone_cache_evictions =

@@ -6,11 +6,10 @@
 // PreferenceIndex rows; the engine owns everything population-global — the
 // popularity pool, the AffinitySource (StudyAffinitySource::FromStudy on
 // the study path, the same setup the monolithic GroupRecommender uses), the
-// (group, period) list cache, the prediction backend behind the shards'
-// PoolPredictor — and the write path, which is the monolithic one: one
-// RatingsOverlay over the shared base, one RatingPublisher (group commit,
-// build lock, generation counter, compaction trigger) and one published
-// ShardedSnapshotSet.
+// prediction backend behind the shards' PoolPredictor — and the write path,
+// which is the monolithic one: one RatingsOverlay over the shared base, one
+// RatingPublisher (group commit, build lock, generation counter, compaction
+// trigger) and one published ShardedSnapshotSet.
 //
 // Queries scatter/gather at problem-assembly time, zero-copy: for each
 // group member the engine asks the router for the owning shard and slices
@@ -118,7 +117,7 @@ class ShardedSnapshotSet {
   }
 
   /// The set-scoped (group, pool) tombstone memo (internally synchronized;
-  /// hit/miss/eviction counters like the monolithic caches). Mutable state
+  /// hit/miss/eviction counters like the Snapshot's memo). Mutable state
   /// on an otherwise-immutable pin, hence the const accessor.
   TombstoneCache& tombstone_cache() const { return tombstone_cache_; }
 
@@ -156,8 +155,8 @@ class ShardedEngine {
 
   /// Generic construction for populations without a study (the scale
   /// harness): ratings + predictor + pool are taken as-is. The engine must
-  /// outlive every problem built from it (the affinity source and period
-  /// cache are engine-owned).
+  /// outlive every problem built from it (the affinity source is
+  /// engine-owned).
   ShardedEngine(ShardedEngineInputs inputs, ShardedEngineOptions options);
 
   ShardedEngine(const ShardedEngine&) = delete;
@@ -240,9 +239,6 @@ class ShardedEngine {
 
   /// The affinity backend, fixed at construction.
   const AffinitySource& affinity() const { return *affinity_; }
-  /// The (group, period) list cache shared by every generation
-  /// (internally synchronized; bounded like GroupRecommender::period_cache).
-  PeriodListCache& period_cache() const { return period_cache_; }
   /// The shared popularity pool (identical in every shard's index).
   std::span<const ItemId> pool() const;
 
@@ -268,7 +264,6 @@ class ShardedEngine {
   std::unique_ptr<UserKnnStates> knn_states_;
 
   std::shared_ptr<const AffinitySource> affinity_;
-  mutable PeriodListCache period_cache_;
   PoolPredictor predictor_;
   /// Engine-owned copy of the shared pool (pool() stays valid without
   /// pinning a set).

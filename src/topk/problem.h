@@ -76,18 +76,18 @@ struct MemberSlice {
 /// arena must back at most one live GroupProblem at a time (rebuilding it
 /// invalidates the previous problem's views).
 struct ProblemArena {
-  /// Keep-alive for the cached tombstone bitmap (1 bit per candidate-pool
+  /// Keep-alive for the memoized tombstone bitmap (1 bit per candidate-pool
   /// key; set = excluded, group-rated item) the preference views alias
   /// (api/snapshot.h's TombstoneCache; type-erased so topk stays independent
   /// of the api layer).
   std::shared_ptr<const void> tombstone_pin;
   std::vector<ListView> preference_views;
   SortedList static_list;
-  /// Periodic lists themselves live in the engine's (group, period) cache;
-  /// the arena holds the per-query views plus one shared_ptr pin per
-  /// list, so a problem survives the bounded cache evicting its lists.
+  /// One periodic list per period 0..p, rebuilt in place per query (the
+  /// vector only grows, so a reused arena reallocates nothing), plus the
+  /// problem's views of the first p + 1 of them.
+  std::vector<SortedList> period_lists;
   std::vector<ListView> period_views;
-  std::vector<std::shared_ptr<const SortedList>> period_pins;
   /// The aggregated group-agreement list of the problem this arena backs
   /// (GroupProblem::agreement_list()).
   SortedList agreement_list;
@@ -138,8 +138,8 @@ class GroupProblem {
 
   /// Shares ownership of external storage the views alias — on the
   /// snapshot-serving path BuildProblem pins the query's Snapshot here, so
-  /// the problem's index rows and cached period lists stay valid even after
-  /// the engine publishes a newer generation (type-erased: topk stays
+  /// the problem's index rows stay valid even after the engine publishes a
+  /// newer generation (type-erased: topk stays
   /// independent of the api layer).
   void PinLifetime(std::shared_ptr<const void> keep_alive) {
     pinned_ = std::move(keep_alive);

@@ -1,14 +1,11 @@
 // Tests for the pluggable AffinitySource layer: the study-backed source must
-// reproduce the raw tables and the legacy group normalization exactly, its
-// index-backed CumulativeDrift and the default recompute must both match
-// Equation 1 evaluated from scratch, and FromStudy must build the paper's
-// tables from a study.
+// reproduce the raw tables and the legacy group normalization exactly, and
+// FromStudy must build the paper's tables from a study.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "affinity/affinity_source.h"
-#include "affinity/dynamic_affinity.h"
 #include "affinity/periodic_affinity.h"
 #include "affinity/static_affinity.h"
 #include "dataset/facebook_study.h"
@@ -89,23 +86,6 @@ TEST_F(AffinitySourceTest, MaterializedPeriodListMatchesNormalizedTable) {
       for (std::size_t b = a + 1; b < group.size(); ++b, ++q) {
         EXPECT_DOUBLE_EQ(list.ScoreOfKey(q),
                          periodic_.Normalized(group[a], group[b], p));
-      }
-    }
-  }
-}
-
-TEST_F(AffinitySourceTest, DefaultCumulativeDriftMatchesIncrementalIndex) {
-  const StudyAffinitySource source(static_, periodic_);
-  const AffinitySource& base = source;
-  for (PeriodId p = 0; p < 3; ++p) {
-    for (UserId u = 0; u < 4; ++u) {
-      for (UserId v = u + 1; v < 4; ++v) {
-        const double reference = RecomputeCumulativeDrift(periodic_, u, v, p);
-        // The study source's override reads its drift index...
-        EXPECT_NEAR(source.CumulativeDrift(u, v, p), reference, 1e-12);
-        // ...and the O(p) default recomputes from Periodic/PeriodAverage.
-        EXPECT_NEAR(base.AffinitySource::CumulativeDrift(u, v, p), reference,
-                    1e-12);
       }
     }
   }

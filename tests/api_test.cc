@@ -381,6 +381,87 @@ TEST_F(ApiTest, WorkspaceReuseMatchesFreshExecution) {
   }
 }
 
+void ExpectBitIdentical(const Recommendation& a, const Recommendation& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.items, b.items) << what;
+  EXPECT_EQ(a.scores, b.scores) << what;
+  EXPECT_EQ(a.raw.accesses.sequential, b.raw.accesses.sequential) << what;
+  EXPECT_EQ(a.raw.accesses.random, b.raw.accesses.random) << what;
+}
+
+// A workspace's arena keeps its period lists across queries and rebuilds
+// them in place. Queries that need fewer periods, a much larger group (a
+// wider pair key space) or no period lists at all must each serve exactly
+// what a fresh workspace serves.
+TEST_F(ApiTest, ReusedArenaPeriodListsMatchFreshWorkspace) {
+  const auto participants = static_cast<UserId>(study_->num_participants());
+  ASSERT_GE(participants, 42u);
+  const auto last_period =
+      static_cast<PeriodId>(engine_->recommender().num_periods() - 1);
+  ASSERT_GE(last_period, 2u);
+
+  Query last;
+  last.group = {3, 8, 15, 22, 30, 41};
+  last.spec.k = 5;
+  last.spec.num_candidate_items = 400;
+  last.spec.eval_period = last_period;
+  Query earlier = last;
+  earlier.spec.eval_period = 2;
+  Query large = last;
+  large.group.clear();
+  for (UserId u = 0; u < 40; ++u) large.group.push_back(u);
+  Query agnostic = last;
+  agnostic.spec.model = AffinityModelSpec::TimeAgnostic();
+
+  QueryWorkspace workspace;
+  const std::pair<const char*, const Query*> sequence[] = {
+      {"6 members, last period", &last},
+      {"same group, period 2", &earlier},
+      {"40 members", &large},
+      {"time-agnostic", &agnostic},
+      {"6 members again", &last}};
+  for (const auto& [what, query] : sequence) {
+    const auto reused = engine_->recommender().Recommend(
+        query->group, query->spec, &workspace);
+    QueryWorkspace fresh_workspace;
+    const auto fresh = engine_->recommender().Recommend(
+        query->group, query->spec, &fresh_workspace);
+    ASSERT_TRUE(reused.ok()) << what << ": " << reused.status().ToString();
+    ASSERT_TRUE(fresh.ok()) << what;
+    ExpectBitIdentical(reused.value(), fresh.value(), what);
+  }
+}
+
+// Weighting and Termination set the spec fields they name, and the built
+// query serves exactly what the same hand-built Query serves.
+TEST_F(ApiTest, BuilderCarriesWeightingAndTermination) {
+  const auto built = QueryBuilder(*engine_)
+                         .Members({4, 17, 29, 33})
+                         .TopK(5)
+                         .CandidatePool(400)
+                         .Weighting(MemberWeighting::kInfluence)
+                         .Termination(TerminationPolicy::kThresholdOnly)
+                         .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_EQ(built.value().spec.weighting, MemberWeighting::kInfluence);
+  EXPECT_EQ(built.value().spec.termination, TerminationPolicy::kThresholdOnly);
+
+  Query hand;
+  hand.group = {4, 17, 29, 33};
+  hand.spec.k = 5;
+  hand.spec.num_candidate_items = 400;
+  hand.spec.weighting = MemberWeighting::kInfluence;
+  hand.spec.termination = TerminationPolicy::kThresholdOnly;
+  EXPECT_EQ(built.value().group, hand.group);
+  EXPECT_EQ(built.value().spec, hand.spec);
+
+  const auto from_builder = engine_->Recommend(built.value());
+  const auto from_hand = engine_->Recommend(hand);
+  ASSERT_TRUE(from_builder.ok());
+  ASSERT_TRUE(from_hand.ok());
+  ExpectBitIdentical(from_builder.value(), from_hand.value(), "built vs hand");
+}
+
 TEST(ThreadPoolTest, CoversAllIndicesExactlyOnce) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.size(), 3u);

@@ -3,8 +3,8 @@
 // group commit (concurrent ApplyUpdates callers coalesce into one
 // generation), the compaction policy, and the load-bearing equivalence — a
 // stream of event batches applied through the delta log must produce
-// BIT-IDENTICAL recommendations and PeriodListCache behavior to a full
-// re-fold, with or without compactions in between.
+// BIT-IDENTICAL recommendations to a full re-fold, with or without
+// compactions in between.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -326,8 +326,8 @@ TEST_F(DeltaLogTest, EmptyBatchReportsCurrentGeneration) {
 
 // N event batches applied through the delta log must match (1) compaction on
 // every publish — the old full-re-fold behavior — and (2) periodic
-// compactions forced by a small size trigger, bit for bit: recommendations,
-// reports and period-cache counters. Finally the delta-log engine must match a FRESH engine built
+// compactions forced by a small size trigger, bit for bit: recommendations
+// and reports. Finally the delta-log engine must match a FRESH engine built
 // over the offline fold of all events.
 TEST_F(DeltaLogTest, RandomizedDeltaLogEquivalence) {
   RecommenderOptions pure = BaseOptions();  // delta log only, never compacts
@@ -377,19 +377,6 @@ TEST_F(DeltaLogTest, RandomizedDeltaLogEquivalence) {
   // The periodic engine really did compact mid-stream.
   EXPECT_LT(engine_periodic->snapshot()->ratings().delta_ratings(),
             engine_pure->snapshot()->ratings().delta_ratings());
-
-  // Identical query sequences produced identical period-cache behavior —
-  // one cache serves every generation, across delta publishes AND
-  // compactions.
-  const PeriodListCache& sp = engine_pure->recommender().period_cache();
-  const PeriodListCache& sr = engine_refold->recommender().period_cache();
-  const PeriodListCache& sc = engine_periodic->recommender().period_cache();
-  EXPECT_EQ(sp.hits(), sr.hits());
-  EXPECT_EQ(sp.misses(), sr.misses());
-  EXPECT_EQ(sp.size(), sr.size());
-  EXPECT_EQ(sp.hits(), sc.hits());
-  EXPECT_EQ(sp.misses(), sc.misses());
-  EXPECT_EQ(sp.size(), sc.size());
 
   // Ground truth: a fresh engine over the offline fold of every event sees
   // the exact same world as the delta-log engine that never compacted.

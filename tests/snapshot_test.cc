@@ -1,8 +1,7 @@
 // Tests for the snapshot-centric serving API: RCU-style publish semantics
 // (pinned generations are immutable under concurrent updates), the
 // live-update path (ApplyUpdates rebuilds predictions + index rows +
-// tombstones), the engine-owned period-list cache every generation shares,
-// and the generation-scoped tombstone cache.
+// tombstones) and the generation-scoped tombstone memo.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -110,13 +109,13 @@ SyntheticRatings* SnapshotTest::universe_ = nullptr;
 FacebookStudy* SnapshotTest::study_ = nullptr;
 
 /// Assembles and solves `query` on `snap` exactly as
-/// GroupRecommender::Recommend does, but through the caller's period and
-/// tombstone caches — how the capped-cache tests below reach caches smaller
-/// than the engine's defaults.
-Recommendation SolveWithCaches(const GroupRecommender& recommender,
-                               const std::shared_ptr<const Snapshot>& snap,
-                               const Query& query, PeriodListCache& periods,
-                               TombstoneCache& tombs) {
+/// GroupRecommender::Recommend does, but through the caller's tombstone
+/// memo — how the capped-memo test below reaches a memo smaller than the
+/// engine's default.
+Recommendation SolveWithTombstoneCache(
+    const GroupRecommender& recommender,
+    const std::shared_ptr<const Snapshot>& snap, const Query& query,
+    TombstoneCache& tombs) {
   std::vector<MemberSlice> slices;
   for (const UserId u : query.group) {
     slices.push_back({&snap->index(), u, &snap->ratings(), u});
@@ -125,7 +124,6 @@ Recommendation SolveWithCaches(const GroupRecommender& recommender,
   AssemblyContext ctx;
   ctx.key_index = &snap->index();
   ctx.affinity = &recommender.affinity();
-  ctx.period_cache = &periods;
   ctx.tombstone_cache = &tombs;
   const PeriodId period =
       recommender.ResolvePeriod(query.spec.eval_period).value();
@@ -277,161 +275,6 @@ TEST_F(SnapshotTest, AppliedRatingsTombstoneRecommendedItems) {
   EXPECT_FALSE(engine->snapshot()->ratings().base().HasRating(4, top));
 }
 
-// Period-list cache: the first query for a (group, period) materializes, a
-// repeated group rebuilds nothing — on the same snapshot and on every later
-// rating generation, which all share the recommender's one cache.
-TEST_F(SnapshotTest, PeriodCacheHitsOnRepeatedGroups) {
-  auto engine = MakeEngine();
-  const PeriodListCache& cache = engine->recommender().period_cache();
-  const auto snap = engine->snapshot();
-  const auto last_period =
-      static_cast<PeriodId>(engine->recommender().num_periods() - 1);
-  const std::size_t periods = static_cast<std::size_t>(last_period) + 1;
-
-  Query query;
-  query.group = {4, 17, 29};
-  query.spec.k = 5;
-  query.spec.num_candidate_items = 400;
-  query.spec.eval_period = last_period;  // touches every period list
-
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 0u);
-
-  ASSERT_TRUE(engine->Recommend(query, snap).ok());
-  EXPECT_EQ(cache.misses(), periods);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.size(), periods);
-
-  // Second identical query: zero pair-list rebuild work — every period list
-  // is a cache hit and no new list is materialized.
-  ASSERT_TRUE(engine->Recommend(query, snap).ok());
-  EXPECT_EQ(cache.misses(), periods) << "no rebuild on repeat";
-  EXPECT_EQ(cache.hits(), periods);
-  EXPECT_EQ(cache.size(), periods);
-
-  // A different group misses again (cache is keyed by (group, period)).
-  Query other = query;
-  other.group = {3, 11};
-  ASSERT_TRUE(engine->Recommend(other, snap).ok());
-  EXPECT_EQ(cache.misses(), 2 * periods);
-  EXPECT_EQ(cache.size(), 2 * periods);
-
-  EXPECT_GT(cache.MemoryBytes(), 0u);
-
-  // Rating updates and compactions leave the affinity source alone, so the
-  // next generation reads the same warm cache — a steady update stream
-  // never re-colds it.
-  ASSERT_TRUE(engine->ApplyUpdates(RandomEvents(4, 17)).ok());
-  const auto next = engine->snapshot();
-  ASSERT_GT(next->generation(), snap->generation());
-  EXPECT_EQ(cache.size(), 2 * periods);
-  ASSERT_TRUE(engine->Recommend(query, next).ok());
-  EXPECT_EQ(cache.misses(), 2 * periods) << "still warm";
-  EXPECT_EQ(cache.hits(), 2 * periods);
-}
-
-// The period-list cache is bounded: entries past the cap evict least
-// recently used, the eviction counter sits next to hit/miss, and a
-// GetShared copy held by a query survives its own eviction.
-TEST_F(SnapshotTest, PeriodCacheEvictsLeastRecentlyUsedPastCap) {
-  const auto last_period =
-      static_cast<PeriodId>(study_->periods.num_periods() - 1);
-  const std::size_t periods = static_cast<std::size_t>(last_period) + 1;
-
-  auto engine = MakeEngine(/*threads=*/2);
-  const GroupRecommender& recommender = engine->recommender();
-  const auto snap = engine->snapshot();
-  PeriodListCache cache(periods);  // exactly one group fits
-  TombstoneCache tombs;
-
-  Query query;
-  query.group = {4, 17, 29};
-  query.spec.k = 5;
-  query.spec.num_candidate_items = 400;
-  query.spec.eval_period = last_period;  // touches every period list
-
-  // Group A fills the cache to the cap without evicting.
-  SolveWithCaches(recommender, snap, query, cache, tombs);
-  const Recommendation first =
-      SolveWithCaches(recommender, snap, query, cache, tombs);
-  EXPECT_EQ(cache.size(), periods);
-  EXPECT_EQ(cache.evictions(), 0u);
-  EXPECT_EQ(cache.hits(), periods) << "repeat was all hits";
-  // The caller's caches change no result: the engine's own path agrees.
-  const auto served = engine->Recommend(query, snap);
-  ASSERT_TRUE(served.ok());
-  ExpectSameRecommendation(first, served.value());
-
-  // Hold one of A's lists across the churn below.
-  const std::shared_ptr<const SortedList> pinned =
-      cache.GetShared(query.group, 0, recommender.affinity());
-
-  // Group B displaces A entry by entry; the size never passes the cap.
-  Query other = query;
-  other.group = {3, 11};
-  SolveWithCaches(recommender, snap, other, cache, tombs);
-  EXPECT_EQ(cache.size(), periods);
-  EXPECT_EQ(cache.evictions(), periods);
-
-  // B is resident (all hits), A was evicted (all misses again) — LRU, not
-  // random or insertion-order eviction.
-  const auto hits_before = cache.hits();
-  const auto misses_before = cache.misses();
-  SolveWithCaches(recommender, snap, other, cache, tombs);
-  EXPECT_EQ(cache.hits(), hits_before + periods);
-  EXPECT_EQ(cache.misses(), misses_before);
-  const Recommendation replay =
-      SolveWithCaches(recommender, snap, query, cache, tombs);
-  EXPECT_EQ(cache.misses(), misses_before + periods)
-      << "evicted lists rebuild from scratch";
-
-  // Eviction is invisible to results: the rebuilt lists answer identically.
-  ExpectSameRecommendation(first, replay);
-
-  // The held copy outlived its eviction and still matches a direct
-  // materialization.
-  const SortedList direct =
-      recommender.affinity().MaterializePeriodList(query.group, 0);
-  ASSERT_EQ(pinned->size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(pinned->entry(i).id, direct.entry(i).id);
-    EXPECT_EQ(pinned->entry(i).score, direct.entry(i).score);
-  }
-
-  // An unbounded cache (cap 0) never evicts under the same workload.
-  PeriodListCache unbounded(0);
-  SolveWithCaches(recommender, snap, query, unbounded, tombs);
-  SolveWithCaches(recommender, snap, other, unbounded, tombs);
-  EXPECT_EQ(unbounded.size(), 2 * periods);
-  EXPECT_EQ(unbounded.evictions(), 0u);
-}
-
-// Cached lists must be identical to freshly materialized ones (the cache is
-// a pure memoization, not an approximation).
-TEST_F(SnapshotTest, CachedPeriodListsMatchDirectMaterialization) {
-  auto engine = MakeEngine();
-  const GroupRecommender& recommender = engine->recommender();
-  PeriodListCache& cache = recommender.period_cache();
-  const AffinitySource& source = recommender.affinity();
-  const std::vector<UserId> group = {2, 9, 23, 31};
-  const auto last_period =
-      static_cast<PeriodId>(recommender.num_periods() - 1);
-  for (PeriodId p = 0; p <= last_period; ++p) {
-    const std::shared_ptr<const SortedList> pinned =
-        cache.GetShared(group, p, source);
-    const SortedList& cached = *pinned;
-    const SortedList direct = source.MaterializePeriodList(group, p);
-    ASSERT_EQ(cached.size(), direct.size()) << "period " << p;
-    for (std::size_t i = 0; i < direct.size(); ++i) {
-      EXPECT_EQ(cached.entry(i).id, direct.entry(i).id) << "period " << p;
-      EXPECT_EQ(cached.entry(i).score, direct.entry(i).score)
-          << "period " << p;
-    }
-    // Second lookup returns the same resident list.
-    EXPECT_EQ(cache.GetShared(group, p, source), pinned);
-  }
-}
-
 // Rating updates racing a query stream: queries must never crash or error,
 // and every RecommendBatch must equal sequential Recommend calls on the one
 // snapshot it pinned while ApplyUpdates keeps publishing. (The ASan/TSan CI
@@ -488,7 +331,8 @@ TEST_F(SnapshotTest, ProblemOutlivesRetiredGeneration) {
   const double score_before = problem.value().ExactScore(0);
 
   // Retire the generation; drop our own pin. The problem must keep the
-  // snapshot (index rows + cached period lists) alive on its own.
+  // snapshot's index rows alive on its own; its affinity lists live in the
+  // problem-owned arena.
   ASSERT_TRUE(engine->ApplyUpdates(RandomEvents(16, 99)).ok());
   pinned.reset();
 
@@ -561,16 +405,15 @@ TEST_F(SnapshotTest, TombstoneCacheHitsRepeatsAndResetsPerGeneration) {
   }
 }
 
-// The tombstone cache is bounded: a cap of 1 evicts the older group's
-// bitmap, the eviction counter records it, a held bitmap outlives its
-// eviction, and the evicted group still answers identically when it misses
-// back in.
-TEST_F(SnapshotTest, TombstoneCacheEvictsLeastRecentlyUsedPastCap) {
+// The tombstone memo is bounded: an insert that finds it full clears it
+// first, the eviction counter counts every dropped entry, a held bitmap
+// outlives the clear, and a dropped group rebuilds an identical bitmap and
+// answers identically.
+TEST_F(SnapshotTest, TombstoneCacheClearsWhenFull) {
   auto engine = MakeEngine(/*threads=*/2);
   const GroupRecommender& recommender = engine->recommender();
   const auto snap = engine->snapshot();
-  PeriodListCache& periods = recommender.period_cache();
-  TombstoneCache tombs(1);
+  TombstoneCache tombs(2);
 
   Query a;
   a.group = {4, 17, 29};
@@ -578,8 +421,14 @@ TEST_F(SnapshotTest, TombstoneCacheEvictsLeastRecentlyUsedPastCap) {
   a.spec.num_candidate_items = 400;
   Query b = a;
   b.group = {3, 11};
+  Query c = a;
+  c.group = {8, 21};
 
-  const Recommendation a1 = SolveWithCaches(recommender, snap, a, periods, tombs);
+  const Recommendation a1 =
+      SolveWithTombstoneCache(recommender, snap, a, tombs);
+  SolveWithTombstoneCache(recommender, snap, b, tombs);
+  EXPECT_EQ(tombs.size(), 2u);
+  EXPECT_EQ(tombs.evictions(), 0u);
   // A resident lookup hits and never builds.
   const auto no_build = []() -> std::shared_ptr<const TombstoneSet> {
     ADD_FAILURE() << "resident bitmap was rebuilt";
@@ -587,21 +436,34 @@ TEST_F(SnapshotTest, TombstoneCacheEvictsLeastRecentlyUsedPastCap) {
   };
   const std::shared_ptr<const TombstoneSet> held =
       tombs.GetShared(a.group, a.spec.num_candidate_items, no_build);
-  SolveWithCaches(recommender, snap, b, periods, tombs);  // evicts A's bitmap
-  EXPECT_EQ(tombs.size(), 1u);
-  EXPECT_EQ(tombs.evictions(), 1u);
+  EXPECT_EQ(tombs.hits(), 1u);
 
-  const Recommendation a2 = SolveWithCaches(recommender, snap, a, periods, tombs);
+  // C finds the memo full: both resident bitmaps go, C's goes in.
+  SolveWithTombstoneCache(recommender, snap, c, tombs);
+  EXPECT_EQ(tombs.size(), 1u);
+  EXPECT_EQ(tombs.evictions(), 2u);
   EXPECT_EQ(tombs.misses(), 3u);
+
+  // A was dropped: it misses, rebuilds and answers identically. The memo
+  // had room (C alone), so nothing more is dropped.
+  const Recommendation a2 =
+      SolveWithTombstoneCache(recommender, snap, a, tombs);
+  EXPECT_EQ(tombs.misses(), 4u);
+  EXPECT_EQ(tombs.size(), 2u);
   EXPECT_EQ(tombs.evictions(), 2u);
   ExpectSameRecommendation(a2, a1);
 
-  // The held bitmap outlived its eviction and equals the rebuilt one.
+  // The held bitmap outlived the clear and equals the rebuilt one.
   const std::shared_ptr<const TombstoneSet> rebuilt =
       tombs.GetShared(a.group, a.spec.num_candidate_items, no_build);
   EXPECT_NE(held, rebuilt);
   EXPECT_EQ(held->words, rebuilt->words);
   EXPECT_EQ(held->live, rebuilt->live);
+
+  // The capped memo changes no result: the engine's own path agrees.
+  const auto served = engine->Recommend(a, snap);
+  ASSERT_TRUE(served.ok());
+  ExpectSameRecommendation(served.value(), a1);
 }
 
 }  // namespace
