@@ -60,26 +60,6 @@ int main() {
     batch.push_back(Query{group, spec});
   }
 
-  // Cold assembly pass, before anything touches the pinned snapshot's
-  // (group, pool) tombstone memo: every query builds its group-rated bitmap.
-  // The warm pass below re-assembles the same batch with the memo full —
-  // the difference is what the memo buys repeated-group workloads. Nothing
-  // publishes meanwhile, so every pass below reads this snapshot.
-  const auto snap = recommender.snapshot();
-  const TombstoneCache& tombs = snap->tombstone_cache();
-  QueryWorkspace cold_workspace;
-  Stopwatch cold_watch;
-  for (const Query& q : batch) {
-    const auto problem =
-        recommender.BuildProblem(q.group, q.spec, nullptr, &cold_workspace);
-    if (!problem.ok()) {
-      std::cerr << "ERROR: cold assembly failed\n";
-      return 1;
-    }
-  }
-  const double cold_asm_seconds = cold_watch.ElapsedSeconds();
-  const std::uint64_t cold_misses = tombs.misses();
-
   // Sequential baseline: one query at a time through the facade, with a
   // single reused workspace (the fairest single-thread configuration).
   Stopwatch seq_watch;
@@ -121,8 +101,7 @@ int main() {
     EngineOptions eopts;
     eopts.num_threads = threads;
     const Engine engine(ctx.universe, ctx.study, ctx.options, eopts);
-    // Warm-up run so worker workspaces reach steady-state capacity and the
-    // engine's own tombstone memo is as warm as the sequential pass's was.
+    // Warm-up run so worker workspaces reach steady-state capacity.
     engine.RecommendBatch(batch);
     Stopwatch watch;
     const auto results = engine.RecommendBatch(batch);
@@ -151,19 +130,11 @@ int main() {
   const double per_query_us =
       1e6 * asm_seconds / static_cast<double>(batch.size());
   const double asm_share = 100.0 * asm_seconds / seq_seconds;
-  const double cold_per_query_us =
-      1e6 * cold_asm_seconds / static_cast<double>(batch.size());
   std::cout << "problem_assembly_seconds: " << asm_seconds << " ("
             << per_query_us << " us/query, " << asm_share
             << "% of sequential query time)\n"
             << "solve_seconds: " << (seq_seconds - asm_seconds)
-            << " (sequential total minus assembly)\n"
-            << "tombstone_cache: cold assembly " << cold_per_query_us
-            << " us/query (" << cold_misses << " bitmaps built) vs warm "
-            << per_query_us << " us/query (" << tombs.hits() << " hits, "
-            << tombs.misses() << " misses total) — speedup "
-            << (asm_seconds > 0.0 ? cold_asm_seconds / asm_seconds : 0.0)
-            << "x\n";
+            << " (sequential total minus assembly)\n";
 
   std::cout << "All batch results identical to sequential execution.\n"
             << "Expected: speedup ~ min(threads, cores); >= 2x on >= 4 "
@@ -185,8 +156,6 @@ int main() {
     std::size_t buckets = 0;
     double dedup = 1.0;
     double qps = 0.0;
-    std::uint64_t tombstone_hits = 0;
-    std::uint64_t tombstone_misses = 0;
   };
   std::vector<PlannerRow> planner_sweep;
   {
@@ -251,8 +220,6 @@ int main() {
       row.buckets = report.num_buckets;
       row.dedup = report.dedup_ratio;
       row.qps = static_cast<double>(dup_batch.size()) / best;
-      row.tombstone_hits = report.tombstone_cache_hits;
-      row.tombstone_misses = report.tombstone_cache_misses;
       planner_sweep.push_back(row);
     }
 
@@ -427,9 +394,7 @@ int main() {
            << ", \"dedup_ratio\": " << row.dedup
            << ", \"qps\": " << row.qps
            << ", \"speedup_vs_dup1\": "
-           << (row.qps / planner_sweep.front().qps)
-           << ", \"tombstone_cache_hits\": " << row.tombstone_hits
-           << ", \"tombstone_cache_misses\": " << row.tombstone_misses << "}"
+           << (row.qps / planner_sweep.front().qps) << "}"
            << (i + 1 < planner_sweep.size() ? "," : "") << "\n";
     }
     json << "  ],\n  \"algo_sweep\": [\n";

@@ -157,7 +157,7 @@ int main() {
 
   // Warm-up: touch every query once outside the measurement windows so the
   // baseline phase is not charged the process's cold-start (allocator,
-  // tombstone-memo fill for generation 1).
+  // workspace growth).
   for (const Query& q : queries) {
     if (!engine.Recommend(q).ok()) std::abort();
   }

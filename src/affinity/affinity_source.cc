@@ -69,15 +69,6 @@ SortedList AffinitySource::MaterializePeriodList(std::span<const UserId> group,
   return out;
 }
 
-std::vector<double> AffinitySource::PeriodAverages(PeriodId horizon) const {
-  std::vector<double> averages;
-  averages.reserve(horizon + 1);
-  for (PeriodId p = 0; p <= horizon; ++p) {
-    averages.push_back(PeriodAverage(p));
-  }
-  return averages;
-}
-
 void AffinitySource::MaterializeMemberWeightsInto(std::span<const UserId> group,
                                                   std::span<double> out) const {
   assert(out.size() == group.size());

@@ -83,9 +83,6 @@ class AffinitySource {
   SortedList MaterializePeriodList(std::span<const UserId> group,
                                    PeriodId p) const;
 
-  /// Normalized population averages for periods 0..horizon inclusive.
-  virtual std::vector<double> PeriodAverages(PeriodId horizon) const;
-
   /// Raw per-member consensus weights for influence weighting
   /// (QuerySpec::weighting == kInfluence): fills `out` — one slot per group
   /// member, pre-sized by the caller — with each member's weight on any

@@ -13,19 +13,19 @@ std::string AffinityModelSpec::Name() const {
 }
 
 AffinityCombiner::AffinityCombiner(AffinityModelSpec spec,
-                                   std::vector<double> period_averages)
-    : spec_(spec), period_averages_(std::move(period_averages)) {
-  for (const double a : period_averages_) average_sum_ += a;
+                                   std::span<const double> period_averages)
+    : spec_(spec), num_periods_(period_averages.size()) {
+  for (const double a : period_averages) average_sum_ += a;
 }
 
 double AffinityCombiner::DriftOfSum(double period_sum) const {
   const double drift = (period_sum - average_sum_) /
-                       static_cast<double>(period_averages_.size());
+                       static_cast<double>(num_periods_);
   return std::clamp(spec_.drift_gain * drift, -1.0, 1.0);
 }
 
 double AffinityCombiner::MeanDrift(std::span<const double> aff_p) const {
-  assert(aff_p.size() == period_averages_.size());
+  assert(aff_p.size() == num_periods_);
   if (aff_p.empty()) return 0.0;
   double sum = 0.0;
   for (const double v : aff_p) sum += v;
@@ -41,7 +41,7 @@ double AffinityCombiner::Combine(double aff_s,
 
 double AffinityCombiner::CombineSum(double aff_s, double period_sum) const {
   if (!spec_.affinity_aware) return 0.0;
-  if (!spec_.time_aware || period_averages_.empty()) {
+  if (!spec_.time_aware || num_periods_ == 0) {
     return std::clamp(aff_s, 0.0, 1.0);
   }
   const double drift = DriftOfSum(period_sum);

@@ -16,9 +16,9 @@
 #ifndef GRECA_AFFINITY_TEMPORAL_MODEL_H_
 #define GRECA_AFFINITY_TEMPORAL_MODEL_H_
 
+#include <initializer_list>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "topk/interval.h"
 
@@ -67,10 +67,17 @@ struct AffinityModelSpec {
 class AffinityCombiner {
  public:
   /// `period_averages` are the normalized population averages AvgAffP(p') of
-  /// the T periods covered by the evaluation horizon.
-  AffinityCombiner(AffinityModelSpec spec, std::vector<double> period_averages);
+  /// the T periods covered by the evaluation horizon. Only their count and
+  /// their sum (taken in index order) are kept.
+  AffinityCombiner(AffinityModelSpec spec,
+                   std::span<const double> period_averages);
+  AffinityCombiner(AffinityModelSpec spec,
+                   std::initializer_list<double> period_averages)
+      : AffinityCombiner(spec, std::span<const double>(
+                                   period_averages.begin(),
+                                   period_averages.size())) {}
 
-  std::size_t num_periods() const { return period_averages_.size(); }
+  std::size_t num_periods() const { return num_periods_; }
   const AffinityModelSpec& spec() const { return spec_; }
 
   /// aff(u, u') from exact components. `aff_p.size()` must equal
@@ -97,7 +104,7 @@ class AffinityCombiner {
   double DriftOfSum(double period_sum) const;
 
   AffinityModelSpec spec_;
-  std::vector<double> period_averages_;
+  std::size_t num_periods_ = 0;
   double average_sum_ = 0.0;
 };
 

@@ -14,10 +14,11 @@
 //    BuildProblem on the pinned snapshot, then SolveGroupProblem. A batch
 //    runs those same two steps in parallel over an internal thread pool
 //    through the batch executor (serve/batch_executor.h), all workers
-//    sharing the one pinned snapshot; each worker leases a reusable
-//    QueryWorkspace holding only mutable scratch from a shared pool, so
-//    steady-state queries sort nothing and allocate nothing on the hot
-//    path. Concurrent batches share the pool: their multi-bucket solve
+//    sharing the one pinned snapshot, which has no mutable state and no
+//    lock; each worker leases a reusable QueryWorkspace holding only
+//    mutable scratch from a shared pool — the group's tombstone bitmap and
+//    affinity lists are built there per query — so steady-state queries
+//    sort nothing and allocate nothing on the hot path. Concurrent batches share the pool: their multi-bucket solve
 //    phases take turns on it (see serve/batch_executor.h).
 //  * Writes — ApplyUpdates — rebuild the affected index rows and CF state
 //    OFF the serving path and publish the result as a new snapshot

@@ -6,16 +6,6 @@
 
 namespace greca {
 
-std::size_t TombstoneCache::MemoryBytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t bytes = 0;
-  for (const auto& [key, set] : cache_) {
-    bytes += sizeof(Key) + key.group.size() * sizeof(UserId) +
-             sizeof(TombstoneSet) + set->words.size() * sizeof(std::uint64_t);
-  }
-  return bytes;
-}
-
 Snapshot::Snapshot(std::uint64_t generation,
                    std::shared_ptr<const RatingsOverlay> ratings,
                    std::vector<PredictionRow> predictions,

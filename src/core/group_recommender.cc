@@ -128,13 +128,13 @@ double GroupRecommender::ModelAffinity(UserId a, UserId b,
   if (!resolved.ok()) return 0.0;
   const PeriodId p = resolved.value();
   const AffinitySource& source = *affinity_;
-  std::vector<double> averages = source.PeriodAverages(p);
+  std::vector<double> averages;
   std::vector<double> aff_p;
-  aff_p.reserve(p + 1);
   for (PeriodId q = 0; q <= p; ++q) {
+    averages.push_back(source.PeriodAverage(q));
     aff_p.push_back(source.Periodic(a, b, q));
   }
-  const AffinityCombiner combiner(spec, std::move(averages));
+  const AffinityCombiner combiner(spec, averages);
   // Static affinity normalized by the population max (group context is not
   // available for a bare pair).
   return combiner.Combine(source.NormalizedStatic(a, b), aff_p);
@@ -172,7 +172,6 @@ Result<GroupProblem> GroupRecommender::BuildProblem(
   AssemblyContext ctx;
   ctx.key_index = &snap->index();
   ctx.affinity = affinity_.get();
-  ctx.tombstone_cache = &snap->tombstone_cache();
   GroupProblem problem = AssembleGroupProblem(ctx, group, slices, spec,
                                               eval_period, candidates_out,
                                               workspace);

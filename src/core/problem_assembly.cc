@@ -95,7 +95,6 @@ GroupProblem AssembleGroupProblem(const AssemblyContext& ctx,
                                   std::vector<ItemId>* candidates_out,
                                   QueryWorkspace* workspace) {
   assert(members.size() == group.size());
-  assert(ctx.tombstone_cache != nullptr);
   const PreferenceIndex& key_index = *ctx.key_index;
   const AffinitySource& source = *ctx.affinity;
 
@@ -110,48 +109,34 @@ GroupProblem AssembleGroupProblem(const AssemblyContext& ctx,
   // exclusion), so no preference list is sorted or copied per query.
   const std::size_t pool =
       std::min(spec.num_candidate_items, key_index.pool_size());
-  // Bitmaps depend only on (group, pool) within one snapshot generation, so
-  // they are memoized: repeated groups skip the per-member rated-item walk
-  // entirely. A member's rated items = the immutable base row plus the live
-  // delta row of the overlay that SERVES that member (on the sharded path
-  // the member's shard entry, which holds the engine's one overlay). The
-  // pin keeps the bitmap alive for the problem's lifetime even if the memo
-  // is cleared meanwhile (the arena outlives the problem by contract).
-  std::shared_ptr<const TombstoneSet> tombstones =
-      ctx.tombstone_cache->GetShared(
-          group, pool, [&]() -> std::shared_ptr<const TombstoneSet> {
-            auto fresh = std::make_shared<TombstoneSet>();
-            fresh->words.assign((pool + 63) / 64, 0);
-            const auto mark = [&](ItemId item) {
-              const std::uint32_t key = key_index.PoolPositionOf(item);
-              if (key < pool) fresh->words[key >> 6] |= 1ull << (key & 63u);
-            };
-            for (const MemberSlice& m : members) {
-              const RatingsOverlay& ratings = *m.ratings;
-              for (const auto& e :
-                   ratings.base().RatingsOfUser(m.ratings_user)) {
-                mark(e.item);
-              }
-              for (const auto& e : ratings.DeltaOfUser(m.ratings_user)) {
-                mark(e.item);
-              }
-            }
-            std::size_t tombstoned = 0;
-            for (const std::uint64_t word : fresh->words) {
-              tombstoned += static_cast<std::size_t>(std::popcount(word));
-            }
-            fresh->live = pool - tombstoned;
-            return fresh;
-          });
-  const std::span<const std::uint64_t> words = tombstones->words;
-  const std::size_t live = tombstones->live;
-  arena.tombstone_pin = std::move(tombstones);
+  // The group's rated items = each member's immutable base row plus live
+  // delta row, read from the overlay that SERVES that member (on the sharded
+  // path the member's shard entry, which holds the engine's one overlay).
+  // The bitmap is rebuilt in the arena per query: assign() zeroes it
+  // without reallocating once the arena has seen this pool size.
+  std::vector<std::uint64_t>& tombstones = arena.tombstones;
+  tombstones.assign((pool + 63) / 64, 0);
+  const auto mark = [&](ItemId item) {
+    const std::uint32_t key = key_index.PoolPositionOf(item);
+    if (key < pool) tombstones[key >> 6] |= 1ull << (key & 63u);
+  };
+  for (const MemberSlice& m : members) {
+    const RatingsOverlay& ratings = *m.ratings;
+    for (const auto& e : ratings.base().RatingsOfUser(m.ratings_user)) {
+      mark(e.item);
+    }
+    for (const auto& e : ratings.DeltaOfUser(m.ratings_user)) mark(e.item);
+  }
+  std::size_t live = pool;
+  for (const std::uint64_t word : tombstones) {
+    live -= static_cast<std::size_t>(std::popcount(word));
+  }
 
   arena.preference_views.clear();
   arena.preference_views.reserve(members.size());
   for (const MemberSlice& m : members) {
     arena.preference_views.push_back(
-        m.index->UserView(m.row, pool, words, live));
+        m.index->UserView(m.row, pool, tombstones, live));
   }
 
   // Affinity lists come only from the engine's source and are materialized
@@ -161,7 +146,7 @@ GroupProblem AssembleGroupProblem(const AssemblyContext& ctx,
   source.MaterializeStaticListInto(group, arena.entry_scratch,
                                    arena.static_list);
   arena.period_views.clear();
-  std::vector<double> averages;
+  arena.period_averages.clear();
   if (spec.model.time_aware && spec.model.affinity_aware) {
     const std::size_t periods = static_cast<std::size_t>(eval_period) + 1;
     if (arena.period_lists.size() < periods) {
@@ -172,8 +157,8 @@ GroupProblem AssembleGroupProblem(const AssemblyContext& ctx,
       SortedList& list = arena.period_lists[p];
       source.MaterializePeriodListInto(group, p, arena.entry_scratch, list);
       arena.period_views.emplace_back(list);
+      arena.period_averages.push_back(source.PeriodAverage(p));
     }
-    averages = source.PeriodAverages(eval_period);
   }
 
   // Per-member consensus weights: influence queries normalize the raw
@@ -220,7 +205,7 @@ GroupProblem AssembleGroupProblem(const AssemblyContext& ctx,
     }
   }
 
-  AffinityCombiner combiner(spec.model, std::move(averages));
+  AffinityCombiner combiner(spec.model, arena.period_averages);
   if (candidates_out != nullptr) {
     const std::span<const ItemId> items = key_index.pool();
     candidates_out->assign(items.begin(), items.begin() + pool);

@@ -44,11 +44,9 @@ struct AssemblyContext {
   /// Source of the static and periodic affinity lists, which assembly
   /// materializes into the query's arena.
   const AffinitySource* affinity = nullptr;
-  /// Required: the (group, pool) memo of the bitmap that excludes the
-  /// group's rated items (paper §2.4) — scoped to whatever pins the members'
-  /// rated-item state (the Snapshot's generation on the monolithic path, the
-  /// ShardedSnapshotSet's generation vector on the sharded path).
-  TombstoneCache* tombstone_cache = nullptr;
+  /// Kept for perfbench until ROADMAP item 1: never read (see
+  /// TombstoneCache).
+  const TombstoneCache* tombstone_cache = nullptr;
 };
 
 /// The single resolution point for the last-period convention: nullopt
@@ -86,7 +84,9 @@ void StampMemberWeights(const AffinitySource& source,
 /// `members` only needs to live for the duration of this call either way.
 /// `candidates_out`, when non-null, receives the candidate pool in key
 /// order. The caller pins whatever owns the index rows on the result
-/// (GroupProblem::PinLifetime); the affinity lists live in the arena.
+/// (GroupProblem::PinLifetime); the tombstone bitmap and the affinity lists
+/// are built per query into the arena, whose vectors only grow, so assembly
+/// on a reused workspace allocates nothing.
 GroupProblem AssembleGroupProblem(const AssemblyContext& ctx,
                                   std::span<const UserId> group,
                                   std::span<const MemberSlice> members,

@@ -2,9 +2,8 @@
 //
 // Production batch traffic at millions-of-users scale is highly redundant —
 // popular groups recur, dashboards re-issue identical queries, and group
-// sessions page through the same (group, spec) repeatedly. The snapshot's
-// tombstone memo already shares SUB-problem state across such repeats; the
-// planner shares the WHOLE problem: before a batch
+// sessions page through the same (group, spec) repeatedly. The planner
+// shares the WHOLE problem across such repeats: before a batch
 // executes, queries are bucketed by their execution signature — the ordered
 // group plus every solve-relevant QuerySpec field: k, the affinity model,
 // the consensus spec, the termination policy, the pool size, the weighting
@@ -57,8 +56,7 @@ struct BatchQueryAttribution {
   bool representative = false;
 };
 
-/// Execution stats of one batch: what the planner shared and what the
-/// pinned view's tombstone memo did while the batch ran. Filled by
+/// Execution stats of one batch: what the planner shared. Filled by
 /// Engine::RecommendBatch / ShardedEngine::RecommendBatch when the caller
 /// passes one.
 struct BatchReport {
@@ -75,16 +73,13 @@ struct BatchReport {
   /// repeats or the batch is empty).
   double dedup_ratio = 1.0;
 
-  /// Always 0: period lists are built per query and nothing caches them.
-  /// Kept only because perfbench reads them, until its adapter calls
-  /// engine-level names only (ROADMAP item 1).
+  /// Kept for perfbench until ROADMAP item 1, which sums them; always 0.
+  /// Period lists and tombstone bitmaps are built per query and nothing
+  /// caches them.
   std::uint64_t period_cache_hits = 0;
   std::uint64_t period_cache_misses = 0;
-  /// Tombstone memo counter deltas across the batch, read off the pinned
-  /// view (monolithic: the Snapshot's; sharded: the pinned set's).
   std::uint64_t tombstone_cache_hits = 0;
   std::uint64_t tombstone_cache_misses = 0;
-  std::uint64_t tombstone_cache_evictions = 0;
 
   /// Per input query, parallel to the batch (empty when not requested via
   /// RecommendBatch's report parameter being null — callers always get it

@@ -52,16 +52,6 @@ const char* NullPinError(const ShardedSnapshotSet*) {
   return "snapshot set must not be null";
 }
 
-/// The tombstone-memo counters a batch reports deltas of.
-struct CacheCounters {
-  std::uint64_t tomb_hits, tomb_misses, tomb_evictions;
-
-  explicit CacheCounters(const TombstoneCache& tombs)
-      : tomb_hits(tombs.hits()),
-        tomb_misses(tombs.misses()),
-        tomb_evictions(tombs.evictions()) {}
-};
-
 }  // namespace
 
 template <typename Engine, typename Pin>
@@ -74,8 +64,6 @@ std::vector<Result<Recommendation>> BatchExecutor::Execute(
         queries.size(), Result<Recommendation>(Status::InvalidArgument(
                             NullPinError(pin.get()))));
   }
-  const TombstoneCache& tombs = pin->tombstone_cache();
-  const CacheCounters before(tombs);
   BatchPlan plan = BatchPlanner::Plan(
       queries,
       [&](const Query& q) { return engine.ValidateQuery(q.group, q.spec); },
@@ -128,11 +116,6 @@ std::vector<Result<Recommendation>> BatchExecutor::Execute(
                  plan.buckets[b].queries.front() ==
                      static_cast<std::uint32_t>(i)};
     }
-    const CacheCounters after(tombs);
-    report->tombstone_cache_hits = after.tomb_hits - before.tomb_hits;
-    report->tombstone_cache_misses = after.tomb_misses - before.tomb_misses;
-    report->tombstone_cache_evictions =
-        after.tomb_evictions - before.tomb_evictions;
   }
   return results;
 }

@@ -17,16 +17,13 @@
 //    its own workspace leased from a WorkspacePool; a null pool runs them
 //    inline on the calling thread, which doubles as the serial reference for
 //    the parallel path;
-//  * BatchReport assembly — dedup ratio, the deltas of the pin's
-//    tombstone_cache() counters, per-query attribution.
+//  * BatchReport assembly — dedup ratio and per-query attribution.
 //
 // Determinism: buckets are independent and the algorithms are deterministic
 // functions of (pinned view, query), so parallel and serial execution
 // produce bit-identical results — items, scores, access counts, statuses —
 // and so does issuing each query alone through the engine's Recommend on the
-// same pin (tests/planner_equivalence_test.cc). Memo hit/miss counters may
-// differ between the two (racing workers can both miss the same key) but
-// memoized VALUES never do.
+// same pin (tests/planner_equivalence_test.cc).
 //
 // Concurrency: Execute is re-entrant. Workspaces come from the pool per
 // call and the pinned view is immutable, so concurrent batches on one
@@ -60,8 +57,8 @@ class BatchExecutor {
   /// one solve. The two instantiations are (GroupRecommender, Snapshot) and
   /// (ShardedEngine, ShardedSnapshotSet). `pool` is the parallelism source:
   /// null runs every bucket inline on the calling thread (the serial
-  /// reference). `report`, when non-null, receives planner stats, tombstone
-  /// memo deltas, and per-query attribution.
+  /// reference). `report`, when non-null, receives planner stats and
+  /// per-query attribution.
   template <typename Engine, typename Pin>
   static std::vector<Result<Recommendation>> Execute(
       const Engine& engine, const std::shared_ptr<const Pin>& pin,

@@ -212,10 +212,6 @@ Result<GroupProblem> ShardedEngine::BuildProblem(
   AssemblyContext ctx;
   ctx.key_index = set->shard(0).index.get();
   ctx.affinity = affinity_.get();
-  // Tombstone memo scoped to the set, which pins one overlay for its whole
-  // lifetime (see ShardedSnapshotSet). Pin() returns one set until the next
-  // publish, so repeated groups across queries hit too.
-  ctx.tombstone_cache = &set->tombstone_cache();
   GroupProblem problem = AssembleGroupProblem(ctx, group, slices, spec,
                                               eval_period, candidates_out,
                                               workspace);

@@ -96,14 +96,9 @@ struct ShardedEngineInputs {
 
 /// One published generation of the engine: one entry per shard, all
 /// stamped with the same generation and overlay. What Pin() hands out and a
-/// query holds to keep every shard's rows alive and stable.
-///
-/// Each set also carries its own (group, pool) tombstone-bitmap memo. A
-/// bitmap depends on every member's rated items, i.e. on the set's overlay
-/// — which the set pins and never changes — so scoping the memo to the set
-/// makes it correct by construction: queries running on the same set
-/// (Pin() returns one set until the next publish) share bitmaps, while sets
-/// pinned across a publish get a fresh memo.
+/// query holds to keep every shard's rows alive and stable. Immutable: it
+/// has no mutable member and no lock, so any number of queries may read one
+/// set at once.
 class ShardedSnapshotSet {
  public:
   explicit ShardedSnapshotSet(
@@ -116,14 +111,15 @@ class ShardedSnapshotSet {
     return shards_[s];
   }
 
-  /// The set-scoped (group, pool) tombstone memo (internally synchronized;
-  /// hit/miss/eviction counters like the Snapshot's memo). Mutable state
-  /// on an otherwise-immutable pin, hence the const accessor.
-  TombstoneCache& tombstone_cache() const { return tombstone_cache_; }
+  /// Kept for perfbench until ROADMAP item 1: a no-op (see
+  /// TombstoneCache); assembly builds the tombstone bitmap per query.
+  const TombstoneCache& tombstone_cache() const {
+    static constexpr TombstoneCache kNone;
+    return kNone;
+  }
 
  private:
   std::vector<std::shared_ptr<const ShardSnapshot>> shards_;
-  mutable TombstoneCache tombstone_cache_;
 };
 
 /// What one ApplyUpdates call did, engine-wide and per shard.
@@ -170,8 +166,7 @@ class ShardedEngine {
   /// The currently published set (queries pin implicitly; explicit pins
   /// give cross-call stability). A constant-time pointer copy under a light
   /// mutex, for the TSan reason GroupRecommender::snapshot() gives. Repeat
-  /// pins return the SAME set until the next publish, so successive queries
-  /// share its tombstone memo. Never null.
+  /// pins return the SAME set until the next publish. Never null.
   std::shared_ptr<const ShardedSnapshotSet> Pin() const {
     std::lock_guard<std::mutex> lock(published_mu_);
     return published_;

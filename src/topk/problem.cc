@@ -45,7 +45,8 @@ void GroupProblem::BuildAgreementList() {
   scratch.clear();
   scratch.reserve(num_items_);
   // Each member's score is looked up once per key, then every pair reads it.
-  std::vector<double> scores(g);
+  std::vector<double>& scores = arena_->agreement_scores;
+  scores.assign(g, 0.0);
   for (ListKey key = 0; key < num_items_; ++key) {
     if (!IsCandidate(key)) continue;
     for (std::size_t u = 0; u < g; ++u) {

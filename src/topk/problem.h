@@ -76,11 +76,10 @@ struct MemberSlice {
 /// arena must back at most one live GroupProblem at a time (rebuilding it
 /// invalidates the previous problem's views).
 struct ProblemArena {
-  /// Keep-alive for the memoized tombstone bitmap (1 bit per candidate-pool
-  /// key; set = excluded, group-rated item) the preference views alias
-  /// (api/snapshot.h's TombstoneCache; type-erased so topk stays independent
-  /// of the api layer).
-  std::shared_ptr<const void> tombstone_pin;
+  /// The group's §2.4 tombstone bitmap, 1 bit per candidate-pool key (set =
+  /// excluded, a group-rated item), which the preference views alias.
+  /// Rebuilt per query; the vector only grows.
+  std::vector<std::uint64_t> tombstones;
   std::vector<ListView> preference_views;
   SortedList static_list;
   /// One periodic list per period 0..p, rebuilt in place per query (the
@@ -88,9 +87,14 @@ struct ProblemArena {
   /// problem's views of the first p + 1 of them.
   std::vector<SortedList> period_lists;
   std::vector<ListView> period_views;
+  /// The population averages AvgAffP(p') of periods 0..p (empty for models
+  /// that read no periodic lists).
+  std::vector<double> period_averages;
   /// The aggregated group-agreement list of the problem this arena backs
   /// (GroupProblem::agreement_list()).
   SortedList agreement_list;
+  /// One member score per key, scratch of the agreement-list build.
+  std::vector<double> agreement_scores;
   /// Unsorted-entry scratch shared by the list materializers.
   std::vector<ListEntry> entry_scratch;
   /// Per-member slice descriptors (scatter/gather assembly scratch).

@@ -3,12 +3,16 @@
 // thread counts, workspace reuse and the thread pool itself.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
+#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <set>
 #include <string>
 #include <string_view>
@@ -21,6 +25,80 @@
 #include "common/thread_pool.h"
 #include "shard/sharded_engine.h"
 #include "solver/solver_registry.h"
+
+// Counts the heap allocations this thread makes while
+// `g_count_allocations` is set (ReusedWorkspaceAssemblyAllocatesNothing).
+namespace {
+thread_local bool g_count_allocations = false;
+thread_local std::size_t g_allocations = 0;
+
+void* CountedAlloc(std::size_t size, std::size_t align) {
+  if (g_count_allocations) ++g_allocations;
+  size = std::max<std::size_t>(size, 1);
+  void* p = align <= alignof(std::max_align_t)
+                ? std::malloc(size)
+                : std::aligned_alloc(align, (size + align - 1) / align * align);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+}  // namespace
+
+// Every replaceable form, so no allocation reaches a sanitizer runtime's
+// own operator new and then this file's operator delete.
+void* operator new(std::size_t size) { return CountedAlloc(size, 0); }
+void* operator new[](std::size_t size) { return CountedAlloc(size, 0); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return CountedAlloc(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return CountedAlloc(size, static_cast<std::size_t>(align));
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return CountedAlloc(size, 0);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  try {
+    return CountedAlloc(size, static_cast<std::size_t>(align));
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t& tag) noexcept {
+  return operator new(size, align, tag);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace greca {
 namespace {
@@ -429,6 +507,75 @@ TEST_F(ApiTest, ReusedArenaPeriodListsMatchFreshWorkspace) {
     ASSERT_TRUE(reused.ok()) << what << ": " << reused.status().ToString();
     ASSERT_TRUE(fresh.ok()) << what;
     ExpectBitIdentical(reused.value(), fresh.value(), what);
+  }
+
+  // The participants here rated the same pool items, so every group above
+  // has one tombstone bitmap. On a private engine, member 41 (in `last`,
+  // not in `large`) rates `large`'s top pick: serving `large` right after
+  // `last` on one workspace must bring that item back.
+  EngineOptions eopts;
+  eopts.num_threads = 1;
+  Engine engine(*universe_, *study_, Options(), eopts);
+  const auto before = engine.recommender().Recommend(large.group, large.spec);
+  ASSERT_TRUE(before.ok());
+  ASSERT_FALSE(before.value().items.empty());
+  RatingEvent e;
+  e.user = 41;
+  e.item = before.value().items[0];
+  e.rating = 5.0;
+  e.timestamp = 2'000'000'000;
+  ASSERT_TRUE(engine.ApplyUpdates({&e, 1}).ok());
+  QueryWorkspace rated_workspace;
+  for (const auto& [what, query] :
+       {std::pair{"with the rater", &last}, {"without the rater", &large}}) {
+    const auto reused = engine.recommender().Recommend(
+        query->group, query->spec, &rated_workspace);
+    QueryWorkspace fresh_workspace;
+    const auto fresh = engine.recommender().Recommend(
+        query->group, query->spec, &fresh_workspace);
+    ASSERT_TRUE(reused.ok()) << what;
+    ASSERT_TRUE(fresh.ok()) << what;
+    ExpectBitIdentical(reused.value(), fresh.value(), what);
+  }
+}
+
+// Steady-state assembly allocates nothing: once a workspace has served a
+// query shape, assembling it again — another group of the same size
+// included, time-aware so period lists and averages are built, and under
+// pairwise disagreement so the agreement list is too — makes no heap
+// allocation.
+TEST_F(ApiTest, ReusedWorkspaceAssemblyAllocatesNothing) {
+  Query last;
+  last.group = {3, 8, 15, 22, 30, 41};
+  last.spec.k = 5;
+  last.spec.num_candidate_items = 400;
+  Query other = last;
+  other.group = {1, 9, 16, 23, 31, 40};
+  Query pd = last;
+  pd.spec.consensus = ConsensusSpec::PairwiseDisagreement();
+  const std::pair<const char*, const Query*> sequence[] = {
+      {"time-aware AP", &last}, {"other group", &other}, {"PD", &pd}};
+
+  const GroupRecommender& recommender = engine_->recommender();
+  const auto snap = recommender.snapshot();
+  QueryWorkspace workspace;
+  for (const auto& [what, query] : sequence) {
+    ASSERT_TRUE(recommender
+                    .BuildProblem(snap, query->group, query->spec, nullptr,
+                                  &workspace)
+                    .ok())
+        << what;
+  }
+  for (const auto& [what, query] : sequence) {
+    g_allocations = 0;
+    g_count_allocations = true;
+    const bool ok = recommender
+                        .BuildProblem(snap, query->group, query->spec,
+                                      nullptr, &workspace)
+                        .ok();
+    g_count_allocations = false;
+    EXPECT_TRUE(ok) << what;
+    EXPECT_EQ(g_allocations, 0u) << what;
   }
 }
 

@@ -485,13 +485,12 @@ TEST_F(ShardedEquivalenceTest, CompactionIsUnobservableAcrossShardCounts) {
   EXPECT_TRUE(saw_compaction) << "the cadence never fired; test is vacuous";
 }
 
-// The batch executor reads the tombstone deltas off the pin's memo the same
-// way on both engines. With one batch worker the counts are exact, so a
-// monolithic Engine and 1- and 3-shard ShardedEngines report identical
-// per-batch buckets, memo hits, misses and evictions — cold, warm, and
-// after a rating publish, where the fresh pin starts a cold memo. Period
-// lists are built per query, so the period counters read 0 throughout.
-TEST_F(ShardedEquivalenceTest, TombstoneCacheCountersMatchAcrossEngines) {
+// The batch executor plans the same way on both engines: a monolithic
+// Engine and 1- and 3-shard ShardedEngines report identical per-batch
+// bucket counts — cold, warm, and after a rating publish. Period lists and
+// tombstone bitmaps are built per query, so the cache counters kept for
+// perfbench read 0 throughout.
+TEST_F(ShardedEquivalenceTest, BatchReportsMatchAcrossEngines) {
   EngineOptions serial;
   serial.num_threads = 1;
   Engine mono(universe_->dataset, *study_, MonoOptions(), serial);
@@ -502,8 +501,8 @@ TEST_F(ShardedEquivalenceTest, TombstoneCacheCountersMatchAcrossEngines) {
     sharded.push_back(
         std::make_unique<ShardedEngine>(universe_->dataset, *study_, options));
   }
-  // The shared mix uses AP only; PD and VD copies add the consensus
-  // functions' memo traffic.
+  // The shared mix uses AP only; PD and VD copies add the other consensus
+  // functions' signatures.
   std::vector<Query> mix = QueryMix();
   const std::size_t base = mix.size();
   for (std::size_t i = 0; i < base; i += 2) {
@@ -526,27 +525,19 @@ TEST_F(ShardedEquivalenceTest, TombstoneCacheCountersMatchAcrossEngines) {
           std::string(phase) + ", " + std::to_string(engine->num_shards()) +
           " shards";
       EXPECT_EQ(report.num_buckets, mono_report.num_buckets) << where;
-      EXPECT_EQ(report.period_cache_hits, 0u) << where;
-      EXPECT_EQ(report.period_cache_misses, 0u) << where;
-      EXPECT_EQ(report.tombstone_cache_hits, mono_report.tombstone_cache_hits)
+      EXPECT_EQ(report.period_cache_hits + report.period_cache_misses, 0u)
           << where;
-      EXPECT_EQ(report.tombstone_cache_misses,
-                mono_report.tombstone_cache_misses)
-          << where;
-      EXPECT_EQ(report.tombstone_cache_evictions,
-                mono_report.tombstone_cache_evictions)
+      EXPECT_EQ(report.tombstone_cache_hits + report.tombstone_cache_misses,
+                0u)
           << where;
     }
     return mono_report;
   };
 
   const BatchReport cold = run_all("cold");
-  EXPECT_GT(cold.tombstone_cache_misses, 0u);
-  EXPECT_EQ(cold.period_cache_hits + cold.period_cache_misses, 0u);
+  EXPECT_GT(cold.num_buckets, 0u);
   const BatchReport warm = run_all("warm");
-  EXPECT_EQ(warm.tombstone_cache_misses, 0u) << "same pin, warm memo";
-  EXPECT_EQ(warm.tombstone_cache_hits,
-            cold.tombstone_cache_hits + cold.tombstone_cache_misses);
+  EXPECT_EQ(warm.num_buckets, cold.num_buckets);
 
   const std::vector<RatingEvent> events = RandomEvents(24, 6'100);
   UpdateReport update;
@@ -556,9 +547,7 @@ TEST_F(ShardedEquivalenceTest, TombstoneCacheCountersMatchAcrossEngines) {
     ASSERT_TRUE(engine->ApplyUpdates(events).ok());
   }
   const BatchReport published = run_all("after publish");
-  EXPECT_EQ(published.period_cache_hits + published.period_cache_misses, 0u);
-  EXPECT_EQ(published.tombstone_cache_misses, cold.tombstone_cache_misses)
-      << "a publish starts a fresh tombstone memo";
+  EXPECT_EQ(published.num_buckets, cold.num_buckets);
 }
 
 // A pinned ShardedSnapshotSet is a cross-shard fence: publishes landing

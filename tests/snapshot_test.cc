@@ -1,13 +1,14 @@
 // Tests for the snapshot-centric serving API: RCU-style publish semantics
 // (pinned generations are immutable under concurrent updates), the
 // live-update path (ApplyUpdates rebuilds predictions + index rows +
-// tombstones) and the generation-scoped tombstone memo.
+// tombstones) and per-query tombstone bitmaps on a reused workspace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -15,7 +16,6 @@
 #include "api/engine.h"
 #include "api/query_builder.h"
 #include "common/rng.h"
-#include "core/problem_assembly.h"
 #include "solver/solver_registry.h"
 
 namespace greca {
@@ -107,31 +107,6 @@ class SnapshotTest : public ::testing::Test {
 
 SyntheticRatings* SnapshotTest::universe_ = nullptr;
 FacebookStudy* SnapshotTest::study_ = nullptr;
-
-/// Assembles and solves `query` on `snap` exactly as
-/// GroupRecommender::Recommend does, but through the caller's tombstone
-/// memo — how the capped-memo test below reaches a memo smaller than the
-/// engine's default.
-Recommendation SolveWithTombstoneCache(
-    const GroupRecommender& recommender,
-    const std::shared_ptr<const Snapshot>& snap, const Query& query,
-    TombstoneCache& tombs) {
-  std::vector<MemberSlice> slices;
-  for (const UserId u : query.group) {
-    slices.push_back({&snap->index(), u, &snap->ratings(), u});
-  }
-  StampMemberWeights(recommender.affinity(), query.group, query.spec, slices);
-  AssemblyContext ctx;
-  ctx.key_index = &snap->index();
-  ctx.affinity = &recommender.affinity();
-  ctx.tombstone_cache = &tombs;
-  const PeriodId period =
-      recommender.ResolvePeriod(query.spec.eval_period).value();
-  QueryWorkspace ws;
-  GroupProblem problem = AssembleGroupProblem(
-      ctx, query.group, slices, query.spec, period, nullptr, &ws);
-  return SolveGroupProblem(problem, query.spec, snap->index().pool(), ws);
-}
 
 void ExpectSameRecommendation(const Recommendation& a,
                               const Recommendation& b) {
@@ -341,12 +316,14 @@ TEST_F(SnapshotTest, ProblemOutlivesRetiredGeneration) {
   EXPECT_EQ(affinities.size(), NumUserPairs(group.size()));
 }
 
-// Tombstone cache: the first assembly for a (group, pool) builds the
-// group-rated bitmap, repeats within the same generation hit (bit-identical
-// recs and access counts), a different pool prefix misses again, and a
-// rating update starts a FRESH cache whose bitmaps see the new delta log.
-TEST_F(SnapshotTest, TombstoneCacheHitsRepeatsAndResetsPerGeneration) {
+// Tombstone bitmaps are built per query into the workspace's arena. On one
+// reused workspace an identical repeat is bit-identical (access counts
+// included), a narrower pool prefix is served exactly as on a fresh
+// workspace, and after a rating publish the next generation excludes the
+// group's newly rated top pick.
+TEST_F(SnapshotTest, ReusedWorkspaceRebuildsTombstonesPerQuery) {
   auto engine = MakeEngine();
+  const GroupRecommender& recommender = engine->recommender();
   const auto snap = engine->snapshot();
 
   Query query;
@@ -354,38 +331,35 @@ TEST_F(SnapshotTest, TombstoneCacheHitsRepeatsAndResetsPerGeneration) {
   query.spec.k = 5;
   query.spec.num_candidate_items = 400;
 
-  EXPECT_EQ(snap->tombstone_cache().hits(), 0u);
-  EXPECT_EQ(snap->tombstone_cache().misses(), 0u);
-
-  const auto first = engine->Recommend(query, snap);
+  QueryWorkspace workspace;
+  const auto first =
+      recommender.Recommend(snap, query.group, query.spec, &workspace);
   ASSERT_TRUE(first.ok());
-  EXPECT_EQ(snap->tombstone_cache().misses(), 1u);
-  EXPECT_EQ(snap->tombstone_cache().hits(), 0u);
-  EXPECT_EQ(snap->tombstone_cache().size(), 1u);
-
-  // Identical repeat: the bitmap is served from the memo and nothing about
-  // the answer changes — items, scores AND access counts.
-  const auto repeat = engine->Recommend(query, snap);
+  const auto repeat =
+      recommender.Recommend(snap, query.group, query.spec, &workspace);
   ASSERT_TRUE(repeat.ok());
-  EXPECT_EQ(snap->tombstone_cache().misses(), 1u);
-  EXPECT_EQ(snap->tombstone_cache().hits(), 1u);
-  EXPECT_EQ(repeat.value().items, first.value().items);
-  EXPECT_EQ(repeat.value().scores, first.value().scores);
-  EXPECT_EQ(repeat.value().raw.accesses.sequential,
-            first.value().raw.accesses.sequential);
-  EXPECT_EQ(repeat.value().raw.accesses.random,
-            first.value().raw.accesses.random);
+  ExpectSameRecommendation(repeat.value(), first.value());
 
-  // A different pool prefix is a different bitmap (keyed by (group, pool)).
+  // A narrower pool prefix on the reused (wider) bitmap's arena.
   Query narrower = query;
   narrower.spec.num_candidate_items = 100;
-  ASSERT_TRUE(engine->Recommend(narrower, snap).ok());
-  EXPECT_EQ(snap->tombstone_cache().misses(), 2u);
-  EXPECT_EQ(snap->tombstone_cache().size(), 2u);
-  EXPECT_GT(snap->tombstone_cache().MemoryBytes(), 0u);
+  const auto narrow =
+      recommender.Recommend(snap, narrower.group, narrower.spec, &workspace);
+  ASSERT_TRUE(narrow.ok());
+  QueryWorkspace fresh;
+  const auto narrow_fresh =
+      recommender.Recommend(snap, narrower.group, narrower.spec, &fresh);
+  ASSERT_TRUE(narrow_fresh.ok());
+  ExpectSameRecommendation(narrow.value(), narrow_fresh.value());
+  const std::span<const ItemId> prefix =
+      snap->index().pool().first(narrower.spec.num_candidate_items);
+  for (const ItemId item : narrow.value().items) {
+    EXPECT_NE(std::ranges::find(prefix, item), prefix.end())
+        << "item " << item << " lies outside the narrower pool prefix";
+  }
 
-  // Rate the group's current top pick: the next generation's FRESH cache
-  // must tombstone it (a carried-over bitmap would keep recommending it).
+  // Rate the group's current top pick: the next generation must tombstone
+  // it, on the same workspace that served the old generation.
   ASSERT_FALSE(first.value().items.empty());
   const ItemId top = first.value().items[0];
   RatingEvent e;
@@ -395,75 +369,18 @@ TEST_F(SnapshotTest, TombstoneCacheHitsRepeatsAndResetsPerGeneration) {
   e.timestamp = 2'000'000'000;
   ASSERT_TRUE(engine->ApplyUpdates({&e, 1}).ok());
   const auto next = engine->snapshot();
-  EXPECT_EQ(next->tombstone_cache().size(), 0u) << "fresh per generation";
-  EXPECT_EQ(next->tombstone_cache().misses(), 0u);
-  const auto after = engine->Recommend(query, next);
+  const auto after =
+      recommender.Recommend(next, query.group, query.spec, &workspace);
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ(next->tombstone_cache().misses(), 1u);
   for (const ItemId item : after.value().items) {
     EXPECT_NE(item, top) << "newly rated item must be excluded";
   }
-}
-
-// The tombstone memo is bounded: an insert that finds it full clears it
-// first, the eviction counter counts every dropped entry, a held bitmap
-// outlives the clear, and a dropped group rebuilds an identical bitmap and
-// answers identically.
-TEST_F(SnapshotTest, TombstoneCacheClearsWhenFull) {
-  auto engine = MakeEngine(/*threads=*/2);
-  const GroupRecommender& recommender = engine->recommender();
-  const auto snap = engine->snapshot();
-  TombstoneCache tombs(2);
-
-  Query a;
-  a.group = {4, 17, 29};
-  a.spec.k = 5;
-  a.spec.num_candidate_items = 400;
-  Query b = a;
-  b.group = {3, 11};
-  Query c = a;
-  c.group = {8, 21};
-
-  const Recommendation a1 =
-      SolveWithTombstoneCache(recommender, snap, a, tombs);
-  SolveWithTombstoneCache(recommender, snap, b, tombs);
-  EXPECT_EQ(tombs.size(), 2u);
-  EXPECT_EQ(tombs.evictions(), 0u);
-  // A resident lookup hits and never builds.
-  const auto no_build = []() -> std::shared_ptr<const TombstoneSet> {
-    ADD_FAILURE() << "resident bitmap was rebuilt";
-    return std::make_shared<const TombstoneSet>();
-  };
-  const std::shared_ptr<const TombstoneSet> held =
-      tombs.GetShared(a.group, a.spec.num_candidate_items, no_build);
-  EXPECT_EQ(tombs.hits(), 1u);
-
-  // C finds the memo full: both resident bitmaps go, C's goes in.
-  SolveWithTombstoneCache(recommender, snap, c, tombs);
-  EXPECT_EQ(tombs.size(), 1u);
-  EXPECT_EQ(tombs.evictions(), 2u);
-  EXPECT_EQ(tombs.misses(), 3u);
-
-  // A was dropped: it misses, rebuilds and answers identically. The memo
-  // had room (C alone), so nothing more is dropped.
-  const Recommendation a2 =
-      SolveWithTombstoneCache(recommender, snap, a, tombs);
-  EXPECT_EQ(tombs.misses(), 4u);
-  EXPECT_EQ(tombs.size(), 2u);
-  EXPECT_EQ(tombs.evictions(), 2u);
-  ExpectSameRecommendation(a2, a1);
-
-  // The held bitmap outlived the clear and equals the rebuilt one.
-  const std::shared_ptr<const TombstoneSet> rebuilt =
-      tombs.GetShared(a.group, a.spec.num_candidate_items, no_build);
-  EXPECT_NE(held, rebuilt);
-  EXPECT_EQ(held->words, rebuilt->words);
-  EXPECT_EQ(held->live, rebuilt->live);
-
-  // The capped memo changes no result: the engine's own path agrees.
-  const auto served = engine->Recommend(a, snap);
-  ASSERT_TRUE(served.ok());
-  ExpectSameRecommendation(served.value(), a1);
+  // The retired generation, replayed on the same workspace, still serves
+  // its old answer.
+  const auto replay =
+      recommender.Recommend(snap, query.group, query.spec, &workspace);
+  ASSERT_TRUE(replay.ok());
+  ExpectSameRecommendation(replay.value(), first.value());
 }
 
 }  // namespace
